@@ -59,7 +59,13 @@ def build_parser():
     p.add_argument("--N", type=int, default=256, dest="n_input", help="input points per patch")
     p.add_argument("--r", type=int, default=4, dest="rate", help="upsampling rate")
     p.add_argument("--fraction", type=float, default=0.05, help="surface area fraction per patch")
-    p.add_argument("--pool-size", type=int, default=50000, help="dense sample pool per mesh")
+    p.add_argument(
+        "--pool-size",
+        type=int,
+        default=50000,
+        help="dense sample pool per mesh; raised to at least "
+        "ceil(5 * r * N / fraction) so that each patch holds 5x its target points",
+    )
     p.add_argument("--seed", type=int, default=0, help="rng seed")
     p.set_defaults(func=_cmd_prepare)
 
@@ -89,7 +95,9 @@ def build_parser():
     p.add_argument("--in", required=True, dest="input", help="input .xyz cloud")
     p.add_argument("--ckpt", required=True, help="checkpoint directory")
     p.add_argument("--out", required=True, help="output .xyz path")
-    p.add_argument("--overlap", type=int, default=3, help="patch coverage redundancy")
+    p.add_argument(
+        "--overlap", type=_at_least_one, default=3, help="patch coverage redundancy (>= 1)"
+    )
     p.set_defaults(func=_cmd_upsample)
 
     p = sub.add_parser("eval", help="metric report for a predicted cloud")
@@ -114,6 +122,16 @@ def build_parser():
     p.set_defaults(func=_cmd_demo)
 
     return parser
+
+
+def _at_least_one(text):
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def _cmd_prepare(args):

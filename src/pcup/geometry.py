@@ -8,6 +8,8 @@ with plain numpy arithmetic. Ties are broken by lower point index, which
 makes every query deterministic.
 """
 
+import math
+
 import numpy as np
 from scipy.spatial import cKDTree
 
@@ -108,6 +110,10 @@ def farthest_point_sampling(points, k, seed_index=0):
     The first pick is `seed_index`; every later pick maximizes the
     distance to the already-selected set, with ties broken by lower
     index. Returns the k selected indices in pick order.
+
+    Distances are those of `np.linalg.norm`, sqrt((dx² + dy²) + dz²) in
+    that order, computed bit for bit the same but on contiguous columns
+    in preallocated buffers, so a pick allocates nothing.
     """
     pts = as_points(points)
     n = len(pts)
@@ -115,15 +121,26 @@ def farthest_point_sampling(points, k, seed_index=0):
         raise ValueError(f"k={k} out of range for {n} points")
     if not 0 <= seed_index < n:
         raise ValueError(f"seed_index={seed_index} out of range for {n} points")
+    x, y, z = (np.ascontiguousarray(pts[:, j]) for j in range(3))
+    mindist = np.full(n, np.inf)
+    dist = np.empty(n)
+    term = np.empty(n)
     selected = np.empty(k, dtype=np.intp)
-    selected[0] = seed_index
-    mindist = np.linalg.norm(pts - pts[seed_index], axis=1)
-    mindist[seed_index] = -1.0  # selected points can never win the argmax
+    selected[0] = nxt = seed_index
     for i in range(1, k):
+        np.subtract(x, x[nxt], out=dist)
+        np.multiply(dist, dist, out=dist)
+        np.subtract(y, y[nxt], out=term)
+        np.multiply(term, term, out=term)
+        np.add(dist, term, out=dist)
+        np.subtract(z, z[nxt], out=term)
+        np.multiply(term, term, out=term)
+        np.add(dist, term, out=dist)
+        np.sqrt(dist, out=dist)
+        np.minimum(mindist, dist, out=mindist)
+        mindist[nxt] = -1.0  # selected points can never win the argmax
         nxt = int(np.argmax(mindist))  # first occurrence = lowest index on ties
         selected[i] = nxt
-        np.minimum(mindist, np.linalg.norm(pts - pts[nxt], axis=1), out=mindist)
-        mindist[nxt] = -1.0
     return selected
 
 
@@ -153,31 +170,28 @@ def read_xyz(path):
     """Read an ASCII XYZ file: one point per line, three whitespace-
     separated reals; blank lines and lines starting with '#' are skipped.
     Parse errors report the 1-based line number."""
-    rows = []
+    coords = []
     with open(path, "r", encoding="ascii") as fh:
         for lineno, line in enumerate(fh, start=1):
-            text = line.strip()
-            if not text or text.startswith("#"):
+            parts = line.split()
+            if not parts or parts[0].startswith("#"):
                 continue
-            parts = text.split()
             if len(parts) != 3:
                 raise ValueError(
                     f"{path}:{lineno}: expected 3 values per line, got {len(parts)}"
                 )
             try:
-                rows.append([float(t) for t in parts])
+                x, y, z = map(float, parts)
             except ValueError:
                 raise ValueError(f"{path}:{lineno}: malformed number in {parts!r}") from None
-            if not all(np.isfinite(rows[-1])):
+            if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(z)):
                 raise ValueError(f"{path}:{lineno}: non-finite coordinate")
-    if not rows:
-        return np.zeros((0, 3), dtype=np.float64)
-    return np.asarray(rows, dtype=np.float64)
+            coords += (x, y, z)
+    return np.array(coords, dtype=np.float64).reshape(-1, 3)
 
 
 def write_xyz(path, points):
     """Write points as ASCII XYZ with 6 significant digits."""
     pts = as_points(points)
     with open(path, "w", encoding="ascii") as fh:
-        for x, y, z in pts:
-            fh.write(f"{x:.6g} {y:.6g} {z:.6g}\n")
+        fh.write(("%.6g %.6g %.6g\n" * len(pts)) % tuple(pts.ravel().tolist()))

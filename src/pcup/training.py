@@ -242,6 +242,11 @@ def _mesh_patches(name, mesh, cfg, rng, log):
     n_target = cfg.n_target
     # the patch must hold ~5x the Poisson target for elimination quality
     pool_n = max(cfg.pool_size, math.ceil(5 * n_target / cfg.patch_fraction))
+    if pool_n > cfg.pool_size:
+        log(
+            f"{name}: pool size raised from {cfg.pool_size} to {pool_n} "
+            f"(5 x {n_target} target points / patch fraction {cfg.patch_fraction:g})"
+        )
     pool = area_weighted_sample(mesh, pool_n, rng)
     grower = PatchGrower(pool, k=cfg.graph_k)
     seeds = area_weighted_sample(mesh, cfg.patches_per_mesh, rng)
@@ -574,16 +579,19 @@ def train(pairs, cfg, out_dir, log=_default_log):
 def upsample_cloud(points, params, gen_cfg, overlap_factor=3, generator_fn=None):
     """Patch-based upsampling of a whole cloud to rate * len(points).
 
-    Farthest-point seeds cover the cloud with overlap_factor redundancy;
-    each seed's N nearest input points form a patch that is normalized,
-    upsampled, and mapped back; the union is trimmed to exactly
-    rate * len(points) by farthest point sampling. `generator_fn` maps
-    (params, gen_cfg, patch) -> array and defaults to the real network.
+    Farthest-point seeds cover the cloud with overlap_factor redundancy
+    (at least 1); each seed's N nearest input points form a patch that
+    is normalized, upsampled, and mapped back; the union is trimmed to
+    exactly rate * len(points) by farthest point sampling. `generator_fn`
+    maps (params, gen_cfg, patch) -> array and defaults to the real
+    network.
     """
     pts = as_points(points)
     n = len(pts)
     if n == 0:
         raise ValueError("empty input")
+    if not overlap_factor >= 1:
+        raise ValueError(f"overlap_factor must be at least 1, got {overlap_factor}")
     if generator_fn is None:
         generator_fn = generate
     n_in = gen_cfg.n_input

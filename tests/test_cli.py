@@ -246,6 +246,20 @@ class TestUpsample:
         assert code == 1
         assert ":2:" in err
 
+    @pytest.mark.parametrize("overlap", ["0", "-2"])
+    def test_overlap_below_one_is_usage_error(self, capsys, tmp_path, rng, overlap):
+        # the checkpoint does not exist: loading it first would exit 1
+        src = tmp_path / "cloud.xyz"
+        write_xyz(src, rng.normal(size=(20, 3)))
+        dst = tmp_path / "o.xyz"
+        code, _, err = run(
+            capsys, "upsample", "--in", str(src), "--ckpt", str(tmp_path / "nope"),
+            "--out", str(dst), "--overlap", overlap,
+        )
+        assert code == 2
+        assert "--overlap: must be at least 1" in err
+        assert not dst.exists()
+
     def test_missing_checkpoint(self, capsys, tmp_path, rng):
         src = tmp_path / "cloud.xyz"
         write_xyz(src, rng.normal(size=(20, 3)))

@@ -1,5 +1,7 @@
 """Spatial queries, farthest point sampling, normalization, XYZ I/O."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -115,6 +117,36 @@ class TestFarthestPointSampling:
         sel = farthest_point_sampling(pts, 30, 5)
         assert sorted(sel) == list(range(30))
 
+    def test_sqrt_merged_ties_break_by_index(self, rng):
+        # |p2|^2 = a^2 + d^2 is one ulp above |p1|^2 = a^2, but both round
+        # to the same sqrt: the distances tie and index 1 must win, where
+        # a squared-distance argmax would pick index 2
+        cases = 0
+        for a in rng.uniform(1.0, 2.0, size=300):
+            for e in range(26, 34):
+                d = 2.0 ** -e
+                near, far = a * a, a * a + d * d
+                if far != math.nextafter(near, math.inf) or math.sqrt(far) != math.sqrt(near):
+                    continue
+                cases += 1
+                pts = np.array([[0.0, 0.0, 0.0], [a, 0.0, 0.0], [a, d, 0.0]])
+                got = farthest_point_sampling(pts, 3, 0)
+                assert np.array_equal(got, helpers.brute_fps(pts, 3, 0))
+                assert list(got) == [0, 1, 2]
+        assert cases > 50
+
+    def test_large_cloud_matches_reference_greedy(self, rng):
+        pts = rng.normal(size=(6144, 3))
+        got = farthest_point_sampling(pts, 2048, 4321)
+        assert np.array_equal(got, helpers.brute_fps(pts, 2048, 4321))
+
+    def test_exact_duplicates_all_selected_in_reference_order(self, rng):
+        base = rng.normal(size=(25, 3))
+        pts = base[rng.integers(0, 25, size=90)]
+        for seed in (0, 17, 89):
+            got = farthest_point_sampling(pts, 90, seed)
+            assert np.array_equal(got, helpers.brute_fps(pts, 90, seed))
+
 
 class TestNormalization:
     def test_two_point_hand_case(self):
@@ -174,6 +206,29 @@ class TestXyzIO:
         path.write_text("1 2 inf\n")
         with pytest.raises(ValueError, match=r":1: non-finite"):
             read_xyz(path)
+
+    def test_bytes_match_row_by_row_writer(self, tmp_path, rng):
+        pts = rng.normal(size=(500, 3)) * 10.0 ** rng.integers(-300, 300, size=(500, 3))
+        pts[:2] = [[-0.0, 1e-300, 1e300], [0.0, -1e-300, -1e300]]
+        path = tmp_path / "c.xyz"
+        write_xyz(path, pts)
+        want = "".join(f"{x:.6g} {y:.6g} {z:.6g}\n" for x, y, z in pts)
+        assert path.read_bytes() == want.encode("ascii")
+        assert path.read_bytes().startswith(b"-0 1e-300 1e+300\n0 -1e-300 -1e+300\n")
+
+    def test_first_bad_line_is_reported(self, tmp_path):
+        path = tmp_path / "bad.xyz"
+        path.write_text("1 2 3\r\n# 1 2\n4 5 nan\n4 5\n")
+        with pytest.raises(ValueError, match=r":3: non-finite"):
+            read_xyz(path)
+        path.write_text("1 2 3\n\n4 5 6 7\n1 x 3\n")
+        with pytest.raises(ValueError, match=r":3: expected 3 values per line, got 4"):
+            read_xyz(path)
+
+    def test_line_endings_and_whitespace(self, tmp_path):
+        path = tmp_path / "c.xyz"
+        path.write_bytes(b"  1\t2 3 \r\n\r\n\t# c\r4 5 6")
+        assert np.array_equal(read_xyz(path), [[1, 2, 3], [4, 5, 6]])
 
     def test_empty_file_gives_empty_cloud(self, tmp_path):
         path = tmp_path / "empty.xyz"

@@ -149,6 +149,17 @@ class TestDataset:
         assert len(pairs) == 20 - len(messages)
         assert len(pairs) >= 10
 
+    def test_pool_floor_is_logged(self, tetra_mesh):
+        # 5 x 32 target points / 0.05 = 3200 > the configured 2000
+        messages = []
+        tr.build_dataset([("t", tetra_mesh)], tr.TrainConfig(**TINY), log=messages.append)
+        assert messages == ["t: pool size raised from 2000 to 3200 "
+                            "(5 x 32 target points / patch fraction 0.05)"]
+        messages = []
+        cfg = tr.TrainConfig(**{**TINY, "pool_size": 3200})
+        tr.build_dataset([("t", tetra_mesh)], cfg, log=messages.append)
+        assert messages == []
+
     def test_mesh_with_too_few_usable_patches_fails(self):
         # three equal disconnected triangles: every component holds ~1/3 of
         # the pool, below the requested 45% patch, so every seed fails
@@ -330,3 +341,17 @@ class TestUpsampleCloud:
         cfg = tr.TrainConfig(**TINY).generator_config()
         with pytest.raises(ValueError, match="empty input"):
             tr.upsample_cloud(np.zeros((0, 3)), None, cfg, generator_fn=self._stub)
+
+    @pytest.mark.parametrize("overlap", [0, 0.5, -1])
+    def test_overlap_below_one_rejected(self, rng, overlap):
+        cfg = tr.TrainConfig(**TINY).generator_config()
+        calls = []
+
+        def generator(params, gen_cfg, patch):
+            calls.append(patch)
+            return self._stub(params, gen_cfg, patch)
+
+        with pytest.raises(ValueError, match="overlap_factor must be at least 1"):
+            tr.upsample_cloud(rng.normal(size=(50, 3)), None, cfg, overlap, generator)
+        assert calls == []
+
