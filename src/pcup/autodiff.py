@@ -49,15 +49,6 @@ class Node:
     def shape(self):
         return self.value.shape
 
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def __add__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
 
 def constant(value):
     """Leaf node that never receives a gradient of interest."""

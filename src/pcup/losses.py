@@ -1,6 +1,6 @@
 """Training objectives: least-squares adversarial terms, a differentiable
-uniformity loss, earth-mover reconstruction, and the weighted compound
-generator objective.
+uniformity loss, exact earth-mover reconstruction, and the weighted
+compound generator objective.
 
 Discrete choices inside the losses (matching, seed picks, ball
 membership, subset counts) are frozen from the current values on every
@@ -77,9 +77,10 @@ def uniform_loss(q, cfg=UniformLossConfig(), seed=0):
     return total if total is not None else ad.constant(np.zeros((1, 1)))
 
 
-def reconstruction_loss(q, target, epsilon=1e-3):
+def reconstruction_loss(q, target, _epsilon=None):
     """Earth-mover reconstruction: sum of matched L2 distances under the
-    auction matching recomputed from current values.
+    exact matching recomputed from current values. The third argument is
+    ignored; perfbench/oracles.py passes a matching tolerance in it.
 
     Returns (loss node, Matching). The matching is frozen for the
     backward pass; each output point is pulled straight toward its
@@ -87,7 +88,7 @@ def reconstruction_loss(q, target, epsilon=1e-3):
     target = as_points(target, "target")
     if q.shape[0] != len(target):
         raise ValueError(f"size mismatch: {q.shape[0]} output vs {len(target)} target points")
-    matching = metrics.emd_approx(q.value, target, epsilon)
+    matching = metrics.emd_exact(q.value, target)
     matched = ad.constant(target[matching.permutation])
     dist = ad.sqrt(ad.rowwise_sum(ad.square(ad.sub(q, matched))))
     return ad.sum_all(dist), matching

@@ -21,8 +21,6 @@ __all__ = [
     "load_mesh",
     "area_weighted_sample",
     "poisson_disk_sample",
-    "grow_geodesic_patch",
-    "point_to_surface_distance",
     "point_triangle_distances",
     "poisson_disk_radius",
 ]
@@ -415,14 +413,6 @@ class PatchGrower:
         return Patch(self.pool.subset(order), order, dist[order], seed_position, fraction)
 
 
-def grow_geodesic_patch(mesh, pool, seed_position, fraction, k=10):
-    """One-shot patch growth; builds the pool graph on every call, so
-    prefer PatchGrower when extracting many patches from one mesh."""
-    if len(pool) < 1000:
-        raise ValueError(f"dense pool must hold at least 1000 points, got {len(pool)}")
-    return PatchGrower(pool, k=k).grow(seed_position, fraction)
-
-
 # ---------------------------------------------------------------------------
 # point-to-surface distance
 
@@ -460,11 +450,6 @@ def _segment_distances(p, a, b):
     t = np.clip(np.einsum("ij,ij->i", p[None, :] - a, ab) / denom, 0.0, 1.0)
     diff = p[None, :] - (a + t[:, None] * ab)
     return np.sqrt(np.einsum("ij,ij->i", diff, diff))
-
-
-def point_to_surface_distance(mesh, point):
-    """Exact minimum distance from `point` to the mesh surface."""
-    return mesh.distance_to_surface(point)
 
 
 class _BVH:

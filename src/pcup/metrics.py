@@ -1,7 +1,7 @@
 """Evaluation metrics for point sets: Chamfer and Hausdorff distances,
-exact and auction-based earth mover's distance, point-to-surface
-statistics, and the uniformity measure used both for evaluation and as a
-training-loss backbone.
+exact earth mover's distance, point-to-surface statistics, and the
+uniformity measure used both for evaluation and as a training-loss
+backbone.
 
 The uniformity measure crops subsets S_j around sampled seeds, compares
 each subset's size against the expected count n_hat = |Q| * p
@@ -27,8 +27,6 @@ __all__ = [
     "chamfer_distance",
     "hausdorff_distance",
     "emd_exact",
-    "emd_approx",
-    "earth_movers_distance",
     "expected_ball_count",
     "hexagonal_neighbor_spacing",
     "uniformity_subsets",
@@ -40,8 +38,6 @@ __all__ = [
 ]
 
 P_VALUES = (0.004, 0.006, 0.008, 0.010, 0.012)
-
-EMD_EXACT_LIMIT = 512  # cubic assignment stays fast up to here
 
 
 def _check_pair(a, b):
@@ -81,103 +77,25 @@ class Matching:
 
 
 def emd_exact(a, b):
-    """Minimum-cost bijection under L2 costs via the assignment
-    algorithm. Globally optimal; limited to 512 points."""
-    a, b = _check_pair(a, b)
-    if len(a) != len(b):
-        raise ValueError(f"size mismatch: {len(a)} vs {len(b)}")
-    if len(a) > EMD_EXACT_LIMIT:
-        raise ValueError(
-            f"emd_exact supports up to {EMD_EXACT_LIMIT} points, got {len(a)}; use emd_approx"
-        )
-    d = pairwise_distances(a, b)
-    rows, cols = linear_sum_assignment(d)
-    return Matching(cols.astype(np.intp), float(d[rows, cols].sum()))
-
-
-def emd_approx(a, b, epsilon=1e-3):
-    """Auction-algorithm bijection with a primal-dual optimality
-    certificate: iterate epsilon scaling until the assignment cost is
-    within `epsilon` (relative) of a dual lower bound on the optimum.
-
-    The cost is therefore always >= the exact optimum and at most
-    (1 + epsilon) times it. Inputs are canonicalized by lexicographic
-    sort, so permuting either input's point order cannot change the cost.
-    """
+    """Minimum-cost bijection under L2 costs via the assignment algorithm
+    (scipy's modified Jonker-Volgenant). Globally optimal. Inputs are
+    canonicalized by lexicographic sort, so permuting either input's
+    point order cannot change the cost, bit for bit."""
     a, b = _check_pair(a, b)
     n = len(a)
     if n != len(b):
         raise ValueError(f"size mismatch: {n} vs {len(b)}")
-    if not epsilon > 0:
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
-    if n == 1:
-        return Matching(np.zeros(1, dtype=np.intp), float(np.linalg.norm(a[0] - b[0])))
     ia = np.lexsort((a[:, 2], a[:, 1], a[:, 0]))
     ib = np.lexsort((b[:, 2], b[:, 1], b[:, 0]))
     d = pairwise_distances(a[ia], b[ib])
-    assign = _auction_assignment(d, epsilon)
-    cost = float(d[np.arange(n), assign].sum())
+    assign = linear_sum_assignment(d)[1]
     permutation = np.empty(n, dtype=np.intp)
     permutation[ia] = ib[assign]
-    return Matching(permutation, cost)
+    return Matching(permutation, float(d[np.arange(n), assign].sum()))
 
 
-def _auction_assignment(d, epsilon):
-    """Jacobi auction with epsilon scaling on a dense cost matrix.
-
-    Each phase produces a complete assignment satisfying eps-complementary
-    slackness against the current prices; the duality gap then certifies
-    how far the assignment can be from optimal. Prices warm-start the next
-    phase."""
-    n = d.shape[0]
-    prices = np.zeros(n)
-    eps_run = max(float(d.max()), 1e-12) / 4.0
-    eps_floor = 1e-15 * max(1.0, float(d.max()))
-    while True:
-        assign = _auction_phase(d, prices, eps_run)
-        primal = float(d[np.arange(n), assign].sum())
-        dual = float((d + prices[None, :]).min(axis=1).sum() - prices.sum())
-        if primal - dual <= epsilon * primal + 1e-12:
-            return assign
-        if eps_run < eps_floor:
-            return assign  # gap is floating-point noise at this point
-        eps_run /= 5.0
-
-
-def _auction_phase(d, prices, eps):
-    n = d.shape[0]
-    owner = np.full(n, -1, dtype=np.intp)  # object -> person
-    assign = np.full(n, -1, dtype=np.intp)  # person -> object
-    while True:
-        bidders = np.nonzero(assign < 0)[0]
-        if bidders.size == 0:
-            return assign
-        costs = d[bidders] + prices[None, :]
-        two = np.argpartition(costs, 1, axis=1)[:, :2]
-        vals = np.take_along_axis(costs, two, axis=1)
-        first_min = vals[:, 0] <= vals[:, 1]
-        best_obj = np.where(first_min, two[:, 0], two[:, 1])
-        best_val = np.minimum(vals[:, 0], vals[:, 1])
-        second_val = np.maximum(vals[:, 0], vals[:, 1])
-        bids = prices[best_obj] + (second_val - best_val) + eps
-        # Highest bid per object wins; ties go to the lowest person index.
-        order = np.lexsort((bidders, -bids, best_obj))
-        firsts = order[np.unique(best_obj[order], return_index=True)[1]]
-        win_objs = best_obj[firsts]
-        win_people = bidders[firsts]
-        displaced = owner[win_objs]
-        assign[displaced[displaced >= 0]] = -1
-        owner[win_objs] = win_people
-        assign[win_people] = win_objs
-        prices[win_objs] = bids[firsts]
-
-
-def earth_movers_distance(a, b, epsilon=1e-3):
-    """Dispatcher: exact assignment up to 512 points, auction beyond."""
-    a, b = _check_pair(a, b)
-    if len(a) <= EMD_EXACT_LIMIT:
-        return emd_exact(a, b)
-    return emd_approx(a, b, epsilon)
+# the name perfbench/tracer.py times the matcher under
+emd_approx = emd_exact
 
 
 # ---------------------------------------------------------------------------
@@ -193,6 +111,14 @@ def hexagonal_neighbor_spacing(radius, subset_size):
     """Ideal nearest-neighbor spacing d_hat for `subset_size` points
     hexagonally packed in a disk of the given radius."""
     return math.sqrt(2.0 * math.pi * radius * radius / (subset_size * math.sqrt(3.0)))
+
+
+def _nearest_in_crop(pts, members):
+    """Index of each member's nearest other member of the crop, the lower
+    index on ties."""
+    inner = pairwise_distances(pts[members], pts[members])
+    np.fill_diagonal(inner, np.inf)
+    return members[np.argmin(inner, axis=1)]
 
 
 def uniformity_subsets(points, p, seed_count, rng):
@@ -221,9 +147,7 @@ def uniformity_subsets(points, p, seed_count, rng):
     for s in seeds:
         members = index.ball_query(pts[s], r_d)
         if len(members) >= 2:
-            inner = pairwise_distances(pts[members], pts[members])
-            np.fill_diagonal(inner, np.inf)
-            nn = members[np.argmin(inner, axis=1)]
+            nn = _nearest_in_crop(pts, members)
             d_hat = hexagonal_neighbor_spacing(r_d, len(members))
         else:
             nn = None
@@ -292,9 +216,7 @@ def uniformity_report_mesh(points, mesh, seed_count=1000, rng=0, pool_size=20000
                 members = np.nonzero(reach <= radii[p])[0]
                 if len(members) < 2:
                     continue  # clutter 0, contributes nothing
-                inner = pairwise_distances(pts[members], pts[members])
-                np.fill_diagonal(inner, np.inf)
-                nn = members[np.argmin(inner, axis=1)]
+                nn = _nearest_in_crop(pts, members)
                 d_hat = hexagonal_neighbor_spacing(radii[p], len(members))
                 n_hat = expected_ball_count(n, p)
                 totals[p] += _subset_value(pts, n_hat, members, nn, d_hat)

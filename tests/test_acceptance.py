@@ -26,7 +26,6 @@ from pcup.geometry import SpatialIndex, farthest_point_sampling
 from pcup.mesh import (
     TriangleMesh,
     area_weighted_sample,
-    point_to_surface_distance,
     point_triangle_distances,
     poisson_disk_sample,
 )
@@ -44,8 +43,9 @@ def _matching_cost(a, b):
 def test_c01_emd_oracle_equivalence():
     start = time.perf_counter()
     rng = np.random.default_rng(0)
-    # exact solver vs factorial enumeration: same sums in the same
-    # order, so only accumulation noise (< 1e-12 relative) separates them
+    # exact solver vs factorial enumeration: the same distances summed in
+    # another order, so only accumulation noise (< 1e-12 relative)
+    # separates them
     for _ in range(200):
         n = int(rng.integers(1, 8))
         a = rng.normal(size=(n, 3))
@@ -53,16 +53,6 @@ def test_c01_emd_oracle_equivalence():
         got = metrics.emd_exact(a, b).cost
         want = _matching_cost(a, b)
         assert abs(got - want) <= 1e-12 * max(1.0, want)
-    # auction refinement vs exact solver: within 0.5% at epsilon=1e-3,
-    # and never below the true optimum
-    for _ in range(50):
-        n = int(rng.integers(2, 513))
-        a = rng.normal(size=(n, 3))
-        b = rng.normal(size=(n, 3))
-        exact = metrics.emd_exact(a, b).cost
-        approx = metrics.emd_approx(a, b, epsilon=1e-3).cost
-        assert approx >= exact - 1e-9
-        assert approx <= 1.005 * exact
     assert time.perf_counter() - start < 60.0
 
 
@@ -184,7 +174,7 @@ def test_c04_spatial_query_exactness(icosphere_mesh):
     corners = icosphere_mesh.corners()
     for _ in range(250):
         q = rng.normal(size=(3,)) * 1.5
-        got = point_to_surface_distance(icosphere_mesh, q)
+        got = icosphere_mesh.distance_to_surface(q)
         assert got == point_triangle_distances(q, corners).min()
     assert time.perf_counter() - start < 30.0
 
@@ -235,7 +225,7 @@ def test_c06_overfit_sanity(icosphere_mesh):
         # with the decay schedule compressed to the short horizon
         lr = max(1e-4, 1e-3 * 0.7 ** ((step - 1) // 250))
         out_node = nw.generate_node(params, gen_cfg, inp)[0]
-        rec, _ = lo.reconstruction_loss(out_node, target, cfg.emd_epsilon)
+        rec, _ = lo.reconstruction_loss(out_node, target)
         best = min(best, float(rec.value[0, 0]) / len(target))
         ad.backward(rec)
         ad.adam_step(params, lr, cfg.adam_beta1, cfg.adam_beta2, cfg.adam_eps)

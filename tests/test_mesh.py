@@ -13,10 +13,8 @@ from pcup.mesh import (
     PatchGrower,
     TriangleMesh,
     area_weighted_sample,
-    grow_geodesic_patch,
     load_mesh,
     point_triangle_distances,
-    point_to_surface_distance,
     poisson_disk_radius,
     poisson_disk_sample,
 )
@@ -213,7 +211,7 @@ class TestGeodesicPatches:
         # disk of area 0.05, i.e. radius sqrt(0.05/pi)
         pool = area_weighted_sample(planar_mesh, 4000, rng)
         center = np.array([0.5, 0.5, 0.0])
-        patch = grow_geodesic_patch(planar_mesh, pool, center, 0.05)
+        patch = PatchGrower(pool).grow(center, 0.05)
         reach = np.linalg.norm(patch.samples.positions - center, axis=1).max()
         ideal = math.sqrt(0.05 / math.pi)
         assert 0.8 * ideal <= reach <= 1.2 * ideal
@@ -238,15 +236,10 @@ class TestGeodesicPatches:
         reach = np.linalg.norm(pts - seed, axis=1).max()
         assert reach > 0.05
 
-    def test_one_shot_helper_enforces_pool_floor(self, tetra_mesh, rng):
-        pool = area_weighted_sample(tetra_mesh, 800, rng)
-        with pytest.raises(ValueError, match="at least 1000"):
-            grow_geodesic_patch(tetra_mesh, pool, pool.positions[0], 0.1)
-
 
 class TestPointToSurface:
     def test_tetra_centroid_hand_value(self, tetra_mesh):
-        assert point_to_surface_distance(tetra_mesh, [0, 0, 0]) == pytest.approx(1 / 3)
+        assert tetra_mesh.distance_to_surface([0, 0, 0]) == pytest.approx(1 / 3)
 
     def test_surface_samples_have_zero_distance(self, icosphere_mesh, rng):
         samples = area_weighted_sample(icosphere_mesh, 300, rng)
@@ -263,7 +256,7 @@ class TestPointToSurface:
         corners = tetra_mesh.corners()
         for _ in range(5):
             q = rng.normal(size=3)
-            exact = point_to_surface_distance(tetra_mesh, q)
+            exact = tetra_mesh.distance_to_surface(q)
             grid = min(
                 helpers.brute_point_triangle(q, *corners[i]) for i in range(len(corners))
             )

@@ -1,5 +1,5 @@
-"""Chamfer, Hausdorff, earth mover's distance (exact and auction),
-uniformity measures, and the report CSV."""
+"""Chamfer, Hausdorff, exact earth mover's distance, uniformity
+measures, and the report CSV."""
 
 import math
 
@@ -73,60 +73,39 @@ class TestEmdExact:
         with pytest.raises(ValueError, match="size mismatch"):
             metrics.emd_exact(rng.normal(size=(3, 3)), rng.normal(size=(4, 3)))
 
-    def test_large_inputs_redirected_to_approx(self, rng):
-        big = rng.normal(size=(metrics.EMD_EXACT_LIMIT + 1, 3))
-        with pytest.raises(ValueError, match="emd_approx"):
-            metrics.emd_exact(big, big)
-
-
-class TestEmdApprox:
-    def test_within_half_percent_of_exact(self, rng):
-        for n in (8, 33, 100, 256):
-            a = rng.normal(size=(n, 3))
-            b = rng.normal(size=(n, 3)) * 0.8 + 0.1
-            exact = metrics.emd_exact(a, b).cost
-            approx = metrics.emd_approx(a, b).cost
-            assert approx >= exact - 1e-9 * max(1.0, exact)
-            assert approx <= exact * 1.005
-
     def test_identical_clouds_cost_zero(self, rng):
         a = rng.normal(size=(64, 3))
-        m = metrics.emd_approx(a, a.copy())
+        m = metrics.emd_exact(a, a.copy())
         assert m.cost == 0.0
         assert np.array_equal(a[np.argsort(m.permutation)], a)  # valid bijection
 
     def test_permutation_invariance_is_bitwise(self, rng):
         a = rng.normal(size=(50, 3))
         b = rng.normal(size=(50, 3))
-        base = metrics.emd_approx(a, b).cost
+        base = metrics.emd_exact(a, b).cost
         for _ in range(5):
             pa, pb = rng.permutation(50), rng.permutation(50)
-            assert metrics.emd_approx(a[pa], b[pb]).cost == base
+            assert metrics.emd_exact(a[pa], b[pb]).cost == base
 
     def test_scale_covariance_power_of_two(self, rng):
         a = rng.normal(size=(40, 3))
         b = rng.normal(size=(40, 3))
-        assert metrics.emd_approx(4.0 * a, 4.0 * b).cost == pytest.approx(
-            4.0 * metrics.emd_approx(a, b).cost, rel=1e-12
+        assert metrics.emd_exact(4.0 * a, 4.0 * b).cost == pytest.approx(
+            4.0 * metrics.emd_exact(a, b).cost, rel=1e-12
         )
 
     def test_single_point(self):
-        m = metrics.emd_approx(np.array([[0.0, 0, 0]]), np.array([[3.0, 4, 0]]))
+        m = metrics.emd_exact(np.array([[0.0, 0, 0]]), np.array([[3.0, 4, 0]]))
         assert m.cost == pytest.approx(5.0)
+        assert list(m.permutation) == [0]
 
-    def test_cost_matches_permutation(self, rng):
-        a = rng.normal(size=(30, 3))
-        b = rng.normal(size=(30, 3))
-        m = metrics.emd_approx(a, b)
-        direct = np.linalg.norm(a - b[m.permutation], axis=1).sum()
-        assert m.cost == pytest.approx(direct, rel=1e-12)
-
-    def test_dispatcher_picks_by_size(self, rng):
-        small = rng.normal(size=(10, 3))
-        assert metrics.earth_movers_distance(small, small).cost == 0.0
-        big = rng.normal(size=(metrics.EMD_EXACT_LIMIT + 4, 3))
-        m = metrics.earth_movers_distance(big, big.copy())
+    def test_large_cloud_recovers_permutation(self, rng):
+        # above the 512 points the solver was once capped at
+        a = rng.normal(size=(1024, 3))
+        perm = rng.permutation(1024)
+        m = metrics.emd_exact(a, a[perm])
         assert m.cost == 0.0
+        assert np.array_equal(perm[m.permutation], np.arange(1024))
 
 
 class TestUniformityFormulas:

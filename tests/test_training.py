@@ -1,6 +1,7 @@
 """Config serialization, schedule, augmentation, dataset assembly,
 archive I/O, the training loop, and whole-cloud upsampling."""
 
+import dataclasses
 import math
 import os
 
@@ -10,6 +11,7 @@ import pytest
 from pcup import training as tr
 from pcup.geometry import pairwise_distances, read_xyz
 from pcup.mesh import TriangleMesh
+from pcup.networks import init_generator
 
 
 TINY = dict(
@@ -51,6 +53,26 @@ class TestConfig:
     def test_unknown_key_rejected(self):
         with pytest.raises(ValueError, match="unknown key"):
             tr.TrainConfig.from_text("not_a_field = 3\n")
+
+    def test_config_with_retired_emd_epsilon_still_loads(self, tmp_path):
+        cfg = tr.TrainConfig(**TINY)
+        text = cfg.to_text()
+        assert "emd_epsilon" not in text
+        assert "emd_epsilon" not in {f.name for f in dataclasses.fields(tr.TrainConfig)}
+        with pytest.raises(TypeError):
+            tr.TrainConfig(emd_epsilon=1e-3)
+        # the line as configs written with the auction matcher hold it
+        lines = text.splitlines(keepends=True)
+        at = next(i for i, line in enumerate(lines) if line.startswith("p_values")) + 1
+        old_text = "".join(lines[:at] + ["emd_epsilon = 0.001\n"] + lines[at:])
+        assert tr.TrainConfig.from_text(old_text) == cfg
+        ckpt = tmp_path / "ckpt"
+        gparams = init_generator(cfg.generator_config(), 0)
+        tr.save_checkpoint(ckpt, gparams, None, cfg)
+        (ckpt / "config.txt").write_text(old_text)
+        assert tr.load_checkpoint(ckpt)[2] == cfg
+        with pytest.raises(ValueError, match="unknown key"):
+            tr.TrainConfig.from_text(old_text + "emd_epsilonn = 0.001\n")
 
     def test_malformed_line_rejected(self):
         with pytest.raises(ValueError, match="line 1"):
@@ -289,8 +311,8 @@ class TestTrainLoop:
     def test_reconstruction_only_training_improves_held_out_patch(
         self, icosphere_mesh, tmp_path
     ):
-        from pcup.metrics import emd_approx
-        from pcup.networks import generate, init_generator
+        from pcup.metrics import emd_exact
+        from pcup.networks import generate
 
         cfg = tr.TrainConfig(**{**TINY, "patches_per_mesh": 6, "iterations": 250,
                                 "ablate_discriminator": True})
@@ -300,7 +322,7 @@ class TestTrainLoop:
 
         def held_out_emd(params):
             out = generate(params, cfg.generator_config(), inp)
-            return emd_approx(out, held.target).cost / len(held.target)
+            return emd_exact(out, held.target).cost / len(held.target)
 
         before = held_out_emd(
             init_generator(cfg.generator_config(), np.random.default_rng(cfg.seed))
