@@ -99,6 +99,13 @@ class TestEmdExact:
         assert m.cost == pytest.approx(5.0)
         assert list(m.permutation) == [0]
 
+    def test_cost_matches_permutation(self, rng):
+        a = rng.normal(size=(30, 3))
+        b = rng.normal(size=(30, 3))
+        m = metrics.emd_exact(a, b)
+        direct = np.linalg.norm(a - b[m.permutation], axis=1).sum()
+        assert m.cost == pytest.approx(direct, rel=1e-12)
+
     def test_large_cloud_recovers_permutation(self, rng):
         # above the 512 points the solver was once capped at
         a = rng.normal(size=(1024, 3))
