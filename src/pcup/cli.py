@@ -96,7 +96,7 @@ def build_parser():
     p.add_argument("--ckpt", required=True, help="checkpoint directory")
     p.add_argument("--out", required=True, help="output .xyz path")
     p.add_argument(
-        "--overlap", type=_at_least_one, default=3, help="patch coverage redundancy (>= 1)"
+        "--overlap", type=_int_at_least(1), default=3, help="patch coverage redundancy (>= 1)"
     )
     p.set_defaults(func=_cmd_upsample)
 
@@ -106,8 +106,11 @@ def build_parser():
     p.add_argument("--mesh", required=True, help="source mesh (OFF/PLY) for surface metrics")
     p.add_argument("--out", required=True, help="output CSV path")
     p.add_argument("--name", default=None, help="row label (default: pred file stem)")
-    p.add_argument("--subsets", type=int, default=1000, help="uniformity crop count")
-    p.add_argument("--pool-size", type=int, default=20000, help="surface pool for geodesic crops")
+    p.add_argument("--subsets", type=_int_at_least(1), default=1000, help="uniformity crop count")
+    p.add_argument(
+        "--pool-size", type=_int_at_least(2), default=20000,
+        help="surface pool for geodesic crops (>= 2)",
+    )
     p.add_argument("--seed", type=int, default=0, help="rng seed")
     p.set_defaults(func=_cmd_eval)
 
@@ -124,14 +127,19 @@ def build_parser():
     return parser
 
 
-def _at_least_one(text):
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+def _int_at_least(minimum):
+    """argparse type: an int no smaller than `minimum`."""
+
+    def parse(text):
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
+        return value
+
+    return parse
 
 
 def _cmd_prepare(args):

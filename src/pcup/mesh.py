@@ -1,9 +1,17 @@
 """Triangle meshes: ASCII OFF/PLY loading, area-weighted and Poisson-disk
 surface sampling, geodesic patch growth over a kNN graph, and exact
-point-to-surface distance accelerated by a bounding-volume hierarchy.
+point-to-surface distance.
+
+Point-to-surface distance is one batched query. The triangle whose
+centroid is nearest a point gives an exact upper bound u on its distance;
+any triangle that can beat u has its centroid within u + r_max of the
+point, r_max being the largest centroid-to-corner distance of the mesh. A
+kd-tree over the centroids finds those candidates for all points at once,
+and the exact kernel is evaluated on the flat (point, triangle) pairs.
 """
 
 import heapq
+import itertools
 import math
 
 import numpy as np
@@ -27,6 +35,7 @@ __all__ = [
 
 _AREA_FLOOR = 1e-12  # minimum triangle area after unit-sphere normalization
 _ELIMINATION_POWER = 8  # exponent of the sample-elimination weight kernel
+_PAIR_CHUNK = 1 << 13  # (point, triangle) pairs per distance-kernel call
 
 
 def _as_rng(rng):
@@ -63,7 +72,7 @@ class TriangleMesh:
         self.areas = areas
         self.total_area = float(areas.sum())
         self._corners = None
-        self._bvh = None
+        self._centroids = None  # (kd-tree over triangle centroids, r_max)
 
     def corners(self):
         """(m, 3, 3) array: corner coordinates of every triangle."""
@@ -86,14 +95,40 @@ class TriangleMesh:
 
     def distance_to_surface(self, point):
         """Exact minimum distance from a point to the surface."""
-        p = np.asarray(point, dtype=np.float64).reshape(3)
-        if self._bvh is None:
-            self._bvh = _BVH(self.corners())
-        return self._bvh.query(p)
+        p = np.asarray(point, dtype=np.float64).reshape(1, 3)
+        return float(self.distances_to_surface(p)[0])
 
     def distances_to_surface(self, points):
+        """Exact minimum distance from each point to the surface: the
+        minimum of point_triangle_distances over every triangle whose
+        centroid is close enough to beat the nearest centroid's triangle."""
         pts = as_points(points)
-        return np.array([self.distance_to_surface(p) for p in pts])
+        corners = self.corners()
+        if self._centroids is None:
+            centroids = corners.mean(axis=1)
+            r_max = np.sqrt(((corners - centroids[:, None, :]) ** 2).sum(axis=2)).max()
+            self._centroids = (cKDTree(centroids), float(r_max))
+        tree, r_max = self._centroids
+        upper = point_triangle_distances(pts, corners[tree.query(pts)[1]])
+        # padded like SpatialIndex, so the tree's rounding can only add
+        # candidates; the nearest centroid's triangle is always one of them
+        radius = (upper + r_max) * (1.0 + 1e-9) + 1e-12
+        counts = tree.query_ball_point(pts, radius, return_length=True)
+        ends = np.cumsum(counts)
+        starts = ends - counts
+        out = np.empty(len(pts))
+        lo = 0
+        while lo < len(pts):
+            # the run of points whose candidate pairs fill one chunk
+            hi = max(lo + 1, int(np.searchsorted(ends, starts[lo] + _PAIR_CHUNK, side="right")))
+            lists = tree.query_ball_point(pts[lo:hi], radius[lo:hi])
+            tris = np.fromiter(itertools.chain.from_iterable(lists), np.intp,
+                               ends[hi - 1] - starts[lo])
+            d = point_triangle_distances(np.repeat(pts[lo:hi], counts[lo:hi], axis=0),
+                                         corners[tris])
+            out[lo:hi] = np.minimum.reduceat(d, starts[lo:hi] - starts[lo])
+            lo = hi
+        return out
 
 
 class SurfaceSamples:
@@ -417,15 +452,18 @@ class PatchGrower:
 # point-to-surface distance
 
 
-def point_triangle_distances(point, corners):
+def point_triangle_distances(points, corners):
     """Exact distance from one point to each triangle in (m, 3, 3)
-    `corners`: closest interior point if the plane projection lies inside,
+    `corners`, or from each of m points to its own triangle row:
+    closest interior point if the plane projection lies inside,
     otherwise the closest of the three clamped edge segments."""
-    p = np.asarray(point, dtype=np.float64).reshape(3)
+    p = np.asarray(points, dtype=np.float64)
+    if p.shape not in ((3,), (len(corners), 3)):
+        raise ValueError(f"points: expected (3,) or ({len(corners)}, 3), got {p.shape}")
     a, b, c = corners[:, 0], corners[:, 1], corners[:, 2]
     e0 = b - a
     e1 = c - a
-    w = p[None, :] - a
+    w = p - a
     a00 = np.einsum("ij,ij->i", e0, e0)
     a01 = np.einsum("ij,ij->i", e0, e1)
     a11 = np.einsum("ij,ij->i", e1, e1)
@@ -447,67 +485,6 @@ def point_triangle_distances(point, corners):
 def _segment_distances(p, a, b):
     ab = b - a
     denom = np.einsum("ij,ij->i", ab, ab)
-    t = np.clip(np.einsum("ij,ij->i", p[None, :] - a, ab) / denom, 0.0, 1.0)
-    diff = p[None, :] - (a + t[:, None] * ab)
+    t = np.clip(np.einsum("ij,ij->i", p - a, ab) / denom, 0.0, 1.0)
+    diff = p - (a + t[:, None] * ab)
     return np.sqrt(np.einsum("ij,ij->i", diff, diff))
-
-
-class _BVH:
-    """Axis-aligned box tree over triangles (median split on the widest
-    centroid axis, leaves hold up to 8 triangles). Queries are exact:
-    boxes are pruned only when they provably cannot beat the best
-    distance found so far."""
-
-    _LEAF = 8
-
-    def __init__(self, corners):
-        self._corners = corners
-        self._tri_lo = corners.min(axis=1)
-        self._tri_hi = corners.max(axis=1)
-        centroids = corners.mean(axis=1)
-        self._lo = []
-        self._hi = []
-        self._children = []  # (left, right) or None for leaves
-        self._leaf_tris = []
-        self._build(np.arange(len(corners)), centroids)
-        self._lo = np.array(self._lo)
-        self._hi = np.array(self._hi)
-
-    def _build(self, idx, centroids):
-        node = len(self._lo)
-        self._lo.append(self._tri_lo[idx].min(axis=0))
-        self._hi.append(self._tri_hi[idx].max(axis=0))
-        self._children.append(None)
-        self._leaf_tris.append(None)
-        if len(idx) <= self._LEAF:
-            self._leaf_tris[node] = idx
-            return node
-        cen = centroids[idx]
-        axis = int(np.argmax(cen.max(axis=0) - cen.min(axis=0)))
-        order = np.argsort(cen[:, axis], kind="stable")
-        half = len(idx) // 2
-        left = self._build(idx[order[:half]], centroids)
-        right = self._build(idx[order[half:]], centroids)
-        self._children[node] = (left, right)
-        return node
-
-    def _box_distance(self, p, node):
-        clamped = np.clip(p, self._lo[node], self._hi[node])
-        return float(np.linalg.norm(clamped - p))
-
-    def query(self, p):
-        best = np.inf
-        heap = [(self._box_distance(p, 0), 0)]
-        while heap:
-            lower, node = heapq.heappop(heap)
-            if lower >= best:
-                break  # heap is ordered, nothing left can improve
-            tris = self._leaf_tris[node]
-            if tris is not None:
-                best = min(best, float(point_triangle_distances(p, self._corners[tris]).min()))
-                continue
-            for child in self._children[node]:
-                lb = self._box_distance(p, child)
-                if lb < best:
-                    heapq.heappush(heap, (lb, child))
-        return best

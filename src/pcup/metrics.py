@@ -198,6 +198,8 @@ def uniformity_report_mesh(points, mesh, seed_count=1000, rng=0, pool_size=20000
     d_hat computed from R_p.
     """
     pts = as_points(points)
+    if seed_count < 1:
+        raise ValueError(f"seed_count must be >= 1, got {seed_count}")
     rng = np.random.default_rng(rng)
     pool = area_weighted_sample(mesh, pool_size, rng)
     grower = PatchGrower(pool, k=graph_k)

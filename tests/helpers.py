@@ -8,6 +8,7 @@ import math
 import numpy as np
 
 from pcup import autodiff as ad
+from pcup.mesh import point_triangle_distances
 
 # ---------------------------------------------------------------------------
 # brute-force oracles
@@ -62,6 +63,13 @@ def brute_point_triangle(p, a, b, c, grid=400):
         pts = a[None, :] + s * (b - a)[None, :] + t[:, None] * (c - a)[None, :]
         best = min(best, float(np.linalg.norm(pts - p, axis=1).min()))
     return best
+
+
+def brute_surface_distances(points, corners):
+    """Distance from each point to the nearest of all (m, 3, 3) `corners`
+    triangles: the exact per-triangle kernel, minimized over every
+    triangle with no pruning."""
+    return np.array([point_triangle_distances(q, corners).min() for q in points])
 
 
 def gradcheck(make_loss, params, names=None, h=1e-4, rel_tol=1e-3, max_entries=None, rng=None):

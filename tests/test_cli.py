@@ -298,6 +298,23 @@ class TestEval:
             if key.startswith("uni_"):
                 assert np.isfinite(float(value))
 
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--subsets", "0", "--subsets: must be at least 1"),
+        ("--subsets", "-3", "--subsets: must be at least 1"),
+        ("--pool-size", "1", "--pool-size: must be at least 2"),
+    ])
+    def test_bad_sizes_are_usage_errors(self, capsys, tmp_path, mesh_dir, flag, value, message):
+        # the clouds do not exist: reading them first would exit 1
+        out = tmp_path / "report.csv"
+        code, _, err = run(
+            capsys, "eval", "--pred", str(tmp_path / "nope.xyz"),
+            "--gt", str(tmp_path / "nope.xyz"),
+            "--mesh", str(mesh_dir / "tetra.off"), "--out", str(out), flag, value,
+        )
+        assert code == 2
+        assert message in err
+        assert not out.exists()
+
     def test_missing_prediction_file(self, capsys, tmp_path, mesh_dir):
         code, _, err = run(
             capsys, "eval", "--pred", str(tmp_path / "nope.xyz"),

@@ -2,12 +2,14 @@
 patches, and exact point-to-surface distances."""
 
 import math
+import time
 
 import numpy as np
 import pytest
 from scipy.spatial import cKDTree
 
 import helpers
+from pcup import mesh as mesh_module
 from pcup.geometry import pairwise_distances
 from pcup.mesh import (
     PatchGrower,
@@ -245,12 +247,67 @@ class TestPointToSurface:
         samples = area_weighted_sample(icosphere_mesh, 300, rng)
         assert icosphere_mesh.distances_to_surface(samples.positions).max() < 1e-12
 
-    def test_bvh_equals_brute_force_exactly(self, icosphere_mesh, rng):
+    def test_equals_brute_force_exactly(self, icosphere_mesh, rng):
         queries = rng.normal(size=(300, 3)) * 1.5
         corners = icosphere_mesh.corners()
-        brute = np.array([point_triangle_distances(q, corners).min() for q in queries])
+        brute = helpers.brute_surface_distances(queries, corners)
         fast = icosphere_mesh.distances_to_surface(queries)
         assert np.array_equal(brute, fast)
+
+    # inside: like the collapsed output of an untrained generator; centre:
+    # every centroid is about as near as every other, so every triangle is
+    # a candidate for every point
+    @pytest.mark.parametrize("where, scale", [
+        ("inside", 0.2), ("on_surface", None), ("far", 1e3), ("centre", 1e-3),
+    ])
+    def test_exact_inside_on_far_and_at_the_centre(self, icosphere_mesh, rng, where, scale):
+        if where == "on_surface":
+            queries = area_weighted_sample(icosphere_mesh, 500, rng).positions
+        else:
+            queries = rng.normal(size=(500, 3)) * scale
+        brute = helpers.brute_surface_distances(queries, icosphere_mesh.corners())
+        assert np.array_equal(icosphere_mesh.distances_to_surface(queries), brute)
+
+    def test_exact_when_one_triangle_is_a_thousand_times_larger(self, rng):
+        # a fine flat grid and one large triangle above it: the large one
+        # alone sets the centroid-to-corner reach of the candidate search
+        verts, faces = helpers.planar_grid(cells=10)
+        big = np.array([[-2.0, -2.0, 0.5], [3.0, -2.0, 0.5], [-2.0, 0.0, 0.5]])
+        mesh = TriangleMesh(np.vstack([verts, big]),
+                            np.vstack([faces, len(verts) + np.arange(3)]))
+        assert mesh.areas.max() == pytest.approx(1000 * mesh.areas.min())
+        queries = np.vstack([rng.random((300, 3)) * [1.0, 1.0, 0.6],
+                             rng.normal(size=(100, 3)) * 3])
+        brute = helpers.brute_surface_distances(queries, mesh.corners())
+        assert np.array_equal(mesh.distances_to_surface(queries), brute)
+
+    def test_duplicate_and_single_points(self, icosphere_mesh, rng):
+        base = rng.normal(size=(5, 3))
+        queries = base[[0, 0, 3, 1, 3, 3, 0]]
+        brute = helpers.brute_surface_distances(queries, icosphere_mesh.corners())
+        assert np.array_equal(icosphere_mesh.distances_to_surface(queries), brute)
+        assert np.array_equal(icosphere_mesh.distances_to_surface(base[:1]), brute[:1])
+        assert icosphere_mesh.distance_to_surface(base[0]) == brute[0]
+
+    def test_pairs_spanning_several_chunks(self, icosphere_mesh, rng, monkeypatch):
+        queries = rng.normal(size=(300, 3)) * 0.5
+        brute = helpers.brute_surface_distances(queries, icosphere_mesh.corners())
+        # 1 pair: every point's candidates overfill a chunk, one point per
+        # run; 7 and 1000: runs of several points, of uneven pair counts
+        for chunk in (1, 7, 1000):
+            monkeypatch.setattr(mesh_module, "_PAIR_CHUNK", chunk)
+            assert np.array_equal(icosphere_mesh.distances_to_surface(queries), brute)
+
+    def test_cost_bounded_for_a_cluster_at_the_centre(self, icosphere_mesh, rng):
+        # bad but valid input: every triangle is a candidate for every
+        # point, 640 000 pairs and many chunks. About 0.4 s on 2 cores; a
+        # per-point tree walk took tens of seconds on such input.
+        queries = rng.normal(size=(2000, 3)) * 1e-3
+        assert len(queries) * len(icosphere_mesh.triangles) > 10 * mesh_module._PAIR_CHUNK
+        start = time.perf_counter()
+        fast = icosphere_mesh.distances_to_surface(queries)
+        assert time.perf_counter() - start < 5.0
+        assert np.array_equal(fast, helpers.brute_surface_distances(queries, icosphere_mesh.corners()))
 
     def test_matches_dense_grid_oracle(self, tetra_mesh, rng):
         corners = tetra_mesh.corners()

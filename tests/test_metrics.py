@@ -180,6 +180,13 @@ class TestMeshUniformityReport:
         assert all(np.isfinite(v) for v in rep.values.values())
         assert len(rep.ordered_values()) == 5
 
+    @pytest.mark.parametrize("seed_count", [0, -3])
+    def test_seed_count_below_one_rejected(self, icosphere_mesh, rng, seed_count):
+        pts = area_weighted_sample(icosphere_mesh, 50, rng).positions
+        with pytest.raises(ValueError, match="seed_count must be >= 1"):
+            metrics.uniformity_report_mesh(pts, icosphere_mesh, seed_count=seed_count,
+                                           pool_size=500)
+
 
 class TestReportCsv:
     def test_header_and_roundtrip(self, tmp_path):
