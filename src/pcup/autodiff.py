@@ -81,7 +81,13 @@ def sub(a, b):
 
 
 def scale(a, c):
-    c = float(c)
+    """c * a for a scalar c, or for a constant array c that broadcasts to
+    a's shape, such as a column of per-row weights."""
+    c = np.asarray(c, dtype=np.float64)
+    if c.ndim == 0:
+        c = float(c)
+    elif c.ndim > 2 or any(k not in (1, m) for k, m in zip(c.shape[::-1], a.value.shape[::-1])):
+        raise ValueError(f"scale: factor of shape {c.shape} does not fit {a.value.shape}")
 
     def push(g):
         a.grad += c * g

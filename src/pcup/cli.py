@@ -55,9 +55,17 @@ def build_parser():
     p = sub.add_parser("prepare", help="extract training patches from a directory of meshes")
     p.add_argument("--meshes", required=True, help="directory of ASCII OFF/PLY meshes")
     p.add_argument("--out", required=True, help="output archive directory")
-    p.add_argument("--patches-per-mesh", type=int, default=200, help="patch seeds per mesh")
-    p.add_argument("--N", type=int, default=256, dest="n_input", help="input points per patch")
-    p.add_argument("--r", type=int, default=4, dest="rate", help="upsampling rate")
+    p.add_argument(
+        "--patches-per-mesh", type=_int_at_least(1), default=200,
+        help="patch seeds per mesh (>= 1)",
+    )
+    p.add_argument(
+        "--N", type=_int_at_least(1), default=256, dest="n_input",
+        help="input points per patch (>= 1)",
+    )
+    p.add_argument(
+        "--r", type=_int_at_least(1), default=4, dest="rate", help="upsampling rate (>= 1)"
+    )
     p.add_argument("--fraction", type=float, default=0.05, help="surface area fraction per patch")
     p.add_argument(
         "--pool-size",
@@ -119,8 +127,8 @@ def build_parser():
         help="uniformity metric sanity check on three reference patterns",
     )
     p.add_argument("--out", required=True, help="output directory for SVG plots")
-    p.add_argument("--points", type=int, default=625, help="points per pattern")
-    p.add_argument("--subsets", type=int, default=50, help="crops per pattern")
+    p.add_argument("--points", type=_int_at_least(1), default=625, help="points per pattern (>= 1)")
+    p.add_argument("--subsets", type=_int_at_least(1), default=50, help="crops per pattern (>= 1)")
     p.add_argument("--seed", type=int, default=0, help="rng seed")
     p.set_defaults(func=_cmd_demo)
 

@@ -8,6 +8,7 @@ with plain numpy arithmetic. Ties are broken by lower point index, which
 makes every query deterministic.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -16,6 +17,7 @@ from scipy.spatial import cKDTree
 __all__ = [
     "as_points",
     "SpatialIndex",
+    "padded_ball_runs",
     "farthest_point_sampling",
     "normalize_unit_sphere",
     "denormalize",
@@ -38,12 +40,50 @@ def as_points(a, name="points"):
     return pts
 
 
+def _row_norms(diff):
+    """Euclidean norm of each row of an (m, 3) array. Every exact distance
+    in the package is this one formula, so equal pairs give equal bits."""
+    return np.sqrt(np.einsum("ij,ij->i", diff, diff))
+
+
 def pairwise_distances(a, b):
     """Full (len(a), len(b)) matrix of Euclidean distances."""
     a = as_points(a, "a")
     b = as_points(b, "b")
     diff = a[:, None, :] - b[None, :, :]
-    return np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
+    return _row_norms(diff.reshape(-1, 3)).reshape(len(a), len(b))
+
+
+def _padded(radius):
+    """A kd-tree search radius padded by a relative epsilon, so that
+    rounding differences between the tree's distance arithmetic and
+    numpy's can only add candidates, never drop a true answer."""
+    return radius * (1.0 + 1e-9) + 1e-12
+
+
+def padded_ball_runs(tree, queries, radius, chunk):
+    """Candidates of many ball queries at once, in runs of consecutive
+    queries whose candidate lists hold about `chunk` entries together.
+
+    Query i asks for the points of `tree` within _padded(radius[i]).
+    Yields (lo, hi, counts, candidates): queries lo..hi-1, the length of
+    each one's list, and the lists concatenated in query order.
+    """
+    radius = _padded(radius)
+    counts = tree.query_ball_point(queries, radius, return_length=True)
+    ends = np.cumsum(counts)
+    starts = ends - counts
+    lo = 0
+    while lo < len(queries):
+        hi = max(lo + 1, int(np.searchsorted(ends, starts[lo] + chunk, side="right")))
+        lists = tree.query_ball_point(queries[lo:hi], radius[lo:hi])
+        cand = np.fromiter(itertools.chain.from_iterable(lists), np.intp,
+                           ends[hi - 1] - starts[lo])
+        yield lo, hi, counts[lo:hi], cand
+        lo = hi
+
+
+_NEAREST_CHUNK = 1 << 16  # candidate pairs per step of SpatialIndex.nearest_others
 
 
 class SpatialIndex:
@@ -68,8 +108,7 @@ class SpatialIndex:
 
     def _exact_sorted(self, candidates, query):
         cand = np.asarray(candidates, dtype=np.intp)
-        diff = self.points[cand] - query
-        dist = np.sqrt(np.einsum("ij,ij->i", diff, diff))
+        dist = _row_norms(self.points[cand] - query)
         order = np.lexsort((cand, dist))
         return cand[order], dist[order]
 
@@ -83,8 +122,7 @@ class SpatialIndex:
         if not 1 <= k <= n:
             raise ValueError(f"k={k} out of range for {n} indexed points")
         tree_dist = np.atleast_1d(self._tree.query(q, k=k)[0])
-        kth = float(tree_dist[-1])
-        radius = kth * (1.0 + 1e-9) + 1e-12
+        radius = _padded(float(tree_dist[-1]))
         cand, dist = self._exact_sorted(self._tree.query_ball_point(q, radius), q)
         return cand[:k], dist[:k]
 
@@ -94,9 +132,33 @@ class SpatialIndex:
         if not radius > 0:
             raise ValueError(f"radius must be positive, got {radius}")
         c = np.asarray(center, dtype=np.float64).reshape(3)
-        padded = radius * (1.0 + 1e-9) + 1e-12
-        cand, dist = self._exact_sorted(self._tree.query_ball_point(c, padded), c)
+        cand, dist = self._exact_sorted(self._tree.query_ball_point(c, _padded(radius)), c)
         return cand[dist <= radius]
+
+    def nearest_others(self):
+        """For every indexed point, the index of its nearest other indexed
+        point, the lower index on ties.
+
+        One batched query: each point's candidates are the tree's points
+        within its padded second-nearest tree distance (the nearest is
+        the point itself or a copy of it), re-ranked by exact numpy
+        distances.
+        """
+        pts = self.points
+        n = len(pts)
+        if n < 2:
+            raise ValueError(f"nearest other point needs at least 2 points, got {n}")
+        radius = self._tree.query(pts, k=2)[0][:, 1]
+        nearest = np.empty(n, dtype=np.intp)
+        for lo, hi, counts, cand in padded_ball_runs(self._tree, pts, radius, _NEAREST_CHUNK):
+            owner = np.repeat(np.arange(lo, hi), counts)
+            d = _row_norms(pts[cand] - pts[owner])
+            d[cand == owner] = np.inf
+            offsets = np.cumsum(counts) - counts
+            best = np.minimum.reduceat(d, offsets)
+            ties = np.where(d == best[owner - lo], cand, n)
+            nearest[lo:hi] = np.minimum.reduceat(ties, offsets)
+        return nearest
 
     def nearest(self, query):
         """Index and distance of the single nearest point."""

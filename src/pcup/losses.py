@@ -5,7 +5,9 @@ compound generator objective.
 Discrete choices inside the losses (matching, seed picks, ball
 membership, subset counts) are frozen from the current values on every
 call; gradients flow only through the continuous distances. That frozen
-surrogate is the documented training objective.
+surrogate is the documented training objective. Where a member has
+several equally near neighbors, its gradient goes to the one with the
+lowest index.
 """
 
 from dataclasses import dataclass
@@ -60,21 +62,32 @@ def uniform_loss(q, cfg=UniformLossConfig(), seed=0):
     metrics.uniformity_loss_value(q.value, p, cfg.seed_count, seed + k)
     over the list. Subset counts enter as constant multiplicative
     weights; only the nearest-neighbor distances carry gradient.
+
+    The graph is flat: every subset's (member, neighbor) pairs are
+    concatenated, each distinct pair's distance is computed once, and a
+    member row carries its subset's d_hat and imbalance / d_hat as
+    constant columns.
     """
-    total = None
+    members, partners, d_hats, weights = [], [], [], []
     for k, p in enumerate(cfg.p_values):
         _, n_hat, subsets = metrics.uniformity_subsets(q.value, p, cfg.seed_count, seed + k)
-        for members, nn, d_hat in subsets:
+        for m, nn, d_hat in subsets:
             if nn is None:
                 continue  # clutter is 0: no value, no gradient
-            imbalance = (len(members) - n_hat) ** 2 / n_hat
-            diff = ad.sub(ad.gather_rows(q, members), ad.gather_rows(q, nn))
-            gaps = ad.sqrt(ad.rowwise_sum(ad.square(diff)))
-            term = ad.scale(
-                ad.sum_all(ad.square(ad.add_scalar(gaps, -d_hat))), imbalance / d_hat
-            )
-            total = term if total is None else ad.add(total, term)
-    return total if total is not None else ad.constant(np.zeros((1, 1)))
+            members.append(m)
+            partners.append(nn)
+            d_hats.append(d_hat)
+            weights.append((len(m) - n_hat) ** 2 / n_hat / d_hat)
+    if not members:
+        return ad.constant(np.zeros((1, 1)))
+    sizes = [len(m) for m in members]
+    n = q.shape[0]
+    pairs, row_pair = np.unique(np.concatenate(members) * n + np.concatenate(partners),
+                                return_inverse=True)
+    diff = ad.sub(ad.gather_rows(q, pairs // n), ad.gather_rows(q, pairs % n))
+    gaps = ad.gather_rows(ad.sqrt(ad.rowwise_sum(ad.square(diff))), row_pair)
+    dev = ad.sub(gaps, ad.constant(np.repeat(d_hats, sizes)[:, None]))
+    return ad.sum_all(ad.scale(ad.square(dev), np.repeat(weights, sizes)[:, None]))
 
 
 def reconstruction_loss(q, target, _epsilon=None):

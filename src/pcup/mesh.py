@@ -11,7 +11,6 @@ and the exact kernel is evaluated on the flat (point, triangle) pairs.
 """
 
 import heapq
-import itertools
 import math
 
 import numpy as np
@@ -19,7 +18,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
 from scipy.spatial import cKDTree
 
-from .geometry import SpatialIndex, as_points, normalize_unit_sphere
+from .geometry import SpatialIndex, as_points, normalize_unit_sphere, padded_ball_runs
 
 __all__ = [
     "TriangleMesh",
@@ -110,24 +109,12 @@ class TriangleMesh:
             self._centroids = (cKDTree(centroids), float(r_max))
         tree, r_max = self._centroids
         upper = point_triangle_distances(pts, corners[tree.query(pts)[1]])
-        # padded like SpatialIndex, so the tree's rounding can only add
-        # candidates; the nearest centroid's triangle is always one of them
-        radius = (upper + r_max) * (1.0 + 1e-9) + 1e-12
-        counts = tree.query_ball_point(pts, radius, return_length=True)
-        ends = np.cumsum(counts)
-        starts = ends - counts
+        # the padding lets the tree's rounding only add candidates, so the
+        # nearest centroid's triangle is always one of them
         out = np.empty(len(pts))
-        lo = 0
-        while lo < len(pts):
-            # the run of points whose candidate pairs fill one chunk
-            hi = max(lo + 1, int(np.searchsorted(ends, starts[lo] + _PAIR_CHUNK, side="right")))
-            lists = tree.query_ball_point(pts[lo:hi], radius[lo:hi])
-            tris = np.fromiter(itertools.chain.from_iterable(lists), np.intp,
-                               ends[hi - 1] - starts[lo])
-            d = point_triangle_distances(np.repeat(pts[lo:hi], counts[lo:hi], axis=0),
-                                         corners[tris])
-            out[lo:hi] = np.minimum.reduceat(d, starts[lo:hi] - starts[lo])
-            lo = hi
+        for lo, hi, counts, tris in padded_ball_runs(tree, pts, upper + r_max, _PAIR_CHUNK):
+            d = point_triangle_distances(np.repeat(pts[lo:hi], counts, axis=0), corners[tris])
+            out[lo:hi] = np.minimum.reduceat(d, np.cumsum(counts) - counts)
         return out
 
 

@@ -8,6 +8,11 @@ each subset's size against the expected count n_hat = |Q| * p
 (imbalance), and compares nearest-neighbor spacing inside the subset
 against the ideal hexagonal-packing spacing d_hat (clutter). The final
 value sums imbalance * clutter over subsets.
+
+Nearest neighbors inside a subset are exact, the lower index on ties.
+Every point's nearest other point in the whole cloud is found once, in
+one batched query; a member keeps it whenever it lies in the subset, and
+only the remaining members are searched against the subset.
 """
 
 import math
@@ -113,12 +118,27 @@ def hexagonal_neighbor_spacing(radius, subset_size):
     return math.sqrt(2.0 * math.pi * radius * radius / (subset_size * math.sqrt(3.0)))
 
 
-def _nearest_in_crop(pts, members):
-    """Index of each member's nearest other member of the crop, the lower
-    index on ties."""
-    inner = pairwise_distances(pts[members], pts[members])
-    np.fill_diagonal(inner, np.inf)
-    return members[np.argmin(inner, axis=1)]
+def _crop_nearest(pts, members, nearest):
+    """Index of each crop member's nearest other member, the lower index on
+    ties.
+
+    `nearest` holds every point's nearest other point in the whole cloud
+    (SpatialIndex.nearest_others). A member whose global nearest lies in
+    the crop keeps it: the cloud holds the crop, so nothing in the crop is
+    nearer, and an equally near member has a higher index. Only the other
+    members are searched, against the crop's members in index order.
+    """
+    nn = nearest[members]
+    inside = np.zeros(len(pts), dtype=bool)
+    inside[members] = True
+    outside = ~inside[nn]
+    if outside.any():
+        cols = np.sort(members)
+        rows = members[outside]
+        d = pairwise_distances(pts[rows], pts[cols])
+        d[np.arange(len(rows)), np.searchsorted(cols, rows)] = np.inf
+        nn[outside] = cols[np.argmin(d, axis=1)]
+    return nn
 
 
 def uniformity_subsets(points, p, seed_count, rng):
@@ -126,7 +146,8 @@ def uniformity_subsets(points, p, seed_count, rng):
 
     Picks min(seed_count, n) seeds by farthest point sampling from an
     rng-chosen start, crops the closed ball of radius sqrt(p) around each
-    seed, and records each member's nearest neighbor inside its subset.
+    seed, and records each member's nearest neighbor inside its subset,
+    the lower index on ties.
 
     Returns (r_d, n_hat, subsets) where each subset is a tuple
     (member indices, nearest-neighbor indices or None, d_hat).
@@ -143,11 +164,12 @@ def uniformity_subsets(points, p, seed_count, rng):
     index = SpatialIndex(pts)
     start = int(rng.integers(n))
     seeds = farthest_point_sampling(pts, min(seed_count, n), start)
+    nearest = index.nearest_others() if n >= 2 else None
     subsets = []
     for s in seeds:
         members = index.ball_query(pts[s], r_d)
         if len(members) >= 2:
-            nn = _nearest_in_crop(pts, members)
+            nn = _crop_nearest(pts, members, nearest)
             d_hat = hexagonal_neighbor_spacing(r_d, len(members))
         else:
             nn = None
@@ -205,6 +227,7 @@ def uniformity_report_mesh(points, mesh, seed_count=1000, rng=0, pool_size=20000
     grower = PatchGrower(pool, k=graph_k)
     attach = cKDTree(pool.positions).query(pts)[1]
     n = len(pts)
+    nearest = SpatialIndex(pts).nearest_others() if n >= 2 else None
     radii = {p: math.sqrt(p * mesh.total_area / math.pi) for p in p_values}
     limit = max(radii.values()) * (1.0 + 1e-9)
     seeds = rng.choice(len(pool), size=min(seed_count, len(pool)), replace=False)
@@ -218,7 +241,7 @@ def uniformity_report_mesh(points, mesh, seed_count=1000, rng=0, pool_size=20000
                 members = np.nonzero(reach <= radii[p])[0]
                 if len(members) < 2:
                     continue  # clutter 0, contributes nothing
-                nn = _nearest_in_crop(pts, members)
+                nn = _crop_nearest(pts, members, nearest)
                 d_hat = hexagonal_neighbor_spacing(radii[p], len(members))
                 n_hat = expected_ball_count(n, p)
                 totals[p] += _subset_value(pts, n_hat, members, nn, d_hat)

@@ -28,6 +28,23 @@ def brute_ball(points, query, radius):
     return np.array(sorted(hits, key=lambda i: (d[i], i)))
 
 
+def brute_crop_nearest(points, members):
+    """Each crop member's nearest other member: dense distances over the
+    members in index order, self excluded, the lower index on ties.
+
+    Distances use the package's formula (sqrt of an einsum over the
+    coordinate differences), so ties and near-ties compare the same bits.
+    """
+    members = np.asarray(members)
+    cols = np.sort(members)
+    sub = points[cols]
+    diff = sub[:, None, :] - sub[None, :, :]
+    d = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
+    np.fill_diagonal(d, np.inf)
+    first_at_min = np.argmax(d == d.min(axis=1, keepdims=True), axis=1)
+    return cols[first_at_min][np.searchsorted(cols, members)]
+
+
 def brute_fps(points, k, seed_index=0):
     """Greedy farthest point sampling, straightforward O(n*k) loop."""
     chosen = [seed_index]
@@ -110,6 +127,54 @@ def gradcheck(make_loss, params, names=None, h=1e-4, rel_tol=1e-3, max_entries=N
                 f"analytic {an!r} vs finite-diff {fd!r} (rel {err:.2e})"
             )
     return worst
+
+
+# ---------------------------------------------------------------------------
+# point sets with ties, near-ties and collapse
+
+
+def collapsed_generator_output(n_input, seed=0):
+    """What an untrained generator makes of an n_input-point planar patch:
+    rate * n_input points collapsed to a few percent of the patch's
+    extent, with no exact ties."""
+    from pcup import networks
+
+    rng = np.random.default_rng(seed)
+    patch = rng.normal(size=(n_input, 3)) * [1.0, 1.0, 0.1]
+    patch /= np.linalg.norm(patch, axis=1).max()
+    cfg = networks.GeneratorConfig(n_input=n_input)
+    return networks.generate(networks.init_generator(cfg, rng), cfg, patch)
+
+
+def cubic_lattice(side, spacing):
+    """side**3 points on a cubic lattice: every point has up to six
+    neighbors at exactly the same distance."""
+    g = np.arange(side) * spacing
+    return np.stack(np.meshgrid(g, g, g, indexing="ij"), axis=-1).reshape(-1, 3)
+
+
+def near_tie_cloud(rng, clusters=40, spokes=5, gap=0.5):
+    """Clusters of one hub and `spokes` points at the same nominal distance
+    from it in random directions, so the computed distances tie or differ
+    by an ulp or so, in shuffled index order. Each cluster also holds a
+    point a few ulps farther than the rest, on the hub's x axis."""
+    pts = []
+    for c in range(clusters):
+        hub = np.array([gap * c, 0.0, 0.0]) + rng.normal(size=3) * 1e-3
+        r = rng.uniform(0.05, 0.1)
+        dirs = rng.normal(size=(spokes, 3))
+        dirs /= np.linalg.norm(dirs, axis=1)[:, None]
+        far = hub + [np.nextafter(np.nextafter(r, 1.0), 1.0), 0.0, 0.0]
+        pts += [hub, far, *(hub + r * dirs)]
+    pts = np.array(pts)
+    return pts[rng.permutation(len(pts))]
+
+
+def with_duplicates(rng, n=60, copies=4):
+    """n distinct points, each repeated `copies` times, in shuffled order."""
+    base = rng.normal(size=(n, 3)) * 0.2
+    pts = np.repeat(base, copies, axis=0)
+    return pts[rng.permutation(len(pts))]
 
 
 # ---------------------------------------------------------------------------

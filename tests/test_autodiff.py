@@ -27,6 +27,10 @@ def _op_cases():
         "add": ({"a": (4, 3), "b": (4, 3)}, via(s, lambda p: ad.add(p["a"], p["b"]))),
         "sub": ({"a": (4, 3), "b": (4, 3)}, via(s, lambda p: ad.sub(p["a"], p["b"]))),
         "scale": ({"a": (4, 3)}, via(s, lambda p: ad.scale(p["a"], -2.5))),
+        "scale_column": (
+            {"a": (4, 3)},
+            via(s, lambda p: ad.square(ad.scale(p["a"], np.array([[-2.5], [0.5], [3.0], [1.0]])))),
+        ),
         "add_scalar": ({"a": (4, 3)}, via(s, lambda p: ad.square(ad.add_scalar(p["a"], 1.5)))),
         "matmul": ({"a": (4, 3), "b": (3, 5)}, via(s, lambda p: ad.square(ad.matmul(p["a"], p["b"])))),
         "transpose": ({"a": (4, 3)}, via(s, lambda p: ad.square(ad.transpose(p["a"])))),
@@ -85,6 +89,15 @@ def test_max_over_rows_ties_route_to_first_row():
     loss = ad.sum_all(ad.max_over_rows(params["a"]))
     ad.backward(loss)
     assert params["a"].grad.ravel().tolist() == [1.0, 0.0, 0.0]
+
+
+def test_scale_factor_must_fit_the_operand():
+    a = ad.constant(np.ones((3, 2)))
+    assert ad.scale(a, np.full((3, 1), 2.0)).value.tolist() == [[2.0, 2.0]] * 3
+    with pytest.raises(ValueError, match="does not fit"):
+        ad.scale(a, np.ones((4, 1)))
+    with pytest.raises(ValueError, match="does not fit"):
+        ad.scale(ad.constant(np.ones((1, 1))), np.ones((3, 1)))
 
 
 def test_sqrt_at_zero_is_guarded():

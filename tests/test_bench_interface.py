@@ -84,6 +84,29 @@ def test_install_and_uninstall_leave_bindings_as_they_were():
     assert changed == []
 
 
+def test_crop_counter_sums_the_uniform_loss_crops():
+    # the tracer's hook reads uniformity_subsets' return as (members, nn,
+    # d_hat) tuples and counts the members
+    tracer = _load("tracer")
+    pts = np.random.default_rng(2).normal(size=(120, 3)) * 0.3
+    cfg = losses.UniformLossConfig(seed_count=8)
+    want = sum(
+        len(members)
+        for k, p in enumerate(cfg.p_values)
+        for members, _, _ in pcup.metrics.uniformity_subsets(pts, p, cfg.seed_count, 3 + k)[2]
+    )
+    t = tracer.Tracer()
+    t.install(pcup)
+    try:
+        t.active = True
+        losses.uniform_loss(autodiff.constant(pts), cfg, seed=3)
+        t.active = False
+    finally:
+        t.uninstall()
+    assert t.names.count("metrics.uniformity_subsets") == len(cfg.p_values)
+    assert t.counters["metrics.uniformity_subsets.members"] == want > 0
+
+
 def test_oracle_reconstruction_call_is_the_assignment_optimum():
     rng = np.random.default_rng(1)
     out = rng.normal(size=(256, 3)) * 0.1

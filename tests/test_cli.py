@@ -129,6 +129,20 @@ class TestUsageErrors:
 
 
 class TestPrepare:
+    @pytest.mark.parametrize("flag, value", [
+        ("--patches-per-mesh", "0"), ("--patches-per-mesh", "-1"),
+        ("--N", "0"), ("--N", "-4"), ("--r", "0"), ("--r", "-2"),
+    ])
+    def test_bad_sizes_are_usage_errors(self, capsys, tmp_path, mesh_dir, flag, value):
+        # rejected while parsing, before any mesh is loaded or sampled
+        out = tmp_path / "archive"
+        code, stdout, err = run(capsys, "prepare", "--meshes", str(mesh_dir),
+                                "--out", str(out), flag, value)
+        assert code == 2
+        assert f"{flag}: must be at least 1, got {value}" in err
+        assert stdout == ""
+        assert not out.exists()
+
     def test_archive_layout(self, archive, capsys):
         assert (archive / "config.txt").is_file()
         assert (archive / "tetra" / "patch_0000_input.xyz").is_file()
@@ -336,6 +350,17 @@ class TestUniformityDemo:
         assert "ordering holds" in stdout
         for label in ("clustered", "random", "hexagonal"):
             assert (out / f"{label}.svg").is_file()
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--points", "0"), ("--points", "-5"), ("--subsets", "0"), ("--subsets", "-1"),
+    ])
+    def test_bad_sizes_are_usage_errors(self, capsys, tmp_path, flag, value):
+        out = tmp_path / "demo"
+        code, stdout, err = run(capsys, "uniformity-demo", "--out", str(out), flag, value)
+        assert code == 2
+        assert f"{flag}: must be at least 1, got {value}" in err
+        assert stdout == ""
+        assert not out.exists()
 
     def test_default_625_points(self, capsys, tmp_path):
         code, stdout, _ = run(capsys, "uniformity-demo", "--out", str(tmp_path / "d"))

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial import cKDTree
 
 import helpers
 from pcup.geometry import (
@@ -14,6 +15,7 @@ from pcup.geometry import (
     denormalize,
     farthest_point_sampling,
     normalize_unit_sphere,
+    padded_ball_runs,
     pairwise_distances,
     read_xyz,
     write_xyz,
@@ -75,6 +77,66 @@ class TestSpatialIndex:
         want = helpers.brute_knn(pts, np.array([0.5, 0.5, 0.5]), 8)
         assert np.array_equal(got, want)
         assert np.allclose(dist, dist[0])  # all 8 genuinely tied
+
+
+class TestNearestOthers:
+    @staticmethod
+    def _check(pts):
+        want = helpers.brute_crop_nearest(pts, np.arange(len(pts)))
+        assert np.array_equal(SpatialIndex(pts).nearest_others(), want)
+
+    def test_random_cloud(self, rng):
+        self._check(rng.normal(size=(500, 3)))
+
+    def test_collapsed_generator_output(self):
+        self._check(helpers.collapsed_generator_output(64))
+
+    def test_lattice_ties_break_by_index(self):
+        pts = helpers.cubic_lattice(6, 0.1)
+        self._check(pts)
+        # a corner's three lattice neighbors tie; the lowest index wins
+        assert SpatialIndex(pts).nearest_others()[0] == 1
+
+    def test_duplicates_pick_the_lowest_other_copy(self, rng):
+        pts = helpers.with_duplicates(rng)
+        self._check(pts)
+        nearest = SpatialIndex(pts).nearest_others()
+        assert (pts[nearest] == pts).all()
+        assert (nearest != np.arange(len(pts))).all()
+
+    def test_ulp_near_ties(self, rng):
+        self._check(helpers.near_tie_cloud(rng))
+
+    def test_hub_prefers_the_nearer_point_over_a_lower_index(self):
+        d = 0.1
+        pts = np.array([[0.0, 0, 0], [np.nextafter(d, 1.0), 0, 0], [0, d, 0], [0, 0, d]])
+        assert SpatialIndex(pts).nearest_others()[0] == 2
+
+    def test_needs_two_points(self):
+        with pytest.raises(ValueError, match="at least 2 points"):
+            SpatialIndex([[0.0, 0.0, 0.0]]).nearest_others()
+
+    def test_two_points_pick_each_other(self):
+        assert list(SpatialIndex([[0.0, 0, 0], [3.0, 4, 0]]).nearest_others()) == [1, 0]
+
+
+class TestPaddedBallRuns:
+    def test_runs_cover_every_query_in_order(self, rng):
+        pts = rng.normal(size=(300, 3))
+        tree = cKDTree(pts)
+        radius = rng.uniform(0.1, 0.6, size=len(pts))
+        seen = 0
+        for lo, hi, counts, cand in padded_ball_runs(tree, pts, radius, chunk=50):
+            assert lo == seen and hi > lo
+            assert counts.sum() == len(cand)
+            assert hi - lo == 1 or counts.sum() <= 50
+            starts = np.cumsum(counts) - counts
+            for i in range(lo, hi):
+                got = cand[starts[i - lo]:starts[i - lo] + counts[i - lo]]
+                want = helpers.brute_ball(pts, pts[i], radius[i])
+                assert set(want) <= set(got)
+            seen = hi
+        assert seen == len(pts)
 
 
 class TestFarthestPointSampling:

@@ -1,6 +1,8 @@
 """Loss terms: hand values, gradient directions, cross-module agreement
 of the uniformity loss, and the compound weighting."""
 
+import time
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ import helpers
 from pcup import autodiff as ad
 from pcup import losses as lo
 from pcup import metrics
+from pcup.geometry import pairwise_distances
 
 
 def _conf(value):
@@ -164,6 +167,83 @@ class TestUniform:
             return total
 
         helpers.gradcheck(make_loss, params, max_entries=30, rng=rng)
+
+
+def _per_crop_loss(q, p_values, seed_count, seed, partners):
+    """The uniform loss built one crop at a time, each member paired with
+    partners(points, members)."""
+    total = None
+    for k, p in enumerate(p_values):
+        _, n_hat, subsets = metrics.uniformity_subsets(q.value, p, seed_count, seed + k)
+        for members, nn, d_hat in subsets:
+            if nn is None:
+                continue
+            imbalance = (len(members) - n_hat) ** 2 / n_hat
+            nn = partners(q.value, members)
+            diff = ad.sub(ad.gather_rows(q, members), ad.gather_rows(q, nn))
+            gaps = ad.sqrt(ad.rowwise_sum(ad.square(diff)))
+            term = ad.scale(
+                ad.sum_all(ad.square(ad.add_scalar(gaps, -d_hat))), imbalance / d_hat
+            )
+            total = term if total is None else ad.add(total, term)
+    return total
+
+
+class TestUniformFlatGraph:
+    def test_value_matches_metric_on_collapsed_output(self):
+        pts = helpers.collapsed_generator_output(64)
+        cfg = lo.UniformLossConfig()
+        node = lo.uniform_loss(ad.constant(pts), cfg, seed=9)
+        expected = sum(
+            metrics.uniformity_loss_value(pts, p, cfg.seed_count, 9 + k)
+            for k, p in enumerate(cfg.p_values)
+        )
+        assert node.value[0, 0] == pytest.approx(expected, rel=1e-12)
+
+    def test_finite_difference_gradient(self, rng):
+        # the loss itself, structure re-frozen at every evaluation: steps
+        # of 1e-6 move no point across a crop boundary or a nearest-pick tie
+        base = rng.normal(size=(40, 3)) * 0.5
+        cfg = lo.UniformLossConfig(p_values=(0.03, 0.05), seed_count=6)
+        params = ad.Params()
+        params.add("q", base)
+        helpers.gradcheck(lambda: lo.uniform_loss(params["q"], cfg, seed=2), params,
+                          h=1e-6, rel_tol=1e-5)
+
+    def test_exact_ties_send_gradient_to_the_lowest_index(self):
+        # on a lattice most members have several equally near partners;
+        # the gradient is that of the per-crop graph paired by the oracle
+        cfg = lo.UniformLossConfig(p_values=(0.004, 0.01), seed_count=20)
+        pts = helpers.cubic_lattice(8, 0.03)
+        flat = ad.constant(pts.copy())
+        ad.backward(lo.uniform_loss(flat, cfg, seed=11))
+        per_crop = ad.constant(pts.copy())
+        loss = _per_crop_loss(per_crop, cfg.p_values, cfg.seed_count, 11,
+                              helpers.brute_crop_nearest)
+        ad.backward(loss)
+        atol = 1e-12 * np.abs(per_crop.grad).max()
+        assert np.allclose(flat.grad, per_crop.grad, rtol=1e-10, atol=atol)
+        # the picks by distance from the seed pair the lattice differently
+        by_ball_order = ad.constant(pts.copy())
+
+        def ball_order(points, members):
+            d = pairwise_distances(points[members], points[members])
+            np.fill_diagonal(d, np.inf)
+            return members[np.argmin(d, axis=1)]
+
+        ad.backward(_per_crop_loss(by_ball_order, cfg.p_values, cfg.seed_count, 11,
+                                   ball_order))
+        assert not np.allclose(flat.grad, by_ball_order.grad)
+
+    def test_collapsed_paper_size_cost_bound(self):
+        # an untrained N=256 generator's 1024 points fall whole into all
+        # 250 crops. Forward and backward take about 0.2 s on 2 cores; a
+        # dense distance matrix per crop took about 8 s.
+        q = ad.constant(helpers.collapsed_generator_output(256))
+        start = time.perf_counter()
+        ad.backward(lo.uniform_loss(q, lo.UniformLossConfig(), seed=5))
+        assert time.perf_counter() - start < 2.0
+        assert np.isfinite(q.grad).all() and np.abs(q.grad).max() > 0
 
 
 class TestCompound:

@@ -2,13 +2,14 @@
 measures, and the report CSV."""
 
 import math
+import time
 
 import numpy as np
 import pytest
 
 import helpers
 from pcup import metrics
-from pcup.geometry import pairwise_distances
+from pcup.geometry import SpatialIndex, pairwise_distances
 from pcup.mesh import area_weighted_sample, poisson_disk_sample
 
 
@@ -157,6 +158,78 @@ class TestUniformityFormulas:
         assert vals[0] < vals[1] < vals[2]
 
 
+LATTICE_P_VALUES = (0.002, 0.004, 0.006, 0.008, 0.010, 0.012)
+
+
+def _assert_crops_match_oracle(pts, p_values, seed_count, rng_seed):
+    """Every crop's nearest-neighbor picks equal the brute-force oracle;
+    returns (members checked, members whose global nearest point lies
+    outside their crop)."""
+    global_nn = SpatialIndex(pts).nearest_others()
+    checked = searched = 0
+    for p in p_values:
+        _, _, subsets = metrics.uniformity_subsets(pts, p, seed_count, rng_seed)
+        for members, nn, _ in subsets:
+            if nn is None:
+                assert len(members) < 2
+                continue
+            assert np.array_equal(nn, helpers.brute_crop_nearest(pts, members))
+            checked += len(members)
+            searched += int((~np.isin(global_nn[members], members)).sum())
+    return checked, searched
+
+
+class TestCropNearest:
+    def test_collapsed_generator_output(self):
+        pts = helpers.collapsed_generator_output(64)
+        checked, _ = _assert_crops_match_oracle(pts, metrics.P_VALUES, 50, 3)
+        # collapsed: every crop holds the whole cloud
+        assert checked == len(metrics.P_VALUES) * 50 * len(pts)
+
+    def test_lattice_ties_break_by_index(self):
+        # crop members come from the ball query in distance order, so a
+        # pick by position would break the lattice's exact ties differently
+        pts = helpers.cubic_lattice(12, 0.02)
+        checked, searched = _assert_crops_match_oracle(pts, LATTICE_P_VALUES, 50, 11)
+        assert checked > 10000 and searched > 0
+
+    def test_duplicate_points(self, rng):
+        pts = helpers.with_duplicates(rng)
+        checked, _ = _assert_crops_match_oracle(pts, (0.01, 0.05), 20, 1)
+        assert checked > 0
+
+    def test_ulp_near_ties(self, rng):
+        pts = helpers.near_tie_cloud(rng)
+        # r = 0.071 and 0.1: crops cut through the clusters
+        checked, searched = _assert_crops_match_oracle(pts, (0.005, 0.01), 40, 2)
+        assert checked > 0 and searched > 0
+
+    def test_spread_cloud_searches_crop_boundaries(self, rng):
+        pts = rng.uniform(-1.0, 1.0, size=(600, 3))
+        checked, searched = _assert_crops_match_oracle(pts, (0.01, 0.05), 30, 4)
+        assert searched > 0.1 * checked
+
+    def test_mesh_report_picks_match_oracle(self, icosphere_mesh, rng, monkeypatch):
+        crop_nearest = metrics._crop_nearest
+        calls = []
+
+        def checked(pts, members, nearest):
+            nn = crop_nearest(pts, members, nearest)
+            assert np.array_equal(nn, helpers.brute_crop_nearest(pts, members))
+            calls.append(len(members))
+            return nn
+
+        monkeypatch.setattr(metrics, "_crop_nearest", checked)
+        pts = np.vstack([
+            area_weighted_sample(icosphere_mesh, 300, rng).positions,
+            0.3 * helpers.collapsed_generator_output(32),
+            helpers.with_duplicates(rng, n=20, copies=3) * 0.1,
+        ])
+        metrics.uniformity_report_mesh(pts, icosphere_mesh, seed_count=40, rng=0,
+                                       pool_size=3000)
+        assert len(calls) > 50
+
+
 class TestMeshUniformityReport:
     def test_poisson_beats_random_on_icosphere(self, icosphere_mesh, rng):
         n = 400
@@ -179,6 +252,19 @@ class TestMeshUniformityReport:
         assert sorted(rep.values) == sorted(metrics.P_VALUES)
         assert all(np.isfinite(v) for v in rep.values.values())
         assert len(rep.ordered_values()) == 5
+
+    def test_collapsed_cloud_cost_bound(self, icosphere_mesh):
+        # 8192 points in eight collapsed clumps, as an untrained N=256
+        # generator leaves them after upsampling: every clump falls whole
+        # into the crops around it. About 0.45 s on 2 cores; a dense
+        # distance matrix per crop took 9.4 s.
+        out = helpers.collapsed_generator_output(256)
+        centers = area_weighted_sample(icosphere_mesh, 8, np.random.default_rng(0)).positions
+        cloud = np.vstack([c + 0.25 * out for c in centers])
+        start = time.perf_counter()
+        report = metrics.uniformity_report_mesh(cloud, icosphere_mesh)
+        assert time.perf_counter() - start < 4.5
+        assert all(v > 0 for v in report.values.values())
 
     @pytest.mark.parametrize("seed_count", [0, -3])
     def test_seed_count_below_one_rejected(self, icosphere_mesh, rng, seed_count):
