@@ -1,11 +1,12 @@
 """Minimal reverse-mode automatic differentiation over dense 2D float64
-arrays, plus the Adam optimizer, a residual self-attention block, and a
+arrays, plus the Adam optimizer, a residual self-attention op, and a
 binary checkpoint format.
 
 Every value in a computation graph is a Node holding an (r, c) numpy
 array. Ops build new Nodes eagerly and register a closure that pushes the
-output gradient into the parents. backward() runs an iterative
-topological sort, so graph depth is not limited by Python recursion.
+output gradient into the parents; self_attention is one such op, with a
+hand-written backward pass. backward() runs an iterative topological
+sort, so graph depth is not limited by Python recursion.
 Gradients accumulate across backward() calls until Params.zero_grad().
 """
 
@@ -22,10 +23,9 @@ __all__ = [
     "init_attention",
     "save_params",
     "load_params",
-    "add", "sub", "scale", "add_scalar", "matmul", "transpose", "linear",
-    "relu", "sigmoid", "softmax_rows", "concat_cols", "reshape",
-    "tile_rows", "gather_rows", "max_over_rows", "rowwise_sum",
-    "sum_all", "mean_all", "square", "sqrt",
+    "add", "sub", "scale", "add_scalar", "linear", "relu", "sigmoid",
+    "concat_cols", "reshape", "tile_rows", "gather_rows", "max_over_rows",
+    "rowwise_sum", "sum_all", "square", "sqrt",
 ]
 
 _SQRT_GRAD_FLOOR = 1e-12  # subgradient guard at sqrt(0)
@@ -104,24 +104,6 @@ def add_scalar(a, c):
     return Node(a.value + c, (a,), push)
 
 
-def matmul(a, b):
-    if a.value.shape[1] != b.value.shape[0]:
-        raise ValueError(f"matmul: shape mismatch {a.value.shape} vs {b.value.shape}")
-
-    def push(g):
-        a.grad += g @ b.value.T
-        b.grad += a.value.T @ g
-
-    return Node(a.value @ b.value, (a, b), push)
-
-
-def transpose(a):
-    def push(g):
-        a.grad += g.T
-
-    return Node(a.value.T, (a,), push)
-
-
 def linear(x, w, b):
     """Shared per-row affine map: x (n, cin) -> x @ w + b, with w
     (cin, cout) and bias b (1, cout) broadcast over rows."""
@@ -153,19 +135,6 @@ def sigmoid(a):
 
     def push(g):
         a.grad += g * y * (1.0 - y)
-
-    return Node(y, (a,), push)
-
-
-def softmax_rows(a):
-    """Row-wise softmax with max subtraction for overflow safety."""
-    shifted = a.value - a.value.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    y = e / e.sum(axis=1, keepdims=True)
-
-    def push(g):
-        dot = (g * y).sum(axis=1, keepdims=True)
-        a.grad += y * (g - dot)
 
     return Node(y, (a,), push)
 
@@ -251,15 +220,6 @@ def sum_all(a):
         a.grad += g[0, 0]
 
     return Node(a.value.sum().reshape(1, 1), (a,), push)
-
-
-def mean_all(a):
-    inv = 1.0 / a.value.size
-
-    def push(g):
-        a.grad += g[0, 0] * inv
-
-    return Node(a.value.mean().reshape(1, 1), (a,), push)
 
 
 def square(a):
@@ -352,9 +312,6 @@ class Params:
     def items(self):
         return self._nodes.items()
 
-    def total_size(self):
-        return sum(n.value.size for n in self._nodes.values())
-
     def zero_grad(self):
         for node in self._nodes.values():
             node.grad = None
@@ -412,17 +369,40 @@ def init_attention(params, prefix, channels, rng):
 
 
 def self_attention(x, params, prefix):
-    """Residual attention: out = x + W^T K with W = row-softmax(G H^T).
+    """Residual attention as one op: out = x + W^T K, W = row-softmax(G H^T).
 
-    G and H are linear projections at a quarter of the input width, K a
-    full-width linear projection. With zero K weights this is exactly the
-    identity. Permuting input rows permutes output rows identically.
+    G, H and K are per-row linear maps of x by the six tensors that
+    init_attention made under `prefix`: G and H at a quarter of the input
+    width, K at full width. The op keeps G, H, K and the (n, n) W for its
+    backward pass. With zero K weights this is exactly the identity.
+    Permuting input rows permutes output rows identically.
     """
-    g = linear(x, params[f"{prefix}.g.w"], params[f"{prefix}.g.b"])
-    h = linear(x, params[f"{prefix}.h.w"], params[f"{prefix}.h.b"])
-    k = linear(x, params[f"{prefix}.k.w"], params[f"{prefix}.k.b"])
-    w = softmax_rows(matmul(g, transpose(h)))
-    return add(x, matmul(transpose(w), k))
+    (wg, bg), (wh, bh), (wk, bk) = maps = [
+        (params[f"{prefix}.{t}.w"], params[f"{prefix}.{t}.b"]) for t in "ghk"
+    ]
+    xv = x.value
+    if xv.shape[1] != wg.value.shape[0]:
+        raise ValueError(
+            f"self_attention: input width {xv.shape[1]} does not match "
+            f"{prefix!r} width {wg.value.shape[0]}"
+        )
+    g, h, k = (xv @ wn.value + bn.value for wn, bn in maps)
+    w = g @ h.T
+    w -= w.max(axis=1, keepdims=True)  # overflow-safe row softmax, in place
+    np.exp(w, out=w)
+    w /= w.sum(axis=1, keepdims=True)
+
+    def push(d):
+        ds = k @ d.T  # dW, turned into dS = W * (dW - rowsum(dW * W)) in place
+        ds -= (ds * w).sum(axis=1, keepdims=True)
+        ds *= w
+        x.grad += d
+        for (wn, bn), dz in zip(maps, (ds @ h, ds.T @ g, w @ d)):
+            x.grad += dz @ wn.value.T
+            wn.grad += xv.T @ dz
+            bn.grad += dz.sum(axis=0, keepdims=True)
+
+    return Node(xv + w.T @ k, (x, wg, bg, wh, bh, wk, bk), push)
 
 
 _CKPT_MAGIC = "PCUP-PARAMS-1"

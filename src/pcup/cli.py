@@ -66,7 +66,10 @@ def build_parser():
     p.add_argument(
         "--r", type=_int_at_least(1), default=4, dest="rate", help="upsampling rate (>= 1)"
     )
-    p.add_argument("--fraction", type=float, default=0.05, help="surface area fraction per patch")
+    p.add_argument(
+        "--fraction", type=_open_fraction, default=0.05,
+        help="surface area fraction per patch, in (0, 0.5)",
+    )
     p.add_argument(
         "--pool-size",
         type=int,
@@ -81,8 +84,13 @@ def build_parser():
     p.add_argument("--data", required=True, help="patch archive from `pcup prepare`")
     p.add_argument("--out", required=True, help="run directory for checkpoints and logs")
     p.add_argument("--config", default=None, help="config text file overriding the archive's")
-    p.add_argument("--iterations", type=int, default=None, help="override iteration count")
-    p.add_argument("--batch", type=int, default=None, help="override batch size")
+    p.add_argument(
+        "--iterations", type=_int_at_least(1), default=None,
+        help="override iteration count (>= 1)",
+    )
+    p.add_argument(
+        "--batch", type=_int_at_least(1), default=None, help="override batch size (>= 1)"
+    )
     p.add_argument("--seed", type=int, default=0, help="rng seed")
     p.add_argument(
         "--ablate",
@@ -148,6 +156,18 @@ def _int_at_least(minimum):
         return value
 
     return parse
+
+
+def _open_fraction(text):
+    """argparse type: a float in the open interval (0, 0.5), the patch
+    area fractions that PatchGrower.grow accepts."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not 0.0 < value < 0.5:
+        raise argparse.ArgumentTypeError(f"must be in (0, 0.5), got {text}")
+    return value
 
 
 def _cmd_prepare(args):

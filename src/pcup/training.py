@@ -477,6 +477,15 @@ def train(pairs, cfg, out_dir, log=_default_log):
     iteration, each with its own decayed learning rate."""
     if not pairs:
         raise ValueError("empty dataset")
+    if cfg.batch_size < 1:
+        raise ValueError(f"batch_size must be at least 1, got {cfg.batch_size}")
+    batch_size = min(cfg.batch_size, len(pairs))
+    iterations = cfg.iterations or cfg.epochs * math.ceil(len(pairs) / batch_size)
+    if iterations < 1:
+        raise ValueError(
+            f"training needs at least 1 iteration, got {iterations} "
+            f"(iterations = {cfg.iterations}, epochs = {cfg.epochs})"
+        )
     os.makedirs(out_dir, exist_ok=True)
     rng = np.random.default_rng(cfg.seed)
     gen_cfg = cfg.generator_config()
@@ -485,8 +494,6 @@ def train(pairs, cfg, out_dir, log=_default_log):
     dparams = None if cfg.ablate_discriminator else init_discriminator(disc_cfg, rng)
     weights = cfg.loss_weights()
     uni_cfg = cfg.uniform_config()
-    batch_size = min(cfg.batch_size, len(pairs))
-    iterations = cfg.iterations or cfg.epochs * math.ceil(len(pairs) / batch_size)
     history = []
     log_path = os.path.join(out_dir, "losses.csv")
     with open(log_path, "w", encoding="ascii") as logfh:
@@ -607,9 +614,9 @@ def upsample_cloud(points, params, gen_cfg, overlap_factor=3, generator_fn=None)
     n_in = gen_cfg.n_input
     target_count = gen_cfg.rate * n
     if n < n_in:
-        # degenerate path: zero-pad to one full patch, then trim
-        padded = np.vstack([pts, np.zeros((n_in - n, 3))])
-        normed, centroid, scale = normalize_unit_sphere(padded)
+        # degenerate path: pad to one full patch by cycling the input's
+        # own points, then trim
+        normed, centroid, scale = normalize_unit_sphere(pts[np.arange(n_in) % n])
         up = denormalize(generator_fn(params, gen_cfg, normed), centroid, scale)
         keep = farthest_point_sampling(up, target_count, 0)
         return up[keep]

@@ -129,6 +129,17 @@ def gradcheck(make_loss, params, names=None, h=1e-4, rel_tol=1e-3, max_entries=N
     return worst
 
 
+def reference_attention(x, params, prefix):
+    """x + softmax(G H^T)^T K straight from the definition, with scipy's
+    softmax and the projections read from `params` by name."""
+    from scipy.special import softmax
+
+    g, h, k = (
+        x @ params[f"{prefix}.{t}.w"].value + params[f"{prefix}.{t}.b"].value for t in "ghk"
+    )
+    return x + softmax(g @ h.T, axis=1).T @ k
+
+
 # ---------------------------------------------------------------------------
 # point sets with ties, near-ties and collapse
 

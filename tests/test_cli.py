@@ -143,6 +143,16 @@ class TestPrepare:
         assert stdout == ""
         assert not out.exists()
 
+    @pytest.mark.parametrize("value", ["0", "-0.1", "0.5", "1.5", "nan"])
+    def test_fraction_outside_open_half_is_usage_error(self, capsys, tmp_path, mesh_dir, value):
+        out = tmp_path / "archive"
+        code, stdout, err = run(capsys, "prepare", "--meshes", str(mesh_dir),
+                                "--out", str(out), "--fraction", value)
+        assert code == 2
+        assert f"--fraction: must be in (0, 0.5), got {value}" in err
+        assert stdout == ""
+        assert not out.exists()
+
     def test_archive_layout(self, archive, capsys):
         assert (archive / "config.txt").is_file()
         assert (archive / "tetra" / "patch_0000_input.xyz").is_file()
@@ -197,6 +207,34 @@ class TestTrain:
                            "--out", str(tmp_path / "run"))
         assert code == 2
         assert "no such data directory" in err
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--iterations", "0"), ("--iterations", "-1"), ("--batch", "0"), ("--batch", "-2"),
+    ])
+    def test_bad_sizes_are_usage_errors(self, capsys, archive, tmp_path, flag, value):
+        out = tmp_path / "run"
+        code, stdout, err = run(capsys, "train", "--data", str(archive),
+                                "--out", str(out), flag, value)
+        assert code == 2
+        assert f"{flag}: must be at least 1, got {value}" in err
+        assert stdout == ""
+        assert not out.exists()
+
+    @pytest.mark.parametrize("line, message", [
+        ("batch_size = 0", "batch_size must be at least 1, got 0"),
+        ("iterations = -1", "training needs at least 1 iteration, got -1"),
+    ])
+    def test_config_without_an_iteration_exits_1(self, capsys, archive, tmp_path, line, message):
+        cfg_path = tmp_path / "config.txt"
+        cfg_path.write_text(CONFIG_TINY + line + "\n")
+        out = tmp_path / "run"
+        code, stdout, err = run(capsys, "train", "--data", str(archive), "--out", str(out),
+                                "--config", str(cfg_path))
+        assert code == 1
+        assert len(err.splitlines()) == 1
+        assert err.startswith(f"error: {message}")
+        assert stdout == ""
+        assert not out.exists()
 
     def test_run_outputs(self, run_dir, capsys):
         lines = (run_dir / "losses.csv").read_text().splitlines()

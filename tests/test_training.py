@@ -308,6 +308,18 @@ class TestTrainLoop:
         with pytest.raises(ValueError, match="empty dataset"):
             tr.train([], tr.TrainConfig(**TINY), tmp_path / "x")
 
+    @pytest.mark.parametrize("key, value, message", [
+        ("batch_size", 0, "batch_size must be at least 1, got 0"),
+        ("iterations", -1, "training needs at least 1 iteration, got -1"),
+        ("epochs", 0, "training needs at least 1 iteration, got 0"),
+    ])
+    def test_sizes_without_an_iteration_rejected(self, tiny_pairs, tmp_path, key, value, message):
+        pairs, cfg = tiny_pairs
+        cfg = tr.TrainConfig(**{**cfg.__dict__, "iterations": 0, key: value})
+        with pytest.raises(ValueError, match=message):
+            tr.train(pairs, cfg, tmp_path / "run")
+        assert not (tmp_path / "run").exists()
+
     def test_reconstruction_only_training_improves_held_out_patch(
         self, icosphere_mesh, tmp_path
     ):
@@ -350,6 +362,15 @@ class TestUpsampleCloud:
         pts = rng.normal(size=(5, 3))  # below n_input=16
         up = tr.upsample_cloud(pts, None, cfg, generator_fn=self._stub)
         assert up.shape == (cfg.rate * 5, 3)
+
+    def test_small_cloud_pads_with_its_own_points(self, rng):
+        # an ideal generator gives back the padded patch, so padding at the
+        # origin would survive the final trim as points off the cloud
+        cfg = tr.TrainConfig(**TINY).generator_config()
+        pts = 10.0 + rng.normal(size=(10, 3))  # below n_input=16
+        up = tr.upsample_cloud(pts, None, cfg, generator_fn=self._stub)
+        assert up.shape == (cfg.rate * 10, 3)
+        assert pairwise_distances(up, pts).min(axis=1).max() < 1e-9
 
     def test_trained_network_path(self, tiny_pairs, tmp_path, rng):
         pairs, cfg = tiny_pairs
