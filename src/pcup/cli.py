@@ -72,9 +72,9 @@ def build_parser():
     )
     p.add_argument(
         "--pool-size",
-        type=int,
+        type=_int_at_least(1),
         default=50000,
-        help="dense sample pool per mesh; raised to at least "
+        help="dense sample pool per mesh (>= 1); raised to at least "
         "ceil(5 * r * N / fraction) so that each patch holds 5x its target points",
     )
     p.add_argument("--seed", type=int, default=0, help="rng seed")

@@ -93,7 +93,8 @@ class SpatialIndex:
     relative epsilon, so floating-point differences between the tree's
     internal distance arithmetic and numpy's can only add candidates,
     never drop a true answer. The final answer is computed from exact
-    numpy distances sorted by (distance, index).
+    numpy distances sorted by (distance, index). `tree` is the kd-tree
+    itself, for callers that want its raw answers.
     """
 
     def __init__(self, points):
@@ -101,7 +102,7 @@ class SpatialIndex:
         if len(pts) == 0:
             raise ValueError("empty input")
         self.points = pts
-        self._tree = cKDTree(pts)
+        self.tree = cKDTree(pts)
 
     def __len__(self):
         return len(self.points)
@@ -121,9 +122,9 @@ class SpatialIndex:
         n = len(self.points)
         if not 1 <= k <= n:
             raise ValueError(f"k={k} out of range for {n} indexed points")
-        tree_dist = np.atleast_1d(self._tree.query(q, k=k)[0])
+        tree_dist = np.atleast_1d(self.tree.query(q, k=k)[0])
         radius = _padded(float(tree_dist[-1]))
-        cand, dist = self._exact_sorted(self._tree.query_ball_point(q, radius), q)
+        cand, dist = self._exact_sorted(self.tree.query_ball_point(q, radius), q)
         return cand[:k], dist[:k]
 
     def ball_query(self, center, radius):
@@ -132,7 +133,7 @@ class SpatialIndex:
         if not radius > 0:
             raise ValueError(f"radius must be positive, got {radius}")
         c = np.asarray(center, dtype=np.float64).reshape(3)
-        cand, dist = self._exact_sorted(self._tree.query_ball_point(c, _padded(radius)), c)
+        cand, dist = self._exact_sorted(self.tree.query_ball_point(c, _padded(radius)), c)
         return cand[dist <= radius]
 
     def nearest_others(self):
@@ -148,9 +149,9 @@ class SpatialIndex:
         n = len(pts)
         if n < 2:
             raise ValueError(f"nearest other point needs at least 2 points, got {n}")
-        radius = self._tree.query(pts, k=2)[0][:, 1]
+        radius = self.tree.query(pts, k=2)[0][:, 1]
         nearest = np.empty(n, dtype=np.intp)
-        for lo, hi, counts, cand in padded_ball_runs(self._tree, pts, radius, _NEAREST_CHUNK):
+        for lo, hi, counts, cand in padded_ball_runs(self.tree, pts, radius, _NEAREST_CHUNK):
             owner = np.repeat(np.arange(lo, hi), counts)
             d = _row_norms(pts[cand] - pts[owner])
             d[cand == owner] = np.inf

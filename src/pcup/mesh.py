@@ -2,6 +2,10 @@
 surface sampling, geodesic patch growth over a kNN graph, and exact
 point-to-surface distance.
 
+Patch growth runs Dijkstra only as far as the patch needs: a bounded run
+gives every distance it reaches exactly as an unbounded one would, so the
+limit is raised until enough points are reached.
+
 Point-to-surface distance is one batched query. The triangle whose
 centroid is nearest a point gives an exact upper bound u on its distance;
 any triangle that can beat u has its centroid within u + r_max of the
@@ -10,7 +14,6 @@ kd-tree over the centroids finds those candidates for all points at once,
 and the exact kernel is evaluated on the flat (point, triangle) pairs.
 """
 
-import heapq
 import math
 
 import numpy as np
@@ -35,6 +38,7 @@ __all__ = [
 _AREA_FLOOR = 1e-12  # minimum triangle area after unit-sphere normalization
 _ELIMINATION_POWER = 8  # exponent of the sample-elimination weight kernel
 _PAIR_CHUNK = 1 << 13  # (point, triangle) pairs per distance-kernel call
+_GROWTH_START = 1.5  # first Dijkstra limit of grow(), over the Euclidean bound
 
 
 def _as_rng(rng):
@@ -319,14 +323,16 @@ def poisson_disk_radius(area, count):
 
 
 def poisson_disk_sample(mesh, count, rng, pool=None, pool_factor=5, area=None):
-    """Poisson-disk-like sampling by weighted sample elimination.
+    """Poisson-disk-like sampling by weighted sample elimination (Yuksel,
+    Computer Graphics Forum 2015).
 
     From a dense area-weighted pool (pool_factor * count points by
     default), iteratively remove the point with the highest crowding
-    weight until `count` remain. Neighbors within twice the hexagonal
-    packing radius r_max contribute (1 - d / (2 r_max))^8 to a point's
-    weight. `area` overrides the coverage area used for r_max when the
-    pool covers only part of the mesh (a patch).
+    weight, the lowest pool index on ties, until `count` remain.
+    Neighbors within twice the hexagonal packing radius r_max contribute
+    (1 - d / (2 r_max))^8 to a point's weight. `area` overrides the
+    coverage area used for r_max when the pool covers only part of the
+    mesh (a patch). Each removal costs one pass over the pool's weights.
     """
     if count < 1:
         raise ValueError(f"sample count must be >= 1, got {count}")
@@ -342,48 +348,39 @@ def poisson_disk_sample(mesh, count, rng, pool=None, pool_factor=5, area=None):
 
 
 def _eliminate_samples(positions, count, r_max):
-    """Greedy heaviest-first elimination; returns sorted kept indices."""
+    """Greedy heaviest-first elimination; returns sorted kept indices.
+
+    Each step removes the live point of largest weight, the lowest index
+    on ties (np.argmax's first maximum), marks it with weight -inf, and
+    subtracts its pair weights from its neighbours in one step (a dead
+    neighbour stays at -inf). That is the removal order of a max-heap
+    keyed by (weight, index), at O(pool) per removal.
+    """
     n = len(positions)
     if count == n:
         return np.arange(n)
     reach = 2.0 * r_max
     pairs = cKDTree(positions).query_pairs(reach, output_type="ndarray")
-    if pairs.size:
-        d = np.linalg.norm(positions[pairs[:, 0]] - positions[pairs[:, 1]], axis=1)
-        w = (1.0 - d / reach) ** _ELIMINATION_POWER
-        src = np.concatenate([pairs[:, 0], pairs[:, 1]])
-        dst = np.concatenate([pairs[:, 1], pairs[:, 0]])
-        wts = np.concatenate([w, w])
-        order = np.argsort(src, kind="stable")
-        src, dst, wts = src[order], dst[order], wts[order]
-        starts = np.searchsorted(src, np.arange(n + 1))
-        weight = np.zeros(n)
-        np.add.at(weight, pairs[:, 0], w)
-        np.add.at(weight, pairs[:, 1], w)
-    else:
-        dst = np.empty(0, dtype=np.intp)
-        wts = np.empty(0)
-        starts = np.zeros(n + 1, dtype=np.intp)
-        weight = np.zeros(n)
-
-    version = np.zeros(n, dtype=np.int64)
-    alive = np.ones(n, dtype=bool)
-    heap = [(-weight[i], i, 0) for i in range(n)]
-    heapq.heapify(heap)
-    remaining = n
-    while remaining > count:
-        negw, i, ver = heapq.heappop(heap)
-        if not alive[i] or ver != version[i]:
-            continue
-        alive[i] = False
-        remaining -= 1
-        for k in range(starts[i], starts[i + 1]):
-            j = dst[k]
-            if alive[j]:
-                weight[j] -= wts[k]
-                version[j] += 1
-                heapq.heappush(heap, (-weight[j], j, version[j]))
-    return np.nonzero(alive)[0]
+    d = np.linalg.norm(positions[pairs[:, 0]] - positions[pairs[:, 1]], axis=1)
+    w = (1.0 - d / reach) ** _ELIMINATION_POWER
+    weight = np.zeros(n)
+    np.add.at(weight, pairs[:, 0], w)
+    np.add.at(weight, pairs[:, 1], w)
+    # both directions of every pair, grouped by point (any order within
+    # a point's group)
+    src = np.concatenate([pairs[:, 0], pairs[:, 1]])
+    order = np.argsort(src)
+    dst = np.concatenate([pairs[:, 1], pairs[:, 0]])[order]
+    wts = np.concatenate([w, w])[order]
+    starts = np.searchsorted(src[order], np.arange(n + 1)).tolist()
+    for _ in range(n - count):
+        i = weight.argmax()
+        weight[i] = -np.inf
+        lo, hi = starts[i], starts[i + 1]
+        # a point's neighbours are distinct, so one fancy-index update
+        # subtracts exactly what a loop over them would
+        weight[dst[lo:hi]] -= wts[lo:hi]
+    return np.flatnonzero(weight != -np.inf)
 
 
 # ---------------------------------------------------------------------------
@@ -400,39 +397,77 @@ class PatchGrower:
         if n < 2:
             raise ValueError("pool must contain at least 2 points")
         kk = min(k, n - 1)
-        tree = cKDTree(pool.positions)
-        dist, nbr = tree.query(pool.positions, kk + 1)  # self included at distance 0
-        rows = np.repeat(np.arange(n), kk + 1)
-        self._graph = csr_matrix((dist.ravel(), (rows, nbr.ravel())), shape=(n, n))
         self._index = SpatialIndex(pool.positions)
+        # self included at distance 0
+        dist, nbr = self._index.tree.query(pool.positions, kk + 1)
+        knn = csr_matrix((dist.ravel(), nbr.ravel(), np.arange(0, n * (kk + 1) + 1, kk + 1)),
+                         shape=(n, n))
+        self._graph = _both_ways(knn)
 
     def __len__(self):
         return len(self.pool)
 
     def distances_from(self, sources, limit=np.inf):
         """Graph distances from one or more pool indices to every pool
-        point; unreachable entries are +inf."""
-        return dijkstra(self._graph, directed=False, indices=sources, limit=limit)
+        point; unreachable entries, and those beyond `limit`, are +inf."""
+        return dijkstra(self._graph, directed=True, indices=sources, limit=limit)
 
     def nearest_pool_index(self, position):
         return self._index.nearest(position)[0]
 
     def grow(self, seed_position, fraction):
         """The ceil(fraction * pool) pool points closest to the seed in
-        graph distance, ties broken by lower index."""
+        graph distance, ties broken by lower index.
+
+        Dijkstra runs with a limit, starting a little above the Euclidean
+        distance of the target-th nearest pool point (no graph distance is
+        shorter) and doubling until it reaches `target` points. A bounded
+        run leaves +inf only beyond the limit, and every distance it does
+        reach is the unbounded run's, bit for bit, so the patch is the one
+        a run over the whole pool would give.
+        """
         if not 0.0 < fraction < 0.5:
             raise ValueError(f"fraction must be in (0, 0.5), got {fraction}")
-        n = len(self.pool)
-        target = math.ceil(fraction * n)
+        target = math.ceil(fraction * len(self.pool))
         src = self.nearest_pool_index(seed_position)
-        dist = self.distances_from(src)
-        if np.isfinite(dist).sum() < target:
-            raise ValueError(
-                f"patch exceeds connected component ({int(np.isfinite(dist).sum())} "
-                f"reachable points, {target} requested)"
-            )
-        order = np.lexsort((np.arange(n), dist))[:target]
+        euclid = self._index.tree.query(self.pool.positions[src], k=[target])[0][0]
+        limit = _GROWTH_START * float(euclid)
+        count = 0
+        while True:
+            dist = self.distances_from(src, limit)
+            reached = np.flatnonzero(np.isfinite(dist))
+            if len(reached) >= target:
+                break
+            if limit == np.inf:
+                raise ValueError(
+                    f"patch exceeds connected component ({len(reached)} "
+                    f"reachable points, {target} requested)"
+                )
+            # a limit that reached nothing new may sit below a long edge,
+            # or be 0: finish with one unbounded run
+            limit = 2.0 * limit if len(reached) > count else np.inf
+            count = len(reached)
+        order = reached[np.lexsort((reached, dist[reached]))[:target]]
         return Patch(self.pool.subset(order), order, dist[order], seed_position, fraction)
+
+
+def _both_ways(graph):
+    """A directed graph whose row i lists row i of `graph`, then column i.
+
+    A directed Dijkstra over it relaxes exactly the edges, with the same
+    weights, that an undirected run over `graph` relaxes, so the distances
+    are the same bits; scipy's undirected run would transpose the graph
+    on every call instead.
+    """
+    rev = graph.T.tocsr()
+    indptr = graph.indptr + rev.indptr
+    indices = np.empty(indptr[-1], dtype=graph.indices.dtype)
+    data = np.empty(indptr[-1])
+    fwd = np.arange(graph.nnz) + np.repeat(rev.indptr[:-1], np.diff(graph.indptr))
+    back = np.arange(rev.nnz) + np.repeat(graph.indptr[1:], np.diff(rev.indptr))
+    indices[fwd], data[fwd] = graph.indices, graph.data
+    indices[back], data[back] = rev.indices, rev.data
+    return csr_matrix((data, indices, indptr), shape=graph.shape)
 
 
 # ---------------------------------------------------------------------------

@@ -477,8 +477,9 @@ def train(pairs, cfg, out_dir, log=_default_log):
     iteration, each with its own decayed learning rate."""
     if not pairs:
         raise ValueError("empty dataset")
-    if cfg.batch_size < 1:
-        raise ValueError(f"batch_size must be at least 1, got {cfg.batch_size}")
+    for key in ("batch_size", "checkpoint_every", "lr_decay_every", "uniform_seed_count"):
+        if getattr(cfg, key) < 1:
+            raise ValueError(f"{key} must be at least 1, got {getattr(cfg, key)}")
     batch_size = min(cfg.batch_size, len(pairs))
     iterations = cfg.iterations or cfg.epochs * math.ceil(len(pairs) / batch_size)
     if iterations < 1:

@@ -2,10 +2,14 @@
 procedural fixture meshes. Oracles are written with none of the package
 shortcuts so they can disagree with the implementation."""
 
+import heapq
 import itertools
 import math
 
 import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import dijkstra
+from scipy.spatial import cKDTree
 
 from pcup import autodiff as ad
 from pcup.mesh import point_triangle_distances
@@ -87,6 +91,57 @@ def brute_surface_distances(points, corners):
     triangles: the exact per-triangle kernel, minimized over every
     triangle with no pruning."""
     return np.array([point_triangle_distances(q, corners).min() for q in points])
+
+
+def heap_eliminate_samples(positions, count, r_max, power=8):
+    """Weighted sample elimination as a max-heap keyed by (weight, index),
+    with lazy deletion of stale entries and one push per neighbour update;
+    returns the sorted kept indices. The pair weights are computed as the
+    package computes them, so only the removal order is under test."""
+    n = len(positions)
+    if count == n:
+        return np.arange(n)
+    reach = 2.0 * r_max
+    pairs = cKDTree(positions).query_pairs(reach, output_type="ndarray")
+    d = np.linalg.norm(positions[pairs[:, 0]] - positions[pairs[:, 1]], axis=1)
+    w = (1.0 - d / reach) ** power
+    neighbours = [[] for _ in range(n)]
+    for (a, b), wab in zip(pairs.tolist(), w.tolist()):
+        neighbours[a].append((b, wab))
+        neighbours[b].append((a, wab))
+    weight = np.zeros(n)
+    np.add.at(weight, pairs[:, 0], w)
+    np.add.at(weight, pairs[:, 1], w)
+    version = np.zeros(n, dtype=np.int64)
+    alive = np.ones(n, dtype=bool)
+    heap = [(-weight[i], i, 0) for i in range(n)]
+    heapq.heapify(heap)
+    remaining = n
+    while remaining > count:
+        _, i, ver = heapq.heappop(heap)
+        if not alive[i] or ver != version[i]:
+            continue
+        alive[i] = False
+        remaining -= 1
+        for j, wij in neighbours[i]:
+            if alive[j]:
+                weight[j] -= wij
+                version[j] += 1
+                heapq.heappush(heap, (-weight[j], j, version[j]))
+    return np.nonzero(alive)[0]
+
+
+def full_dijkstra_patch(positions, source, target, k=10):
+    """The `target` points closest to `source` in graph distance over the
+    k-nearest-neighbour graph, ties by lower index, from one unbounded
+    undirected Dijkstra run over the whole pool. Returns (order, dist)."""
+    n = len(positions)
+    dist, nbr = cKDTree(positions).query(positions, k + 1)
+    rows = np.repeat(np.arange(n), k + 1)
+    graph = csr_matrix((dist.ravel(), (rows, nbr.ravel())), shape=(n, n))
+    d = dijkstra(graph, directed=False, indices=source)
+    order = np.lexsort((np.arange(n), d))[:target]
+    return order, d[order]
 
 
 def gradcheck(make_loss, params, names=None, h=1e-4, rel_tol=1e-3, max_entries=None, rng=None):

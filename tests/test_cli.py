@@ -132,6 +132,7 @@ class TestPrepare:
     @pytest.mark.parametrize("flag, value", [
         ("--patches-per-mesh", "0"), ("--patches-per-mesh", "-1"),
         ("--N", "0"), ("--N", "-4"), ("--r", "0"), ("--r", "-2"),
+        ("--pool-size", "0"), ("--pool-size", "-5"),
     ])
     def test_bad_sizes_are_usage_errors(self, capsys, tmp_path, mesh_dir, flag, value):
         # rejected while parsing, before any mesh is loaded or sampled
@@ -233,6 +234,18 @@ class TestTrain:
         assert code == 1
         assert len(err.splitlines()) == 1
         assert err.startswith(f"error: {message}")
+        assert stdout == ""
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key", ["checkpoint_every", "lr_decay_every", "uniform_seed_count"])
+    def test_config_zero_period_or_count_exits_1(self, capsys, archive, tmp_path, key):
+        cfg_path = tmp_path / "config.txt"
+        cfg_path.write_text(CONFIG_TINY + f"{key} = 0\n")
+        out = tmp_path / "run"
+        code, stdout, err = run(capsys, "train", "--data", str(archive), "--out", str(out),
+                                "--config", str(cfg_path))
+        assert code == 1
+        assert err == f"error: {key} must be at least 1, got 0\n"
         assert stdout == ""
         assert not out.exists()
 

@@ -13,6 +13,7 @@ from pcup import mesh as mesh_module
 from pcup.geometry import pairwise_distances
 from pcup.mesh import (
     PatchGrower,
+    SurfaceSamples,
     TriangleMesh,
     area_weighted_sample,
     load_mesh,
@@ -180,6 +181,152 @@ class TestPoissonDisk:
         a = poisson_disk_sample(tetra_mesh, 128, np.random.default_rng(3))
         b = poisson_disk_sample(tetra_mesh, 128, np.random.default_rng(3))
         assert np.array_equal(a.positions, b.positions)
+
+
+def as_samples(positions):
+    """Bare positions as surface samples; the provenance fields are
+    placeholders."""
+    n = len(positions)
+    return SurfaceSamples(positions, np.zeros(n, dtype=np.intp), np.full((n, 3), 1 / 3))
+
+
+def planar_lattice(side):
+    """A side x side planar lattice of unit spacing: integer coordinates
+    keep every distance exact, so equal distances tie exactly."""
+    g = np.arange(side, dtype=np.float64)
+    return np.stack(np.meshgrid(g, g, [0.0], indexing="ij"), axis=-1).reshape(-1, 3)
+
+
+class TestEliminationOracle:
+    """_eliminate_samples against the max-heap it replaced: the same
+    kept indices, so archives keep their bytes."""
+
+    def check(self, positions, count, r_max):
+        keep = mesh_module._eliminate_samples(positions, count, r_max)
+        assert np.array_equal(keep, helpers.heap_eliminate_samples(positions, count, r_max))
+        assert len(keep) == count
+        return keep
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_icosphere_patch_pools(self, icosphere_mesh, seed):
+        rng = np.random.default_rng(seed)
+        pool = area_weighted_sample(icosphere_mesh, 6000, rng)
+        grower = PatchGrower(pool)
+        for position in area_weighted_sample(icosphere_mesh, 2, rng).positions:
+            patch = grower.grow(position, 0.05)
+            count = len(patch) // 5
+            r_max = poisson_disk_radius(0.05 * icosphere_mesh.total_area, count)
+            self.check(patch.samples.positions, count, r_max)
+
+    def test_planar_lattice_with_tied_weights(self):
+        pos = planar_lattice(30)
+        # reach 3 spans several rings of exact lattice distances, and
+        # hundreds of points start with exactly the same weight
+        self.check(pos, 200, 1.5)
+
+    def test_duplicated_points(self, rng):
+        pos = helpers.with_duplicates(rng, n=80, copies=3)
+        self.check(pos, 80, 0.05)
+        self.check(pos, 30, 0.2)
+
+    def test_no_pair_in_reach(self, rng):
+        pos = rng.random((50, 3))
+        # every weight is 0: removal goes by lowest index
+        keep = self.check(pos, 20, 1e-6)
+        assert np.array_equal(keep, np.arange(30, 50))
+
+    @pytest.mark.parametrize("count", [1, 300])
+    def test_count_one_and_count_n(self, rng, count):
+        self.check(rng.random((300, 3)), count, 0.05)
+
+
+class TestGrowthOracle:
+    """grow() against one unbounded Dijkstra run over the whole pool: the
+    same patch order and the same distance bits."""
+
+    def check(self, grower, seed_position, fraction, k=10):
+        patch = grower.grow(seed_position, fraction)
+        src = grower.nearest_pool_index(seed_position)
+        order, dist = helpers.full_dijkstra_patch(
+            grower.pool.positions, src, math.ceil(fraction * len(grower)), k)
+        assert np.array_equal(patch.pool_indices, order)
+        assert np.array_equal(patch.graph_distances, dist)
+        return patch
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_random_seeds_on_the_icosphere(self, icosphere_mesh, seed):
+        rng = np.random.default_rng(seed)
+        grower = PatchGrower(area_weighted_sample(icosphere_mesh, 5000, rng))
+        for position in area_weighted_sample(icosphere_mesh, 3, rng).positions:
+            self.check(grower, position, 0.05)
+        self.check(grower, position, 0.3)
+
+    def test_lattice_ties_at_the_cut(self):
+        grower = PatchGrower(as_samples(planar_lattice(40)), k=4)
+        center = np.array([20.0, 20.0, 0.0])
+        patch = self.check(grower, center, 0.05, k=4)
+        # many points share the last kept distance, and some of them fall
+        # outside the patch: only the index tie-break decides
+        all_d = grower.distances_from(grower.nearest_pool_index(center))
+        cutoff = patch.graph_distances[-1]
+        assert (all_d == cutoff).sum() > (patch.graph_distances == cutoff).sum() > 1
+
+    @staticmethod
+    def record_limits(grower, monkeypatch):
+        calls = []
+        real = grower.distances_from
+
+        def recording(src, limit=np.inf):
+            calls.append(limit)
+            return real(src, limit)
+
+        monkeypatch.setattr(grower, "distances_from", recording)
+        return calls
+
+    def test_several_doublings(self, icosphere_mesh, rng, monkeypatch):
+        grower = PatchGrower(area_weighted_sample(icosphere_mesh, 5000, rng))
+        calls = self.record_limits(grower, monkeypatch)
+        # a first limit a tenth of the Euclidean bound reaches a few
+        # points, then four times as many at each doubling
+        monkeypatch.setattr(mesh_module, "_GROWTH_START", 0.1)
+        self.check(grower, grower.pool.positions[7], 0.3)
+        assert len(calls) >= 4
+        assert all(b == 2 * a for a, b in zip(calls, calls[1:]))
+
+    def test_a_limit_that_reaches_nothing_new_finishes_unbounded(
+            self, icosphere_mesh, rng, monkeypatch):
+        grower = PatchGrower(area_weighted_sample(icosphere_mesh, 5000, rng))
+        calls = self.record_limits(grower, monkeypatch)
+        # limits below the shortest edge reach the source alone, twice
+        monkeypatch.setattr(mesh_module, "_GROWTH_START", 0.01)
+        self.check(grower, grower.pool.positions[7], 0.05)
+        assert calls[-1] == np.inf and len(calls) == 3
+
+    def test_duplicates_start_from_a_zero_limit(self, rng):
+        # the target-th nearest point is a copy of the source, so the
+        # Euclidean bound and the first limit are 0; the copies lie at
+        # graph distance 0 and are reached
+        pos = helpers.with_duplicates(rng, n=100, copies=4)
+        target = math.ceil(0.01 * len(pos))
+        assert np.sort(np.linalg.norm(pos - pos[0], axis=1))[target - 1] == 0.0
+        self.check(PatchGrower(as_samples(pos)), pos[0], 0.01)
+
+    def test_last_run_reaches_at_most_four_times_target(self, icosphere_mesh, rng, monkeypatch):
+        pool = area_weighted_sample(icosphere_mesh, 20000, rng)
+        grower = PatchGrower(pool)
+        reached = []
+        real = grower.distances_from
+
+        def counting(src, limit=np.inf):
+            dist = real(src, limit)
+            reached.append(int(np.isfinite(dist).sum()))
+            return dist
+
+        monkeypatch.setattr(grower, "distances_from", counting)
+        for position in area_weighted_sample(icosphere_mesh, 10, rng).positions:
+            reached.clear()
+            patch = grower.grow(position, 0.05)
+            assert reached[-1] <= 4 * len(patch)
 
 
 class TestGeodesicPatches:

@@ -320,6 +320,17 @@ class TestTrainLoop:
             tr.train(pairs, cfg, tmp_path / "run")
         assert not (tmp_path / "run").exists()
 
+    @pytest.mark.parametrize("key", ["checkpoint_every", "lr_decay_every", "uniform_seed_count"])
+    @pytest.mark.parametrize("value", [0, -3])
+    def test_zero_periods_and_counts_rejected_before_writing(self, tiny_pairs, tmp_path, key, value):
+        # each would fail only mid-run: a modulo or floor division by
+        # zero, or an empty uniform-loss seed set
+        pairs, cfg = tiny_pairs
+        cfg = dataclasses.replace(cfg, **{key: value})
+        with pytest.raises(ValueError, match=f"^{key} must be at least 1, got {value}$"):
+            tr.train(pairs, cfg, tmp_path / "run")
+        assert not (tmp_path / "run").exists()
+
     def test_reconstruction_only_training_improves_held_out_patch(
         self, icosphere_mesh, tmp_path
     ):
