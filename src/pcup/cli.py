@@ -77,7 +77,7 @@ def build_parser():
         help="dense sample pool per mesh (>= 1); raised to at least "
         "ceil(5 * r * N / fraction) so that each patch holds 5x its target points",
     )
-    p.add_argument("--seed", type=int, default=0, help="rng seed")
+    p.add_argument("--seed", type=_int_at_least(0), default=0, help="rng seed (>= 0)")
     p.set_defaults(func=_cmd_prepare)
 
     p = sub.add_parser("train", help="train on a patch archive")
@@ -91,7 +91,7 @@ def build_parser():
     p.add_argument(
         "--batch", type=_int_at_least(1), default=None, help="override batch size (>= 1)"
     )
-    p.add_argument("--seed", type=int, default=0, help="rng seed")
+    p.add_argument("--seed", type=_int_at_least(0), default=0, help="rng seed (>= 0)")
     p.add_argument(
         "--ablate",
         action="append",
@@ -127,7 +127,7 @@ def build_parser():
         "--pool-size", type=_int_at_least(2), default=20000,
         help="surface pool for geodesic crops (>= 2)",
     )
-    p.add_argument("--seed", type=int, default=0, help="rng seed")
+    p.add_argument("--seed", type=_int_at_least(0), default=0, help="rng seed (>= 0)")
     p.set_defaults(func=_cmd_eval)
 
     p = sub.add_parser(
@@ -137,7 +137,7 @@ def build_parser():
     p.add_argument("--out", required=True, help="output directory for SVG plots")
     p.add_argument("--points", type=_int_at_least(1), default=625, help="points per pattern (>= 1)")
     p.add_argument("--subsets", type=_int_at_least(1), default=50, help="crops per pattern (>= 1)")
-    p.add_argument("--seed", type=int, default=0, help="rng seed")
+    p.add_argument("--seed", type=_int_at_least(0), default=0, help="rng seed (>= 0)")
     p.set_defaults(func=_cmd_demo)
 
     return parser

@@ -103,6 +103,7 @@ class SpatialIndex:
             raise ValueError("empty input")
         self.points = pts
         self.tree = cKDTree(pts)
+        self._nearest = None
 
     def __len__(self):
         return len(self.points)
@@ -143,8 +144,11 @@ class SpatialIndex:
         One batched query: each point's candidates are the tree's points
         within its padded second-nearest tree distance (the nearest is
         the point itself or a copy of it), re-ranked by exact numpy
-        distances.
+        distances. The index is immutable, so the pass runs on the first
+        call only; every call returns the same read-only array.
         """
+        if self._nearest is not None:
+            return self._nearest
         pts = self.points
         n = len(pts)
         if n < 2:
@@ -159,6 +163,8 @@ class SpatialIndex:
             best = np.minimum.reduceat(d, offsets)
             ties = np.where(d == best[owner - lo], cand, n)
             nearest[lo:hi] = np.minimum.reduceat(ties, offsets)
+        nearest.flags.writeable = False
+        self._nearest = nearest
         return nearest
 
     def nearest(self, query):

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import metrics
-from .geometry import as_points
+from .geometry import SpatialIndex, as_points
 
 __all__ = [
     "LossWeights",
@@ -66,11 +66,13 @@ def uniform_loss(q, cfg=UniformLossConfig(), seed=0):
     The graph is flat: every subset's (member, neighbor) pairs are
     concatenated, each distinct pair's distance is computed once, and a
     member row carries its subset's d_hat and imbalance / d_hat as
-    constant columns.
+    constant columns. One SpatialIndex serves every p.
     """
+    index = SpatialIndex(q.value)
     members, partners, d_hats, weights = [], [], [], []
     for k, p in enumerate(cfg.p_values):
-        _, n_hat, subsets = metrics.uniformity_subsets(q.value, p, cfg.seed_count, seed + k)
+        _, n_hat, subsets = metrics.uniformity_subsets(q.value, p, cfg.seed_count, seed + k,
+                                                       index)
         for m, nn, d_hat in subsets:
             if nn is None:
                 continue  # clutter is 0: no value, no gradient

@@ -389,7 +389,8 @@ def _eliminate_samples(positions, count, r_max):
 
 class PatchGrower:
     """k-nearest-neighbor graph over a dense surface pool with Dijkstra
-    growth. Build once per mesh, grow many patches."""
+    growth. Build once per mesh, grow many patches. `index` is the
+    pool's SpatialIndex, whose kd-tree built the graph."""
 
     def __init__(self, pool, k=10):
         self.pool = pool
@@ -397,9 +398,9 @@ class PatchGrower:
         if n < 2:
             raise ValueError("pool must contain at least 2 points")
         kk = min(k, n - 1)
-        self._index = SpatialIndex(pool.positions)
+        self.index = SpatialIndex(pool.positions)
         # self included at distance 0
-        dist, nbr = self._index.tree.query(pool.positions, kk + 1)
+        dist, nbr = self.index.tree.query(pool.positions, kk + 1)
         knn = csr_matrix((dist.ravel(), nbr.ravel(), np.arange(0, n * (kk + 1) + 1, kk + 1)),
                          shape=(n, n))
         self._graph = _both_ways(knn)
@@ -413,7 +414,7 @@ class PatchGrower:
         return dijkstra(self._graph, directed=True, indices=sources, limit=limit)
 
     def nearest_pool_index(self, position):
-        return self._index.nearest(position)[0]
+        return self.index.nearest(position)[0]
 
     def grow(self, seed_position, fraction):
         """The ceil(fraction * pool) pool points closest to the seed in
@@ -430,7 +431,7 @@ class PatchGrower:
             raise ValueError(f"fraction must be in (0, 0.5), got {fraction}")
         target = math.ceil(fraction * len(self.pool))
         src = self.nearest_pool_index(seed_position)
-        euclid = self._index.tree.query(self.pool.positions[src], k=[target])[0][0]
+        euclid = self.index.tree.query(self.pool.positions[src], k=[target])[0][0]
         limit = _GROWTH_START * float(euclid)
         count = 0
         while True:

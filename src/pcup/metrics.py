@@ -85,7 +85,15 @@ def emd_exact(a, b):
     """Minimum-cost bijection under L2 costs via the assignment algorithm
     (scipy's modified Jonker-Volgenant). Globally optimal. Inputs are
     canonicalized by lexicographic sort, so permuting either input's
-    point order cannot change the cost, bit for bit."""
+    point order cannot change the cost, bit for bit.
+
+    The solver sees column-reduced costs: each column's minimum is
+    subtracted first (the column reduction of Jonker and Volgenant,
+    Computing 1987), which leaves an exact zero in every column and
+    gives the solver feasible starting duals. Every bijection uses each
+    column once, so its cost drops by the same constant and the set of
+    optimal matchings is unchanged; the only difference is one rounding
+    per entry. The cost is summed from the unreduced distances."""
     a, b = _check_pair(a, b)
     n = len(a)
     if n != len(b):
@@ -93,7 +101,7 @@ def emd_exact(a, b):
     ia = np.lexsort((a[:, 2], a[:, 1], a[:, 0]))
     ib = np.lexsort((b[:, 2], b[:, 1], b[:, 0]))
     d = pairwise_distances(a[ia], b[ib])
-    assign = linear_sum_assignment(d)[1]
+    assign = linear_sum_assignment(d - d.min(axis=0))[1]
     permutation = np.empty(n, dtype=np.intp)
     permutation[ia] = ib[assign]
     return Matching(permutation, float(d[np.arange(n), assign].sum()))
@@ -141,13 +149,16 @@ def _crop_nearest(pts, members, nearest):
     return nn
 
 
-def uniformity_subsets(points, p, seed_count, rng):
+def uniformity_subsets(points, p, seed_count, rng, index=None):
     """Freeze the discrete structure of the uniformity measure.
 
     Picks min(seed_count, n) seeds by farthest point sampling from an
     rng-chosen start, crops the closed ball of radius sqrt(p) around each
     seed, and records each member's nearest neighbor inside its subset,
     the lower index on ties.
+
+    `index`, a SpatialIndex over the same points, lets several calls on
+    one cloud share its kd-tree and its nearest-other pass.
 
     Returns (r_d, n_hat, subsets) where each subset is a tuple
     (member indices, nearest-neighbor indices or None, d_hat).
@@ -161,7 +172,7 @@ def uniformity_subsets(points, p, seed_count, rng):
     n = len(pts)
     r_d = math.sqrt(p)
     n_hat = expected_ball_count(n, p)
-    index = SpatialIndex(pts)
+    index = SpatialIndex(pts) if index is None else index
     start = int(rng.integers(n))
     seeds = farthest_point_sampling(pts, min(seed_count, n), start)
     nearest = index.nearest_others() if n >= 2 else None
@@ -225,7 +236,7 @@ def uniformity_report_mesh(points, mesh, seed_count=1000, rng=0, pool_size=20000
     rng = np.random.default_rng(rng)
     pool = area_weighted_sample(mesh, pool_size, rng)
     grower = PatchGrower(pool, k=graph_k)
-    attach = cKDTree(pool.positions).query(pts)[1]
+    attach = grower.index.tree.query(pts)[1]
     n = len(pts)
     nearest = SpatialIndex(pts).nearest_others() if n >= 2 else None
     radii = {p: math.sqrt(p * mesh.total_area / math.pi) for p in p_values}

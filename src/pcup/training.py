@@ -487,8 +487,8 @@ def train(pairs, cfg, out_dir, log=_default_log):
             f"training needs at least 1 iteration, got {iterations} "
             f"(iterations = {cfg.iterations}, epochs = {cfg.epochs})"
         )
+    rng = np.random.default_rng(cfg.seed)  # rejects a bad seed before anything is written
     os.makedirs(out_dir, exist_ok=True)
-    rng = np.random.default_rng(cfg.seed)
     gen_cfg = cfg.generator_config()
     disc_cfg = cfg.discriminator_config()
     gparams = init_generator(gen_cfg, rng)

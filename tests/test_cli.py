@@ -39,6 +39,8 @@ disc_head_hidden = 8
 uniform_seed_count = 5
 """
 
+# the least value a size flag accepts where it is not 1
+LEAST = {"--seed": 0}
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 
@@ -132,7 +134,7 @@ class TestPrepare:
     @pytest.mark.parametrize("flag, value", [
         ("--patches-per-mesh", "0"), ("--patches-per-mesh", "-1"),
         ("--N", "0"), ("--N", "-4"), ("--r", "0"), ("--r", "-2"),
-        ("--pool-size", "0"), ("--pool-size", "-5"),
+        ("--pool-size", "0"), ("--pool-size", "-5"), ("--seed", "-1"),
     ])
     def test_bad_sizes_are_usage_errors(self, capsys, tmp_path, mesh_dir, flag, value):
         # rejected while parsing, before any mesh is loaded or sampled
@@ -140,7 +142,7 @@ class TestPrepare:
         code, stdout, err = run(capsys, "prepare", "--meshes", str(mesh_dir),
                                 "--out", str(out), flag, value)
         assert code == 2
-        assert f"{flag}: must be at least 1, got {value}" in err
+        assert f"{flag}: must be at least {LEAST.get(flag, 1)}, got {value}" in err
         assert stdout == ""
         assert not out.exists()
 
@@ -211,13 +213,14 @@ class TestTrain:
 
     @pytest.mark.parametrize("flag, value", [
         ("--iterations", "0"), ("--iterations", "-1"), ("--batch", "0"), ("--batch", "-2"),
+        ("--seed", "-1"),
     ])
     def test_bad_sizes_are_usage_errors(self, capsys, archive, tmp_path, flag, value):
         out = tmp_path / "run"
         code, stdout, err = run(capsys, "train", "--data", str(archive),
                                 "--out", str(out), flag, value)
         assert code == 2
-        assert f"{flag}: must be at least 1, got {value}" in err
+        assert f"{flag}: must be at least {LEAST.get(flag, 1)}, got {value}" in err
         assert stdout == ""
         assert not out.exists()
 
@@ -367,6 +370,7 @@ class TestEval:
         ("--subsets", "0", "--subsets: must be at least 1"),
         ("--subsets", "-3", "--subsets: must be at least 1"),
         ("--pool-size", "1", "--pool-size: must be at least 2"),
+        ("--seed", "-1", "--seed: must be at least 0"),
     ])
     def test_bad_sizes_are_usage_errors(self, capsys, tmp_path, mesh_dir, flag, value, message):
         # the clouds do not exist: reading them first would exit 1
@@ -404,12 +408,13 @@ class TestUniformityDemo:
 
     @pytest.mark.parametrize("flag, value", [
         ("--points", "0"), ("--points", "-5"), ("--subsets", "0"), ("--subsets", "-1"),
+        ("--seed", "-1"),
     ])
     def test_bad_sizes_are_usage_errors(self, capsys, tmp_path, flag, value):
         out = tmp_path / "demo"
         code, stdout, err = run(capsys, "uniformity-demo", "--out", str(out), flag, value)
         assert code == 2
-        assert f"{flag}: must be at least 1, got {value}" in err
+        assert f"{flag}: must be at least {LEAST.get(flag, 1)}, got {value}" in err
         assert stdout == ""
         assert not out.exists()
 

@@ -119,6 +119,23 @@ class TestNearestOthers:
     def test_two_points_pick_each_other(self):
         assert list(SpatialIndex([[0.0, 0, 0], [3.0, 4, 0]]).nearest_others()) == [1, 0]
 
+    def test_pass_runs_once_per_index(self, rng, monkeypatch):
+        import pcup.geometry
+
+        runs = []
+
+        def counting(*args):
+            runs.append(args)
+            return padded_ball_runs(*args)
+
+        monkeypatch.setattr(pcup.geometry, "padded_ball_runs", counting)
+        index = SpatialIndex(rng.normal(size=(50, 3)))
+        first = index.nearest_others()
+        assert index.nearest_others() is first
+        assert len(runs) == 1
+        with pytest.raises(ValueError, match="read-only"):
+            first[0] = 0
+
 
 class TestPaddedBallRuns:
     def test_runs_cover_every_query_in_order(self, rng):

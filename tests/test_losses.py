@@ -10,7 +10,7 @@ import helpers
 from pcup import autodiff as ad
 from pcup import losses as lo
 from pcup import metrics
-from pcup.geometry import pairwise_distances
+from pcup.geometry import SpatialIndex, pairwise_distances
 
 
 def _conf(value):
@@ -234,6 +234,21 @@ class TestUniformFlatGraph:
         ad.backward(_per_crop_loss(by_ball_order, cfg.p_values, cfg.seed_count, 11,
                                    ball_order))
         assert not np.allclose(flat.grad, by_ball_order.grad)
+
+    def test_one_spatial_index_per_call(self, monkeypatch):
+        # every p crops the same cloud, so one kd-tree and one nearest-other
+        # pass serve them all
+        built = []
+        init = SpatialIndex.__init__
+
+        def counting(self, points):
+            built.append(self)
+            init(self, points)
+
+        monkeypatch.setattr(SpatialIndex, "__init__", counting)
+        cfg = lo.UniformLossConfig(seed_count=8)
+        lo.uniform_loss(ad.constant(helpers.collapsed_generator_output(16)), cfg, seed=3)
+        assert len(built) == 1
 
     def test_collapsed_paper_size_cost_bound(self):
         # an untrained N=256 generator's 1024 points fall whole into all

@@ -6,6 +6,7 @@ import time
 
 import numpy as np
 import pytest
+from scipy.optimize import linear_sum_assignment
 
 import helpers
 from pcup import metrics
@@ -114,6 +115,62 @@ class TestEmdExact:
         m = metrics.emd_exact(a, a[perm])
         assert m.cost == 0.0
         assert np.array_equal(perm[m.permutation], np.arange(1024))
+
+    def test_solver_sees_column_reduced_costs(self, rng, monkeypatch):
+        seen = []
+
+        def capture(cost):
+            seen.append(cost.copy())
+            return linear_sum_assignment(cost)
+
+        monkeypatch.setattr(metrics, "linear_sum_assignment", capture)
+        # b lies apart from a, so no raw distance is 0
+        metrics.emd_exact(rng.normal(size=(64, 3)), rng.normal(size=(64, 3)) + 5.0)
+        (cost,) = seen
+        assert np.all(cost.min(axis=0) == 0.0)
+        assert cost.min() >= 0.0
+
+    @pytest.mark.parametrize("case", ["collapsed", "lattice", "duplicates", "near_ties"])
+    def test_cost_equals_unreduced_optimum(self, case):
+        a, b = _emd_case(case)
+        m = metrics.emd_exact(a, b)
+        assert np.array_equal(np.sort(m.permutation), np.arange(len(a)))
+        assert m.cost == pytest.approx(np.linalg.norm(a - b[m.permutation], axis=1).sum(),
+                                       rel=1e-12)
+        assert m.cost == pytest.approx(_unreduced_optimum(a, b), rel=1e-12)
+
+    def test_collapsed_output_cost_bound(self):
+        # the matching of an untrained N=256 generator's 1024 points against
+        # its target patch, the reconstruction term's worst case: about
+        # 0.6 s on 2 cores (1.3 s without column reduction), so the budget
+        # is about 10x the measured time
+        a, b = _emd_case("collapsed")
+        start = time.perf_counter()
+        metrics.emd_exact(a, b)
+        assert time.perf_counter() - start < 5.0
+
+
+def _emd_case(case):
+    """Equal-size point-set pairs whose matchings tie or nearly tie."""
+    rng = np.random.default_rng(9)
+    if case == "collapsed":
+        patch = rng.normal(size=(1024, 3)) * [1.0, 1.0, 0.1]
+        return helpers.collapsed_generator_output(256), patch / np.linalg.norm(patch, axis=1).max()
+    if case == "lattice":
+        lattice = helpers.cubic_lattice(6, 0.1)
+        return lattice, lattice[rng.permutation(len(lattice))] + [0.05, 0.0, 0.0]
+    if case == "duplicates":
+        return helpers.with_duplicates(rng), helpers.with_duplicates(rng)
+    return helpers.near_tie_cloud(rng), helpers.near_tie_cloud(rng)
+
+
+def _unreduced_optimum(a, b):
+    """The assignment optimum on the lexsorted distance matrix as it is,
+    without column reduction."""
+    d = pairwise_distances(a[np.lexsort(a.T[::-1])], b[np.lexsort(b.T[::-1])])
+    rows, cols = linear_sum_assignment(d)
+    assert np.array_equal(np.sort(cols), np.arange(len(a)))
+    return float(d[rows, cols].sum())
 
 
 class TestUniformityFormulas:
@@ -265,6 +322,18 @@ class TestMeshUniformityReport:
         report = metrics.uniformity_report_mesh(cloud, icosphere_mesh)
         assert time.perf_counter() - start < 4.5
         assert all(v > 0 for v in report.values.values())
+
+    def test_attaches_through_the_grower_tree(self, icosphere_mesh, rng, monkeypatch):
+        # PatchGrower's SpatialIndex already holds a kd-tree over the pool
+        pts = area_weighted_sample(icosphere_mesh, 300, rng).positions
+        want = metrics.uniformity_report_mesh(pts, icosphere_mesh, seed_count=20, pool_size=2000)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a second kd-tree over the pool")
+
+        monkeypatch.setattr(metrics, "cKDTree", refuse)
+        got = metrics.uniformity_report_mesh(pts, icosphere_mesh, seed_count=20, pool_size=2000)
+        assert got.values == want.values
 
     @pytest.mark.parametrize("seed_count", [0, -3])
     def test_seed_count_below_one_rejected(self, icosphere_mesh, rng, seed_count):

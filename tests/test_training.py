@@ -331,6 +331,12 @@ class TestTrainLoop:
             tr.train(pairs, cfg, tmp_path / "run")
         assert not (tmp_path / "run").exists()
 
+    def test_negative_seed_rejected_before_writing(self, tiny_pairs, tmp_path):
+        pairs, cfg = tiny_pairs
+        with pytest.raises(ValueError):
+            tr.train(pairs, dataclasses.replace(cfg, seed=-1), tmp_path / "run")
+        assert not (tmp_path / "run").exists()
+
     def test_reconstruction_only_training_improves_held_out_patch(
         self, icosphere_mesh, tmp_path
     ):
