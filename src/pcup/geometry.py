@@ -83,7 +83,7 @@ def padded_ball_runs(tree, queries, radius, chunk):
         lo = hi
 
 
-_NEAREST_CHUNK = 1 << 16  # candidate pairs per step of SpatialIndex.nearest_others
+_RUN_CHUNK = 1 << 16  # candidate pairs per step of a batched SpatialIndex query
 
 
 class SpatialIndex:
@@ -108,25 +108,40 @@ class SpatialIndex:
     def __len__(self):
         return len(self.points)
 
-    def _exact_sorted(self, candidates, query):
-        cand = np.asarray(candidates, dtype=np.intp)
-        dist = _row_norms(self.points[cand] - query)
-        order = np.lexsort((cand, dist))
-        return cand[order], dist[order]
-
     def knn(self, query, k):
-        """The k nearest indexed points, ascending by (distance, index).
+        """The k nearest indexed points of one query point, or of each row
+        of an (m, 3) array of them, ascending by (distance, index).
 
-        Returns (indices, distances) as parallel arrays of length k.
+        Returns (indices, distances) as parallel arrays: of length k for
+        one query point, of shape (m, k) for many. One batched query: the
+        tree's k + 1 nearest come first. Where the (k+1)-th lies beyond
+        the padded k-th tree distance, the tree's k are the candidates;
+        where it does not (a tie or near tie at the k-th place), every
+        point within that padded distance is. Candidates are re-ranked
+        by exact numpy distances.
         """
-        q = np.asarray(query, dtype=np.float64).reshape(3)
+        q = np.asarray(query, dtype=np.float64)
+        one = q.ndim == 1
+        q = as_points(q.reshape(1, 3) if one else q, "query")
         n = len(self.points)
         if not 1 <= k <= n:
             raise ValueError(f"k={k} out of range for {n} indexed points")
-        tree_dist = np.atleast_1d(self.tree.query(q, k=k)[0])
-        radius = _padded(float(tree_dist[-1]))
-        cand, dist = self._exact_sorted(self.tree.query_ball_point(q, radius), q)
-        return cand[:k], dist[:k]
+        tree_dist, nbr = self.tree.query(q, k=k + 1)  # past n: inf, index n
+        idx = nbr[:, :k]
+        dist = _row_norms((self.points[idx] - q[:, None, :]).reshape(-1, 3)).reshape(-1, k)
+        order = np.lexsort((idx, dist))
+        idx = np.take_along_axis(idx, order, 1)
+        dist = np.take_along_axis(dist, order, 1)
+        radius = tree_dist[:, k - 1]
+        rows = np.flatnonzero(tree_dist[:, k] <= _padded(radius))
+        for lo, hi, counts, cand in padded_ball_runs(self.tree, q[rows], radius[rows], _RUN_CHUNK):
+            owner = np.repeat(rows[lo:hi], counts)
+            d = _row_norms(self.points[cand] - q[owner])
+            order = np.lexsort((cand, d, owner))
+            first = (np.cumsum(counts) - counts)[:, None] + np.arange(k)
+            idx[rows[lo:hi]] = cand[order][first]
+            dist[rows[lo:hi]] = d[order][first]
+        return (idx[0], dist[0]) if one else (idx, dist)
 
     def ball_query(self, center, radius):
         """Indices of all points within the closed ball, sorted by
@@ -134,8 +149,10 @@ class SpatialIndex:
         if not radius > 0:
             raise ValueError(f"radius must be positive, got {radius}")
         c = np.asarray(center, dtype=np.float64).reshape(3)
-        cand, dist = self._exact_sorted(self.tree.query_ball_point(c, _padded(radius)), c)
-        return cand[dist <= radius]
+        cand = np.asarray(self.tree.query_ball_point(c, _padded(radius)), dtype=np.intp)
+        dist = _row_norms(self.points[cand] - c)
+        order = np.lexsort((cand, dist))
+        return cand[order[dist[order] <= radius]]
 
     def nearest_others(self):
         """For every indexed point, the index of its nearest other indexed
@@ -155,7 +172,7 @@ class SpatialIndex:
             raise ValueError(f"nearest other point needs at least 2 points, got {n}")
         radius = self.tree.query(pts, k=2)[0][:, 1]
         nearest = np.empty(n, dtype=np.intp)
-        for lo, hi, counts, cand in padded_ball_runs(self.tree, pts, radius, _NEAREST_CHUNK):
+        for lo, hi, counts, cand in padded_ball_runs(self.tree, pts, radius, _RUN_CHUNK):
             owner = np.repeat(np.arange(lo, hi), counts)
             d = _row_norms(pts[cand] - pts[owner])
             d[cand == owner] = np.inf
@@ -173,6 +190,12 @@ class SpatialIndex:
         return int(idx[0]), float(dist[0])
 
 
+# clouds of at least this many points take farthest_point_sampling's pruned
+# path: below it, a pick's ball query (about 10 µs) costs more than the
+# dense update it saves
+_FPS_PRUNE_MIN = 4096
+
+
 def farthest_point_sampling(points, k, seed_index=0):
     """Greedy max-min subset selection.
 
@@ -181,8 +204,14 @@ def farthest_point_sampling(points, k, seed_index=0):
     index. Returns the k selected indices in pick order.
 
     Distances are those of `np.linalg.norm`, sqrt((dx² + dy²) + dz²) in
-    that order, computed bit for bit the same but on contiguous columns
-    in preallocated buffers, so a pick allocates nothing.
+    that order, computed bit for bit the same but on contiguous columns.
+    Below _FPS_PRUNE_MIN points every pick updates every point's
+    min-distance in preallocated buffers, so a pick allocates nothing.
+    From that size on, a pick updates only the points a kd-tree finds
+    within its padded reach, its own min-distance: that is the largest
+    min-distance left, so a point farther away keeps its min-distance
+    under the dense update too. Min-distances, picks and ties are the
+    same on both paths.
     """
     pts = as_points(points)
     n = len(pts)
@@ -194,19 +223,25 @@ def farthest_point_sampling(points, k, seed_index=0):
     mindist = np.full(n, np.inf)
     dist = np.empty(n)
     term = np.empty(n)
+    tree = cKDTree(pts) if n >= _FPS_PRUNE_MIN else None
     selected = np.empty(k, dtype=np.intp)
     selected[0] = nxt = seed_index
     for i in range(1, k):
-        np.subtract(x, x[nxt], out=dist)
-        np.multiply(dist, dist, out=dist)
-        np.subtract(y, y[nxt], out=term)
-        np.multiply(term, term, out=term)
-        np.add(dist, term, out=dist)
-        np.subtract(z, z[nxt], out=term)
-        np.multiply(term, term, out=term)
-        np.add(dist, term, out=dist)
-        np.sqrt(dist, out=dist)
-        np.minimum(mindist, dist, out=mindist)
+        if tree is None or i == 1:  # the seed's reach is infinite: every point
+            np.subtract(x, x[nxt], out=dist)
+            np.multiply(dist, dist, out=dist)
+            np.subtract(y, y[nxt], out=term)
+            np.multiply(term, term, out=term)
+            np.add(dist, term, out=dist)
+            np.subtract(z, z[nxt], out=term)
+            np.multiply(term, term, out=term)
+            np.add(dist, term, out=dist)
+            np.sqrt(dist, out=dist)
+            np.minimum(mindist, dist, out=mindist)
+        else:
+            near = np.array(tree.query_ball_point(pts[nxt], _padded(mindist[nxt])), np.intp)
+            dx, dy, dz = x[near] - x[nxt], y[near] - y[nxt], z[near] - z[nxt]
+            mindist[near] = np.minimum(mindist[near], np.sqrt((dx * dx + dy * dy) + dz * dz))
         mindist[nxt] = -1.0  # selected points can never win the argmax
         nxt = int(np.argmax(mindist))  # first occurrence = lowest index on ties
         selected[i] = nxt

@@ -17,10 +17,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from . import autodiff as ad
-from .geometry import as_points, farthest_point_sampling
+from .geometry import SpatialIndex, as_points, farthest_point_sampling
 
 __all__ = [
     "GeneratorConfig",
@@ -129,11 +128,12 @@ def init_discriminator(cfg, rng):
 def local_embedding(points, k):
     """Constant per-point input embedding: coordinates concatenated with
     the coordinate-wise max of the k nearest neighbor offsets (the point
-    itself counts as a neighbor, so k points suffice)."""
+    itself counts as a neighbor, so k points suffice). Neighbors are the
+    exact k nearest, the lower index on ties."""
     pts = as_points(points)
     if len(pts) < k:
         raise ValueError(f"need at least {k} points for the local embedding, got {len(pts)}")
-    nbr = cKDTree(pts).query(pts, k)[1]
+    nbr = SpatialIndex(pts).knn(pts, k)[0]
     offsets = pts[nbr] - pts[:, None, :]
     return np.hstack([pts, offsets.max(axis=1)])
 

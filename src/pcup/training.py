@@ -487,6 +487,12 @@ def train(pairs, cfg, out_dir, log=_default_log):
             f"training needs at least 1 iteration, got {iterations} "
             f"(iterations = {cfg.iterations}, epochs = {cfg.epochs})"
         )
+    for pair in pairs:
+        if len(pair.target) != cfg.n_target:
+            raise ValueError(
+                f"patch {pair.mesh_id}/{pair.index} holds {len(pair.target)} target points, "
+                f"but rate {cfg.rate} x n_input {cfg.n_input} needs {cfg.n_target}"
+            )
     rng = np.random.default_rng(cfg.seed)  # rejects a bad seed before anything is written
     os.makedirs(out_dir, exist_ok=True)
     gen_cfg = cfg.generator_config()
@@ -623,10 +629,8 @@ def upsample_cloud(points, params, gen_cfg, overlap_factor=3, generator_fn=None)
         return up[keep]
     seed_count = max(1, min(n, math.ceil(overlap_factor * n / n_in)))
     seeds = farthest_point_sampling(pts, seed_count, 0)
-    index = SpatialIndex(pts)
     pieces = []
-    for s in seeds:
-        patch = pts[index.knn(pts[s], n_in)[0]]
+    for patch in pts[SpatialIndex(pts).knn(pts[seeds], n_in)[0]]:
         normed, centroid, scale = normalize_unit_sphere(patch)
         up = generator_fn(params, gen_cfg, normed)
         pieces.append(denormalize(up, centroid, scale))

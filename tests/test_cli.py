@@ -252,6 +252,20 @@ class TestTrain:
         assert stdout == ""
         assert not out.exists()
 
+    @pytest.mark.parametrize("n_input", [8, 32])
+    def test_config_patch_size_mismatch_exits_1(self, capsys, archive, tmp_path, n_input):
+        cfg_path = tmp_path / "config.txt"
+        cfg_path.write_text(CONFIG_TINY.replace("n_input = 16", f"n_input = {n_input}"))
+        out = tmp_path / "run"
+        code, stdout, err = run(capsys, "train", "--data", str(archive), "--out", str(out),
+                                "--config", str(cfg_path))
+        assert code == 1
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: patch ")
+        assert f"holds 32 target points, but rate 2 x n_input {n_input} needs {2 * n_input}" in err
+        assert stdout == ""
+        assert not out.exists()
+
     def test_run_outputs(self, run_dir, capsys):
         lines = (run_dir / "losses.csv").read_text().splitlines()
         assert len(lines) == 3  # header + 2 iterations

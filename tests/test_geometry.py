@@ -1,6 +1,7 @@
 """Spatial queries, farthest point sampling, normalization, XYZ I/O."""
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 
 import helpers
+from pcup import geometry
 from pcup.geometry import (
     SpatialIndex,
     as_points,
@@ -77,6 +79,23 @@ class TestSpatialIndex:
         want = helpers.brute_knn(pts, np.array([0.5, 0.5, 0.5]), 8)
         assert np.array_equal(got, want)
         assert np.allclose(dist, dist[0])  # all 8 genuinely tied
+
+    def test_batched_knn_matches_brute_force_on_lattice(self, rng):
+        # integer lattice points and cell centres: squared distances are
+        # exact, so k-set boundaries cut through exact ties, which only the
+        # (distance, index) rule settles
+        pts = helpers.cubic_lattice(5, 1.0)
+        idx = SpatialIndex(pts)
+        queries = np.vstack([pts[::7], pts[::11] + 0.5, rng.normal(size=(10, 3)) * 3.0])
+        for k in (1, 6, 19, len(pts)):
+            got, dist = idx.knn(queries, k)
+            assert got.shape == dist.shape == (len(queries), k)
+            for q, row, drow in zip(queries, got, dist):
+                want = helpers.brute_knn(pts, q, k)
+                assert np.array_equal(row, want)
+                assert np.allclose(drow, np.linalg.norm(pts[want] - q, axis=1))
+                one, one_dist = idx.knn(q, k)
+                assert np.array_equal(one, row) and np.array_equal(one_dist, drow)
 
 
 class TestNearestOthers:
@@ -218,6 +237,43 @@ class TestFarthestPointSampling:
         pts = rng.normal(size=(6144, 3))
         got = farthest_point_sampling(pts, 2048, 4321)
         assert np.array_equal(got, helpers.brute_fps(pts, 2048, 4321))
+
+    # inputs just below and at or above the size from which picks update
+    # only the points a kd-tree ball query returns
+    @staticmethod
+    def _pruning_inputs(rng, n):
+        centers = rng.normal(size=(24, 3))
+        side = math.ceil((n + 1) ** (1 / 3))
+        return {
+            # like the union of an untrained generator's collapsed patches
+            "clustered": (centers[np.arange(n) % 24] + rng.normal(size=(n, 3)) * 1e-2, n // 3),
+            "lattice": (helpers.cubic_lattice(side, 0.1)[:n], n // 2),
+            "near_ties": (helpers.near_tie_cloud(rng, clusters=n // 7 + 1)[:n], n // 3),
+            "duplicates": (helpers.with_duplicates(rng, n=n // 4, copies=4), n // 4 * 4),
+        }
+
+    @pytest.mark.parametrize("seed_index", [0, "middle"])
+    @pytest.mark.parametrize("kind", ["clustered", "lattice", "near_ties", "duplicates"])
+    @pytest.mark.parametrize("offset", [-4, 4])
+    def test_either_side_of_pruning_size_matches_reference(
+            self, rng, monkeypatch, kind, offset, seed_index):
+        n = geometry._FPS_PRUNE_MIN + offset
+        pts, k = self._pruning_inputs(rng, n)[kind]
+        seed = 0 if seed_index == 0 else len(pts) // 2 + 1
+        trees = []
+        monkeypatch.setattr(geometry, "cKDTree", lambda p: trees.append(p) or cKDTree(p))
+        got = farthest_point_sampling(pts, k, seed)
+        assert len(trees) == (len(pts) >= geometry._FPS_PRUNE_MIN)
+        assert np.array_equal(got, helpers.brute_fps(pts, k, seed))
+
+    def test_pruned_trim_cost_bound(self, rng):
+        # 24 576 -> 8192 is upsample's trim at the paper's sizes; it took
+        # about 0.3 s on 2 cores, against about 1 s for the dense loop
+        centers = rng.normal(size=(24, 3))
+        pts = centers[np.arange(24576) % 24] + rng.normal(size=(24576, 3)) * 1e-2
+        start = time.perf_counter()
+        farthest_point_sampling(pts, 8192, 0)
+        assert time.perf_counter() - start < 3.0
 
     def test_exact_duplicates_all_selected_in_reference_order(self, rng):
         base = rng.normal(size=(25, 3))

@@ -238,6 +238,7 @@ class TestUniformFlatGraph:
     def test_one_spatial_index_per_call(self, monkeypatch):
         # every p crops the same cloud, so one kd-tree and one nearest-other
         # pass serve them all
+        q = ad.constant(helpers.collapsed_generator_output(16))
         built = []
         init = SpatialIndex.__init__
 
@@ -246,8 +247,7 @@ class TestUniformFlatGraph:
             init(self, points)
 
         monkeypatch.setattr(SpatialIndex, "__init__", counting)
-        cfg = lo.UniformLossConfig(seed_count=8)
-        lo.uniform_loss(ad.constant(helpers.collapsed_generator_output(16)), cfg, seed=3)
+        lo.uniform_loss(q, lo.UniformLossConfig(seed_count=8), seed=3)
         assert len(built) == 1
 
     def test_collapsed_paper_size_cost_bound(self):

@@ -77,6 +77,16 @@ class TestLocalEmbedding:
         assert emb[0, 3] == pytest.approx(3.0)
         assert emb[2, 3] == pytest.approx(0.0)  # nothing to its right
 
+    def test_lattice_neighbours_follow_the_tie_rule(self):
+        # a 16 x 16 integer lattice: the 16th neighbour of most points ties
+        # with others, and a raw kd-tree query picks among them by its own
+        # order; the embedding must use the lowest indices
+        g = np.arange(16.0)
+        pts = np.stack([*np.meshgrid(g, g, indexing="ij"), np.zeros((16, 16))], -1).reshape(-1, 3)
+        nbr = np.array([helpers.brute_knn(pts, p, 16) for p in pts])
+        want = np.hstack([pts, (pts[nbr] - pts[:, None, :]).max(axis=1)])
+        assert np.array_equal(nw.local_embedding(pts, 16), want)
+
 
 class TestGridCodes:
     def test_rho_four_uses_two_by_two_grid(self):

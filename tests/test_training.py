@@ -8,8 +8,9 @@ import os
 import numpy as np
 import pytest
 
+import helpers
 from pcup import training as tr
-from pcup.geometry import pairwise_distances, read_xyz
+from pcup.geometry import farthest_point_sampling, pairwise_distances, read_xyz
 from pcup.mesh import TriangleMesh
 from pcup.networks import init_generator
 
@@ -331,6 +332,18 @@ class TestTrainLoop:
             tr.train(pairs, cfg, tmp_path / "run")
         assert not (tmp_path / "run").exists()
 
+    @pytest.mark.parametrize("n_input", [8, 32])
+    def test_patch_size_mismatch_rejected_before_writing(self, tiny_pairs, tmp_path, n_input):
+        # the archive's targets hold rate 2 x N 16 = 32 points; any other
+        # n_input used to fail in the first iteration's loss
+        pairs, cfg = tiny_pairs
+        cfg = dataclasses.replace(cfg, n_input=n_input)
+        message = (f"^patch tetra/0 holds 32 target points, but rate 2 x n_input "
+                   f"{n_input} needs {2 * n_input}$")
+        with pytest.raises(ValueError, match=message):
+            tr.train(pairs, cfg, tmp_path / "run")
+        assert not (tmp_path / "run").exists()
+
     def test_negative_seed_rejected_before_writing(self, tiny_pairs, tmp_path):
         pairs, cfg = tiny_pairs
         with pytest.raises(ValueError):
@@ -396,6 +409,27 @@ class TestUpsampleCloud:
         up = tr.upsample_cloud(pts, result.generator, cfg.generator_config())
         assert up.shape == (cfg.rate * 40, 3)
         assert np.isfinite(up).all()
+
+    def test_patches_come_from_one_knn_query(self, rng, monkeypatch):
+        cfg = tr.TrainConfig(**TINY).generator_config()
+        pts = rng.normal(size=(200, 3))
+        patches = []
+
+        def generator(params, gen_cfg, patch):
+            patches.append(patch)
+            return self._stub(params, gen_cfg, patch)
+
+        calls = []
+        knn = tr.SpatialIndex.knn
+        monkeypatch.setattr(tr.SpatialIndex, "knn",
+                            lambda self, q, k: calls.append(len(q)) or knn(self, q, k))
+        tr.upsample_cloud(pts, None, cfg, generator_fn=generator)
+        seeds = farthest_point_sampling(pts, math.ceil(3 * 200 / cfg.n_input), 0)
+        assert calls == [len(seeds)]
+        for s, patch in zip(seeds, patches):
+            nbr = helpers.brute_knn(pts, pts[s], cfg.n_input)
+            normed = (pts[nbr] - pts[nbr].mean(axis=0))
+            assert np.allclose(patch, normed / np.linalg.norm(normed, axis=1).max())
 
     def test_empty_input_rejected(self):
         cfg = tr.TrainConfig(**TINY).generator_config()
