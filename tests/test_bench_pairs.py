@@ -44,3 +44,10 @@ def test_summary_counts_wins_by_direction_and_ties_for_neither(bench_pairs):
     assert up["parent"] == {"median": 3.0, "q1": 2.95, "q3": 3.1}
     assert up["runs"]["change"] == [2.0, 3.1, 2.5]
     assert out["train_patches_per_s"]["change_won"] == 1  # the first pair is a tie
+
+
+def test_summary_of_one_pair(bench_pairs):
+    runs = [(_run(upsample_s=3.0), _run(upsample_s=2.0))]
+    up = bench_pairs.summarize(runs, {"upsample_s": {"unit": "s", "better": "lower"}})["upsample_s"]
+    assert up["parent"] == {"median": 3.0, "q1": 3.0, "q3": 3.0}
+    assert up["change_won"] == 1

@@ -241,16 +241,16 @@ class TestFarthestPointSampling:
     # inputs just below and at or above the size from which picks update
     # only the points a kd-tree ball query returns
     @staticmethod
-    def _pruning_inputs(rng, n):
-        centers = rng.normal(size=(24, 3))
-        side = math.ceil((n + 1) ** (1 / 3))
-        return {
-            # like the union of an untrained generator's collapsed patches
-            "clustered": (centers[np.arange(n) % 24] + rng.normal(size=(n, 3)) * 1e-2, n // 3),
-            "lattice": (helpers.cubic_lattice(side, 0.1)[:n], n // 2),
-            "near_ties": (helpers.near_tie_cloud(rng, clusters=n // 7 + 1)[:n], n // 3),
-            "duplicates": (helpers.with_duplicates(rng, n=n // 4, copies=4), n // 4 * 4),
-        }
+    def _pruning_input(rng, kind, n):
+        """(points, k) of about n points."""
+        if kind == "clustered":  # like an untrained generator's merged patches
+            centers = rng.normal(size=(24, 3))
+            return centers[np.arange(n) % 24] + rng.normal(size=(n, 3)) * 1e-2, n // 3
+        if kind == "lattice":
+            return helpers.cubic_lattice(math.ceil((n + 1) ** (1 / 3)), 0.1)[:n], n // 2
+        if kind == "near_ties":
+            return helpers.near_tie_cloud(rng, clusters=n // 7 + 1)[:n], n // 3
+        return helpers.with_duplicates(rng, n=n // 4, copies=4), n // 4 * 4
 
     @pytest.mark.parametrize("seed_index", [0, "middle"])
     @pytest.mark.parametrize("kind", ["clustered", "lattice", "near_ties", "duplicates"])
@@ -258,7 +258,7 @@ class TestFarthestPointSampling:
     def test_either_side_of_pruning_size_matches_reference(
             self, rng, monkeypatch, kind, offset, seed_index):
         n = geometry._FPS_PRUNE_MIN + offset
-        pts, k = self._pruning_inputs(rng, n)[kind]
+        pts, k = self._pruning_input(rng, kind, n)
         seed = 0 if seed_index == 0 else len(pts) // 2 + 1
         trees = []
         monkeypatch.setattr(geometry, "cKDTree", lambda p: trees.append(p) or cKDTree(p))

@@ -85,6 +85,8 @@ def run_once(checkout, workload, seed, seconds, trace):
 
 
 def spread(values):
+    if len(values) < 2:
+        return {"median": values[0], "q1": values[0], "q3": values[0]}
     q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return {"median": median, "q1": q1, "q3": q3}
 
