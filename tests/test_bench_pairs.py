@@ -1,6 +1,7 @@
-"""The pair runner in tools/: seed ranges and the per-metric summary."""
+"""The pair runner in tools/: seed ranges, the per-metric summary and the run length."""
 
 import importlib.util
+import json
 import sys
 from pathlib import Path
 
@@ -51,3 +52,26 @@ def test_summary_of_one_pair(bench_pairs):
     up = bench_pairs.summarize(runs, {"upsample_s": {"unit": "s", "better": "lower"}})["upsample_s"]
     assert up["parent"] == {"median": 3.0, "q1": 3.0, "q3": 3.0}
     assert up["change_won"] == 1
+
+
+def test_runs_last_the_benchmarks_run_seconds(bench_pairs, monkeypatch, tmp_path):
+    benchmark = {"run_seconds": 7, "end_to_end": [{"name": "upsample_s", "unit": "s",
+                                                   "better": "lower"}]}
+
+    def export(rev, dest):
+        (dest / "BENCHMARK.json").write_text(json.dumps(benchmark), encoding="ascii")
+
+    calls = []
+
+    def run_once(checkout, workload, seed, seconds, trace):
+        calls.append(seconds)
+        return {"failed": 0, "attempted": 1, "metrics": {"upsample_s": {"value": 1.0}}}
+
+    monkeypatch.setattr(bench_pairs, "export", export)
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    monkeypatch.setattr(bench_pairs, "versions", lambda: {})
+    out = tmp_path / "record.json"
+    assert bench_pairs.main(["--parent", "HEAD", "--workloads", "upsample_eval",
+                             "--seeds", "1-2", "--out", str(out)]) == 0
+    assert calls == [7, 7, 7, 7]
+    assert json.loads(out.read_text(encoding="ascii"))["seconds"] == 7

@@ -11,8 +11,8 @@ first on even pairs and the change first on odd ones, one run at a time.
 The record holds the commit shas, the core count, the Python, numpy and
 scipy versions, and per workload and metric every run's value, each
 side's median and quartiles, and the pairs the change won (a tie counts
-for neither side); metric units and directions come from the change's
-BENCHMARK.json. With `--trace` the runs are traced and the per-layer
+for neither side); the run length (`run_seconds`) and the metric units
+and directions come from the change's BENCHMARK.json. With `--trace` the runs are traced and the per-layer
 metrics go to the record's `per_layer` section instead of `end_to_end`;
 a record written before for the same commits and machine keeps its
 other section. Needs only the standard library and git.
@@ -46,7 +46,6 @@ def parse_args(argv):
     parser.add_argument("--change", default="HEAD", help="git revision of the change")
     parser.add_argument("--workloads", nargs="+", required=True)
     parser.add_argument("--seeds", type=seed_list, required=True, help="e.g. 201-210")
-    parser.add_argument("--seconds", type=float, default=10.0)
     parser.add_argument("--trace", action="store_true")
     parser.add_argument("--out", type=Path, required=True)
     return parser.parse_args(argv)
@@ -113,28 +112,30 @@ def summarize(runs, definitions):
 def main(argv=None):
     args = parse_args(argv)
     section = "per_layer" if args.trace else "end_to_end"
-    head = {"parent": git("rev-parse", args.parent), "change": git("rev-parse", args.change),
-            "cores": os.cpu_count(), **versions(), "seconds": args.seconds}
-    record = {**head, "end_to_end": {}, "per_layer": {}}
-    if args.out.is_file():
-        old = json.loads(args.out.read_text(encoding="ascii"))
-        if all(old.get(key) == value for key, value in head.items()):
-            record.update({k: old.get(k, {}) for k in ("end_to_end", "per_layer")})
+    shas = {"parent": git("rev-parse", args.parent), "change": git("rev-parse", args.change)}
     with tempfile.TemporaryDirectory(prefix="bench_pairs-") as tmp:
         sides = {}
         for side in ("parent", "change"):
             sides[side] = Path(tmp) / side
             sides[side].mkdir()
-            export(head[side], sides[side])
+            export(shas[side], sides[side])
         with open(sides["change"] / "BENCHMARK.json", encoding="ascii") as fh:
-            definitions = {m["name"]: m for m in json.load(fh)[section]}
+            benchmark = json.load(fh)
+        definitions = {m["name"]: m for m in benchmark[section]}
+        head = {**shas, "cores": os.cpu_count(), **versions(),
+                "seconds": benchmark["run_seconds"]}
+        record = {**head, "end_to_end": {}, "per_layer": {}}
+        if args.out.is_file():
+            old = json.loads(args.out.read_text(encoding="ascii"))
+            if all(old.get(key) == value for key, value in head.items()):
+                record.update({k: old.get(k, {}) for k in ("end_to_end", "per_layer")})
         for workload in args.workloads:
             runs, failed, attempted = [], {"parent": 0, "change": 0}, {"parent": 0, "change": 0}
             for i, seed in enumerate(args.seeds):
                 order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
                 result = {}
                 for side in order:
-                    result[side] = run_once(sides[side], workload, seed, args.seconds,
+                    result[side] = run_once(sides[side], workload, seed, head["seconds"],
                                             args.trace)
                     ok = result[side] is not None
                     failed[side] += result[side]["failed"] if ok else 1
