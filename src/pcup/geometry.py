@@ -67,7 +67,8 @@ def padded_ball_runs(tree, queries, radius, chunk):
 
     Query i asks for the points of `tree` within _padded(radius[i]).
     Yields (lo, hi, counts, candidates): queries lo..hi-1, the length of
-    each one's list, and the lists concatenated in query order.
+    each one's list, and the lists, each in index order, concatenated in
+    query order.
     """
     radius = _padded(radius)
     counts = tree.query_ball_point(queries, radius, return_length=True)
@@ -76,7 +77,7 @@ def padded_ball_runs(tree, queries, radius, chunk):
     lo = 0
     while lo < len(queries):
         hi = max(lo + 1, int(np.searchsorted(ends, starts[lo] + chunk, side="right")))
-        lists = tree.query_ball_point(queries[lo:hi], radius[lo:hi])
+        lists = tree.query_ball_point(queries[lo:hi], radius[lo:hi], return_sorted=True)
         cand = np.fromiter(itertools.chain.from_iterable(lists), np.intp,
                            ends[hi - 1] - starts[lo])
         yield lo, hi, counts[lo:hi], cand
@@ -184,11 +185,6 @@ class SpatialIndex:
         self._nearest = nearest
         return nearest
 
-    def nearest(self, query):
-        """Index and distance of the single nearest point."""
-        idx, dist = self.knn(query, 1)
-        return int(idx[0]), float(dist[0])
-
 
 # clouds of at least this many points take farthest_point_sampling's pruned
 # path: below it, a pick's ball query (about 10 µs) costs more than the
@@ -201,51 +197,72 @@ def farthest_point_sampling(points, k, seed_index=0):
 
     The first pick is `seed_index`; every later pick maximizes the
     distance to the already-selected set, with ties broken by lower
-    index. Returns the k selected indices in pick order.
+    index. Returns the k selected indices in pick order. `seed_index`
+    may also be a sequence of starts: the result is then a (starts, k)
+    array whose row i holds, bit for bit, the picks of a call with
+    seed_index[i].
 
     Distances are those of `np.linalg.norm`, sqrt((dx² + dy²) + dz²) in
     that order, computed bit for bit the same but on contiguous columns.
-    Below _FPS_PRUNE_MIN points every pick updates every point's
-    min-distance in preallocated buffers, so a pick allocates nothing.
-    From that size on, a pick updates only the points a kd-tree finds
-    within its padded reach, its own min-distance: that is the largest
-    min-distance left, so a point farther away keeps its min-distance
-    under the dense update too. Min-distances, picks and ties are the
-    same on both paths.
+    Below _FPS_PRUNE_MIN points all starts run in one loop over a
+    (starts, n) block, and every pick updates every point's min-distance
+    in preallocated buffers. From that size on, each start runs on its
+    own, and a pick updates only the points a kd-tree finds within its
+    padded reach, its own min-distance: that is the largest min-distance
+    left, so a point farther away keeps its min-distance under the dense
+    update too. Min-distances, picks and ties are the same on both paths.
     """
     pts = as_points(points)
     n = len(pts)
     if not 1 <= k <= n:
         raise ValueError(f"k={k} out of range for {n} points")
-    if not 0 <= seed_index < n:
-        raise ValueError(f"seed_index={seed_index} out of range for {n} points")
+    starts = np.asarray(seed_index, dtype=np.intp)
+    if starts.ndim > 1:
+        raise ValueError(f"seed_index must be one index or a sequence, got shape {starts.shape}")
+    for s in starts.reshape(-1).tolist():
+        if not 0 <= s < n:
+            raise ValueError(f"seed_index={s} out of range for {n} points")
+    if n < _FPS_PRUNE_MIN:
+        return _fps(pts, k, starts, None)
+    tree = cKDTree(pts)
+    if starts.ndim:
+        return np.array([_fps(pts, k, s, tree) for s in starts], np.intp).reshape(-1, k)
+    return _fps(pts, k, starts, tree)
+
+
+def _fps(pts, k, starts, tree):
+    """farthest_point_sampling's loop. `starts` is one start or, with no
+    `tree`, a row of them; with a kd-tree over `pts`, picks after the
+    seed's update only the points within their reach."""
+    n = len(pts)
     x, y, z = (np.ascontiguousarray(pts[:, j]) for j in range(3))
-    mindist = np.full(n, np.inf)
-    dist = np.empty(n)
-    term = np.empty(n)
-    tree = cKDTree(pts) if n >= _FPS_PRUNE_MIN else None
-    selected = np.empty(k, dtype=np.intp)
-    selected[0] = nxt = seed_index
+    mindist = np.full(starts.shape + (n,), np.inf)
+    flat = mindist.reshape(-1)
+    row_base = (np.arange(starts.size) * n).reshape(starts.shape)[()]
+    dist = np.empty_like(mindist)
+    term = np.empty_like(mindist)
+    picks = np.empty((k,) + starts.shape, dtype=np.intp)
+    picks[0] = nxt = starts[()]  # a scalar for one start: scalar arithmetic below
     for i in range(1, k):
         if tree is None or i == 1:  # the seed's reach is infinite: every point
-            np.subtract(x, x[nxt], out=dist)
+            cx, cy, cz = pts[nxt].T[..., None] if starts.ndim else pts[nxt]
+            np.subtract(x, cx, out=dist)
             np.multiply(dist, dist, out=dist)
-            np.subtract(y, y[nxt], out=term)
+            np.subtract(y, cy, out=term)
             np.multiply(term, term, out=term)
             np.add(dist, term, out=dist)
-            np.subtract(z, z[nxt], out=term)
+            np.subtract(z, cz, out=term)
             np.multiply(term, term, out=term)
             np.add(dist, term, out=dist)
             np.sqrt(dist, out=dist)
             np.minimum(mindist, dist, out=mindist)
         else:
-            near = np.array(tree.query_ball_point(pts[nxt], _padded(mindist[nxt])), np.intp)
+            near = np.array(tree.query_ball_point(pts[nxt], _padded(flat[nxt])), np.intp)
             dx, dy, dz = x[near] - x[nxt], y[near] - y[nxt], z[near] - z[nxt]
-            mindist[near] = np.minimum(mindist[near], np.sqrt((dx * dx + dy * dy) + dz * dz))
-        mindist[nxt] = -1.0  # selected points can never win the argmax
-        nxt = int(np.argmax(mindist))  # first occurrence = lowest index on ties
-        selected[i] = nxt
-    return selected
+            flat[near] = np.minimum(flat[near], np.sqrt((dx * dx + dy * dy) + dz * dz))
+        flat[row_base + nxt] = -1.0  # selected points can never win the argmax
+        picks[i] = nxt = mindist.argmax(axis=-1)  # first occurrence = lowest index on ties
+    return np.ascontiguousarray(picks.T)
 
 
 def normalize_unit_sphere(points):

@@ -10,6 +10,7 @@ several equally near neighbors, its gradient goes to the one with the
 lowest index.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,33 +64,35 @@ def uniform_loss(q, cfg=UniformLossConfig(), seed=0):
     over the list. Subset counts enter as constant multiplicative
     weights; only the nearest-neighbor distances carry gradient.
 
-    The graph is flat: every subset's (member, neighbor) pairs are
-    concatenated, each distinct pair's distance is computed once, and a
-    member row carries its subset's d_hat and imbalance / d_hat as
-    constant columns. One SpatialIndex serves every p.
+    Every crop of every p comes from one metrics.uniformity_crops call
+    over one SpatialIndex. The graph is flat: the (member, partner) pairs
+    of every crop of two or more members, in crop order, each distinct
+    pair's distance computed once, and a member row carries its crop's
+    d_hat and imbalance / d_hat as constant columns.
     """
-    index = SpatialIndex(q.value)
-    members, partners, d_hats, weights = [], [], [], []
-    for k, p in enumerate(cfg.p_values):
-        _, n_hat, subsets = metrics.uniformity_subsets(q.value, p, cfg.seed_count, seed + k,
-                                                       index)
-        for m, nn, d_hat in subsets:
-            if nn is None:
-                continue  # clutter is 0: no value, no gradient
-            members.append(m)
-            partners.append(nn)
-            d_hats.append(d_hat)
-            weights.append((len(m) - n_hat) ** 2 / n_hat / d_hat)
-    if not members:
-        return ad.constant(np.zeros((1, 1)))
-    sizes = [len(m) for m in members]
     n = q.shape[0]
-    pairs, row_pair = np.unique(np.concatenate(members) * n + np.concatenate(partners),
-                                return_inverse=True)
+    draws = [(p, seed + k) for k, p in enumerate(cfg.p_values)]
+    sizes, members, partners = metrics.uniformity_crops(SpatialIndex(q.value), draws,
+                                                        cfg.seed_count)
+    per_draw = min(cfg.seed_count, n)
+    kept, d_hats, weights = [], [], []
+    for c, size in enumerate(sizes.tolist()):
+        if size < 2:
+            continue  # clutter is 0: no value, no gradient
+        p = cfg.p_values[c // per_draw]
+        n_hat = metrics.expected_ball_count(n, p)
+        d_hat = metrics.hexagonal_neighbor_spacing(math.sqrt(p), size)
+        kept.append(size)
+        d_hats.append(d_hat)
+        weights.append((size - n_hat) ** 2 / n_hat / d_hat)  # Python floats, as the metric
+    if not kept:
+        return ad.constant(np.zeros((1, 1)))
+    paired = partners >= 0
+    pairs, row_pair = np.unique(members[paired] * n + partners[paired], return_inverse=True)
     diff = ad.sub(ad.gather_rows(q, pairs // n), ad.gather_rows(q, pairs % n))
     gaps = ad.gather_rows(ad.sqrt(ad.rowwise_sum(ad.square(diff))), row_pair)
-    dev = ad.sub(gaps, ad.constant(np.repeat(d_hats, sizes)[:, None]))
-    return ad.sum_all(ad.scale(ad.square(dev), np.repeat(weights, sizes)[:, None]))
+    dev = ad.sub(gaps, ad.constant(np.repeat(d_hats, kept)[:, None]))
+    return ad.sum_all(ad.scale(ad.square(dev), np.repeat(weights, kept)[:, None]))
 
 
 def reconstruction_loss(q, target, _epsilon=None):

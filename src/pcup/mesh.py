@@ -96,11 +96,6 @@ class TriangleMesh:
             )
         return out
 
-    def distance_to_surface(self, point):
-        """Exact minimum distance from a point to the surface."""
-        p = np.asarray(point, dtype=np.float64).reshape(1, 3)
-        return float(self.distances_to_surface(p)[0])
-
     def distances_to_surface(self, points):
         """Exact minimum distance from each point to the surface: the
         minimum of point_triangle_distances over every triangle whose
@@ -414,7 +409,7 @@ class PatchGrower:
         return dijkstra(self._graph, directed=True, indices=sources, limit=limit)
 
     def nearest_pool_index(self, position):
-        return self.index.nearest(position)[0]
+        return int(self.index.knn(position, 1)[0][0])
 
     def grow(self, seed_position, fraction):
         """The ceil(fraction * pool) pool points closest to the seed in

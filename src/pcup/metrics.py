@@ -9,10 +9,13 @@ each subset's size against the expected count n_hat = |Q| * p
 against the ideal hexagonal-packing spacing d_hat (clutter). The final
 value sums imbalance * clutter over subsets.
 
-Nearest neighbors inside a subset are exact, the lower index on ties.
-Every point's nearest other point in the whole cloud is found once, in
-one batched query; a member keeps it whenever it lies in the subset, and
-only the remaining members are searched against the subset.
+Subsets and the nearest neighbors inside them are exact, the lower index
+on ties, and batched: uniformity_crops takes every subset of several p
+values in one pass, from one farthest-point-sampling loop for all their
+seeds, one ball query over all seeds, and one segmented search. Every
+point's nearest other point in the whole cloud is found once; a member
+keeps it whenever it lies in the subset, and only the remaining members
+are searched against their subset.
 """
 
 import math
@@ -22,7 +25,15 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 from scipy.spatial import cKDTree
 
-from .geometry import SpatialIndex, as_points, farthest_point_sampling, pairwise_distances
+from .geometry import (
+    _RUN_CHUNK,
+    SpatialIndex,
+    _row_norms,
+    as_points,
+    farthest_point_sampling,
+    padded_ball_runs,
+    pairwise_distances,
+)
 from .mesh import PatchGrower, area_weighted_sample
 
 __all__ = [
@@ -34,6 +45,7 @@ __all__ = [
     "emd_exact",
     "expected_ball_count",
     "hexagonal_neighbor_spacing",
+    "uniformity_crops",
     "uniformity_subsets",
     "uniformity_loss_value",
     "uniformity_report_mesh",
@@ -126,31 +138,122 @@ def hexagonal_neighbor_spacing(radius, subset_size):
     return math.sqrt(2.0 * math.pi * radius * radius / (subset_size * math.sqrt(3.0)))
 
 
-def _crop_nearest(pts, members, nearest):
-    """Index of each crop member's nearest other member, the lower index on
-    ties.
+def _crop_partners(pts, members, sizes, nearest, inside):
+    """Each crop member's nearest other member in its crop, the lower
+    index on ties, or -1 in a crop of fewer than two members.
 
-    `nearest` holds every point's nearest other point in the whole cloud
-    (SpatialIndex.nearest_others). A member whose global nearest lies in
-    the crop keeps it: the cloud holds the crop, so nothing in the crop is
-    nearer, and an equally near member has a higher index. Only the other
-    members are searched, against the crop's members in index order.
+    `members` holds the crops one after another, `sizes` their lengths;
+    `nearest` holds each member's nearest other point in the whole cloud
+    (SpatialIndex.nearest_others) and `inside` whether that point lies in
+    the member's crop. Such a member keeps it: the cloud holds the crop,
+    so nothing in the crop is nearer, and an equally near member has a
+    higher index. Every other member of a crop of two or more is searched
+    against its crop's members as flat (member, candidate) pairs, in runs
+    of about _RUN_CHUNK pairs.
     """
-    nn = nearest[members]
-    inside = np.zeros(len(pts), dtype=bool)
-    inside[members] = True
-    outside = ~inside[nn]
-    if outside.any():
-        cols = np.sort(members)
-        rows = members[outside]
-        d = pairwise_distances(pts[rows], pts[cols])
-        d[np.arange(len(rows)), np.searchsorted(cols, rows)] = np.inf
-        nn[outside] = cols[np.argmin(d, axis=1)]
-    return nn
+    ends = np.cumsum(sizes)
+    crop = np.repeat(np.arange(len(sizes)), sizes)
+    partners = np.where(inside, nearest, -1)
+    rows = np.flatnonzero(~inside & (sizes[crop] >= 2))
+    counts = sizes[crop[rows]]
+    pair_ends = np.cumsum(counts)
+    lo = 0
+    while lo < len(rows):
+        hi = max(lo + 1, int(np.searchsorted(pair_ends, pair_ends[lo] - counts[lo] + _RUN_CHUNK,
+                                             side="right")))
+        run, run_counts = rows[lo:hi], counts[lo:hi]
+        offsets = np.cumsum(run_counts) - run_counts
+        owner = np.repeat(run, run_counts)
+        # the candidates of a row are its crop's members, in crop order
+        shift = np.repeat(ends[crop[run]] - run_counts - offsets, run_counts)
+        cand = members[np.arange(len(owner)) + shift]
+        me = members[owner]
+        d = _row_norms(pts[cand] - pts[me])
+        d[cand == me] = np.inf
+        best = np.minimum.reduceat(d, offsets)
+        ties = np.where(d == np.repeat(best, run_counts), cand, len(pts))
+        partners[run] = np.minimum.reduceat(ties, offsets)
+        lo = hi
+    return partners
+
+
+def _segment_order(d, counts):
+    """The permutation that sorts each of the consecutive segments of `d`
+    (lengths `counts`) by value, stably: in a segment whose entries are in
+    index order, the (distance, index) order.
+
+    One stable sort along the rows of a grid that holds a segment per row,
+    padded with inf, several times faster than a lexsort over (segment,
+    value). Where one long segment would make the grid mostly padding,
+    the lexsort runs instead.
+    """
+    row = np.repeat(np.arange(len(counts)), counts)
+    width = counts.max(initial=0)
+    if len(counts) * width > 4 * len(d) + 4096:
+        return np.lexsort((d, row))
+    starts = np.cumsum(counts) - counts
+    col = np.arange(len(d)) - starts[row]
+    grid = np.full((len(counts), width), np.inf)
+    grid[row, col] = d
+    order = np.argsort(grid, axis=1, kind="stable")  # the padding sorts last
+    return (order + starts[:, None])[np.arange(width) < counts[:, None]]
+
+
+def uniformity_crops(index, draws, seed_count):
+    """Every crop of several uniformity draws over one cloud, exact, in
+    one batched pass.
+
+    `index` is a SpatialIndex over the cloud; `draws` holds (p, rng)
+    pairs. Draw i picks m = min(seed_count, n) seeds by farthest point
+    sampling from the start np.random.default_rng(rng).integers(n), one
+    dense loop serving every draw, and crop i * m + j is the closed ball
+    of radius sqrt(p) around its seed j. Membership comes from one
+    padded_ball_runs pass over all crop centres, each with its own
+    radius, kept by exact distance and ordered by (distance, index), so
+    a crop holds what SpatialIndex.ball_query returns, in its order.
+
+    Returns (sizes, members, partners): each crop's member count; the
+    crops' members one crop after another; and each member's nearest
+    other member in its crop, the lower index on ties, or -1 in a crop of
+    fewer than two members.
+    """
+    pts = index.points
+    n = len(pts)
+    for p, _ in draws:
+        if not 0.0 < p < 1.0:
+            raise ValueError(f"p must be in (0, 1), got {p}")
+    if seed_count < 1:
+        raise ValueError(f"seed_count must be >= 1, got {seed_count}")
+    radii = [math.sqrt(p) for p, _ in draws]
+    starts = [int(np.random.default_rng(rng).integers(n)) for _, rng in draws]
+    if n == 1:  # every crop is the one point, with no partner
+        return np.ones(len(draws), np.intp), np.zeros(len(draws), np.intp), np.full(len(draws), -1)
+    m = min(seed_count, n)
+    centres = pts[farthest_point_sampling(pts, m, starts).reshape(-1)]
+    radius = np.repeat(radii, m)
+    nearest = index.nearest_others()
+    sizes = np.zeros(len(centres), np.intp)
+    members, nn, inside = [np.empty(0, np.intp)], [np.empty(0, np.intp)], [np.empty(0, bool)]
+    for lo, hi, counts, cand in padded_ball_runs(index.tree, centres, radius, _RUN_CHUNK):
+        owner = np.repeat(np.arange(lo, hi), counts)
+        d = _row_norms(pts[cand] - centres[owner])
+        keep = d <= radius[owner]
+        owner, d, cand = owner[keep], d[keep], cand[keep]
+        counts = np.bincount(owner - lo, minlength=hi - lo)
+        order = _segment_order(d, counts)
+        owner, cand = owner[order], cand[order]
+        sizes[lo:hi] = counts
+        members.append(cand)
+        nn.append(nearest[cand])
+        # a point is in a crop exactly when the distance test above keeps it
+        inside.append(_row_norms(pts[nn[-1]] - centres[owner]) <= radius[owner])
+    members, nn, inside = (np.concatenate(parts) for parts in (members, nn, inside))
+    return sizes, members, _crop_partners(pts, members, sizes, nn, inside)
 
 
 def uniformity_subsets(points, p, seed_count, rng, index=None):
-    """Freeze the discrete structure of the uniformity measure.
+    """Freeze the discrete structure of the uniformity measure at one area
+    fraction p: uniformity_crops for a single draw.
 
     Picks min(seed_count, n) seeds by farthest point sampling from an
     rng-chosen start, crops the closed ball of radius sqrt(p) around each
@@ -164,38 +267,25 @@ def uniformity_subsets(points, p, seed_count, rng, index=None):
     (member indices, nearest-neighbor indices or None, d_hat).
     """
     pts = as_points(points)
-    if not 0.0 < p < 1.0:
-        raise ValueError(f"p must be in (0, 1), got {p}")
-    if seed_count < 1:
-        raise ValueError(f"seed_count must be >= 1, got {seed_count}")
-    rng = np.random.default_rng(rng)
-    n = len(pts)
-    r_d = math.sqrt(p)
-    n_hat = expected_ball_count(n, p)
     index = SpatialIndex(pts) if index is None else index
-    start = int(rng.integers(n))
-    seeds = farthest_point_sampling(pts, min(seed_count, n), start)
-    nearest = index.nearest_others() if n >= 2 else None
+    sizes, members, partners = uniformity_crops(index, [(p, rng)], seed_count)
+    r_d = math.sqrt(p)
+    n_hat = expected_ball_count(len(pts), p)
+    cuts = np.cumsum(sizes)[:-1]
     subsets = []
-    for s in seeds:
-        members = index.ball_query(pts[s], r_d)
-        if len(members) >= 2:
-            nn = _crop_nearest(pts, members, nearest)
-            d_hat = hexagonal_neighbor_spacing(r_d, len(members))
+    for m, nn in zip(np.split(members, cuts), np.split(partners, cuts)):
+        if len(m) >= 2:
+            subsets.append((m, nn, hexagonal_neighbor_spacing(r_d, len(m))))
         else:
-            nn = None
-            d_hat = 0.0
-        subsets.append((members, nn, d_hat))
+            subsets.append((m, None, 0.0))
     return r_d, n_hat, subsets
 
 
-def _subset_value(pts, n_hat, members, nn, d_hat):
-    imbalance = (len(members) - n_hat) ** 2 / n_hat
-    if nn is None:
-        return 0.0  # no nearest neighbor exists, clutter is defined as 0
-    gaps = np.linalg.norm(pts[members] - pts[nn], axis=1)
-    clutter = float((((gaps - d_hat) ** 2) / d_hat).sum())
-    return imbalance * clutter
+def _crop_value(n_hat, d_hat, gaps):
+    """One crop's imbalance * clutter from its members' gaps to their
+    partners."""
+    imbalance = (len(gaps) - n_hat) ** 2 / n_hat
+    return imbalance * float((((gaps - d_hat) ** 2) / d_hat).sum())
 
 
 def uniformity_loss_value(points, p, seed_count, rng):
@@ -204,7 +294,9 @@ def uniformity_loss_value(points, p, seed_count, rng):
     the expected count and the hexagonal spacing exactly."""
     pts = as_points(points)
     _, n_hat, subsets = uniformity_subsets(pts, p, seed_count, rng)
-    return float(sum(_subset_value(pts, n_hat, m, nn, dh) for m, nn, dh in subsets))
+    # a crop with no nearest neighbor has clutter 0
+    return float(sum(_crop_value(n_hat, d_hat, np.linalg.norm(pts[m] - pts[nn], axis=1))
+                     for m, nn, d_hat in subsets if nn is not None))
 
 
 @dataclass
@@ -248,14 +340,23 @@ def uniformity_report_mesh(points, mesh, seed_count=1000, rng=0, pool_size=20000
         dists = np.atleast_2d(grower.distances_from(block, limit=limit))
         for row in dists:
             reach = row[attach]  # graph distance of each query point's attachment
-            for p in p_values:
-                members = np.nonzero(reach <= radii[p])[0]
-                if len(members) < 2:
-                    continue  # clutter 0, contributes nothing
-                nn = _crop_nearest(pts, members, nearest)
-                d_hat = hexagonal_neighbor_spacing(radii[p], len(members))
-                n_hat = expected_ball_count(n, p)
-                totals[p] += _subset_value(pts, n_hat, members, nn, d_hat)
+            # the crops of a row are nested: each is a subset of the widest
+            widest = (reach <= limit).nonzero()[0]
+            crops = [(p, radii[p], widest[reach[widest] <= radii[p]]) for p in p_values]
+            crops = [crop for crop in crops if len(crop[2]) >= 2]  # else clutter 0
+            if not crops:
+                continue
+            members = np.concatenate([m for _, _, m in crops])
+            sizes = np.array([len(m) for _, _, m in crops])
+            nn = nearest[members]
+            inside = reach[nn] <= np.repeat([r for _, r, _ in crops], sizes)
+            partners = _crop_partners(pts, members, sizes, nn, inside)
+            gaps = np.linalg.norm(pts[members] - pts[partners], axis=1)
+            end = 0
+            for p, r, m in crops:
+                start, end = end, end + len(m)
+                d_hat = hexagonal_neighbor_spacing(r, len(m))
+                totals[p] += _crop_value(expected_ball_count(n, p), d_hat, gaps[start:end])
     return UniformityReport(totals, len(seeds))
 
 

@@ -26,8 +26,15 @@ def brute_knn(points, query, k):
 
 
 def brute_ball(points, query, radius):
-    """Closed-ball membership by exhaustive comparison."""
-    d = np.linalg.norm(points - query, axis=1)
+    """Closed-ball membership by exhaustive comparison, sorted by
+    (distance, index).
+
+    Distances use the package's formula (sqrt of an einsum over the
+    coordinate differences): `np.linalg.norm(axis=1)` differs from it by
+    an ulp on some rows, which reorders exact ties such as a lattice's.
+    """
+    diff = points - query
+    d = np.sqrt(np.einsum("ij,ij->i", diff, diff))
     hits = [i for i in range(len(points)) if d[i] <= radius]
     return np.array(sorted(hits, key=lambda i: (d[i], i)))
 

@@ -174,7 +174,7 @@ def test_c04_spatial_query_exactness(icosphere_mesh):
     corners = icosphere_mesh.corners()
     for _ in range(250):
         q = rng.normal(size=(3,)) * 1.5
-        got = icosphere_mesh.distance_to_surface(q)
+        got = icosphere_mesh.distances_to_surface(q[None])[0]
         assert got == point_triangle_distances(q, corners).min()
     assert time.perf_counter() - start < 30.0
 

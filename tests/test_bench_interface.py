@@ -84,26 +84,25 @@ def test_install_and_uninstall_leave_bindings_as_they_were():
     assert changed == []
 
 
-def test_crop_counter_sums_the_uniform_loss_crops():
+def test_crop_counter_sums_the_uniformity_subsets_members():
     # the tracer's hook reads uniformity_subsets' return as (members, nn,
-    # d_hat) tuples and counts the members
+    # d_hat) tuples and counts the members. uniform_loss takes every crop
+    # from one uniformity_crops call and never enters that span, so in
+    # training the counter reads 0 and the crop time is uniform_loss's own
     tracer = _load("tracer")
     pts = np.random.default_rng(2).normal(size=(120, 3)) * 0.3
-    cfg = losses.UniformLossConfig(seed_count=8)
-    want = sum(
-        len(members)
-        for k, p in enumerate(cfg.p_values)
-        for members, _, _ in pcup.metrics.uniformity_subsets(pts, p, cfg.seed_count, 3 + k)[2]
-    )
+    _, _, subsets = pcup.metrics.uniformity_subsets(pts, 0.05, 8, 3)
+    want = sum(len(members) for members, _, _ in subsets)
     t = tracer.Tracer()
     t.install(pcup)
     try:
         t.active = True
-        losses.uniform_loss(autodiff.constant(pts), cfg, seed=3)
+        pcup.metrics.uniformity_loss_value(pts, 0.05, 8, 3)
+        losses.uniform_loss(autodiff.constant(pts), losses.UniformLossConfig(seed_count=8), seed=3)
         t.active = False
     finally:
         t.uninstall()
-    assert t.names.count("metrics.uniformity_subsets") == len(cfg.p_values)
+    assert t.names.count("metrics.uniformity_subsets") == 1
     assert t.counters["metrics.uniformity_subsets.members"] == want > 0
 
 

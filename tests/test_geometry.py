@@ -27,7 +27,8 @@ from pcup.geometry import (
 class TestSpatialIndex:
     def test_singleton_every_query_returns_it(self):
         idx = SpatialIndex([[1.0, 2.0, 3.0]])
-        assert idx.nearest([9.0, 9.0, 9.0]) == (0, pytest.approx(np.sqrt(64 + 49 + 36)))
+        i, d = idx.knn([9.0, 9.0, 9.0], 1)
+        assert (int(i[0]), float(d[0])) == (0, pytest.approx(np.sqrt(64 + 49 + 36)))
         i, d = idx.knn([0.0, 0.0, 0.0], 1)
         assert list(i) == [0]
         assert list(idx.ball_query([1.0, 2.0, 3.0], 0.5)) == [0]
@@ -265,6 +266,33 @@ class TestFarthestPointSampling:
         got = farthest_point_sampling(pts, k, seed)
         assert len(trees) == (len(pts) >= geometry._FPS_PRUNE_MIN)
         assert np.array_equal(got, helpers.brute_fps(pts, k, seed))
+
+    @pytest.mark.parametrize("kind", ["clustered", "lattice", "near_ties", "duplicates"])
+    @pytest.mark.parametrize("offset", [-4, 4])
+    def test_several_starts_match_single_start_calls(self, rng, monkeypatch, kind, offset):
+        # one loop over a block of starts below the pruning size, one
+        # pruned run per start over a shared kd-tree from it on
+        n = geometry._FPS_PRUNE_MIN + offset
+        pts, _ = self._pruning_input(rng, kind, n)
+        n = len(pts)
+        starts = [0, 17, n // 2 + 1, n - 1, 17]
+        trees = []
+        monkeypatch.setattr(geometry, "cKDTree", lambda p: trees.append(p) or cKDTree(p))
+        got = farthest_point_sampling(pts, 40, starts)
+        assert len(trees) == (n >= geometry._FPS_PRUNE_MIN)
+        assert got.shape == (5, 40)
+        for row, s in zip(got, starts):
+            assert np.array_equal(row, farthest_point_sampling(pts, 40, s))
+            assert np.array_equal(row, helpers.brute_fps(pts, 40, s))
+
+    def test_start_sequence_shapes_and_range(self, rng):
+        pts = rng.normal(size=(30, 3))
+        assert farthest_point_sampling(pts, 30, 5).shape == (30,)
+        assert np.array_equal(farthest_point_sampling(pts, 30, [5])[0],
+                              farthest_point_sampling(pts, 30, 5))
+        assert farthest_point_sampling(pts, 4, []).shape == (0, 4)
+        with pytest.raises(ValueError, match="seed_index=30 out of range"):
+            farthest_point_sampling(pts, 4, [0, 30])
 
     def test_pruned_trim_cost_bound(self, rng):
         # 24 576 -> 8192 is upsample's trim at the paper's sizes; it took

@@ -1,7 +1,9 @@
 """Loss terms: hand values, gradient directions, cross-module agreement
 of the uniformity loss, and the compound weighting."""
 
+import hashlib
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -169,6 +171,14 @@ class TestUniform:
         helpers.gradcheck(make_loss, params, max_entries=30, rng=rng)
 
 
+def _pinned_cloud(case):
+    """256 points: all within 0.03 of each other, where every crop holds
+    the whole cloud, or a flat patch whose crops hold about 19."""
+    if case == "collapsed":
+        return np.random.default_rng(2024).uniform(-0.015, 0.015, size=(256, 3))
+    return np.random.default_rng(2025).uniform(-1.0, 1.0, size=(256, 3)) * [0.36, 0.36, 0.01]
+
+
 def _per_crop_loss(q, p_values, seed_count, seed, partners):
     """The uniform loss built one crop at a time, each member paired with
     partners(points, members)."""
@@ -259,6 +269,49 @@ class TestUniformFlatGraph:
         ad.backward(lo.uniform_loss(q, lo.UniformLossConfig(), seed=5))
         assert time.perf_counter() - start < 2.0
         assert np.isfinite(q.grad).all() and np.abs(q.grad).max() > 0
+
+    @pytest.mark.parametrize("case, value, grad_sha256", [
+        ("collapsed", 12123006.366765428,
+         "fd9f59697a662b0b5c4bacd4653df1232d43cdc37f5dd792025680293beb3784"),
+        ("patch", 1899.325842088037,
+         "566dccad178a223f9f6dfc7cc6fb992a4afd003df130f91ed1e2dfbe2ef77d94"),
+    ])
+    def test_value_and_gradient_bytes_are_pinned(self, case, value, grad_sha256):
+        # recorded from the per-seed crop loop the batched crops replaced.
+        # Traps that change these bits: crops or members out of their
+        # (p, seed, distance, index) order, and the imbalance weight from
+        # numpy's x ** 2, where Python's float ** 2 calls libm pow: on the
+        # patch, nine crops hold 19 members where n_hat = 3.072, one of the
+        # few sizes where the two differ. The clouds are drawn without
+        # matrix products, so no BLAS kernel moves their bits
+        q = ad.constant(_pinned_cloud(case))
+        node = lo.uniform_loss(q, lo.UniformLossConfig(), seed=7)
+        ad.backward(node)
+        assert float(node.value[0, 0]) == value
+        assert hashlib.sha256(q.grad.tobytes()).hexdigest() == grad_sha256
+
+    def test_metric_values_are_pinned(self):
+        # recorded as above. Each crop's clutter is one pairwise .sum()
+        # over its slice; a sequential sum gives other bits
+        pts = _pinned_cloud("patch")
+        got = [metrics.uniformity_loss_value(pts, p, 50, 7 + k)
+               for k, p in enumerate(metrics.P_VALUES)]
+        assert got == [101.16832929591791, 200.88594589872577, 328.69241331305716,
+                       517.7128554304039, 750.8662981499322]
+
+    def test_collapsed_paper_size_peak_memory(self):
+        # the 250 crops of 1024 members each are found in runs of about
+        # _RUN_CHUNK candidates, never all at once. tracemalloc (numpy
+        # reports to it) saw a 17.3 MB peak with a ball query per seed and
+        # 17.5 MB batched
+        q = ad.constant(helpers.collapsed_generator_output(256))
+        tracemalloc.start()
+        try:
+            lo.uniform_loss(q, lo.UniformLossConfig(), seed=5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 20 * 2**20
 
 
 class TestCompound:

@@ -388,7 +388,7 @@ class TestGeodesicPatches:
 
 class TestPointToSurface:
     def test_tetra_centroid_hand_value(self, tetra_mesh):
-        assert tetra_mesh.distance_to_surface([0, 0, 0]) == pytest.approx(1 / 3)
+        assert tetra_mesh.distances_to_surface([[0, 0, 0]])[0] == pytest.approx(1 / 3)
 
     def test_surface_samples_have_zero_distance(self, icosphere_mesh, rng):
         samples = area_weighted_sample(icosphere_mesh, 300, rng)
@@ -434,7 +434,7 @@ class TestPointToSurface:
         brute = helpers.brute_surface_distances(queries, icosphere_mesh.corners())
         assert np.array_equal(icosphere_mesh.distances_to_surface(queries), brute)
         assert np.array_equal(icosphere_mesh.distances_to_surface(base[:1]), brute[:1])
-        assert icosphere_mesh.distance_to_surface(base[0]) == brute[0]
+        assert icosphere_mesh.distances_to_surface(base[0][None])[0] == brute[0]
 
     def test_pairs_spanning_several_chunks(self, icosphere_mesh, rng, monkeypatch):
         queries = rng.normal(size=(300, 3)) * 0.5
@@ -460,7 +460,7 @@ class TestPointToSurface:
         corners = tetra_mesh.corners()
         for _ in range(5):
             q = rng.normal(size=3)
-            exact = tetra_mesh.distance_to_surface(q)
+            exact = tetra_mesh.distances_to_surface(q[None])[0]
             grid = min(
                 helpers.brute_point_triangle(q, *corners[i]) for i in range(len(corners))
             )

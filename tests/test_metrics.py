@@ -3,6 +3,7 @@ measures, and the report CSV."""
 
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -267,16 +268,18 @@ class TestCropNearest:
         assert searched > 0.1 * checked
 
     def test_mesh_report_picks_match_oracle(self, icosphere_mesh, rng, monkeypatch):
-        crop_nearest = metrics._crop_nearest
+        crop_partners = metrics._crop_partners
         calls = []
 
-        def checked(pts, members, nearest):
-            nn = crop_nearest(pts, members, nearest)
-            assert np.array_equal(nn, helpers.brute_crop_nearest(pts, members))
-            calls.append(len(members))
-            return nn
+        def checked(pts, members, sizes, nearest, inside):
+            partners = crop_partners(pts, members, sizes, nearest, inside)
+            cuts = np.cumsum(sizes)[:-1]
+            for crop, picks in zip(np.split(members, cuts), np.split(partners, cuts)):
+                assert np.array_equal(picks, helpers.brute_crop_nearest(pts, crop))
+                calls.append(len(crop))
+            return partners
 
-        monkeypatch.setattr(metrics, "_crop_nearest", checked)
+        monkeypatch.setattr(metrics, "_crop_partners", checked)
         pts = np.vstack([
             area_weighted_sample(icosphere_mesh, 300, rng).positions,
             0.3 * helpers.collapsed_generator_output(32),
@@ -285,6 +288,129 @@ class TestCropNearest:
         metrics.uniformity_report_mesh(pts, icosphere_mesh, seed_count=40, rng=0,
                                        pool_size=3000)
         assert len(calls) > 50
+
+
+def _assert_kernel_matches_oracle(pts, p_values, seed_count, seed):
+    """uniformity_crops over every p at once: each crop equals the brute-
+    force ball around its brute-force FPS seed, in (distance, index) order,
+    and each partner the brute-force crop nearest. Returns (crops, members
+    whose partner came from the search rather than the global nearest)."""
+    n = len(pts)
+    draws = [(p, seed + k) for k, p in enumerate(p_values)]
+    index = SpatialIndex(pts)
+    sizes, members, partners = metrics.uniformity_crops(index, draws, seed_count)
+    m = min(seed_count, n)
+    assert len(sizes) == len(draws) * m and sizes.sum() == len(members) == len(partners)
+    cuts = np.cumsum(sizes)[:-1]
+    crops, picks = np.split(members, cuts), np.split(partners, cuts)
+    global_nn = index.nearest_others() if n >= 2 else None
+    oracle = {}  # crops that hold the same points share one dense oracle pass
+    searched = 0
+    for k, p in enumerate(p_values):
+        start = int(np.random.default_rng(seed + k).integers(n))
+        for j, s in enumerate(helpers.brute_fps(pts, m, start)):
+            crop, pick = crops[k * m + j], picks[k * m + j]
+            assert np.array_equal(crop, helpers.brute_ball(pts, pts[s], math.sqrt(p)))
+            if len(crop) < 2:
+                assert np.array_equal(pick, np.full(len(crop), -1))
+                continue
+            cols = np.sort(crop)
+            if cols.tobytes() not in oracle:
+                oracle[cols.tobytes()] = helpers.brute_crop_nearest(pts, cols)
+            assert np.array_equal(pick, oracle[cols.tobytes()][np.searchsorted(cols, crop)])
+            searched += int((~np.isin(global_nn[crop], crop)).sum())
+    return len(sizes), searched
+
+
+def _two_points(gap):
+    return np.array([[0.1, 0.2, 0.3], [0.1 + gap, 0.2, 0.3]])
+
+
+class TestUniformityCrops:
+    @pytest.mark.parametrize("case", [
+        "lattice", "near_ties", "duplicates", "collapsed_64", "collapsed_256", "spread",
+        "clump_and_outliers",
+    ])
+    def test_crops_and_partners_match_oracle(self, case):
+        rng = np.random.default_rng(21)
+        pts, p_values = {
+            "lattice": lambda: (helpers.cubic_lattice(10, 0.025), LATTICE_P_VALUES),
+            "near_ties": lambda: (helpers.near_tie_cloud(rng), (0.004, 0.005, 0.01)),
+            "duplicates": lambda: (helpers.with_duplicates(rng), (0.004, 0.01, 0.05)),
+            "collapsed_64": lambda: (helpers.collapsed_generator_output(64), metrics.P_VALUES),
+            "collapsed_256": lambda: (helpers.collapsed_generator_output(256), metrics.P_VALUES),
+            "spread": lambda: (rng.uniform(-1.0, 1.0, size=(600, 3)), (0.01, 0.03, 0.05)),
+            # crops of 300 members beside crops of one: the segment sort's
+            # padded grid would be mostly padding
+            "clump_and_outliers": lambda: (np.vstack([rng.normal(size=(300, 3)) * 0.01,
+                                                      rng.uniform(-5.0, 5.0, size=(300, 3))]),
+                                           (0.004, 0.01)),
+        }[case]()
+        seed_count = 300 if case == "clump_and_outliers" else 50
+        crops, searched = _assert_kernel_matches_oracle(pts, p_values, seed_count, 3)
+        assert crops == len(p_values) * seed_count
+        if case in ("lattice", "near_ties", "spread"):
+            assert searched > 0  # the pair search ran, not only the global nearest
+
+    @pytest.mark.parametrize("pts, seed_count", [
+        (np.array([[0.1, 0.2, 0.3]]), 50),  # n = 1
+        (_two_points(0.05), 50),  # n = 2, within every crop radius
+        (_two_points(0.5), 50),  # n = 2, apart: singleton crops
+        (np.random.default_rng(5).normal(size=(7, 3)) * 0.05, 50),  # seed_count > n
+    ])
+    def test_tiny_clouds_match_oracle(self, pts, seed_count):
+        crops, _ = _assert_kernel_matches_oracle(pts, metrics.P_VALUES, seed_count, 8)
+        assert crops == len(metrics.P_VALUES) * len(pts)
+
+    @pytest.mark.parametrize("chunk", [1, 7, 1000])
+    def test_runs_of_any_size_give_the_same_crops(self, monkeypatch, chunk):
+        # 1 pair: one crop centre, or one searching member, per run; 7 and
+        # 1000: runs of several, of uneven sizes
+        pts = np.random.default_rng(6).uniform(-0.3, 0.3, size=(300, 3))
+        index = SpatialIndex(pts)
+        draws = [(0.01, 1), (0.05, 2)]
+        want = metrics.uniformity_crops(index, draws, 20)
+        monkeypatch.setattr(metrics, "_RUN_CHUNK", chunk)
+        got = metrics.uniformity_crops(index, draws, 20)
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+        _assert_kernel_matches_oracle(pts, (0.01, 0.05), 20, 1)
+
+    @pytest.mark.parametrize("counts", [
+        [5, 0, 1, 40, 7, 7, 2],  # sorted on a padded grid
+        [3000] + [1] * 200,  # one long segment: the grid would be mostly padding
+    ])
+    def test_segment_order_is_a_stable_sort_per_segment(self, rng, counts):
+        counts = np.array(counts)
+        d = np.round(rng.random(counts.sum()), 1)  # many exact ties
+        segment = np.repeat(np.arange(len(counts)), counts)
+        assert np.array_equal(metrics._segment_order(d, counts), np.lexsort((d, segment)))
+
+    def test_subsets_wrapper_is_one_draw(self, rng):
+        pts = rng.uniform(-0.5, 0.5, size=(200, 3))
+        sizes, members, partners = metrics.uniformity_crops(SpatialIndex(pts), [(0.02, 4)], 30)
+        r_d, n_hat, subsets = metrics.uniformity_subsets(pts, 0.02, 30, 4)
+        assert r_d == math.sqrt(0.02) and n_hat == 200 * 0.02
+        assert [len(m) for m, _, _ in subsets] == sizes.tolist()
+        assert np.array_equal(np.concatenate([m for m, _, _ in subsets]), members)
+        for m, nn, d_hat in subsets:
+            if len(m) < 2:
+                assert nn is None and d_hat == 0.0
+            else:
+                assert d_hat == metrics.hexagonal_neighbor_spacing(r_d, len(m))
+
+    def test_draws_share_one_fps_loop(self, monkeypatch):
+        pts = helpers.collapsed_generator_output(64)
+        calls = []
+        fps = metrics.farthest_point_sampling
+
+        def counting(points, k, seed_index=0):
+            calls.append(np.shape(seed_index))
+            return fps(points, k, seed_index)
+
+        monkeypatch.setattr(metrics, "farthest_point_sampling", counting)
+        draws = [(p, k) for k, p in enumerate(metrics.P_VALUES)]
+        metrics.uniformity_crops(SpatialIndex(pts), draws, 50)
+        assert calls == [(5,)]
 
 
 class TestMeshUniformityReport:
@@ -322,6 +448,22 @@ class TestMeshUniformityReport:
         report = metrics.uniformity_report_mesh(cloud, icosphere_mesh)
         assert time.perf_counter() - start < 4.5
         assert all(v > 0 for v in report.values.values())
+
+    def test_collapsed_cloud_peak_memory(self, icosphere_mesh):
+        # the clumps of test_collapsed_cloud_cost_bound; the graph distances
+        # of a block of 128 seeds to the 20 000-point pool set the peak.
+        # tracemalloc (numpy reports to it) saw 45.6 MB with a search per
+        # crop and 45.8 MB with one per seed row
+        out = helpers.collapsed_generator_output(256)
+        centers = area_weighted_sample(icosphere_mesh, 8, np.random.default_rng(0)).positions
+        cloud = np.vstack([c + 0.25 * out for c in centers])
+        tracemalloc.start()
+        try:
+            metrics.uniformity_report_mesh(cloud, icosphere_mesh)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 50 * 2**20
 
     def test_attaches_through_the_grower_tree(self, icosphere_mesh, rng, monkeypatch):
         # PatchGrower's SpatialIndex already holds a kd-tree over the pool
