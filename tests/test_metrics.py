@@ -362,21 +362,24 @@ class TestUniformityCrops:
         crops, _ = _assert_kernel_matches_oracle(pts, metrics.P_VALUES, seed_count, 8)
         assert crops == len(metrics.P_VALUES) * len(pts)
 
-    @pytest.mark.parametrize("chunk", [1, 7, 1000])
-    def test_runs_of_any_size_give_the_same_crops(self, monkeypatch, chunk):
-        # 1 pair: one crop centre, or one searching member, per run; 7 and
-        # 1000: runs of several, of uneven sizes
+    @pytest.mark.parametrize("per_point, pairs", [(0, 1), (0.02, 7), (1, 1000), (100, 1 << 16)])
+    def test_runs_of_any_size_give_the_same_crops(self, monkeypatch, per_point, pairs):
+        # 0 and 1 pair: one crop centre, or one searching member, per run;
+        # the others: runs of several, of uneven sizes, up to all at once
         pts = np.random.default_rng(6).uniform(-0.3, 0.3, size=(300, 3))
         index = SpatialIndex(pts)
         draws = [(0.01, 1), (0.05, 2)]
         want = metrics.uniformity_crops(index, draws, 20)
-        monkeypatch.setattr(metrics, "_RUN_CHUNK", chunk)
+        monkeypatch.setattr(metrics, "_CROP_PAIRS_PER_POINT", per_point)
+        monkeypatch.setattr(metrics, "_RUN_CHUNK", pairs)
         got = metrics.uniformity_crops(index, draws, 20)
         assert all(np.array_equal(a, b) for a, b in zip(got, want))
         _assert_kernel_matches_oracle(pts, (0.01, 0.05), 20, 1)
 
     @pytest.mark.parametrize("counts", [
         [5, 0, 1, 40, 7, 7, 2],  # sorted on a padded grid
+        [256, 256, 256],  # one length, as in a collapsed cloud's crops: no padding
+        [0, 0],
         [3000] + [1] * 200,  # one long segment: the grid would be mostly padding
     ])
     def test_segment_order_is_a_stable_sort_per_segment(self, rng, counts):
