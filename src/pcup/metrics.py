@@ -220,8 +220,9 @@ def uniformity_crops(index, draws, seed_count):
     dense loop serving every draw, and crop i * m + j is the closed ball
     of radius sqrt(p) around its seed j. Membership comes from one
     padded_ball_runs pass over all crop centres, each with its own
-    radius, kept by exact distance and ordered by (distance, index), so
-    a crop holds what SpatialIndex.ball_query returns, in its order.
+    radius, in runs of about _CROP_PAIRS_PER_POINT * n candidates, kept
+    by exact distance and ordered by (distance, index), so a crop holds
+    what SpatialIndex.ball_query returns, in its order.
 
     Returns (sizes, members, partners): each crop's member count; the
     crops' members one crop after another; and each member's nearest
