@@ -74,17 +74,16 @@ def uniform_loss(q, cfg=UniformLossConfig(), seed=0):
     draws = [(p, seed + k) for k, p in enumerate(cfg.p_values)]
     sizes, members, partners = metrics.uniformity_crops(SpatialIndex(q.value), draws,
                                                         cfg.seed_count)
-    per_draw = min(cfg.seed_count, n)
     kept, d_hats, weights = [], [], []
-    for c, size in enumerate(sizes.tolist()):
-        if size < 2:
-            continue  # clutter is 0: no value, no gradient
-        p = cfg.p_values[c // per_draw]
+    for p, row in zip(cfg.p_values, sizes.tolist()):
         n_hat = metrics.expected_ball_count(n, p)
-        d_hat = metrics.hexagonal_neighbor_spacing(math.sqrt(p), size)
-        kept.append(size)
-        d_hats.append(d_hat)
-        weights.append((size - n_hat) ** 2 / n_hat / d_hat)  # Python floats, as the metric
+        for size in row:
+            if size < 2:
+                continue  # clutter is 0: no value, no gradient
+            d_hat = metrics.hexagonal_neighbor_spacing(math.sqrt(p), size)
+            kept.append(size)
+            d_hats.append(d_hat)
+            weights.append((size - n_hat) ** 2 / n_hat / d_hat)  # Python floats, as the metric
     if not kept:
         return ad.constant(np.zeros((1, 1)))
     paired = partners >= 0

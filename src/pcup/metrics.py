@@ -185,31 +185,6 @@ def _crop_partners(pts, members, sizes, nearest, inside):
     return partners
 
 
-def _segment_order(d, counts):
-    """The permutation that sorts each of the consecutive segments of `d`
-    (lengths `counts`) by value, stably: in a segment whose entries are in
-    index order, the (distance, index) order.
-
-    One stable sort along the rows of a grid that holds a segment per row,
-    padded with inf, several times faster than a lexsort over (segment,
-    value). Where one long segment would make the grid mostly padding,
-    the lexsort runs instead.
-    """
-    width = counts.max(initial=0)
-    if len(counts) * width == len(d):  # segments of one length: no padding
-        return (np.argsort(d.reshape(len(counts), width), axis=1, kind="stable")
-                + (np.arange(len(counts)) * width)[:, None]).reshape(-1)
-    row = np.repeat(np.arange(len(counts)), counts)
-    if len(counts) * width > 4 * len(d) + 4096:
-        return np.lexsort((d, row))
-    starts = np.cumsum(counts) - counts
-    col = np.arange(len(d)) - starts[row]
-    grid = np.full((len(counts), width), np.inf)
-    grid[row, col] = d
-    order = np.argsort(grid, axis=1, kind="stable")  # the padding sorts last
-    return (order + starts[:, None])[np.arange(width) < counts[:, None]]
-
-
 def uniformity_crops(index, draws, seed_count):
     """Every crop of several uniformity draws over one cloud, exact, in
     one batched pass.
@@ -217,15 +192,16 @@ def uniformity_crops(index, draws, seed_count):
     `index` is a SpatialIndex over the cloud; `draws` holds (p, rng)
     pairs. Draw i picks m = min(seed_count, n) seeds by farthest point
     sampling from the start np.random.default_rng(rng).integers(n), one
-    dense loop serving every draw, and crop i * m + j is the closed ball
-    of radius sqrt(p) around its seed j. Membership comes from one
+    dense loop serving every draw; its crop j is the closed ball of
+    radius sqrt(p) around seed j. Membership comes from one
     padded_ball_runs pass over all crop centres, each with its own
     radius, in runs of about _CROP_PAIRS_PER_POINT * n candidates, kept
     by exact distance and ordered by (distance, index), so a crop holds
     what SpatialIndex.ball_query returns, in its order.
 
-    Returns (sizes, members, partners): each crop's member count; the
-    crops' members one crop after another; and each member's nearest
+    Returns (sizes, members, partners): the (draws, m) member counts,
+    sizes[i, j] that of draw i's crop j; the crops' members, one crop
+    after another in sizes' row-major order; and each member's nearest
     other member in its crop, the lower index on ties, or -1 in a crop of
     fewer than two members.
     """
@@ -239,7 +215,8 @@ def uniformity_crops(index, draws, seed_count):
     radii = [math.sqrt(p) for p, _ in draws]
     starts = [int(np.random.default_rng(rng).integers(n)) for _, rng in draws]
     if n == 1:  # every crop is the one point, with no partner
-        return np.ones(len(draws), np.intp), np.zeros(len(draws), np.intp), np.full(len(draws), -1)
+        return (np.ones((len(draws), 1), np.intp), np.zeros(len(draws), np.intp),
+                np.full(len(draws), -1))
     m = min(seed_count, n)
     centres = pts[farthest_point_sampling(pts, m, starts).reshape(-1)]
     radius = np.repeat(radii, m)
@@ -252,19 +229,21 @@ def uniformity_crops(index, draws, seed_count):
         d = _row_norms(pts[cand] - centres[owner])
         keep = d <= radius[owner]
         owner, d, cand = owner[keep], d[keep], cand[keep]
-        counts = np.bincount(owner - lo, minlength=hi - lo)
-        order = _segment_order(d, counts)
+        # the lists are in index order and lexsort is stable: each crop
+        # comes out in (distance, index) order
+        order = np.lexsort((d, owner))
         owner, cand = owner[order], cand[order]
+        counts = np.bincount(owner - lo, minlength=hi - lo)
         sizes[lo:hi] = counts
         members.append(cand)
         nn.append(nearest[cand])
         # a point is in a crop exactly when the distance test above keeps it
         inside.append(_row_norms(pts[nn[-1]] - centres[owner]) <= radius[owner])
     members, nn, inside = (np.concatenate(parts) for parts in (members, nn, inside))
-    return sizes, members, _crop_partners(pts, members, sizes, nn, inside)
+    return sizes.reshape(len(draws), m), members, _crop_partners(pts, members, sizes, nn, inside)
 
 
-def uniformity_subsets(points, p, seed_count, rng, index=None):
+def uniformity_subsets(points, p, seed_count, rng):
     """Freeze the discrete structure of the uniformity measure at one area
     fraction p: uniformity_crops for a single draw.
 
@@ -273,18 +252,14 @@ def uniformity_subsets(points, p, seed_count, rng, index=None):
     seed, and records each member's nearest neighbor inside its subset,
     the lower index on ties.
 
-    `index`, a SpatialIndex over the same points, lets several calls on
-    one cloud share its kd-tree and its nearest-other pass.
-
     Returns (r_d, n_hat, subsets) where each subset is a tuple
     (member indices, nearest-neighbor indices or None, d_hat).
     """
     pts = as_points(points)
-    index = SpatialIndex(pts) if index is None else index
-    sizes, members, partners = uniformity_crops(index, [(p, rng)], seed_count)
+    sizes, members, partners = uniformity_crops(SpatialIndex(pts), [(p, rng)], seed_count)
     r_d = math.sqrt(p)
     n_hat = expected_ball_count(len(pts), p)
-    cuts = np.cumsum(sizes)[:-1]
+    cuts = np.cumsum(sizes[0])[:-1]
     subsets = []
     for m, nn in zip(np.split(members, cuts), np.split(partners, cuts)):
         if len(m) >= 2:

@@ -300,7 +300,7 @@ def _assert_kernel_matches_oracle(pts, p_values, seed_count, seed):
     index = SpatialIndex(pts)
     sizes, members, partners = metrics.uniformity_crops(index, draws, seed_count)
     m = min(seed_count, n)
-    assert len(sizes) == len(draws) * m and sizes.sum() == len(members) == len(partners)
+    assert sizes.shape == (len(draws), m) and sizes.sum() == len(members) == len(partners)
     cuts = np.cumsum(sizes)[:-1]
     crops, picks = np.split(members, cuts), np.split(partners, cuts)
     global_nn = index.nearest_others() if n >= 2 else None
@@ -319,7 +319,7 @@ def _assert_kernel_matches_oracle(pts, p_values, seed_count, seed):
                 oracle[cols.tobytes()] = helpers.brute_crop_nearest(pts, cols)
             assert np.array_equal(pick, oracle[cols.tobytes()][np.searchsorted(cols, crop)])
             searched += int((~np.isin(global_nn[crop], crop)).sum())
-    return len(sizes), searched
+    return sizes.size, searched
 
 
 def _two_points(gap):
@@ -340,8 +340,7 @@ class TestUniformityCrops:
             "collapsed_64": lambda: (helpers.collapsed_generator_output(64), metrics.P_VALUES),
             "collapsed_256": lambda: (helpers.collapsed_generator_output(256), metrics.P_VALUES),
             "spread": lambda: (rng.uniform(-1.0, 1.0, size=(600, 3)), (0.01, 0.03, 0.05)),
-            # crops of 300 members beside crops of one: the segment sort's
-            # padded grid would be mostly padding
+            # crops of 300 members beside crops of one
             "clump_and_outliers": lambda: (np.vstack([rng.normal(size=(300, 3)) * 0.01,
                                                       rng.uniform(-5.0, 5.0, size=(300, 3))]),
                                            (0.004, 0.01)),
@@ -376,24 +375,12 @@ class TestUniformityCrops:
         assert all(np.array_equal(a, b) for a, b in zip(got, want))
         _assert_kernel_matches_oracle(pts, (0.01, 0.05), 20, 1)
 
-    @pytest.mark.parametrize("counts", [
-        [5, 0, 1, 40, 7, 7, 2],  # sorted on a padded grid
-        [256, 256, 256],  # one length, as in a collapsed cloud's crops: no padding
-        [0, 0],
-        [3000] + [1] * 200,  # one long segment: the grid would be mostly padding
-    ])
-    def test_segment_order_is_a_stable_sort_per_segment(self, rng, counts):
-        counts = np.array(counts)
-        d = np.round(rng.random(counts.sum()), 1)  # many exact ties
-        segment = np.repeat(np.arange(len(counts)), counts)
-        assert np.array_equal(metrics._segment_order(d, counts), np.lexsort((d, segment)))
-
     def test_subsets_wrapper_is_one_draw(self, rng):
         pts = rng.uniform(-0.5, 0.5, size=(200, 3))
         sizes, members, partners = metrics.uniformity_crops(SpatialIndex(pts), [(0.02, 4)], 30)
         r_d, n_hat, subsets = metrics.uniformity_subsets(pts, 0.02, 30, 4)
         assert r_d == math.sqrt(0.02) and n_hat == 200 * 0.02
-        assert [len(m) for m, _, _ in subsets] == sizes.tolist()
+        assert sizes.shape == (1, 30) and [len(m) for m, _, _ in subsets] == sizes[0].tolist()
         assert np.array_equal(np.concatenate([m for m, _, _ in subsets]), members)
         for m, nn, d_hat in subsets:
             if len(m) < 2:
