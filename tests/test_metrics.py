@@ -329,7 +329,6 @@ def _two_points(gap):
 class TestUniformityCrops:
     @pytest.mark.parametrize("case", [
         "lattice", "near_ties", "duplicates", "collapsed_64", "collapsed_256", "spread",
-        "clump_and_outliers",
     ])
     def test_crops_and_partners_match_oracle(self, case):
         rng = np.random.default_rng(21)
@@ -340,14 +339,9 @@ class TestUniformityCrops:
             "collapsed_64": lambda: (helpers.collapsed_generator_output(64), metrics.P_VALUES),
             "collapsed_256": lambda: (helpers.collapsed_generator_output(256), metrics.P_VALUES),
             "spread": lambda: (rng.uniform(-1.0, 1.0, size=(600, 3)), (0.01, 0.03, 0.05)),
-            # crops of 300 members beside crops of one
-            "clump_and_outliers": lambda: (np.vstack([rng.normal(size=(300, 3)) * 0.01,
-                                                      rng.uniform(-5.0, 5.0, size=(300, 3))]),
-                                           (0.004, 0.01)),
         }[case]()
-        seed_count = 300 if case == "clump_and_outliers" else 50
-        crops, searched = _assert_kernel_matches_oracle(pts, p_values, seed_count, 3)
-        assert crops == len(p_values) * seed_count
+        crops, searched = _assert_kernel_matches_oracle(pts, p_values, 50, 3)
+        assert crops == len(p_values) * 50
         if case in ("lattice", "near_ties", "spread"):
             assert searched > 0  # the pair search ran, not only the global nearest
 
