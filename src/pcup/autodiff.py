@@ -7,7 +7,11 @@ array. Ops build new Nodes eagerly and register a closure that pushes the
 output gradient into the parents; self_attention is one such op, with a
 hand-written backward pass. backward() runs an iterative topological
 sort, so graph depth is not limited by Python recursion.
-Gradients accumulate across backward() calls until Params.zero_grad().
+Only leaves (Params nodes and constants) keep their gradients: those
+accumulate across backward() calls until Params.zero_grad(). An
+interior node's gradient buffer is made just before the first push into
+it and dropped once the node has pushed, so backward holds the buffers
+of the graph's frontier, not of the whole graph.
 """
 
 import numpy as np
@@ -260,22 +264,29 @@ def _topo_order(root):
 
 
 def backward(loss):
-    """Populate gradients of every ancestor of a scalar (1, 1) loss.
+    """Add the gradient of a scalar (1, 1) loss into every leaf it
+    depends on.
 
-    Gradients accumulate: nodes whose .grad is already an array keep it
-    and receive additional contributions, so per-parameter gradients can
-    be summed across several graphs before an optimizer step.
+    Leaves (nodes without a push: Params nodes and constants) keep their
+    .grad and receive further contributions, so per-parameter gradients
+    can be summed across several graphs before an optimizer step. Every
+    interior node's .grad is None afterwards, so a second call on the same
+    graph adds the same gradient again.
     """
     if loss.value.shape != (1, 1):
         raise ValueError(f"backward: loss must be (1, 1), got {loss.value.shape}")
     order = _topo_order(loss)
-    for node in order:
-        if node.grad is None:
-            node.grad = np.zeros_like(node.value)
+    if loss.grad is None:
+        loss.grad = np.zeros_like(loss.value)
     loss.grad = loss.grad + 1.0
     for node in reversed(order):
-        if node._push is not None:
-            node._push(node.grad)
+        if node._push is None:
+            continue
+        for parent in node.parents:
+            if parent.grad is None:
+                parent.grad = np.zeros_like(parent.value)
+        node._push(node.grad)
+        node.grad = None
 
 
 class Params:

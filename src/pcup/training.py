@@ -410,11 +410,13 @@ class TrainResult:
     iterations: int
 
 
-def _mean_node(nodes):
-    total = nodes[0]
-    for node in nodes[1:]:
-        total = ad.add(total, node)
-    return ad.scale(total, 1.0 / len(nodes))
+def _batch_mean(values):
+    """Patch values summed in patch order, then scaled by 1 / B: the
+    batch loss whose gradient the patches' 1 / B backward calls add up."""
+    total = values[0]
+    for value in values[1:]:
+        total += value
+    return (1.0 / len(values)) * total
 
 
 def _dump_batch(out_dir, step, batch):
@@ -501,6 +503,39 @@ def train(pairs, cfg, out_dir, log=_default_log):
     dparams = None if cfg.ablate_discriminator else init_discriminator(disc_cfg, rng)
     weights = cfg.loss_weights()
     uni_cfg = cfg.uniform_config()
+
+    # Each patch's graph goes through backward as soon as its term exists,
+    # scaled by 1 / B, and dies when its function returns, so memory holds
+    # one patch's graph whatever the batch size. Gradients add up in the
+    # Params nodes across the calls.
+    def generator_patch(p, q, uni_seed):
+        """(term, adv, rec, uni) values of one patch's compound loss."""
+        out_node = generate_node(gparams, gen_cfg, p)[0]
+        rec_node, _ = lo.reconstruction_loss(out_node, q)
+        uni_node = None
+        if not cfg.ablate_uniform:
+            uni_node = lo.uniform_loss(out_node, uni_cfg, uni_seed)
+        adv_node = None
+        if dparams is not None:
+            adv_node = lo.generator_adversarial_loss(
+                discriminate_node(dparams, disc_cfg, out_node)
+            )
+        term = lo.compound_generator_loss(adv_node, rec_node, uni_node, weights)
+        ad.backward(ad.scale(term, 1.0 / batch_size))
+        return tuple(
+            None if node is None else float(node.value[0, 0])
+            for node in (term, adv_node, rec_node, uni_node)
+        )
+
+    def discriminator_patch(p, q):
+        """(term, d_fake, d_real) values of one patch's discriminator loss."""
+        fake_pts = generate_node(gparams, gen_cfg, p)[0].value
+        conf_fake = discriminate_node(dparams, disc_cfg, fake_pts)
+        conf_real = discriminate_node(dparams, disc_cfg, q)
+        term = lo.discriminator_adversarial_loss(conf_fake, conf_real)
+        ad.backward(ad.scale(term, 1.0 / batch_size))
+        return tuple(float(node.value[0, 0]) for node in (term, conf_fake, conf_real))
+
     history = []
     log_path = os.path.join(out_dir, "losses.csv")
     with open(log_path, "w", encoding="ascii") as logfh:
@@ -516,51 +551,21 @@ def train(pairs, cfg, out_dir, log=_default_log):
                 batch.append(augment_pair(pair.target[picks], pair.target, rng, cfg))
             uni_seed = int(rng.integers(2**31 - len(cfg.p_values)))
 
-            g_terms = []
-            adv_vals = []
-            rec_vals = []
-            uni_vals = []
-            for p, q in batch:
-                out_node = generate_node(gparams, gen_cfg, p)[0]
-                rec_node, _ = lo.reconstruction_loss(out_node, q)
-                rec_vals.append(float(rec_node.value[0, 0]))
-                uni_node = None
-                if not cfg.ablate_uniform:
-                    uni_node = lo.uniform_loss(out_node, uni_cfg, uni_seed)
-                    uni_vals.append(float(uni_node.value[0, 0]))
-                adv_node = None
-                if dparams is not None:
-                    adv_node = lo.generator_adversarial_loss(
-                        discriminate_node(dparams, disc_cfg, out_node)
-                    )
-                    adv_vals.append(float(adv_node.value[0, 0]))
-                g_terms.append(lo.compound_generator_loss(adv_node, rec_node, uni_node, weights))
-            g_loss = _mean_node(g_terms)
-            g_loss_val = float(g_loss.value[0, 0])
+            g_terms, adv_vals, rec_vals, uni_vals = zip(
+                *[generator_patch(p, q, uni_seed) for p, q in batch]
+            )
+            g_loss_val = _batch_mean(g_terms)
             _require_finite(g_loss_val, "generator loss", out_dir, step, batch)
-            ad.backward(g_loss)
             ad.adam_step(gparams, lr_g, cfg.adam_beta1, cfg.adam_beta2, cfg.adam_eps)
             _require_finite_params(gparams, "generator parameter", out_dir, step, batch)
             if dparams is not None:
                 dparams.zero_grad()  # adversarial term leaks gradient into D; discard
 
-            d_loss_val = None
-            d_real = d_fake = float("nan")
+            d_loss_val = d_real = d_fake = None
             if dparams is not None:
-                terms = []
-                reals = []
-                fakes = []
-                for p, q in batch:
-                    fake_pts = generate_node(gparams, gen_cfg, p)[0].value
-                    conf_fake = discriminate_node(dparams, disc_cfg, fake_pts)
-                    conf_real = discriminate_node(dparams, disc_cfg, q)
-                    fakes.append(float(conf_fake.value[0, 0]))
-                    reals.append(float(conf_real.value[0, 0]))
-                    terms.append(lo.discriminator_adversarial_loss(conf_fake, conf_real))
-                d_loss = _mean_node(terms)
-                d_loss_val = float(d_loss.value[0, 0])
+                d_terms, fakes, reals = zip(*[discriminator_patch(p, q) for p, q in batch])
+                d_loss_val = _batch_mean(d_terms)
                 _require_finite(d_loss_val, "discriminator loss", out_dir, step, batch)
-                ad.backward(d_loss)
                 ad.adam_step(dparams, lr_d, cfg.adam_beta1, cfg.adam_beta2, cfg.adam_eps)
                 _require_finite_params(
                     dparams, "discriminator parameter", out_dir, step, batch
@@ -574,11 +579,11 @@ def train(pairs, cfg, out_dir, log=_default_log):
                 "lr_d": lr_d,
                 "loss_d": d_loss_val,
                 "loss_g": g_loss_val,
-                "adv_g": float(np.mean(adv_vals)) if adv_vals else None,
+                "adv_g": None if dparams is None else float(np.mean(adv_vals)),
                 "rec": float(np.mean(rec_vals)),
-                "uni": float(np.mean(uni_vals)) if uni_vals else None,
-                "d_real": d_real if dparams is not None else None,
-                "d_fake": d_fake if dparams is not None else None,
+                "uni": None if cfg.ablate_uniform else float(np.mean(uni_vals)),
+                "d_real": d_real,
+                "d_fake": d_fake,
             }
             history.append(row)
             logfh.write(

@@ -1,6 +1,8 @@
 """The reverse-mode engine: per-op gradient checks against central
 differences, graph mechanics, Adam, attention, and checkpoints."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -149,6 +151,49 @@ def test_deep_chain_does_not_recurse():
         node = ad.add_scalar(node, 0.001)
     ad.backward(ad.sum_all(node))
     assert base.grad[0, 0] == 1.0
+
+
+def test_repeated_backward_adds_the_leaf_gradient_again():
+    params = ad.Params()
+    a = params.add("a", np.array([[3.0]]))
+    loss = ad.sum_all(ad.square(a))  # d/da = 2a = 6
+    ad.backward(loss)
+    ad.backward(loss)
+    # interior gradients left over from the first call would be pushed
+    # again and give 24
+    assert a.grad[0, 0] == 12.0
+
+
+def test_only_leaves_keep_gradients():
+    params = ad.Params()
+    a = params.add("a", np.array([[1.0, -2.0]]))
+    c = ad.constant([[0.5, 0.5]])
+    shifted = ad.add(a, c)
+    loss = ad.sum_all(ad.square(shifted))
+    ad.backward(loss)
+    assert shifted.grad is None and loss.grad is None
+    assert a.grad.tolist() == [[3.0, -3.0]]  # 2 (a + c)
+    assert c.grad.tolist() == [[3.0, -3.0]]
+
+
+def test_backward_holds_only_the_frontier_buffers():
+    # 50 interior nodes of 1 MiB each: a buffer for every node up front
+    # would peak near 50 MiB; buffers made on first push and dropped once
+    # pushed keep about three alive (the leaf's, the pushing node's and
+    # its parent's)
+    params = ad.Params()
+    node = params.add("x", np.ones((256, 512)))
+    for _ in range(50):
+        node = ad.add_scalar(node, 1.0)
+    loss = ad.sum_all(node)
+    tracemalloc.start()
+    try:
+        ad.backward(loss)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * 2**20
+    assert params["x"].grad.min() == params["x"].grad.max() == 1.0
 
 
 class TestAdam:

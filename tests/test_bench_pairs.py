@@ -54,6 +54,43 @@ def test_summary_of_one_pair(bench_pairs):
     assert up["change_won"] == 1
 
 
+def _verdict(bench_pairs, parent, change, better="lower", bound=0.1):
+    runs = [(_run(m=p), _run(m=c)) for p, c in zip(parent, change)]
+    definition = {"unit": "MB", "better": better, "bound": bound}
+    return bench_pairs.summarize(runs, {"m": definition})["m"]["verdict"]
+
+
+PARENT = [400.0, 395.0, 410.0, 405.0, 398.0, 402.0, 407.0, 393.0, 412.0, 400.0]
+
+
+def test_verdict_gain_needs_nine_tenths_and_a_margin_past_the_parents_quartiles(bench_pairs):
+    change = [170.0] * 10
+    assert _verdict(bench_pairs, PARENT, change) == "gain"
+    # 9 of 10 pairs won is still a gain; 8 of 10 is not
+    assert _verdict(bench_pairs, PARENT, change[:9] + [500.0]) == "gain"
+    assert _verdict(bench_pairs, PARENT, change[:8] + [500.0, 500.0]) == "within bound"
+    # won every pair, by less than the parent's quartile distance (406.5 - 398.5)
+    assert _verdict(bench_pairs, PARENT, [p - 1.0 for p in PARENT]) == "within bound"
+    # a tie counts for neither side
+    assert _verdict(bench_pairs, PARENT, change[:9] + [PARENT[9]]) == "gain"
+    assert _verdict(bench_pairs, PARENT, change[:8] + PARENT[8:]) == "within bound"
+
+
+def test_verdict_gain_follows_the_metrics_direction(bench_pairs):
+    rates = [1.0, 1.1, 0.9, 1.0, 1.05, 0.95, 1.0, 1.02, 0.98, 1.0]
+    doubled = [2 * r for r in rates]
+    assert _verdict(bench_pairs, rates, doubled, better="higher") == "gain"
+    assert _verdict(bench_pairs, rates, doubled, better="lower", bound=0.25) == "worse"
+
+
+def test_verdict_worse_is_beyond_the_relative_bound_of_the_parents_median(bench_pairs):
+    # parent median 401; a bound of 0.1 allows up to 441.1
+    assert _verdict(bench_pairs, PARENT, [440.0] * 10) == "within bound"
+    assert _verdict(bench_pairs, PARENT, [442.0] * 10) == "worse"
+    assert _verdict(bench_pairs, PARENT, [442.0] * 10, bound=0.25) == "within bound"
+    assert _verdict(bench_pairs, PARENT, [442.0] * 10, bound=None) == "no gain"
+
+
 def test_runs_last_the_benchmarks_run_seconds(bench_pairs, monkeypatch, tmp_path):
     benchmark = {"run_seconds": 7, "end_to_end": [{"name": "upsample_s", "unit": "s",
                                                    "better": "lower"}]}

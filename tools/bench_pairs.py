@@ -10,9 +10,11 @@ seed and workload, `perfbench/run.py` runs once on each side, the parent
 first on even pairs and the change first on odd ones, one run at a time.
 The record holds the commit shas, the core count, the Python, numpy and
 scipy versions, and per workload and metric every run's value, each
-side's median and quartiles, and the pairs the change won (a tie counts
-for neither side); the run length (`run_seconds`) and the metric units
-and directions come from the change's BENCHMARK.json. With `--trace` the runs are traced and the per-layer
+side's median and quartiles, the pairs the change won (a tie counts
+for neither side) and a verdict on a claim: `gain`, `worse` or
+`within bound` (see `verdict`). The run length (`run_seconds`), the
+metric units, directions and bounds come from the change's
+BENCHMARK.json. With `--trace` the runs are traced and the per-layer
 metrics go to the record's `per_layer` section instead of `end_to_end`;
 a record written before for the same commits and machine keeps its
 other section. Needs only the standard library and git.
@@ -90,8 +92,27 @@ def spread(values):
     return {"median": median, "q1": q1, "q3": q3}
 
 
+def verdict(metric, bound):
+    """'gain' when the change won at least nine tenths of the pairs (ties
+    count for neither side) and its median beats the parent's by more
+    than the distance between the parent's quartiles; 'worse' when its
+    median is worse than the parent's by more than the relative `bound`;
+    otherwise 'within bound', or 'no gain' for a metric without a bound."""
+    sign = -1.0 if metric["better"] == "lower" else 1.0
+    parent, change = metric["parent"], metric["change"]
+    gained = sign * (change["median"] - parent["median"])
+    if 10 * metric["change_won"] >= 9 * metric["pairs"] and gained > parent["q3"] - parent["q1"]:
+        return "gain"
+    if bound is None:
+        return "no gain"
+    if gained < -bound * abs(parent["median"]):
+        return "worse"
+    return "within bound"
+
+
 def summarize(runs, definitions):
-    """Per metric: units, both sides' runs, medians, quartiles, pairs won."""
+    """Per metric: units, both sides' runs, medians, quartiles, pairs won
+    and the verdict."""
     out = {}
     for name, definition in definitions.items():
         pairs = [(p["metrics"][name]["value"], c["metrics"][name]["value"])
@@ -106,6 +127,7 @@ def summarize(runs, definitions):
             "pairs": len(pairs), "change_won": sum(sign * (c - p) > 0 for p, c in pairs),
             "runs": {"parent": parent, "change": change},
         }
+        out[name]["verdict"] = verdict(out[name], definition.get("bound"))
     return out
 
 
@@ -155,7 +177,7 @@ def main(argv=None):
         for name, m in w["metrics"].items():
             print(f"{workload:<14} {name:<44} {m['parent']['median']:.4g} -> "
                   f"{m['change']['median']:.4g} {m['unit']} (change won {m['change_won']}"
-                  f"/{m['pairs']})")
+                  f"/{m['pairs']}): {m['verdict']}")
     return 0
 
 
