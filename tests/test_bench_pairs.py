@@ -74,6 +74,8 @@ def test_verdict_gain_needs_nine_tenths_and_a_margin_past_the_parents_quartiles(
     # a tie counts for neither side
     assert _verdict(bench_pairs, PARENT, change[:9] + [PARENT[9]]) == "gain"
     assert _verdict(bench_pairs, PARENT, change[:8] + PARENT[8:]) == "within bound"
+    # fewer than ten pairs back no claim, whatever they show
+    assert _verdict(bench_pairs, PARENT[:9], change[:9]) == "within bound"
 
 
 def test_verdict_gain_follows_the_metrics_direction(bench_pairs):
@@ -107,6 +109,7 @@ def test_runs_last_the_benchmarks_run_seconds(bench_pairs, monkeypatch, tmp_path
     monkeypatch.setattr(bench_pairs, "export", export)
     monkeypatch.setattr(bench_pairs, "run_once", run_once)
     monkeypatch.setattr(bench_pairs, "versions", lambda: {})
+    monkeypatch.setattr(bench_pairs, "git", lambda *args: "0" * 40)  # runs outside a checkout
     out = tmp_path / "record.json"
     assert bench_pairs.main(["--parent", "HEAD", "--workloads", "upsample_eval",
                              "--seeds", "1-2", "--out", str(out)]) == 0

@@ -12,7 +12,8 @@ The record holds the commit shas, the core count, the Python, numpy and
 scipy versions, and per workload and metric every run's value, each
 side's median and quartiles, the pairs the change won (a tie counts
 for neither side) and a verdict on a claim: `gain`, `worse` or
-`within bound` (see `verdict`). The run length (`run_seconds`), the
+`within bound`, or `no gain` for a per-layer metric, which has no
+bound (see `verdict`). The run length (`run_seconds`), the
 metric units, directions and bounds come from the change's
 BENCHMARK.json. With `--trace` the runs are traced and the per-layer
 metrics go to the record's `per_layer` section instead of `end_to_end`;
@@ -92,16 +93,21 @@ def spread(values):
     return {"median": median, "q1": q1, "q3": q3}
 
 
+MIN_CLAIM_PAIRS = 10
+
+
 def verdict(metric, bound):
-    """'gain' when the change won at least nine tenths of the pairs (ties
-    count for neither side) and its median beats the parent's by more
-    than the distance between the parent's quartiles; 'worse' when its
-    median is worse than the parent's by more than the relative `bound`;
-    otherwise 'within bound', or 'no gain' for a metric without a bound."""
+    """'gain' when at least MIN_CLAIM_PAIRS pairs ran, the change won at
+    least nine tenths of them (ties count for neither side) and its median
+    beats the parent's by more than the distance between the parent's
+    quartiles; 'worse' when its median is worse than the parent's by more
+    than the relative `bound`; otherwise 'within bound', or 'no gain' for
+    a metric without a bound."""
     sign = -1.0 if metric["better"] == "lower" else 1.0
     parent, change = metric["parent"], metric["change"]
     gained = sign * (change["median"] - parent["median"])
-    if 10 * metric["change_won"] >= 9 * metric["pairs"] and gained > parent["q3"] - parent["q1"]:
+    if (metric["pairs"] >= MIN_CLAIM_PAIRS and 10 * metric["change_won"] >= 9 * metric["pairs"]
+            and gained > parent["q3"] - parent["q1"]):
         return "gain"
     if bound is None:
         return "no gain"
