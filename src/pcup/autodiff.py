@@ -12,12 +12,24 @@ accumulate across backward() calls until Params.zero_grad(). An
 interior node's gradient buffer is made just before the first push into
 it and dropped once the node has pushed, so backward holds the buffers
 of the graph's frontier, not of the whole graph.
+
+Inside `with no_grad():` a new Node keeps no parents and no push
+closure, so each intermediate array (and whatever an op's closure would
+have held, such as self_attention's (n, n) weights) is freed as soon as
+the next op has used it. The ops compute the same values either way;
+nothing built there can pass a gradient back. networks.generate and
+networks.discriminate, the helpers that return plain values, run their
+forward pass this way; generate_node and discriminate_node, which
+training differentiates, record as usual.
 """
+
+from contextlib import contextmanager
 
 import numpy as np
 
 __all__ = [
     "Node",
+    "no_grad",
     "constant",
     "backward",
     "Params",
@@ -34,6 +46,22 @@ __all__ = [
 
 _SQRT_GRAD_FLOOR = 1e-12  # subgradient guard at sqrt(0)
 
+_recording = True  # whether new Nodes keep their parents and push closure
+
+
+@contextmanager
+def no_grad():
+    """Build Nodes without a graph for the duration of the block: each is
+    a leaf holding only its value. The previous setting comes back on
+    exit, also when the block raises, so uses nest."""
+    global _recording
+    saved = _recording
+    _recording = False
+    try:
+        yield
+    finally:
+        _recording = saved
+
 
 class Node:
     """One value in the computation graph."""
@@ -46,8 +74,8 @@ class Node:
             raise ValueError(f"Node values must be 2D arrays, got shape {v.shape}")
         self.value = v
         self.grad = None
-        self.parents = tuple(parents)
-        self._push = push
+        self.parents = tuple(parents) if _recording else ()
+        self._push = push if _recording else None
 
     @property
     def shape(self):

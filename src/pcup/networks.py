@@ -228,8 +228,10 @@ def generate_node(params, cfg, points):
 
 
 def generate(params, cfg, points):
-    """Convenience wrapper returning the output coordinates as an array."""
-    return generate_node(params, cfg, points)[0].value.copy()
+    """The output coordinates of generate_node as an array, computed under
+    autodiff.no_grad, so no graph is kept for a backward pass."""
+    with ad.no_grad():
+        return generate_node(params, cfg, points)[0].value
 
 
 def discriminate_node(params, cfg, q):
@@ -254,4 +256,7 @@ def discriminate_node(params, cfg, q):
 
 
 def discriminate(params, cfg, q):
-    return float(discriminate_node(params, cfg, q).value[0, 0])
+    """The confidence of discriminate_node as a float, computed under
+    autodiff.no_grad."""
+    with ad.no_grad():
+        return float(discriminate_node(params, cfg, q).value[0, 0])

@@ -529,7 +529,7 @@ def train(pairs, cfg, out_dir, log=_default_log):
 
     def discriminator_patch(p, q):
         """(term, d_fake, d_real) values of one patch's discriminator loss."""
-        fake_pts = generate_node(gparams, gen_cfg, p)[0].value
+        fake_pts = generate(gparams, gen_cfg, p)
         conf_fake = discriminate_node(dparams, disc_cfg, fake_pts)
         conf_real = discriminate_node(dparams, disc_cfg, q)
         term = lo.discriminator_adversarial_loss(conf_fake, conf_real)

@@ -8,6 +8,7 @@ import pytest
 
 import helpers
 from pcup import autodiff as ad
+from pcup import networks as nw
 
 
 def _params_with(rng, shapes):
@@ -196,6 +197,41 @@ def test_backward_holds_only_the_frontier_buffers():
     assert params["x"].grad.min() == params["x"].grad.max() == 1.0
 
 
+def _records():
+    """Whether a node built now keeps its parents."""
+    return ad.add_scalar(ad.constant([[1.0]]), 1.0).parents != ()
+
+
+def test_no_grad_node_is_a_leaf_with_the_same_value():
+    params = ad.Params()
+    a = params.add("a", np.array([[1.0, -2.0]]))
+    with ad.no_grad():
+        node = ad.square(ad.add(a, ad.constant([[0.5, 0.5]])))
+    assert node.parents == () and node._push is None
+    assert node.value.tolist() == [[2.25, 2.25]]
+    ad.backward(ad.sum_all(node))
+    assert a.grad is None  # nothing connects node to a
+
+
+def test_no_grad_restores_recording_after_nesting_and_after_a_raise(rng):
+    assert _records()
+    with ad.no_grad():
+        with ad.no_grad():
+            assert not _records()
+        assert not _records()  # the inner exit restores the outer setting
+    assert _records()
+    cfg = nw.GeneratorConfig(n_input=24, rate=2, feature_channels=24, working_channels=10,
+                             group_k=6, regress_hidden=6)
+    params = nw.init_generator(cfg, rng)
+    with pytest.raises(ValueError, match="expects 24 input points"):
+        nw.generate(params, cfg, rng.normal(size=(25, 3)))
+    assert _records()
+    out, _, _ = nw.generate_node(params, cfg, rng.normal(size=(24, 3)))
+    ad.backward(ad.sum_all(ad.square(out)))
+    for name in params.names():
+        assert params[name].grad is not None, name
+
+
 class TestAdam:
     def test_single_step_moves_by_about_lr(self):
         params = ad.Params()
@@ -264,6 +300,15 @@ class TestAttention:
             return ad.sum_all(ad.square(ad.self_attention(ad.constant(x), params, "att")))
 
         helpers.gradcheck(make_loss, params)
+
+    def test_no_grad_keeps_neither_parents_nor_weights(self, rng):
+        params = ad.Params()
+        ad.init_attention(params, "a", 8, rng)
+        x = ad.constant(rng.normal(size=(6, 8)))
+        with ad.no_grad():
+            out = ad.self_attention(x, params, "a")
+        assert out.parents == () and out._push is None
+        assert np.array_equal(out.value, ad.self_attention(x, params, "a").value)
 
     def test_is_one_node_over_input_and_weights(self, rng):
         params = ad.Params()

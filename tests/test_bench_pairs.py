@@ -93,25 +93,49 @@ def test_verdict_worse_is_beyond_the_relative_bound_of_the_parents_median(bench_
     assert _verdict(bench_pairs, PARENT, [442.0] * 10, bound=None) == "no gain"
 
 
-def test_runs_last_the_benchmarks_run_seconds(bench_pairs, monkeypatch, tmp_path):
+def _stub_runs(bench_pairs, monkeypatch, run_once):
     benchmark = {"run_seconds": 7, "end_to_end": [{"name": "upsample_s", "unit": "s",
                                                    "better": "lower"}]}
 
     def export(rev, dest):
         (dest / "BENCHMARK.json").write_text(json.dumps(benchmark), encoding="ascii")
 
+    monkeypatch.setattr(bench_pairs, "export", export)
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    monkeypatch.setattr(bench_pairs, "versions", lambda: {})
+    monkeypatch.setattr(bench_pairs, "git", lambda *args: "0" * 40)  # runs outside a checkout
+
+
+def test_runs_last_the_benchmarks_run_seconds(bench_pairs, monkeypatch, tmp_path):
     calls = []
 
     def run_once(checkout, workload, seed, seconds, trace):
         calls.append(seconds)
         return {"failed": 0, "attempted": 1, "metrics": {"upsample_s": {"value": 1.0}}}
 
-    monkeypatch.setattr(bench_pairs, "export", export)
-    monkeypatch.setattr(bench_pairs, "run_once", run_once)
-    monkeypatch.setattr(bench_pairs, "versions", lambda: {})
-    monkeypatch.setattr(bench_pairs, "git", lambda *args: "0" * 40)  # runs outside a checkout
+    _stub_runs(bench_pairs, monkeypatch, run_once)
     out = tmp_path / "record.json"
     assert bench_pairs.main(["--parent", "HEAD", "--workloads", "upsample_eval",
                              "--seeds", "1-2", "--out", str(out)]) == 0
     assert calls == [7, 7, 7, 7]
     assert json.loads(out.read_text(encoding="ascii"))["seconds"] == 7
+
+
+def test_summary_prints_failed_and_attempted_operations_per_side(bench_pairs, monkeypatch,
+                                                                  tmp_path, capsys):
+    def run_once(checkout, workload, seed, seconds, trace):
+        if checkout.name == "change" and seed == 2:
+            return None  # a crashed run counts as one failed operation
+        failed = 1 if checkout.name == "parent" and seed == 3 else 0
+        return {"failed": failed, "attempted": 5, "metrics": {"upsample_s": {"value": 1.0}}}
+
+    _stub_runs(bench_pairs, monkeypatch, run_once)
+    out = tmp_path / "record.json"
+    assert bench_pairs.main(["--parent", "HEAD", "--workloads", "upsample_eval",
+                             "--seeds", "1-3", "--out", str(out)]) == 0
+    record = json.loads(out.read_text(encoding="ascii"))["end_to_end"]["upsample_eval"]
+    assert record["failed"] == {"parent": 1, "change": 1}
+    assert record["attempted"] == {"parent": 15, "change": 11}
+    lines = capsys.readouterr().out.splitlines()
+    assert ("upsample_eval  operations failed/attempted: parent 1/15, change 1/11"
+            in lines)

@@ -1,6 +1,8 @@
 """Generator and discriminator: widths, expansion mechanics, grid codes,
 invariances, ablation switches, and end-to-end gradients."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -166,6 +168,31 @@ class TestGenerator:
             selected, farthest_point_sampling(raw.value, TOY.n_output, TOY.fps_seed)
         )
 
+    @pytest.mark.parametrize("ablation", [None, "use_attention", "use_up_down_up",
+                                          "use_fps_trim"])
+    def test_generate_returns_the_bytes_of_generate_node(self, rng, ablation):
+        cfg = TOY if ablation is None else nw.GeneratorConfig(**{**TOY.__dict__, ablation: False})
+        params = nw.init_generator(cfg, rng)
+        pts = _cloud(cfg.n_input)
+        out = nw.generate(params, cfg, pts)
+        assert out.tobytes() == nw.generate_node(params, cfg, pts)[0].value.tobytes()
+
+    def test_generate_at_paper_size_keeps_no_graph(self):
+        # the graph of one N=256 patch, with its two 1536 x 1536 attention
+        # weights, traced 76 MiB at its peak when generate kept it for a
+        # backward pass; without it the peak is about 26 MiB
+        cfg = nw.GeneratorConfig()
+        params = nw.init_generator(cfg, 0)
+        pts = _cloud(cfg.n_input)
+        tracemalloc.start()
+        try:
+            out = nw.generate(params, cfg, pts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.shape == (cfg.n_output, 3)
+        assert peak < 40 * 2**20
+
     def test_wrong_input_count_rejected(self, rng):
         params = nw.init_generator(TOY, rng)
         with pytest.raises(ValueError, match="expects 24 input points"):
@@ -232,6 +259,7 @@ class TestDiscriminator:
         params = nw.init_discriminator(TOY_D, rng)
         val = nw.discriminate(params, TOY_D, _cloud(40))
         assert 0.0 < val < 1.0
+        assert val == nw.discriminate_node(params, TOY_D, _cloud(40)).value[0, 0]
 
     def test_permutation_invariance(self, rng):
         params = nw.init_discriminator(TOY_D, rng)

@@ -13,7 +13,9 @@ scipy versions, and per workload and metric every run's value, each
 side's median and quartiles, the pairs the change won (a tie counts
 for neither side) and a verdict on a claim: `gain`, `worse` or
 `within bound`, or `no gain` for a per-layer metric, which has no
-bound (see `verdict`). The run length (`run_seconds`), the
+bound (see `verdict`). The closing summary prints, per workload, each
+side's failed and attempted operations, then each metric's medians,
+pairs won and verdict. The run length (`run_seconds`), the
 metric units, directions and bounds come from the change's
 BENCHMARK.json. With `--trace` the runs are traced and the per-layer
 metrics go to the record's `per_layer` section instead of `end_to_end`;
@@ -180,6 +182,9 @@ def main(argv=None):
             }
     args.out.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n", encoding="ascii")
     for workload, w in record[section].items():
+        print(f"{workload:<14} operations failed/attempted: "
+              + ", ".join(f"{side} {w['failed'][side]}/{w['attempted'][side]}"
+                          for side in ("parent", "change")))
         for name, m in w["metrics"].items():
             print(f"{workload:<14} {name:<44} {m['parent']['median']:.4g} -> "
                   f"{m['change']['median']:.4g} {m['unit']} (change won {m['change_won']}"
