@@ -104,7 +104,6 @@ class SpatialIndex:
             raise ValueError("empty input")
         self.points = pts
         self.tree = cKDTree(pts)
-        self._nearest = None
 
     def __len__(self):
         return len(self.points)
@@ -144,46 +143,45 @@ class SpatialIndex:
             dist[rows[lo:hi]] = d[order][first]
         return (idx[0], dist[0]) if one else (idx, dist)
 
+    def balls(self, centres, radii, chunk):
+        """The closed ball of radius radii[i] around each row of the (m, 3)
+        array `centres`, in runs of consecutive centres whose padded
+        candidate lists hold about `chunk` entries together.
+
+        Yields (lo, hi, sizes, members): centres lo..hi-1, the size of each
+        one's ball, and the balls' indices, each ball sorted by (distance,
+        index), concatenated in centre order. Candidates are kept by exact
+        numpy distance.
+        """
+        for lo, hi, counts, cand in padded_ball_runs(self.tree, centres, radii, chunk):
+            owner = np.repeat(np.arange(lo, hi), counts)
+            d = _row_norms(self.points[cand] - centres[owner])
+            keep = d <= radii[owner]
+            owner, d, cand = owner[keep], d[keep], cand[keep]
+            # the lists are in index order and lexsort is stable: each ball
+            # comes out in (distance, index) order
+            order = np.lexsort((d, owner))
+            yield lo, hi, np.bincount(owner - lo, minlength=hi - lo), cand[order]
+
     def ball_query(self, center, radius):
         """Indices of all points within the closed ball, sorted by
         (distance, index). Radius must be positive."""
         if not radius > 0:
             raise ValueError(f"radius must be positive, got {radius}")
-        c = np.asarray(center, dtype=np.float64).reshape(3)
-        cand = np.asarray(self.tree.query_ball_point(c, _padded(radius)), dtype=np.intp)
-        dist = _row_norms(self.points[cand] - c)
-        order = np.lexsort((cand, dist))
-        return cand[order[dist[order] <= radius]]
+        c = np.asarray(center, dtype=np.float64).reshape(1, 3)
+        return next(self.balls(c, np.array([radius], np.float64), _RUN_CHUNK))[3]
 
     def nearest_others(self):
         """For every indexed point, the index of its nearest other indexed
-        point, the lower index on ties.
-
-        One batched query: each point's candidates are the tree's points
-        within its padded second-nearest tree distance (the nearest is
-        the point itself or a copy of it), re-ranked by exact numpy
-        distances. The index is immutable, so the pass runs on the first
-        call only; every call returns the same read-only array.
+        point, the lower index on ties: the first of its two nearest
+        points (knn) that is not the point itself. A copy of the point
+        with a lower index comes before it, and is its nearest other.
         """
-        if self._nearest is not None:
-            return self._nearest
-        pts = self.points
-        n = len(pts)
+        n = len(self.points)
         if n < 2:
             raise ValueError(f"nearest other point needs at least 2 points, got {n}")
-        radius = self.tree.query(pts, k=2)[0][:, 1]
-        nearest = np.empty(n, dtype=np.intp)
-        for lo, hi, counts, cand in padded_ball_runs(self.tree, pts, radius, _RUN_CHUNK):
-            owner = np.repeat(np.arange(lo, hi), counts)
-            d = _row_norms(pts[cand] - pts[owner])
-            d[cand == owner] = np.inf
-            offsets = np.cumsum(counts) - counts
-            best = np.minimum.reduceat(d, offsets)
-            ties = np.where(d == best[owner - lo], cand, n)
-            nearest[lo:hi] = np.minimum.reduceat(ties, offsets)
-        nearest.flags.writeable = False
-        self._nearest = nearest
-        return nearest
+        idx = self.knn(self.points, 2)[0]
+        return np.where(idx[:, 0] == np.arange(n), idx[:, 1], idx[:, 0])
 
 
 # clouds of at least this many points take farthest_point_sampling's pruned

@@ -31,7 +31,6 @@ from .geometry import (
     _row_norms,
     as_points,
     farthest_point_sampling,
-    padded_ball_runs,
     pairwise_distances,
 )
 from .mesh import PatchGrower, area_weighted_sample
@@ -194,10 +193,9 @@ def uniformity_crops(index, draws, seed_count):
     sampling from the start np.random.default_rng(rng).integers(n), one
     dense loop serving every draw; its crop j is the closed ball of
     radius sqrt(p) around seed j. Membership comes from one
-    padded_ball_runs pass over all crop centres, each with its own
-    radius, in runs of about _CROP_PAIRS_PER_POINT * n candidates, kept
-    by exact distance and ordered by (distance, index), so a crop holds
-    what SpatialIndex.ball_query returns, in its order.
+    SpatialIndex.balls pass over all crop centres, each with its own
+    radius, in runs of about _CROP_PAIRS_PER_POINT * n candidates, so a
+    crop holds what SpatialIndex.ball_query returns, in its order.
 
     Returns (sizes, members, partners): the (draws, m) member counts,
     sizes[i, j] that of draw i's crop j; the crops' members, one crop
@@ -223,21 +221,12 @@ def uniformity_crops(index, draws, seed_count):
     nearest = index.nearest_others()
     sizes = np.zeros(len(centres), np.intp)
     members, nn, inside = [np.empty(0, np.intp)], [np.empty(0, np.intp)], [np.empty(0, bool)]
-    run = _CROP_PAIRS_PER_POINT * n
-    for lo, hi, counts, cand in padded_ball_runs(index.tree, centres, radius, run):
+    for lo, hi, counts, crops in index.balls(centres, radius, _CROP_PAIRS_PER_POINT * n):
         owner = np.repeat(np.arange(lo, hi), counts)
-        d = _row_norms(pts[cand] - centres[owner])
-        keep = d <= radius[owner]
-        owner, d, cand = owner[keep], d[keep], cand[keep]
-        # the lists are in index order and lexsort is stable: each crop
-        # comes out in (distance, index) order
-        order = np.lexsort((d, owner))
-        owner, cand = owner[order], cand[order]
-        counts = np.bincount(owner - lo, minlength=hi - lo)
         sizes[lo:hi] = counts
-        members.append(cand)
-        nn.append(nearest[cand])
-        # a point is in a crop exactly when the distance test above keeps it
+        members.append(crops)
+        nn.append(nearest[crops])
+        # a point is in a crop exactly when balls' distance test keeps it
         inside.append(_row_norms(pts[nn[-1]] - centres[owner]) <= radius[owner])
     members, nn, inside = (np.concatenate(parts) for parts in (members, nn, inside))
     return sizes.reshape(len(draws), m), members, _crop_partners(pts, members, sizes, nn, inside)
@@ -299,8 +288,14 @@ class UniformityReport:
         return [self.values[p] for p in sorted(self.values)]
 
 
-def uniformity_report_mesh(points, mesh, seed_count=1000, rng=0, pool_size=20000,
-                           graph_k=10, p_values=P_VALUES, chunk=128):
+# uniformity_report_mesh's surface graph joins each pool point to this many
+# nearest pool points, and its graph distances are taken for this many
+# seeds at a time
+_REPORT_GRAPH_K = 10
+_REPORT_SEED_CHUNK = 128
+
+
+def uniformity_report_mesh(points, mesh, seed_count=1000, rng=0, pool_size=20000):
     """Uniformity evaluated with geodesic crops on the actual surface.
 
     Seeds are drawn uniformly from a dense area-weighted pool; each query
@@ -308,29 +303,30 @@ def uniformity_report_mesh(points, mesh, seed_count=1000, rng=0, pool_size=20000
     query points whose attachment lies within graph distance R_p of seed
     j, where pi * R_p^2 = p * total_area (the geodesic disk covering an
     area fraction p). The formula then matches uniformity_loss_value with
-    d_hat computed from R_p.
+    d_hat computed from R_p. One value for each p of P_VALUES, the columns
+    of REPORT_HEADER.
     """
     pts = as_points(points)
     if seed_count < 1:
         raise ValueError(f"seed_count must be >= 1, got {seed_count}")
     rng = np.random.default_rng(rng)
     pool = area_weighted_sample(mesh, pool_size, rng)
-    grower = PatchGrower(pool, k=graph_k)
+    grower = PatchGrower(pool, k=_REPORT_GRAPH_K)
     attach = grower.index.tree.query(pts)[1]
     n = len(pts)
     nearest = SpatialIndex(pts).nearest_others() if n >= 2 else None
-    radii = {p: math.sqrt(p * mesh.total_area / math.pi) for p in p_values}
+    radii = {p: math.sqrt(p * mesh.total_area / math.pi) for p in P_VALUES}
     limit = max(radii.values()) * (1.0 + 1e-9)
     seeds = rng.choice(len(pool), size=min(seed_count, len(pool)), replace=False)
-    totals = {p: 0.0 for p in p_values}
-    for lo in range(0, len(seeds), chunk):
-        block = seeds[lo : lo + chunk]
+    totals = {p: 0.0 for p in P_VALUES}
+    for lo in range(0, len(seeds), _REPORT_SEED_CHUNK):
+        block = seeds[lo : lo + _REPORT_SEED_CHUNK]
         dists = np.atleast_2d(grower.distances_from(block, limit=limit))
         for row in dists:
             reach = row[attach]  # graph distance of each query point's attachment
             # the crops of a row are nested: each is a subset of the widest
             widest = (reach <= limit).nonzero()[0]
-            crops = [(p, radii[p], widest[reach[widest] <= radii[p]]) for p in p_values]
+            crops = [(p, radii[p], widest[reach[widest] <= radii[p]]) for p in P_VALUES]
             crops = [crop for crop in crops if len(crop[2]) >= 2]  # else clutter 0
             if not crops:
                 continue

@@ -482,6 +482,10 @@ def train(pairs, cfg, out_dir, log=_default_log):
     for key in ("batch_size", "checkpoint_every", "lr_decay_every", "uniform_seed_count"):
         if getattr(cfg, key) < 1:
             raise ValueError(f"{key} must be at least 1, got {getattr(cfg, key)}")
+    if not all(0.0 < p < 1.0 for p in cfg.p_values):
+        raise ValueError(f"p_values must all lie in (0, 1), got {tuple(cfg.p_values)}")
+    if not cfg.p_values and not cfg.ablate_uniform:
+        raise ValueError("p_values is empty, but the uniform loss is on")
     batch_size = min(cfg.batch_size, len(pairs))
     iterations = cfg.iterations or cfg.epochs * math.ceil(len(pairs) / batch_size)
     if iterations < 1:

@@ -93,6 +93,31 @@ def test_verdict_worse_is_beyond_the_relative_bound_of_the_parents_median(bench_
     assert _verdict(bench_pairs, PARENT, [442.0] * 10, bound=None) == "no gain"
 
 
+# quartiles 100 and 137.5 about a median of 100.5: wider than 10 % of it
+NOISY = [100.0, 130.0, 100.0, 150.0, 101.0, 100.0, 160.0, 140.0, 100.0, 100.0]
+
+
+def test_verdict_unresolved_when_the_parents_quartiles_are_wider_than_the_bound(bench_pairs):
+    assert _verdict(bench_pairs, NOISY, NOISY) == "unresolved"
+    assert _verdict(bench_pairs, NOISY, [105.0] * 10) == "unresolved"
+    # a bound wider than the parent's quartile distance resolves it
+    assert _verdict(bench_pairs, NOISY, [105.0] * 10, bound=0.4) == "within bound"
+    # so does every change run beating every parent run, short of a gain
+    assert _verdict(bench_pairs, NOISY, [99.0] * 10) == "within bound"
+    assert _verdict(bench_pairs, NOISY, [99.0] * 9 + [100.0]) == "unresolved"
+    rates = [200.0 - v for v in NOISY]  # the highest is 100
+    assert _verdict(bench_pairs, rates, [101.0] * 10, better="higher") == "within bound"
+    assert _verdict(bench_pairs, rates, [99.8] * 10, better="higher") == "unresolved"
+    assert _verdict(bench_pairs, NOISY[:3], [99.0] * 3) == "within bound"
+    assert _verdict(bench_pairs, NOISY[:4], [102.0] * 4) == "unresolved"
+
+
+def test_verdict_gain_then_worse_come_before_unresolved(bench_pairs):
+    assert _verdict(bench_pairs, NOISY, [50.0] * 10) == "gain"
+    assert _verdict(bench_pairs, NOISY, [200.0] * 10) == "worse"
+    assert _verdict(bench_pairs, NOISY, NOISY, bound=None) == "no gain"
+
+
 def _stub_runs(bench_pairs, monkeypatch, run_once):
     benchmark = {"run_seconds": 7, "end_to_end": [{"name": "upsample_s", "unit": "s",
                                                    "better": "lower"}]}

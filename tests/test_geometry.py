@@ -139,22 +139,57 @@ class TestNearestOthers:
     def test_two_points_pick_each_other(self):
         assert list(SpatialIndex([[0.0, 0, 0], [3.0, 4, 0]]).nearest_others()) == [1, 0]
 
-    def test_pass_runs_once_per_index(self, rng, monkeypatch):
-        import pcup.geometry
 
-        runs = []
+class TestBalls:
+    @staticmethod
+    def _check(pts, centres, radii):
+        """Runs of 1 candidate and one run of every candidate: each ball
+        equals the oracle's, and the runs cover the centres in order."""
+        index = SpatialIndex(pts)
+        candidates = index.tree.query_ball_point(centres, geometry._padded(radii),
+                                                 return_length=True).sum()
+        for chunk in (1, candidates):
+            seen = 0
+            for lo, hi, sizes, members in index.balls(centres, radii, chunk):
+                assert lo == seen and hi > lo
+                assert len(sizes) == hi - lo and sizes.sum() == len(members)
+                for i, ball in zip(range(lo, hi), np.split(members, np.cumsum(sizes)[:-1])):
+                    assert np.array_equal(ball, helpers.brute_ball(pts, centres[i], radii[i]))
+                seen = hi
+            assert seen == len(centres)
+        assert next(index.balls(centres, radii, candidates))[:2] == (0, len(centres))
 
-        def counting(*args):
-            runs.append(args)
-            return padded_ball_runs(*args)
+    def test_random_cloud_per_centre_radii(self, rng):
+        pts = rng.normal(size=(300, 3))
+        centres = rng.normal(size=(40, 3))
+        self._check(pts, centres, rng.uniform(0.05, 1.5, size=len(centres)))
 
-        monkeypatch.setattr(pcup.geometry, "padded_ball_runs", counting)
-        index = SpatialIndex(rng.normal(size=(50, 3)))
-        first = index.nearest_others()
-        assert index.nearest_others() is first
-        assert len(runs) == 1
-        with pytest.raises(ValueError, match="read-only"):
-            first[0] = 0
+    def test_lattice_ties_on_the_boundary(self, rng):
+        # integer coordinates: neighbours at 1, sqrt 2 and sqrt 3 lie exactly
+        # on those radii, and a cell centre has 8 equidistant corners
+        pts = helpers.cubic_lattice(5, 1.0)
+        centres = np.vstack([pts[::9], pts[::13] + 0.5])
+        radii = rng.choice([1.0, math.sqrt(2.0), math.sqrt(3.0), 2.0], size=len(centres))
+        self._check(pts, centres, radii)
+
+    def test_duplicates(self, rng):
+        pts = helpers.with_duplicates(rng)
+        self._check(pts, pts[::5], rng.uniform(0.01, 0.3, size=len(pts[::5])))
+
+    def test_ulp_near_ties(self, rng):
+        # each radius is the exact distance to one of the centre's six
+        # nearest points, which the others tie or miss by an ulp or so
+        pts = helpers.near_tie_cloud(rng)
+        centres = pts[::3]
+        dist = SpatialIndex(pts).knn(centres, 6)[1]
+        self._check(pts, centres, dist[np.arange(len(centres)), rng.integers(1, 6, len(centres))])
+
+    def test_empty_ball(self, rng):
+        pts = rng.normal(size=(50, 3))
+        centres = np.array([pts[0], [100.0, 100.0, 100.0], pts[1]])
+        self._check(pts, centres, np.array([0.5, 0.5, 0.5]))
+        runs = SpatialIndex(pts).balls(centres, np.full(3, 0.5), 1)
+        assert np.concatenate([sizes for _, _, sizes, _ in runs])[1] == 0
 
 
 class TestPaddedBallRuns:

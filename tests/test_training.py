@@ -404,6 +404,27 @@ class TestTrainLoop:
             tr.train(pairs, cfg, tmp_path / "run")
         assert not (tmp_path / "run").exists()
 
+    @pytest.mark.parametrize("text, message", [
+        ("1.5", r"^p_values must all lie in \(0, 1\), got \(1\.5,\)$"),
+        ("0.004,0", r"^p_values must all lie in \(0, 1\), got \(0\.004, 0\.0\)$"),
+        ("0.004,nan", r"^p_values must all lie in \(0, 1\), got \(0\.004, nan\)$"),
+        ("", "^p_values is empty, but the uniform loss is on$"),
+    ])
+    def test_bad_p_values_rejected_before_writing(self, tiny_pairs, tmp_path, text, message):
+        # 1.5 used to fail in the first uniform loss, after losses.csv was
+        # written; an empty list trained with a uniform term of 0
+        pairs, cfg = tiny_pairs
+        cfg = tr.TrainConfig.from_text(cfg.to_text() + f"p_values = {text}\n")
+        with pytest.raises(ValueError, match=message):
+            tr.train(pairs, cfg, tmp_path / "run")
+        assert not (tmp_path / "run").exists()
+
+    def test_empty_p_values_allowed_without_the_uniform_loss(self, tiny_pairs, tmp_path):
+        pairs, cfg = tiny_pairs
+        cfg = dataclasses.replace(cfg, p_values=(), ablate_uniform=True, iterations=1)
+        tr.train(pairs, cfg, tmp_path / "run", log=lambda message: None)
+        assert (tmp_path / "run" / "losses.csv").is_file()
+
     @pytest.mark.parametrize("n_input", [8, 32])
     def test_patch_size_mismatch_rejected_before_writing(self, tiny_pairs, tmp_path, n_input):
         # the archive's targets hold rate 2 x N 16 = 32 points; any other

@@ -11,9 +11,9 @@ first on even pairs and the change first on odd ones, one run at a time.
 The record holds the commit shas, the core count, the Python, numpy and
 scipy versions, and per workload and metric every run's value, each
 side's median and quartiles, the pairs the change won (a tie counts
-for neither side) and a verdict on a claim: `gain`, `worse` or
-`within bound`, or `no gain` for a per-layer metric, which has no
-bound (see `verdict`). The closing summary prints, per workload, each
+for neither side) and a verdict on a claim: `gain`, `worse`,
+`unresolved` or `within bound`, or `no gain` for a per-layer metric,
+which has no bound (see `verdict`). The closing summary prints, per workload, each
 side's failed and attempted operations, then each metric's medians,
 pairs won and verdict. The run length (`run_seconds`), the
 metric units, directions and bounds come from the change's
@@ -103,8 +103,11 @@ def verdict(metric, bound):
     least nine tenths of them (ties count for neither side) and its median
     beats the parent's by more than the distance between the parent's
     quartiles; 'worse' when its median is worse than the parent's by more
-    than the relative `bound`; otherwise 'within bound', or 'no gain' for
-    a metric without a bound."""
+    than the relative `bound`; 'unresolved' when the parent's quartile
+    distance is wider than that bound, so its own runs cannot tell a
+    regression from noise, and not every change run beats every parent
+    run; otherwise 'within bound', or 'no gain' for a metric without a
+    bound."""
     sign = -1.0 if metric["better"] == "lower" else 1.0
     parent, change = metric["parent"], metric["change"]
     gained = sign * (change["median"] - parent["median"])
@@ -113,8 +116,14 @@ def verdict(metric, bound):
         return "gain"
     if bound is None:
         return "no gain"
-    if gained < -bound * abs(parent["median"]):
+    allowed = bound * abs(parent["median"])
+    if gained < -allowed:
         return "worse"
+    runs = metric["runs"]
+    beats_all = (min(sign * v for v in runs["change"])
+                 > max(sign * v for v in runs["parent"]))
+    if parent["q3"] - parent["q1"] > allowed and not beats_all:
+        return "unresolved"
     return "within bound"
 
 
