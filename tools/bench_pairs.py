@@ -13,11 +13,11 @@ scipy versions, and per workload and metric every run's value, each
 side's median and quartiles, the pairs the change won (a tie counts
 for neither side) and a verdict on a claim: `gain`, `worse`,
 `unresolved` or `within bound`, or `no gain` for a per-layer metric,
-which has no bound (see `verdict`). The closing summary prints, per workload, each
-side's failed and attempted operations, then each metric's medians,
-pairs won and verdict. The run length (`run_seconds`), the
-metric units, directions and bounds come from the change's
-BENCHMARK.json. With `--trace` the runs are traced and the per-layer
+which has no bound (see `verdict`). The closing summary prints, per
+workload, each side's failed and attempted operations, then each
+metric's medians, pairs won and verdict. The run length
+(`run_seconds`), the metric units, directions and bounds come from the
+change's BENCHMARK.json. With `--trace` the runs are traced and the per-layer
 metrics go to the record's `per_layer` section instead of `end_to_end`;
 a record written before for the same commits and machine keeps its
 other section. Needs only the standard library and git.
