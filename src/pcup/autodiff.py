@@ -41,10 +41,10 @@ __all__ = [
     "load_params",
     "add", "sub", "scale", "add_scalar", "linear", "relu", "sigmoid",
     "concat_cols", "reshape", "tile_rows", "gather_rows", "max_over_rows",
-    "rowwise_sum", "sum_all", "square", "sqrt",
+    "sum_all", "square", "row_distances",
 ]
 
-_SQRT_GRAD_FLOOR = 1e-12  # subgradient guard at sqrt(0)
+_SQRT_GRAD_FLOOR = 1e-12  # subgradient guard at a zero distance
 
 _recording = True  # whether new Nodes keep their parents and push closure
 
@@ -238,15 +238,6 @@ def max_over_rows(a):
     return Node(a.value.max(axis=0, keepdims=True), (a,), push)
 
 
-def rowwise_sum(a):
-    """Sum across columns within each row: (n, c) -> (n, 1)."""
-
-    def push(g):
-        a.grad += g  # broadcast over columns
-
-    return Node(a.value.sum(axis=1, keepdims=True), (a,), push)
-
-
 def sum_all(a):
     def push(g):
         a.grad += g[0, 0]
@@ -261,15 +252,19 @@ def square(a):
     return Node(a.value * a.value, (a,), push)
 
 
-def sqrt(a):
-    if (a.value < 0).any():
-        raise ValueError("sqrt: negative input")
-    y = np.sqrt(a.value)
+def row_distances(a, b):
+    """Euclidean distance between matching rows: (n, c) x (n, c) -> (n, 1).
+    The gradient at a zero distance is 0."""
+    _check_same_shape("row_distances", a, b)
+    d = a.value - b.value
+    y = np.sqrt((d * d).sum(axis=1, keepdims=True))
 
     def push(g):
-        a.grad += g * (0.5 / np.maximum(y, _SQRT_GRAD_FLOOR))
+        gd = 2.0 * d * (g * (0.5 / np.maximum(y, _SQRT_GRAD_FLOOR)))
+        a.grad += gd
+        b.grad -= gd
 
-    return Node(y, (a,), push)
+    return Node(y, (a, b), push)
 
 
 def _topo_order(root):
@@ -354,10 +349,6 @@ class Params:
     def zero_grad(self):
         for node in self._nodes.values():
             node.grad = None
-
-    def state_arrays(self):
-        """name -> value array, in insertion order."""
-        return {name: node.value for name, node in self._nodes.items()}
 
     def set_values(self, arrays):
         """Load parameter values; names and shapes must match exactly."""
@@ -451,7 +442,7 @@ def save_params(params, path):
     """Write parameters: ASCII header (magic, count, one 'name rows cols'
     line per tensor, DATA marker) then little-endian float64 payloads in
     header order."""
-    arrays = params.state_arrays() if isinstance(params, Params) else dict(params)
+    arrays = {name: node.value for name, node in params.items()}
     lines = [_CKPT_MAGIC, str(len(arrays))]
     for name, arr in arrays.items():
         if any(ch.isspace() for ch in name):
@@ -478,11 +469,12 @@ def load_params(path):
     payload = blob[pos + len(marker):]
     if not header or header[0] != _CKPT_MAGIC:
         raise ValueError(f"{path}: bad magic, expected {_CKPT_MAGIC}")
-    count = int(header[1])
-    specs = []
-    for line in header[2 : 2 + count]:
-        name, rows, cols = line.split()
-        specs.append((name, int(rows), int(cols)))
+    try:
+        count = int(header[1])
+        specs = [(name, int(rows), int(cols))
+                 for name, rows, cols in (line.split() for line in header[2 : 2 + count])]
+    except (IndexError, ValueError):
+        raise ValueError(f"{path}: malformed header") from None
     if len(specs) != count:
         raise ValueError(f"{path}: truncated header")
     arrays = {}

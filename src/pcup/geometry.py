@@ -115,10 +115,10 @@ class SpatialIndex:
         Returns (indices, distances) as parallel arrays: of length k for
         one query point, of shape (m, k) for many. One batched query: the
         tree's k + 1 nearest come first. Where the (k+1)-th lies beyond
-        the padded k-th tree distance, the tree's k are the candidates;
-        where it does not (a tie or near tie at the k-th place), every
-        point within that padded distance is. Candidates are re-ranked
-        by exact numpy distances.
+        the padded k-th tree distance, the tree's k are the answer; where
+        it does not (a tie or near tie at the k-th place), the first k of
+        the exact ball of that padded radius (balls) are. Either way they
+        are ranked by exact numpy distances.
         """
         q = np.asarray(query, dtype=np.float64)
         one = q.ndim == 1
@@ -128,19 +128,14 @@ class SpatialIndex:
             raise ValueError(f"k={k} out of range for {n} indexed points")
         tree_dist, nbr = self.tree.query(q, k=k + 1)  # past n: inf, index n
         idx = nbr[:, :k]
-        dist = _row_norms((self.points[idx] - q[:, None, :]).reshape(-1, 3)).reshape(-1, k)
-        order = np.lexsort((idx, dist))
-        idx = np.take_along_axis(idx, order, 1)
-        dist = np.take_along_axis(dist, order, 1)
         radius = tree_dist[:, k - 1]
         rows = np.flatnonzero(tree_dist[:, k] <= _padded(radius))
-        for lo, hi, counts, cand in padded_ball_runs(self.tree, q[rows], radius[rows], _RUN_CHUNK):
-            owner = np.repeat(rows[lo:hi], counts)
-            d = _row_norms(self.points[cand] - q[owner])
-            order = np.lexsort((cand, d, owner))
-            first = (np.cumsum(counts) - counts)[:, None] + np.arange(k)
-            idx[rows[lo:hi]] = cand[order][first]
-            dist[rows[lo:hi]] = d[order][first]
+        for lo, hi, sizes, members in self.balls(q[rows], _padded(radius[rows]), _RUN_CHUNK):
+            idx[rows[lo:hi]] = members[(np.cumsum(sizes) - sizes)[:, None] + np.arange(k)]
+        dist = _row_norms((self.points[idx] - q[:, None, :]).reshape(-1, 3)).reshape(-1, k)
+        order = np.lexsort((idx, dist))  # a tie row's ball is in this order already
+        idx = np.take_along_axis(idx, order, 1)
+        dist = np.take_along_axis(dist, order, 1)
         return (idx[0], dist[0]) if one else (idx, dist)
 
     def balls(self, centres, radii, chunk):

@@ -88,8 +88,8 @@ def uniform_loss(q, cfg=UniformLossConfig(), seed=0):
         return ad.constant(np.zeros((1, 1)))
     paired = partners >= 0
     pairs, row_pair = np.unique(members[paired] * n + partners[paired], return_inverse=True)
-    diff = ad.sub(ad.gather_rows(q, pairs // n), ad.gather_rows(q, pairs % n))
-    gaps = ad.gather_rows(ad.sqrt(ad.rowwise_sum(ad.square(diff))), row_pair)
+    gaps = ad.gather_rows(ad.row_distances(ad.gather_rows(q, pairs // n),
+                                           ad.gather_rows(q, pairs % n)), row_pair)
     dev = ad.sub(gaps, ad.constant(np.repeat(d_hats, kept)[:, None]))
     return ad.sum_all(ad.scale(ad.square(dev), np.repeat(weights, kept)[:, None]))
 
@@ -107,8 +107,7 @@ def reconstruction_loss(q, target, _epsilon=None):
         raise ValueError(f"size mismatch: {q.shape[0]} output vs {len(target)} target points")
     matching = metrics.emd_exact(q.value, target)
     matched = ad.constant(target[matching.permutation])
-    dist = ad.sqrt(ad.rowwise_sum(ad.square(ad.sub(q, matched))))
-    return ad.sum_all(dist), matching
+    return ad.sum_all(ad.row_distances(q, matched)), matching
 
 
 def compound_generator_loss(adv, rec, uni, weights=LossWeights()):

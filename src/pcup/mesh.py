@@ -139,14 +139,12 @@ class SurfaceSamples:
 
 class Patch:
     """A geodesically grown surface region: samples sorted by graph
-    distance from the seed, plus the growth parameters."""
+    distance from the seed."""
 
-    def __init__(self, samples, pool_indices, graph_distances, seed_position, fraction):
+    def __init__(self, samples, pool_indices, graph_distances):
         self.samples = samples
         self.pool_indices = np.asarray(pool_indices, dtype=np.intp)
         self.graph_distances = np.asarray(graph_distances, dtype=np.float64)
-        self.seed_position = np.asarray(seed_position, dtype=np.float64).reshape(3)
-        self.fraction = float(fraction)
 
     def __len__(self):
         return len(self.pool_indices)
@@ -444,7 +442,7 @@ class PatchGrower:
             limit = 2.0 * limit if len(reached) > count else np.inf
             count = len(reached)
         order = reached[np.lexsort((reached, dist[reached]))[:target]]
-        return Patch(self.pool.subset(order), order, dist[order], seed_position, fraction)
+        return Patch(self.pool.subset(order), order, dist[order])
 
 
 def _both_ways(graph):

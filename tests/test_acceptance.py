@@ -113,8 +113,7 @@ def test_c02_gradient_suite(rng):
     rec_params = ad.Params()
     rec_params.add("q", base)
     helpers.gradcheck(
-        lambda: ad.sum_all(ad.sqrt(ad.rowwise_sum(ad.square(
-            ad.sub(rec_params["q"], ad.constant(matched)))))),
+        lambda: ad.sum_all(ad.row_distances(rec_params["q"], ad.constant(matched))),
         rec_params,
     )
     upts = np.random.default_rng(0).normal(size=(40, 3)) * 0.5
@@ -130,8 +129,7 @@ def test_c02_gradient_suite(rng):
             if nn is None:
                 continue
             imbalance = (len(members) - n_hat) ** 2 / n_hat
-            diff = ad.sub(ad.gather_rows(q, members), ad.gather_rows(q, nn))
-            gaps = ad.sqrt(ad.rowwise_sum(ad.square(diff)))
+            gaps = ad.row_distances(ad.gather_rows(q, members), ad.gather_rows(q, nn))
             term = ad.scale(
                 ad.sum_all(ad.square(ad.add_scalar(gaps, -d_hat))), imbalance / d_hat
             )

@@ -1,6 +1,7 @@
 """The reverse-mode engine: per-op gradient checks against central
 differences, graph mechanics, Adam, attention, and checkpoints."""
 
+import re
 import tracemalloc
 
 import numpy as np
@@ -19,7 +20,7 @@ def _params_with(rng, shapes):
 
 
 # each entry: name -> (param shapes, loss builder)
-# builders keep inputs away from relu/max/sqrt kinks so central
+# builders keep inputs away from relu/max/zero-distance kinks so central
 # differences are valid
 def _op_cases():
     def via(reduce, expr):
@@ -54,11 +55,14 @@ def _op_cases():
             {"a": (5, 3)},
             via(s, lambda p: ad.square(ad.gather_rows(p["a"], np.array([0, 2, 2, 4])))),
         ),
-        "rowwise_sum": ({"a": (4, 3)}, via(s, lambda p: ad.square(ad.rowwise_sum(p["a"])))),
         "square": ({"a": (4, 3)}, via(s, lambda p: ad.square(p["a"]))),
-        "sqrt": (
-            {"a": (4, 3)},
-            via(s, lambda p: ad.sqrt(ad.add_scalar(ad.square(p["a"]), 0.5))),
+        "row_distances": (
+            {"a": (4, 3), "b": (4, 3)},
+            via(s, lambda p: ad.row_distances(p["a"], p["b"])),
+        ),
+        "row_distances_to_constant": (
+            {"a": (5, 3)},
+            via(s, lambda p: ad.row_distances(p["a"], ad.constant(np.full((5, 3), 0.25)))),
         ),
     }
     return cases
@@ -96,14 +100,15 @@ def test_scale_factor_must_fit_the_operand():
         ad.scale(ad.constant(np.ones((1, 1))), np.ones((3, 1)))
 
 
-def test_sqrt_at_zero_is_guarded():
+def test_row_distance_at_zero_has_zero_gradient():
     params = ad.Params()
-    params.add("a", np.zeros((2, 2)))
-    loss = ad.sum_all(ad.sqrt(params["a"]))
-    ad.backward(loss)
-    assert np.isfinite(params["a"].grad).all()
-    with pytest.raises(ValueError, match="negative"):
-        ad.sqrt(ad.constant([[-1.0]]))
+    params.add("a", np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]))
+    b = ad.constant(np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 7.0]]))
+    dist = ad.row_distances(params["a"], b)
+    assert dist.value.ravel().tolist() == [0.0, 1.0]
+    ad.backward(ad.sum_all(dist))
+    assert params["a"].grad.tolist() == [[0.0, 0.0, 0.0], [0.0, 0.0, -1.0]]
+    assert b.grad.tolist() == [[0.0, 0.0, 0.0], [0.0, 0.0, 1.0]]
 
 
 def test_diamond_graph_sums_both_paths():
@@ -364,6 +369,19 @@ class TestCheckpoint:
         path = tmp_path / "p.params"
         path.write_bytes(b"NOT-A-CHECKPOINT\n0\nDATA\n")
         with pytest.raises(ValueError, match="bad magic"):
+            ad.load_params(path)
+
+    @pytest.mark.parametrize("header", [
+        b"PCUP-PARAMS-1\nDATA\n",  # no count line
+        b"PCUP-PARAMS-1\ntwo\nw 1 1\nDATA\n",
+        b"PCUP-PARAMS-1\n1\nw 1\nDATA\n",
+        b"PCUP-PARAMS-1\n1\nw 1 1 1\nDATA\n",
+        b"PCUP-PARAMS-1\n1\nw 1 x\nDATA\n",
+    ])
+    def test_malformed_header_names_the_file(self, tmp_path, header):
+        path = tmp_path / "p.params"
+        path.write_bytes(header + np.zeros(1).tobytes())
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: malformed header$"):
             ad.load_params(path)
 
     def test_truncated_payload_detected(self, tmp_path, rng):

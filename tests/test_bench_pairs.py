@@ -26,6 +26,16 @@ def bench_pairs():
 def test_seed_ranges_and_lists(bench_pairs):
     assert bench_pairs.seed_list("201-204") == [201, 202, 203, 204]
     assert bench_pairs.seed_list("1,3,7-8") == [1, 3, 7, 8]
+    assert bench_pairs.seed_list("205-205") == [205]
+
+
+@pytest.mark.parametrize("seeds", ["210-201", "1,9-8"])
+def test_descending_seed_range_is_a_usage_error(bench_pairs, capsys, seeds):
+    with pytest.raises(SystemExit) as exc:
+        bench_pairs.parse_args(["--parent", "HEAD~1", "--workloads", "train_desk",
+                                "--seeds", seeds, "--out", "BENCH.json"])
+    assert exc.value.code == 2
+    assert "descending seed range" in capsys.readouterr().err
 
 
 def _run(**values):

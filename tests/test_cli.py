@@ -342,6 +342,19 @@ class TestUpsample:
         assert "--overlap: must be at least 1" in err
         assert not dst.exists()
 
+    def test_malformed_checkpoint_header_exits_1(self, capsys, run_dir, tmp_path, rng):
+        ckpt = tmp_path / "ckpt"
+        shutil.copytree(run_dir / "ckpt_000002", ckpt)
+        (ckpt / "generator.params").write_bytes(b"PCUP-PARAMS-1\nDATA\n")
+        src = tmp_path / "cloud.xyz"
+        write_xyz(src, rng.normal(size=(20, 3)))
+        code, _, err = run(
+            capsys, "upsample", "--in", str(src),
+            "--ckpt", str(ckpt), "--out", str(tmp_path / "o.xyz"),
+        )
+        assert code == 1
+        assert err == f"error: {ckpt / 'generator.params'}: malformed header\n"
+
     def test_missing_checkpoint(self, capsys, tmp_path, rng):
         src = tmp_path / "cloud.xyz"
         write_xyz(src, rng.normal(size=(20, 3)))

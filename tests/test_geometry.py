@@ -98,6 +98,33 @@ class TestSpatialIndex:
                 one, one_dist = idx.knn(q, k)
                 assert np.array_equal(one, row) and np.array_equal(one_dist, drow)
 
+    def test_tie_rows_across_ball_runs(self, monkeypatch):
+        # with a run of a few dozen candidate pairs, the tie rows' balls
+        # come in many runs, so a row's first k must be cut from the right
+        # place of every run
+        monkeypatch.setattr(geometry, "_RUN_CHUNK", 40)
+        runs = []
+        balls = SpatialIndex.balls
+
+        def counted(self, centres, radii, chunk):
+            assert chunk == 40
+            for run in balls(self, centres, radii, chunk):
+                runs.append(run[:2])
+                yield run
+
+        monkeypatch.setattr(SpatialIndex, "balls", counted)
+        pts = helpers.cubic_lattice(5, 1.0)
+        idx = SpatialIndex(pts)
+        queries = np.vstack([pts[::3], pts[::4] + 0.5])
+        for k in (1, 6, 19):
+            runs.clear()
+            got, dist = idx.knn(queries, k)
+            assert len(runs) > 1
+            for q, row, drow in zip(queries, got, dist):
+                want = helpers.brute_knn(pts, q, k)
+                assert np.array_equal(row, want)
+                assert drow.tobytes() == geometry._row_norms(pts[want] - q).tobytes()
+
 
 class TestNearestOthers:
     @staticmethod

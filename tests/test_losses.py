@@ -99,8 +99,7 @@ class TestReconstruction:
         matched = target[frozen.permutation]
 
         def make_loss():
-            diff = ad.sub(params["q"], ad.constant(matched))
-            return ad.sum_all(ad.sqrt(ad.rowwise_sum(ad.square(diff))))
+            return ad.sum_all(ad.row_distances(params["q"], ad.constant(matched)))
 
         helpers.gradcheck(make_loss, params)
 
@@ -160,8 +159,7 @@ class TestUniform:
                 if nn is None:
                     continue
                 imbalance = (len(members) - n_hat) ** 2 / n_hat
-                diff = ad.sub(ad.gather_rows(q, members), ad.gather_rows(q, nn))
-                gaps = ad.sqrt(ad.rowwise_sum(ad.square(diff)))
+                gaps = ad.row_distances(ad.gather_rows(q, members), ad.gather_rows(q, nn))
                 term = ad.scale(
                     ad.sum_all(ad.square(ad.add_scalar(gaps, -d_hat))), imbalance / d_hat
                 )
@@ -190,8 +188,7 @@ def _per_crop_loss(q, p_values, seed_count, seed, partners):
                 continue
             imbalance = (len(members) - n_hat) ** 2 / n_hat
             nn = partners(q.value, members)
-            diff = ad.sub(ad.gather_rows(q, members), ad.gather_rows(q, nn))
-            gaps = ad.sqrt(ad.rowwise_sum(ad.square(diff)))
+            gaps = ad.row_distances(ad.gather_rows(q, members), ad.gather_rows(q, nn))
             term = ad.scale(
                 ad.sum_all(ad.square(ad.add_scalar(gaps, -d_hat))), imbalance / d_hat
             )

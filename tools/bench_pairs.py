@@ -37,11 +37,15 @@ ROOT = Path(__file__).resolve().parent.parent
 
 
 def seed_list(text):
-    """'201-210' or '1,2,5' -> list of ints."""
+    """'201-210' or '1,2,5' -> list of ints. A descending range is an
+    error, not an empty list."""
     seeds = []
     for part in text.split(","):
         lo, _, hi = part.partition("-")
-        seeds.extend(range(int(lo), int(hi or lo) + 1))
+        lo, hi = int(lo), int(hi or lo)
+        if hi < lo:
+            raise argparse.ArgumentTypeError(f"descending seed range {part!r}")
+        seeds.extend(range(lo, hi + 1))
     return seeds
 
 
