@@ -465,7 +465,10 @@ def load_params(path):
     pos = blob.find(marker)
     if pos < 0:
         raise ValueError(f"{path}: missing DATA marker")
-    header = blob[:pos].decode("ascii").splitlines()
+    try:
+        header = blob[:pos].decode("ascii").splitlines()
+    except UnicodeDecodeError:
+        raise ValueError(f"{path}: malformed header") from None
     payload = blob[pos + len(marker):]
     if not header or header[0] != _CKPT_MAGIC:
         raise ValueError(f"{path}: bad magic, expected {_CKPT_MAGIC}")

@@ -210,8 +210,7 @@ def _cmd_train(args):
         return 2
     pairs, cfg = read_archive(args.data)
     if args.config is not None:
-        with open(args.config, "r", encoding="ascii") as fh:
-            cfg = TrainConfig.from_text(fh.read())
+        cfg = TrainConfig.load(args.config)
     cfg.seed = args.seed
     if args.iterations is not None:
         cfg.iterations = args.iterations

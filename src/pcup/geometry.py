@@ -22,6 +22,7 @@ __all__ = [
     "normalize_unit_sphere",
     "denormalize",
     "pairwise_distances",
+    "read_text",
     "read_xyz",
     "write_xyz",
 ]
@@ -61,6 +62,17 @@ def _padded(radius):
     return radius * (1.0 + 1e-9) + 1e-12
 
 
+def _runs(counts, chunk):
+    """(lo, hi) bounds of runs of consecutive `counts`: each run holds one
+    entry, and then as many more as keep its sum within `chunk`."""
+    ends = np.cumsum(counts)
+    lo = 0
+    while lo < len(counts):
+        hi = max(lo + 1, int(np.searchsorted(ends, ends[lo] - counts[lo] + chunk, side="right")))
+        yield lo, hi
+        lo = hi
+
+
 def padded_ball_runs(tree, queries, radius, chunk):
     """Candidates of many ball queries at once, in runs of consecutive
     queries whose candidate lists hold about `chunk` entries together.
@@ -72,16 +84,10 @@ def padded_ball_runs(tree, queries, radius, chunk):
     """
     radius = _padded(radius)
     counts = tree.query_ball_point(queries, radius, return_length=True)
-    ends = np.cumsum(counts)
-    starts = ends - counts
-    lo = 0
-    while lo < len(queries):
-        hi = max(lo + 1, int(np.searchsorted(ends, starts[lo] + chunk, side="right")))
+    for lo, hi in _runs(counts, chunk):
         lists = tree.query_ball_point(queries[lo:hi], radius[lo:hi], return_sorted=True)
-        cand = np.fromiter(itertools.chain.from_iterable(lists), np.intp,
-                           ends[hi - 1] - starts[lo])
+        cand = np.fromiter(itertools.chain.from_iterable(lists), np.intp, counts[lo:hi].sum())
         yield lo, hi, counts[lo:hi], cand
-        lo = hi
 
 
 _RUN_CHUNK = 1 << 16  # candidate pairs per step of a batched SpatialIndex query
@@ -280,27 +286,35 @@ def denormalize(points, centroid, scale):
     return as_points(points) * float(scale) + np.asarray(centroid, dtype=np.float64)
 
 
+def read_text(path, kind):
+    """The contents of an ASCII file of the given kind (mesh, xyz, ...).
+    A byte outside ASCII raises a ValueError that names the file."""
+    with open(path, "rb") as fh:
+        blob = fh.read()
+    try:
+        return blob.decode("ascii")
+    except UnicodeDecodeError:
+        raise ValueError(f"{path}: binary {kind} files are not supported (ASCII only)") from None
+
+
 def read_xyz(path):
     """Read an ASCII XYZ file: one point per line, three whitespace-
     separated reals; blank lines and lines starting with '#' are skipped.
     Parse errors report the 1-based line number."""
     coords = []
-    with open(path, "r", encoding="ascii") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            parts = line.split()
-            if not parts or parts[0].startswith("#"):
-                continue
-            if len(parts) != 3:
-                raise ValueError(
-                    f"{path}:{lineno}: expected 3 values per line, got {len(parts)}"
-                )
-            try:
-                x, y, z = map(float, parts)
-            except ValueError:
-                raise ValueError(f"{path}:{lineno}: malformed number in {parts!r}") from None
-            if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(z)):
-                raise ValueError(f"{path}:{lineno}: non-finite coordinate")
-            coords += (x, y, z)
+    for lineno, line in enumerate(read_text(path, "xyz").splitlines(), start=1):
+        parts = line.split()
+        if not parts or parts[0].startswith("#"):
+            continue
+        if len(parts) != 3:
+            raise ValueError(f"{path}:{lineno}: expected 3 values per line, got {len(parts)}")
+        try:
+            x, y, z = map(float, parts)
+        except ValueError:
+            raise ValueError(f"{path}:{lineno}: malformed number in {parts!r}") from None
+        if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(z)):
+            raise ValueError(f"{path}:{lineno}: non-finite coordinate")
+        coords += (x, y, z)
     return np.array(coords, dtype=np.float64).reshape(-1, 3)
 
 

@@ -11,7 +11,6 @@ lowest index.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,8 +19,6 @@ from . import metrics
 from .geometry import SpatialIndex, as_points
 
 __all__ = [
-    "LossWeights",
-    "UniformLossConfig",
     "generator_adversarial_loss",
     "discriminator_adversarial_loss",
     "uniform_loss",
@@ -30,17 +27,10 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class LossWeights:
-    gan: float = 0.5
-    reconstruction: float = 100.0
-    uniform: float = 10.0
-
-
-@dataclass(frozen=True)
-class UniformLossConfig:
-    p_values: tuple = metrics.P_VALUES
-    seed_count: int = 50
+# the weights of the compound generator loss, as in the paper
+W_GAN = 0.5
+W_RECONSTRUCTION = 100.0
+W_UNIFORM = 10.0
 
 
 def generator_adversarial_loss(conf_fake):
@@ -55,12 +45,13 @@ def discriminator_adversarial_loss(conf_fake, conf_real):
     )
 
 
-def uniform_loss(q, cfg=UniformLossConfig(), seed=0):
-    """Differentiable uniformity loss summed over cfg.p_values.
+def uniform_loss(q, p_values, seed_count, seed):
+    """Differentiable uniformity loss summed over the area fractions
+    `p_values`, each cropped around `seed_count` seeds.
 
     For the p at list index k, the frozen structure is drawn with rng
     seed `seed + k`, so the value equals the sum of
-    metrics.uniformity_loss_value(q.value, p, cfg.seed_count, seed + k)
+    metrics.uniformity_loss_value(q.value, p, seed_count, seed + k)
     over the list. Subset counts enter as constant multiplicative
     weights; only the nearest-neighbor distances carry gradient.
 
@@ -71,11 +62,11 @@ def uniform_loss(q, cfg=UniformLossConfig(), seed=0):
     d_hat and imbalance / d_hat as constant columns.
     """
     n = q.shape[0]
-    draws = [(p, seed + k) for k, p in enumerate(cfg.p_values)]
+    draws = [(p, seed + k) for k, p in enumerate(p_values)]
     sizes, members, partners = metrics.uniformity_crops(SpatialIndex(q.value), draws,
-                                                        cfg.seed_count)
+                                                        seed_count)
     kept, d_hats, weights = [], [], []
-    for p, row in zip(cfg.p_values, sizes.tolist()):
+    for p, row in zip(p_values, sizes.tolist()):
         n_hat = metrics.expected_ball_count(n, p)
         for size in row:
             if size < 2:
@@ -110,11 +101,11 @@ def reconstruction_loss(q, target, _epsilon=None):
     return ad.sum_all(ad.row_distances(q, matched)), matching
 
 
-def compound_generator_loss(adv, rec, uni, weights=LossWeights()):
-    """weights.gan * adv + weights.reconstruction * rec +
-    weights.uniform * uni. Terms passed as None are absent (ablations)."""
+def compound_generator_loss(adv, rec, uni):
+    """W_GAN * adv + W_RECONSTRUCTION * rec + W_UNIFORM * uni. Terms
+    passed as None are absent (ablations)."""
     total = None
-    for node, w in ((adv, weights.gan), (rec, weights.reconstruction), (uni, weights.uniform)):
+    for node, w in ((adv, W_GAN), (rec, W_RECONSTRUCTION), (uni, W_UNIFORM)):
         if node is None:
             continue
         term = ad.scale(node, w)

@@ -21,7 +21,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
 from scipy.spatial import cKDTree
 
-from .geometry import SpatialIndex, as_points, normalize_unit_sphere, padded_ball_runs
+from .geometry import SpatialIndex, as_points, normalize_unit_sphere, padded_ball_runs, read_text
 
 __all__ = [
     "TriangleMesh",
@@ -154,15 +154,6 @@ class Patch:
 # file loading
 
 
-def _read_text(path):
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    try:
-        return blob.decode("ascii")
-    except UnicodeDecodeError:
-        raise ValueError(f"{path}: binary mesh files are not supported (ASCII only)") from None
-
-
 def _meaningful_lines(text):
     for lineno, raw in enumerate(text.splitlines(), start=1):
         stripped = raw.split("#", 1)[0].strip()
@@ -174,7 +165,7 @@ def load_mesh(path):
     """Load an ASCII OFF or ASCII PLY triangle mesh, normalized into the
     unit sphere. Non-triangle faces, binary formats, and degenerate
     geometry raise descriptive errors."""
-    text = _read_text(path)
+    text = read_text(path, "mesh")
     lines = list(_meaningful_lines(text))
     if not lines:
         raise ValueError(f"{path}: empty mesh file")

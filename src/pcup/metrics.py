@@ -29,6 +29,7 @@ from .geometry import (
     _RUN_CHUNK,
     SpatialIndex,
     _row_norms,
+    _runs,
     as_points,
     farthest_point_sampling,
     pairwise_distances,
@@ -163,11 +164,7 @@ def _crop_partners(pts, members, sizes, nearest, inside):
     partners = np.where(inside, nearest, -1)
     rows = np.flatnonzero(~inside & (sizes[crop] >= 2))
     counts = sizes[crop[rows]]
-    pair_ends = np.cumsum(counts)
-    lo = 0
-    while lo < len(rows):
-        hi = max(lo + 1, int(np.searchsorted(pair_ends, pair_ends[lo] - counts[lo] + _RUN_CHUNK,
-                                             side="right")))
+    for lo, hi in _runs(counts, _RUN_CHUNK):
         run, run_counts = rows[lo:hi], counts[lo:hi]
         offsets = np.cumsum(run_counts) - run_counts
         owner = np.repeat(run, run_counts)
@@ -180,7 +177,6 @@ def _crop_partners(pts, members, sizes, nearest, inside):
         best = np.minimum.reduceat(d, offsets)
         ties = np.where(d == np.repeat(best, run_counts), cand, len(pts))
         partners[run] = np.minimum.reduceat(ties, offsets)
-        lo = hi
     return partners
 
 
@@ -288,10 +284,7 @@ class UniformityReport:
         return [self.values[p] for p in sorted(self.values)]
 
 
-# uniformity_report_mesh's surface graph joins each pool point to this many
-# nearest pool points, and its graph distances are taken for this many
-# seeds at a time
-_REPORT_GRAPH_K = 10
+# uniformity_report_mesh's graph distances are taken for this many seeds at a time
 _REPORT_SEED_CHUNK = 128
 
 
@@ -311,7 +304,7 @@ def uniformity_report_mesh(points, mesh, seed_count=1000, rng=0, pool_size=20000
         raise ValueError(f"seed_count must be >= 1, got {seed_count}")
     rng = np.random.default_rng(rng)
     pool = area_weighted_sample(mesh, pool_size, rng)
-    grower = PatchGrower(pool, k=_REPORT_GRAPH_K)
+    grower = PatchGrower(pool)
     attach = grower.index.tree.query(pts)[1]
     n = len(pts)
     nearest = SpatialIndex(pts).nearest_others() if n >= 2 else None

@@ -39,16 +39,18 @@ __all__ = [
 ]
 
 
+GRID_EXTENT = 0.2  # half-extent of the 2D grid codes
+FPS_SEED = 0       # first index kept by the trimming FPS
+
+
 @dataclass(frozen=True)
 class GeneratorConfig:
     n_input: int = 256          # points per input patch
     rate: int = 4               # upsampling ratio
     feature_channels: int = 480  # dense extractor output width (3 blocks)
     working_channels: int = 128  # width inside the expansion unit
-    grid_extent: float = 0.2    # half-extent of the 2D grid codes
     group_k: int = 16           # neighborhood size of the input embedding
     regress_hidden: int = 64    # hidden width of the coordinate regressor
-    fps_seed: int = 0           # first index kept by the trimming FPS
     use_attention: bool = True
     use_up_down_up: bool = True
     use_fps_trim: bool = True   # over-generate (rate+2)N then trim to rate*N
@@ -169,7 +171,7 @@ def up_feature(params, prefix, cfg, x, rho):
     if rho < 2:
         raise ValueError(f"expansion rate must be >= 2, got {rho}")
     n = x.shape[0]
-    h = ad.concat_cols(ad.tile_rows(x, rho), ad.constant(grid_codes(rho, cfg.grid_extent, n)))
+    h = ad.concat_cols(ad.tile_rows(x, rho), ad.constant(grid_codes(rho, GRID_EXTENT, n)))
     if cfg.use_attention:
         h = ad.self_attention(h, params, f"{prefix}.attn")
     h = _apply_linear(params, f"{prefix}.l0", h)
@@ -222,7 +224,7 @@ def generate_node(params, cfg, points):
     h = _apply_linear(params, "regress.l0", h)
     raw = _apply_linear(params, "regress.l1", h, activation=False)
     if cfg.use_fps_trim:
-        selected = farthest_point_sampling(raw.value, cfg.n_output, cfg.fps_seed)
+        selected = farthest_point_sampling(raw.value, cfg.n_output, FPS_SEED)
         return ad.gather_rows(raw, selected), raw, selected
     return raw, raw, np.arange(cfg.n_output, dtype=np.intp)
 

@@ -6,6 +6,7 @@ Every random decision flows from one seeded generator, so a fixed
 TrainConfig reproduces byte-identical archives, logs, and checkpoints.
 """
 
+import inspect
 import json
 import math
 import os
@@ -25,11 +26,14 @@ from .geometry import (
     denormalize,
     farthest_point_sampling,
     normalize_unit_sphere,
+    read_text,
     read_xyz,
     write_xyz,
 )
 from .mesh import PatchGrower, area_weighted_sample, poisson_disk_sample
 from .networks import (
+    FPS_SEED,
+    GRID_EXTENT,
     DiscriminatorConfig,
     GeneratorConfig,
     discriminate_node,
@@ -56,14 +60,47 @@ __all__ = [
 ]
 
 
-# keys of removed knobs: from_text ignores them, so archives and
-# checkpoints written while they existed keep loading
-_RETIRED_KEYS = frozenset({"emd_epsilon"})
+# the paper's schedule and augmentation: the learning rates fall by LR_DECAY
+# every lr_decay_every iterations, to no less than LR_FLOOR; both clouds of a
+# pair are scaled by one uniform factor in [SCALE_LOW, SCALE_HIGH], and the
+# inputs jittered by Gaussian noise of JITTER_SIGMA, clipped at
+# JITTER_CLIP_SIGMAS sigmas
+LR_DECAY, LR_FLOOR = 0.7, 1e-6
+SCALE_LOW, SCALE_HIGH = 0.8, 1.2
+JITTER_SIGMA, JITTER_CLIP_SIGMAS = 0.01, 3.0
+
+# keys of removed knobs, each with the value the program runs at: configs
+# written while they existed keep loading, and any other value, which would
+# be another model or run, is rejected. emd_epsilon loads at any value
+_RETIRED_KEYS = {
+    "emd_epsilon": None,
+    "graph_k": inspect.signature(PatchGrower).parameters["k"].default,
+    "grid_extent": GRID_EXTENT, "generator_fps_seed": FPS_SEED,
+    "w_gan": lo.W_GAN, "w_reconstruction": lo.W_RECONSTRUCTION, "w_uniform": lo.W_UNIFORM,
+    "lr_decay": LR_DECAY, "lr_floor": LR_FLOOR,
+    **{f"adam_{name}": inspect.signature(ad.adam_step).parameters[name].default
+       for name in ("beta1", "beta2", "eps")},
+    "scale_low": SCALE_LOW, "scale_high": SCALE_HIGH,
+    "jitter_sigma": JITTER_SIGMA, "jitter_clip_sigmas": JITTER_CLIP_SIGMAS,
+}
+
+
+def _parse_value(where, text, like):
+    """Config text as a value of the type of `like`."""
+    if isinstance(like, bool) and text not in ("true", "false"):
+        raise ValueError(f"{where} must be true or false")
+    try:
+        if isinstance(like, tuple):
+            return tuple(float(t) for t in text.split(",") if t)
+        return text == "true" if isinstance(like, bool) else type(like)(text)
+    except ValueError:
+        raise ValueError(f"{where} = {text} is not of type {type(like).__name__}") from None
 
 
 @dataclass
 class TrainConfig:
-    """Every knob of the pipeline, serializable as ASCII key-value text."""
+    """Every knob of the pipeline that a run may set, as ASCII key-value
+    text; each fixed value of the paper is a constant where it is used."""
 
     # patch extraction
     n_input: int = 256
@@ -71,21 +108,15 @@ class TrainConfig:
     patches_per_mesh: int = 200
     patch_fraction: float = 0.05
     pool_size: int = 50000
-    graph_k: int = 10
     # network widths
     feature_channels: int = 480
     working_channels: int = 128
-    grid_extent: float = 0.2
     group_k: int = 16
     regress_hidden: int = 64
-    generator_fps_seed: int = 0
     disc_point_channels: int = 64
     disc_global_channels: int = 256
     disc_head_hidden: int = 64
-    # loss weights and uniformity protocol
-    w_gan: float = 0.5
-    w_reconstruction: float = 100.0
-    w_uniform: float = 10.0
+    # uniformity protocol
     uniform_seed_count: int = 50
     p_values: tuple = metrics.P_VALUES
     # not a field: the matching is exact, so its tolerance is 0;
@@ -97,21 +128,12 @@ class TrainConfig:
     iterations: int = 0  # 0 = epochs * ceil(dataset / batch)
     lr_g: float = 1e-3
     lr_d: float = 1e-4
-    lr_decay: float = 0.7
     lr_decay_every: int = 50000
-    lr_floor: float = 1e-6
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
     checkpoint_every: int = 5000
     # augmentation
     augment_rotate: bool = True
     augment_scale: bool = True
     augment_jitter: bool = True
-    scale_low: float = 0.8
-    scale_high: float = 1.2
-    jitter_sigma: float = 0.01
-    jitter_clip_sigmas: float = 3.0
     # ablation switches
     ablate_discriminator: bool = False
     ablate_uniform: bool = False
@@ -131,10 +153,8 @@ class TrainConfig:
             rate=self.rate,
             feature_channels=self.feature_channels,
             working_channels=self.working_channels,
-            grid_extent=self.grid_extent,
             group_k=self.group_k,
             regress_hidden=self.regress_hidden,
-            fps_seed=self.generator_fps_seed,
             use_attention=not self.ablate_attention,
             use_up_down_up=not self.ablate_up_down_up,
             use_fps_trim=not self.ablate_fps,
@@ -148,16 +168,10 @@ class TrainConfig:
             use_attention=not self.ablate_attention,
         )
 
-    def loss_weights(self):
-        return lo.LossWeights(self.w_gan, self.w_reconstruction, self.w_uniform)
-
-    def uniform_config(self):
-        return lo.UniformLossConfig(tuple(self.p_values), self.uniform_seed_count)
-
     def learning_rate(self, base, step):
-        """Step-decayed rate: multiply by lr_decay once per
-        lr_decay_every iterations (1-based step), floored at lr_floor."""
-        return max(self.lr_floor, base * self.lr_decay ** ((step - 1) // self.lr_decay_every))
+        """Step-decayed rate: multiply by LR_DECAY once per
+        lr_decay_every iterations (1-based step), floored at LR_FLOOR."""
+        return max(LR_FLOOR, base * LR_DECAY ** ((step - 1) // self.lr_decay_every))
 
     @classmethod
     def desk_profile(cls):
@@ -185,37 +199,32 @@ class TrainConfig:
         return "\n".join(lines) + "\n"
 
     @classmethod
-    def from_text(cls, text):
-        defaults = cls()
-        known = {f.name: getattr(defaults, f.name) for f in fields(cls)}
+    def from_text(cls, text, source="config"):
+        """Parse to_text's format; `source` names the text in errors."""
+        known = {f.name: f.default for f in fields(cls)}
         values = {}
         for lineno, raw in enumerate(text.splitlines(), start=1):
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
             if "=" not in line:
-                raise ValueError(f"config line {lineno}: expected 'key = value', got {raw!r}")
-            key, _, val = line.partition("=")
-            key = key.strip()
-            val = val.strip()
+                raise ValueError(f"{source} line {lineno}: expected 'key = value', got {raw!r}")
+            key, val = (part.strip() for part in line.split("=", 1))
+            where = f"{source} line {lineno}: {key}"
             if key in _RETIRED_KEYS:
-                continue
-            if key not in known:
-                raise ValueError(f"config line {lineno}: unknown key {key!r}")
-            ref = known[key]
-            if isinstance(ref, bool):
-                if val not in ("true", "false"):
-                    raise ValueError(f"config line {lineno}: {key} must be true or false")
-                values[key] = val == "true"
-            elif isinstance(ref, int):
-                values[key] = int(val)
-            elif isinstance(ref, float):
-                values[key] = float(val)
-            elif isinstance(ref, tuple):
-                values[key] = tuple(float(t) for t in val.split(",") if t)
+                fixed = _RETIRED_KEYS[key]
+                if fixed is not None and _parse_value(where, val, fixed) != fixed:
+                    raise ValueError(f"{where} is fixed at {fixed!r}, got {val}")
+            elif key in known:
+                values[key] = _parse_value(where, val, known[key])
             else:
-                values[key] = val
+                raise ValueError(f"{source} line {lineno}: unknown key {key!r}")
         return cls(**values)
+
+    @classmethod
+    def load(cls, path):
+        """from_text of a config file, with errors that name the file."""
+        return cls.from_text(read_text(path, "config"), path)
 
 
 @dataclass
@@ -258,7 +267,7 @@ def _mesh_patches(name, mesh, cfg, rng, log):
             f"(5 x {n_target} target points / patch fraction {cfg.patch_fraction:g})"
         )
     pool = area_weighted_sample(mesh, pool_n, rng)
-    grower = PatchGrower(pool, k=cfg.graph_k)
+    grower = PatchGrower(pool)
     seeds = area_weighted_sample(mesh, cfg.patches_per_mesh, rng)
     out = []
     for i in range(cfg.patches_per_mesh):
@@ -331,8 +340,7 @@ def read_archive(data_dir):
     cfg_path = os.path.join(data_dir, "config.txt")
     if not os.path.isfile(cfg_path):
         raise ValueError(f"{data_dir}: missing config.txt (not a patch archive?)")
-    with open(cfg_path, "r", encoding="ascii") as fh:
-        cfg = TrainConfig.from_text(fh.read())
+    cfg = TrainConfig.load(cfg_path)
     pairs = []
     for entry in sorted(os.listdir(data_dir)):
         mesh_dir = os.path.join(data_dir, entry)
@@ -386,12 +394,12 @@ def augment_pair(inputs, target, rng, cfg):
         p = p @ rot.T
         q = q @ rot.T
     if cfg.augment_scale:
-        s = rng.uniform(cfg.scale_low, cfg.scale_high)
+        s = rng.uniform(SCALE_LOW, SCALE_HIGH)
         p *= s
         q *= s
     if cfg.augment_jitter:
-        bound = cfg.jitter_clip_sigmas * cfg.jitter_sigma
-        p += np.clip(rng.normal(0.0, cfg.jitter_sigma, p.shape), -bound, bound)
+        bound = JITTER_CLIP_SIGMAS * JITTER_SIGMA
+        p += np.clip(rng.normal(0.0, JITTER_SIGMA, p.shape), -bound, bound)
     return p, q
 
 
@@ -461,8 +469,7 @@ def save_checkpoint(ckpt_dir, gparams, dparams, cfg):
 def load_checkpoint(ckpt_dir):
     """Rebuild (generator params, discriminator params or None, config)
     from a checkpoint directory."""
-    with open(os.path.join(ckpt_dir, "config.txt"), "r", encoding="ascii") as fh:
-        cfg = TrainConfig.from_text(fh.read())
+    cfg = TrainConfig.load(os.path.join(ckpt_dir, "config.txt"))
     gparams = init_generator(cfg.generator_config(), 0)
     gparams.set_values(ad.load_params(os.path.join(ckpt_dir, "generator.params")))
     dparams = None
@@ -505,8 +512,6 @@ def train(pairs, cfg, out_dir, log=_default_log):
     disc_cfg = cfg.discriminator_config()
     gparams = init_generator(gen_cfg, rng)
     dparams = None if cfg.ablate_discriminator else init_discriminator(disc_cfg, rng)
-    weights = cfg.loss_weights()
-    uni_cfg = cfg.uniform_config()
 
     # Each patch's graph goes through backward as soon as its term exists,
     # scaled by 1 / B, and dies when its function returns, so memory holds
@@ -518,13 +523,13 @@ def train(pairs, cfg, out_dir, log=_default_log):
         rec_node, _ = lo.reconstruction_loss(out_node, q)
         uni_node = None
         if not cfg.ablate_uniform:
-            uni_node = lo.uniform_loss(out_node, uni_cfg, uni_seed)
+            uni_node = lo.uniform_loss(out_node, cfg.p_values, cfg.uniform_seed_count, uni_seed)
         adv_node = None
         if dparams is not None:
             adv_node = lo.generator_adversarial_loss(
                 discriminate_node(dparams, disc_cfg, out_node)
             )
-        term = lo.compound_generator_loss(adv_node, rec_node, uni_node, weights)
+        term = lo.compound_generator_loss(adv_node, rec_node, uni_node)
         ad.backward(ad.scale(term, 1.0 / batch_size))
         return tuple(
             None if node is None else float(node.value[0, 0])
@@ -560,7 +565,7 @@ def train(pairs, cfg, out_dir, log=_default_log):
             )
             g_loss_val = _batch_mean(g_terms)
             _require_finite(g_loss_val, "generator loss", out_dir, step, batch)
-            ad.adam_step(gparams, lr_g, cfg.adam_beta1, cfg.adam_beta2, cfg.adam_eps)
+            ad.adam_step(gparams, lr_g)
             _require_finite_params(gparams, "generator parameter", out_dir, step, batch)
             if dparams is not None:
                 dparams.zero_grad()  # adversarial term leaks gradient into D; discard
@@ -570,7 +575,7 @@ def train(pairs, cfg, out_dir, log=_default_log):
                 d_terms, fakes, reals = zip(*[discriminator_patch(p, q) for p, q in batch])
                 d_loss_val = _batch_mean(d_terms)
                 _require_finite(d_loss_val, "discriminator loss", out_dir, step, batch)
-                ad.adam_step(dparams, lr_d, cfg.adam_beta1, cfg.adam_beta2, cfg.adam_eps)
+                ad.adam_step(dparams, lr_d)
                 _require_finite_params(
                     dparams, "discriminator parameter", out_dir, step, batch
                 )

@@ -197,8 +197,7 @@ def test_c05_architecture_contracts(rng):
     assert np.array_equal(out.value, raw.value[selected])
     assert np.array_equal(
         selected,
-        farthest_point_sampling(raw.value, gen_cfg.rate * gen_cfg.n_input,
-                                gen_cfg.fps_seed),
+        farthest_point_sampling(raw.value, gen_cfg.rate * gen_cfg.n_input, nw.FPS_SEED),
     )
     # permutation invariance of the discriminator at full width
     cloud = rng.normal(size=(512, 3))
@@ -226,7 +225,7 @@ def test_c06_overfit_sanity(icosphere_mesh):
         rec, _ = lo.reconstruction_loss(out_node, target)
         best = min(best, float(rec.value[0, 0]) / len(target))
         ad.backward(rec)
-        ad.adam_step(params, lr, cfg.adam_beta1, cfg.adam_beta2, cfg.adam_eps)
+        ad.adam_step(params, lr)
     elapsed = time.perf_counter() - start
     assert best < 0.05, f"best per-point EMD {best:.4f} after 1000 steps"
     assert elapsed < 600.0

@@ -377,6 +377,7 @@ class TestCheckpoint:
         b"PCUP-PARAMS-1\n1\nw 1\nDATA\n",
         b"PCUP-PARAMS-1\n1\nw 1 1 1\nDATA\n",
         b"PCUP-PARAMS-1\n1\nw 1 x\nDATA\n",
+        b"\xff\x00\nDATA\n",
     ])
     def test_malformed_header_names_the_file(self, tmp_path, header):
         path = tmp_path / "p.params"

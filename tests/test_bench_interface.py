@@ -98,7 +98,7 @@ def test_crop_counter_sums_the_uniformity_subsets_members():
     try:
         t.active = True
         pcup.metrics.uniformity_loss_value(pts, 0.05, 8, 3)
-        losses.uniform_loss(autodiff.constant(pts), losses.UniformLossConfig(seed_count=8), seed=3)
+        losses.uniform_loss(autodiff.constant(pts), pcup.metrics.P_VALUES, 8, seed=3)
         t.active = False
     finally:
         t.uninstall()

@@ -266,6 +266,18 @@ class TestTrain:
         assert stdout == ""
         assert not out.exists()
 
+    def test_non_ascii_config_exits_1_naming_the_file(self, capsys, archive, tmp_path):
+        cfg_path = tmp_path / "config.txt"
+        cfg_path.write_bytes(CONFIG_TINY.encode("ascii") + b"\xff\n")
+        out = tmp_path / "run"
+        code, stdout, err = run(capsys, "train", "--data", str(archive), "--out", str(out),
+                                "--config", str(cfg_path))
+        assert code == 1
+        assert len(err.splitlines()) == 1
+        assert err.startswith(f"error: {cfg_path}: ")
+        assert stdout == ""
+        assert not out.exists()
+
     def test_run_outputs(self, run_dir, capsys):
         lines = (run_dir / "losses.csv").read_text().splitlines()
         assert len(lines) == 3  # header + 2 iterations
@@ -327,6 +339,39 @@ class TestUpsample:
         )
         assert code == 1
         assert ":2:" in err
+
+    def test_non_ascii_cloud_exits_1_naming_the_file(self, capsys, run_dir, tmp_path):
+        src = tmp_path / "bad.xyz"
+        src.write_bytes(b"\xff\x00\n1 2 3\n")
+        dst = tmp_path / "o.xyz"
+        code, _, err = run(
+            capsys, "upsample", "--in", str(src),
+            "--ckpt", str(run_dir / "ckpt_000002"), "--out", str(dst),
+        )
+        assert code == 1
+        assert len(err.splitlines()) == 1
+        assert err.startswith(f"error: {src}: ")
+        assert not dst.exists()
+
+    @pytest.mark.parametrize("line", ["grid_extent = 0.3", "w_uniform = 1.0", "graph_k = 12"])
+    def test_retired_key_at_another_value_exits_1(self, capsys, run_dir, tmp_path, rng, line):
+        # a checkpoint trained with another value would run a different model
+        ckpt = tmp_path / "ckpt"
+        shutil.copytree(run_dir / "ckpt_000002", ckpt)
+        with open(ckpt / "config.txt", "a", encoding="ascii") as fh:
+            fh.write(line + "\n")
+        src = tmp_path / "cloud.xyz"
+        write_xyz(src, rng.normal(size=(20, 3)))
+        dst = tmp_path / "o.xyz"
+        code, _, err = run(
+            capsys, "upsample", "--in", str(src), "--ckpt", str(ckpt), "--out", str(dst),
+        )
+        assert code == 1
+        assert len(err.splitlines()) == 1
+        key = line.split()[0]
+        assert err.startswith(f"error: {ckpt / 'config.txt'} line ")
+        assert f": {key} is fixed at " in err
+        assert not dst.exists()
 
     @pytest.mark.parametrize("overlap", ["0", "-2"])
     def test_overlap_below_one_is_usage_error(self, capsys, tmp_path, rng, overlap):

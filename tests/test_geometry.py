@@ -1,6 +1,7 @@
 """Spatial queries, farthest point sampling, normalization, XYZ I/O."""
 
 import math
+import re
 import time
 
 import numpy as np
@@ -237,6 +238,21 @@ class TestPaddedBallRuns:
             seen = hi
         assert seen == len(pts)
 
+    @pytest.mark.parametrize("chunk", [1, 7, 50, 10**6])
+    def test_run_bounds_match_a_greedy_cut(self, rng, chunk):
+        # a run takes its first entry, then each next one while its sum
+        # stays within chunk
+        counts = rng.integers(0, 20, size=200)
+        want, lo = [], 0
+        while lo < len(counts):
+            hi, total = lo + 1, counts[lo]
+            while hi < len(counts) and total + counts[hi] <= chunk:
+                total += counts[hi]
+                hi += 1
+            want.append((lo, hi))
+            lo = hi
+        assert list(geometry._runs(counts, chunk)) == want
+
 
 class TestFarthestPointSampling:
     def test_collinear_hand_case(self):
@@ -454,6 +470,12 @@ class TestXyzIO:
         path = tmp_path / "c.xyz"
         path.write_bytes(b"  1\t2 3 \r\n\r\n\t# c\r4 5 6")
         assert np.array_equal(read_xyz(path), [[1, 2, 3], [4, 5, 6]])
+
+    def test_non_ascii_byte_names_the_file(self, tmp_path):
+        path = tmp_path / "c.xyz"
+        path.write_bytes(b"1 2 3\n\xff 5 6\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: binary xyz files"):
+            read_xyz(path)
 
     def test_empty_file_gives_empty_cloud(self, tmp_path):
         path = tmp_path / "empty.xyz"

@@ -108,20 +108,18 @@ class TestUniform:
     def test_value_agrees_with_metric(self, rng):
         pts = rng.normal(size=(200, 3))
         pts /= np.abs(pts).max()
-        cfg = lo.UniformLossConfig(seed_count=10)
-        node = lo.uniform_loss(ad.constant(pts), cfg, seed=5)
+        node = lo.uniform_loss(ad.constant(pts), metrics.P_VALUES, 10, seed=5)
         expected = sum(
-            metrics.uniformity_loss_value(pts, p, cfg.seed_count, 5 + k)
-            for k, p in enumerate(cfg.p_values)
+            metrics.uniformity_loss_value(pts, p, 10, 5 + k)
+            for k, p in enumerate(metrics.P_VALUES)
         )
         assert node.value[0, 0] == pytest.approx(expected, rel=1e-9)
 
     def test_hexagonal_layout_scores_below_random(self):
         from pcup.patterns import hexagonal_disk, random_disk
 
-        cfg = lo.UniformLossConfig(p_values=(0.01,), seed_count=30)
-        hexv = lo.uniform_loss(ad.constant(hexagonal_disk(625)), cfg, seed=0)
-        rand = lo.uniform_loss(ad.constant(random_disk(625, seed=0)), cfg, seed=0)
+        hexv = lo.uniform_loss(ad.constant(hexagonal_disk(625)), (0.01,), 30, seed=0)
+        rand = lo.uniform_loss(ad.constant(random_disk(625, seed=0)), (0.01,), 30, seed=0)
         assert hexv.value[0, 0] < rand.value[0, 0]
 
     def test_two_point_cluster_is_pushed_apart(self):
@@ -130,8 +128,7 @@ class TestUniform:
         rng = np.random.default_rng(3)
         pts = np.vstack([rng.normal(size=(30, 3)), [[0.0, 0, 0], [1e-3, 0, 0]]])
         node_in = ad.constant(pts)
-        cfg = lo.UniformLossConfig(p_values=(0.05,), seed_count=32)
-        loss = lo.uniform_loss(node_in, cfg, seed=0)
+        loss = lo.uniform_loss(node_in, (0.05,), 32, seed=0)
         ad.backward(loss)
         g = node_in.grad
         # the pair sits along x: gradients push the two apart in x
@@ -140,15 +137,13 @@ class TestUniform:
     def test_empty_structure_gives_zero_constant(self):
         # two isolated points: every ball holds one member, nn is None
         pts = np.array([[5.0, 0, 0], [-5.0, 0, 0]])
-        cfg = lo.UniformLossConfig(p_values=(0.001,), seed_count=2)
-        node = lo.uniform_loss(ad.constant(pts), cfg, seed=0)
+        node = lo.uniform_loss(ad.constant(pts), (0.001,), 2, seed=0)
         assert node.value[0, 0] == 0.0
 
     def test_finite_difference_gradient(self, rng):
         base = rng.normal(size=(40, 3)) * 0.5
-        cfg = lo.UniformLossConfig(p_values=(0.05,), seed_count=6)
         # freeze the structure once, then differentiate the frozen surrogate
-        _, n_hat, subsets = metrics.uniformity_subsets(base, 0.05, cfg.seed_count, 0)
+        _, n_hat, subsets = metrics.uniformity_subsets(base, 0.05, 6, 0)
         params = ad.Params()
         params.add("q", base)
 
@@ -199,11 +194,10 @@ def _per_crop_loss(q, p_values, seed_count, seed, partners):
 class TestUniformFlatGraph:
     def test_value_matches_metric_on_collapsed_output(self):
         pts = helpers.collapsed_generator_output(64)
-        cfg = lo.UniformLossConfig()
-        node = lo.uniform_loss(ad.constant(pts), cfg, seed=9)
+        node = lo.uniform_loss(ad.constant(pts), metrics.P_VALUES, 50, seed=9)
         expected = sum(
-            metrics.uniformity_loss_value(pts, p, cfg.seed_count, 9 + k)
-            for k, p in enumerate(cfg.p_values)
+            metrics.uniformity_loss_value(pts, p, 50, 9 + k)
+            for k, p in enumerate(metrics.P_VALUES)
         )
         assert node.value[0, 0] == pytest.approx(expected, rel=1e-12)
 
@@ -211,21 +205,20 @@ class TestUniformFlatGraph:
         # the loss itself, structure re-frozen at every evaluation: steps
         # of 1e-6 move no point across a crop boundary or a nearest-pick tie
         base = rng.normal(size=(40, 3)) * 0.5
-        cfg = lo.UniformLossConfig(p_values=(0.03, 0.05), seed_count=6)
         params = ad.Params()
         params.add("q", base)
-        helpers.gradcheck(lambda: lo.uniform_loss(params["q"], cfg, seed=2), params,
+        helpers.gradcheck(lambda: lo.uniform_loss(params["q"], (0.03, 0.05), 6, seed=2), params,
                           h=1e-6, rel_tol=1e-5)
 
     def test_exact_ties_send_gradient_to_the_lowest_index(self):
         # on a lattice most members have several equally near partners;
         # the gradient is that of the per-crop graph paired by the oracle
-        cfg = lo.UniformLossConfig(p_values=(0.004, 0.01), seed_count=20)
+        p_values, seed_count = (0.004, 0.01), 20
         pts = helpers.cubic_lattice(8, 0.03)
         flat = ad.constant(pts.copy())
-        ad.backward(lo.uniform_loss(flat, cfg, seed=11))
+        ad.backward(lo.uniform_loss(flat, p_values, seed_count, seed=11))
         per_crop = ad.constant(pts.copy())
-        loss = _per_crop_loss(per_crop, cfg.p_values, cfg.seed_count, 11,
+        loss = _per_crop_loss(per_crop, p_values, seed_count, 11,
                               helpers.brute_crop_nearest)
         ad.backward(loss)
         atol = 1e-12 * np.abs(per_crop.grad).max()
@@ -238,7 +231,7 @@ class TestUniformFlatGraph:
             np.fill_diagonal(d, np.inf)
             return members[np.argmin(d, axis=1)]
 
-        ad.backward(_per_crop_loss(by_ball_order, cfg.p_values, cfg.seed_count, 11,
+        ad.backward(_per_crop_loss(by_ball_order, p_values, seed_count, 11,
                                    ball_order))
         assert not np.allclose(flat.grad, by_ball_order.grad)
 
@@ -254,7 +247,7 @@ class TestUniformFlatGraph:
             init(self, points)
 
         monkeypatch.setattr(SpatialIndex, "__init__", counting)
-        lo.uniform_loss(q, lo.UniformLossConfig(seed_count=8), seed=3)
+        lo.uniform_loss(q, metrics.P_VALUES, 8, seed=3)
         assert len(built) == 1
 
     def test_collapsed_paper_size_cost_bound(self):
@@ -263,7 +256,7 @@ class TestUniformFlatGraph:
         # dense distance matrix per crop took about 8 s.
         q = ad.constant(helpers.collapsed_generator_output(256))
         start = time.perf_counter()
-        ad.backward(lo.uniform_loss(q, lo.UniformLossConfig(), seed=5))
+        ad.backward(lo.uniform_loss(q, metrics.P_VALUES, 50, seed=5))
         assert time.perf_counter() - start < 2.0
         assert np.isfinite(q.grad).all() and np.abs(q.grad).max() > 0
 
@@ -282,7 +275,7 @@ class TestUniformFlatGraph:
         # few sizes where the two differ. The clouds are drawn without
         # matrix products, so no BLAS kernel moves their bits
         q = ad.constant(_pinned_cloud(case))
-        node = lo.uniform_loss(q, lo.UniformLossConfig(), seed=7)
+        node = lo.uniform_loss(q, metrics.P_VALUES, 50, seed=7)
         ad.backward(node)
         assert float(node.value[0, 0]) == value
         assert hashlib.sha256(q.grad.tobytes()).hexdigest() == grad_sha256
@@ -306,7 +299,7 @@ class TestUniformFlatGraph:
         q = ad.constant(helpers.collapsed_generator_output(n_input))
         tracemalloc.start()
         try:
-            lo.uniform_loss(q, lo.UniformLossConfig(), seed=5)
+            lo.uniform_loss(q, metrics.P_VALUES, 50, seed=5)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -327,12 +320,6 @@ class TestCompound:
         assert total.value[0, 0] == pytest.approx(300.0)
         empty = lo.compound_generator_loss(None, None, None)
         assert empty.value[0, 0] == 0.0
-
-    def test_custom_weights(self):
-        total = lo.compound_generator_loss(
-            _conf(1.0), _conf(1.0), _conf(1.0), lo.LossWeights(1.0, 2.0, 3.0)
-        )
-        assert total.value[0, 0] == pytest.approx(6.0)
 
     def test_gradient_scales_with_weights(self):
         rec = _conf(3.0)

@@ -165,7 +165,7 @@ class TestGenerator:
         assert np.array_equal(out.value, raw.value[selected])
         # trim is exactly farthest point sampling from the configured seed
         assert np.array_equal(
-            selected, farthest_point_sampling(raw.value, TOY.n_output, TOY.fps_seed)
+            selected, farthest_point_sampling(raw.value, TOY.n_output, nw.FPS_SEED)
         )
 
     @pytest.mark.parametrize("ablation", [None, "use_attention", "use_up_down_up",

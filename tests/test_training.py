@@ -5,6 +5,7 @@ import dataclasses
 import hashlib
 import math
 import os
+import re
 import tracemalloc
 
 import numpy as np
@@ -12,6 +13,7 @@ import pytest
 
 import helpers
 from pcup import autodiff as ad
+from pcup import losses as lo
 from pcup import training as tr
 from pcup.geometry import farthest_point_sampling, pairwise_distances, read_xyz
 from pcup.mesh import TriangleMesh
@@ -37,6 +39,66 @@ TINY = dict(
     uniform_seed_count=5,
     seed=0,
 )
+
+
+# TrainConfig().to_text() as written before the paper's fixed values left
+# the config: every archive and checkpoint of that time lists these 45 keys
+DEFAULTS_45_KEYS = """\
+n_input = 256
+rate = 4
+patches_per_mesh = 200
+patch_fraction = 0.05
+pool_size = 50000
+graph_k = 10
+feature_channels = 480
+working_channels = 128
+grid_extent = 0.2
+group_k = 16
+regress_hidden = 64
+generator_fps_seed = 0
+disc_point_channels = 64
+disc_global_channels = 256
+disc_head_hidden = 64
+w_gan = 0.5
+w_reconstruction = 100.0
+w_uniform = 10.0
+uniform_seed_count = 50
+p_values = 0.004,0.006,0.008,0.01,0.012
+batch_size = 28
+epochs = 100
+iterations = 0
+lr_g = 0.001
+lr_d = 0.0001
+lr_decay = 0.7
+lr_decay_every = 50000
+lr_floor = 1e-06
+adam_beta1 = 0.9
+adam_beta2 = 0.999
+adam_eps = 1e-08
+checkpoint_every = 5000
+augment_rotate = true
+augment_scale = true
+augment_jitter = true
+scale_low = 0.8
+scale_high = 1.2
+jitter_sigma = 0.01
+jitter_clip_sigmas = 3.0
+ablate_discriminator = false
+ablate_uniform = false
+ablate_attention = false
+ablate_up_down_up = false
+ablate_fps = false
+seed = 0
+"""
+
+# each key the config no longer holds, at the value every such config held
+RETIRED_DEFAULTS = {
+    "graph_k": 10, "grid_extent": 0.2, "generator_fps_seed": 0,
+    "w_gan": 0.5, "w_reconstruction": 100.0, "w_uniform": 10.0,
+    "lr_decay": 0.7, "lr_floor": 1e-6,
+    "adam_beta1": 0.9, "adam_beta2": 0.999, "adam_eps": 1e-8,
+    "scale_low": 0.8, "scale_high": 1.2, "jitter_sigma": 0.01, "jitter_clip_sigmas": 3.0,
+}
 
 
 @pytest.fixture(scope="module")
@@ -78,6 +140,50 @@ class TestConfig:
         with pytest.raises(ValueError, match="unknown key"):
             tr.TrainConfig.from_text(old_text + "emd_epsilonn = 0.001\n")
 
+    def test_config_with_every_retired_key_still_loads(self, tmp_path):
+        assert len(DEFAULTS_45_KEYS.splitlines()) == 45
+        assert tr.TrainConfig.from_text(DEFAULTS_45_KEYS) == tr.TrainConfig()
+        names = {f.name for f in dataclasses.fields(tr.TrainConfig)}
+        assert names.isdisjoint(RETIRED_DEFAULTS)
+        assert len(names) + len(RETIRED_DEFAULTS) == 45
+        path = tmp_path / "config.txt"
+        path.write_text(DEFAULTS_45_KEYS)
+        assert tr.TrainConfig.load(path) == tr.TrainConfig()
+
+    @pytest.mark.parametrize("key", sorted(RETIRED_DEFAULTS))
+    def test_retired_key_at_another_value_is_rejected(self, tmp_path, key):
+        fixed = RETIRED_DEFAULTS[key]
+        for value in (repr(fixed + 1), "nan", "x"):
+            text = DEFAULTS_45_KEYS.replace(f"\n{key} = {fixed!r}\n", f"\n{key} = {value}\n")
+            assert text != DEFAULTS_45_KEYS
+            with pytest.raises(ValueError, match=rf"^config line \d+: {key} "):
+                tr.TrainConfig.from_text(text)
+        path = tmp_path / "config.txt"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))} line \\d+: {key} "):
+            tr.TrainConfig.load(path)
+
+    def test_retired_key_in_a_checkpoint_is_rejected(self, tmp_path):
+        cfg = tr.TrainConfig(**TINY)
+        ckpt = tmp_path / "ckpt"
+        tr.save_checkpoint(ckpt, init_generator(cfg.generator_config(), 0), None, cfg)
+        (ckpt / "config.txt").write_text(cfg.to_text() + "grid_extent = 0.2\n")
+        assert tr.load_checkpoint(ckpt)[2] == cfg
+        (ckpt / "config.txt").write_text(cfg.to_text() + "grid_extent = 0.3\n")
+        with pytest.raises(ValueError, match="grid_extent is fixed at 0.2, got 0.3"):
+            tr.load_checkpoint(ckpt)
+
+    def test_non_ascii_config_names_the_file(self, tmp_path):
+        path = tmp_path / "config.txt"
+        path.write_bytes(b"seed = 1\n\xff\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: binary config files"):
+            tr.TrainConfig.load(path)
+        archive = tmp_path / "archive"
+        archive.mkdir()
+        (archive / "config.txt").write_bytes(b"\xff")
+        with pytest.raises(ValueError, match=re.escape(str(archive / "config.txt"))):
+            tr.read_archive(archive)
+
     def test_malformed_line_rejected(self):
         with pytest.raises(ValueError, match="line 1"):
             tr.TrainConfig.from_text("just words\n")
@@ -92,7 +198,7 @@ class TestConfig:
         assert cfg.batch_size == 28 and cfg.patches_per_mesh == 200
         assert cfg.lr_g == 1e-3 and cfg.lr_d == 1e-4
         assert cfg.uniform_seed_count == 50
-        assert cfg.w_gan == 0.5 and cfg.w_reconstruction == 100.0 and cfg.w_uniform == 10.0
+        assert lo.W_GAN == 0.5 and lo.W_RECONSTRUCTION == 100.0 and lo.W_UNIFORM == 10.0
 
     def test_desk_profile(self):
         cfg = tr.TrainConfig.desk_profile()
@@ -136,7 +242,7 @@ class TestAugmentation:
         p2, q2 = tr.augment_pair(p, q, rng, cfg)
         assert np.array_equal(q2, q)
         move = np.abs(p2 - p)
-        assert move.max() <= 3 * cfg.jitter_sigma + 1e-12
+        assert move.max() <= 3 * tr.JITTER_SIGMA + 1e-12
         assert move.max() > 0
 
     def test_identity_when_disabled(self, rng):
