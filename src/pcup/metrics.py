@@ -101,19 +101,49 @@ class Matching:
     cost: float
 
 
+# Sinkhorn scalings behind emd_exact's column prices, and the kernel's
+# temperature as a fraction of the distance matrix's span: the kernel's
+# smallest entry is exp(-200) at any input scale, so nothing underflows
+_PRICE_SCALINGS = 30
+_PRICE_SPAN_FRACTION = 1.0 / 200.0
+
+
+def _column_prices(d):
+    """Column prices g = eps * log v from _PRICE_SCALINGS Sinkhorn scalings
+    (Cuturi, NeurIPS 2013) of the kernel k = exp(-(d - d.min()) / eps),
+    eps = _PRICE_SPAN_FRACTION * (d.max() - d.min()), with unit marginals.
+    Zero prices when the span is 0: every bijection is then optimal.
+    The kernel is one n x n buffer, built in place."""
+    lo, span = d.min(), d.max() - d.min()
+    if span == 0.0:
+        return np.zeros(d.shape[1])
+    eps = _PRICE_SPAN_FRACTION * span
+    k = np.subtract(d, lo)
+    k *= -1.0 / eps
+    np.exp(k, out=k)
+    v = np.ones(d.shape[1])
+    for _ in range(_PRICE_SCALINGS):
+        u = 1.0 / (k @ v)
+        v = 1.0 / (u @ k)
+    return eps * np.log(v)
+
+
 def emd_exact(a, b):
     """Minimum-cost bijection under L2 costs via the assignment algorithm
     (scipy's modified Jonker-Volgenant). Globally optimal. Inputs are
     canonicalized by lexicographic sort, so permuting either input's
     point order cannot change the cost, bit for bit.
 
-    The solver sees column-reduced costs: each column's minimum is
-    subtracted first (the column reduction of Jonker and Volgenant,
-    Computing 1987), which leaves an exact zero in every column and
-    gives the solver feasible starting duals. Every bijection uses each
-    column once, so its cost drops by the same constant and the set of
-    optimal matchings is unchanged; the only difference is one rounding
-    per entry. The cost is summed from the unreduced distances."""
+    The solver sees priced, row-reduced costs: d - g, with g the column
+    prices of a few Sinkhorn scalings (_column_prices), and then each
+    row's minimum subtracted, which leaves an exact zero in every row and
+    no negative entry. Near-optimal prices are near-optimal duals, so the
+    solver's augmenting paths stay short. Every bijection uses each row
+    and each column once, so its cost shifts by the same constant and the
+    set of optimal matchings is unchanged (the reduced-cost argument of
+    Jonker and Volgenant, Computing 1987); the only difference is the
+    rounding of each entry. The cost is summed from the unreduced
+    distances."""
     a, b = _check_pair(a, b)
     n = len(a)
     if n != len(b):
@@ -121,7 +151,9 @@ def emd_exact(a, b):
     ia = np.lexsort((a[:, 2], a[:, 1], a[:, 0]))
     ib = np.lexsort((b[:, 2], b[:, 1], b[:, 0]))
     d = pairwise_distances(a[ia], b[ib])
-    assign = linear_sum_assignment(d - d.min(axis=0))[1]
+    c = np.subtract(d, _column_prices(d))
+    c -= c.min(axis=1, keepdims=True)
+    assign = linear_sum_assignment(c)[1]
     permutation = np.empty(n, dtype=np.intp)
     permutation[ia] = ib[assign]
     return Matching(permutation, float(d[np.arange(n), assign].sum()))
