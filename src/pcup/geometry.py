@@ -199,23 +199,33 @@ def farthest_point_sampling(points, k, seed_index=0):
     index. Returns the k selected indices in pick order. `seed_index`
     may also be a sequence of starts: the result is then a (starts, k)
     array whose row i holds, bit for bit, the picks of a call with
-    seed_index[i].
+    seed_index[i]. `points` may also be a (P, n, 3) stack of clouds with
+    one start: the result is then a (P, k) array whose row p holds, bit
+    for bit, the picks of a call on points[p].
 
     Distances are those of `np.linalg.norm`, sqrt((dx² + dy²) + dz²) in
     that order, computed bit for bit the same but on contiguous columns.
-    Below _FPS_PRUNE_MIN points all starts run in one loop over a
-    (starts, n) block, and every pick updates every point's min-distance
-    in preallocated buffers. From that size on, each start runs on its
-    own, and a pick updates only the points a kd-tree finds within its
-    padded reach, its own min-distance: that is the largest min-distance
-    left, so a point farther away keeps its min-distance under the dense
-    update too. Min-distances, picks and ties are the same on both paths.
+    Below _FPS_PRUNE_MIN points all starts, or all clouds of a stack, run
+    in one loop over a (rows, n) block, and every pick updates every
+    point's min-distance in preallocated buffers. From that size on, each
+    start or cloud runs on its own, and a pick updates only the points a
+    kd-tree finds within its padded reach, its own min-distance: that is
+    the largest min-distance left, so a point farther away keeps its
+    min-distance under the dense update too. Min-distances, picks and
+    ties are the same on both paths.
     """
-    pts = as_points(points)
-    n = len(pts)
+    pts = np.asarray(points, dtype=np.float64)
+    if pts.ndim not in (2, 3) or pts.shape[-1] != 3:
+        raise ValueError("points: expected an (n, 3) cloud or a (P, n, 3) stack, "
+                         f"got shape {pts.shape}")
+    as_points(pts.reshape(-1, 3))  # raises on non-finite coordinates
+    stack = pts.ndim == 3
+    n = pts.shape[-2]
     if not 1 <= k <= n:
         raise ValueError(f"k={k} out of range for {n} points")
     starts = np.asarray(seed_index, dtype=np.intp)
+    if stack and starts.ndim:
+        raise ValueError(f"a stack of clouds takes one seed_index, got shape {starts.shape}")
     if starts.ndim > 1:
         raise ValueError(f"seed_index must be one index or a sequence, got shape {starts.shape}")
     for s in starts.reshape(-1).tolist():
@@ -223,6 +233,9 @@ def farthest_point_sampling(points, k, seed_index=0):
             raise ValueError(f"seed_index={s} out of range for {n} points")
     if n < _FPS_PRUNE_MIN:
         return _fps(pts, k, starts, None)
+    if stack:
+        return np.array([_fps(cloud, k, starts, cKDTree(cloud)) for cloud in pts],
+                        np.intp).reshape(-1, k)
     tree = cKDTree(pts)
     if starts.ndim:
         return np.array([_fps(pts, k, s, tree) for s in starts], np.intp).reshape(-1, k)
@@ -230,21 +243,28 @@ def farthest_point_sampling(points, k, seed_index=0):
 
 
 def _fps(pts, k, starts, tree):
-    """farthest_point_sampling's loop. `starts` is one start or, with no
-    `tree`, a row of them; with a kd-tree over `pts`, picks after the
-    seed's update only the points within their reach."""
-    n = len(pts)
-    x, y, z = (np.ascontiguousarray(pts[:, j]) for j in range(3))
-    mindist = np.full(starts.shape + (n,), np.inf)
+    """farthest_point_sampling's loop over one (n, 3) cloud or, with no
+    `tree`, a (P, n, 3) stack. `starts` is one start or, for one cloud
+    with no `tree`, a row of them; with a kd-tree over the cloud, picks
+    after the seed's update only the points within their reach."""
+    n = pts.shape[-2]
+    x, y, z = (np.ascontiguousarray(pts[..., j]) for j in range(3))
+    rows = pts.shape[:-2] or starts.shape
+    mindist = np.full(rows + (n,), np.inf)
     flat = mindist.reshape(-1)
-    row_base = (np.arange(starts.size) * n).reshape(starts.shape)[()]
+    row_base = (np.arange(mindist.size // n) * n).reshape(rows)[()]
+    coord_base = row_base if pts.ndim == 3 else 0  # a stack: each row its own cloud
     dist = np.empty_like(mindist)
     term = np.empty_like(mindist)
-    picks = np.empty((k,) + starts.shape, dtype=np.intp)
-    picks[0] = nxt = starts[()]  # a scalar for one start: scalar arithmetic below
+    picks = np.empty((k,) + rows, dtype=np.intp)
+    picks[0] = nxt = np.broadcast_to(starts, rows)[()]  # one start: scalar arithmetic below
     for i in range(1, k):
         if tree is None or i == 1:  # the seed's reach is infinite: every point
-            cx, cy, cz = pts[nxt].T[..., None] if starts.ndim else pts[nxt]
+            if rows:
+                at = coord_base + nxt
+                cx, cy, cz = (c.reshape(-1)[at, None] for c in (x, y, z))
+            else:
+                cx, cy, cz = pts[nxt]
             np.subtract(x, cx, out=dist)
             np.multiply(dist, dist, out=dist)
             np.subtract(y, cy, out=term)

@@ -206,14 +206,9 @@ def up_down_up(params, cfg, x, rho):
     return ad.add(f_up, delta_up)
 
 
-def generate_node(params, cfg, points):
-    """Full generator forward pass.
-
-    Returns (output, raw, selected): `raw` is the (expansion_rate * N, 3)
-    regressed cloud, `selected` the farthest-point-sampled row indices,
-    and `output` the (rate * N, 3) node holding raw's selected rows. The
-    selection is recomputed from values on every call and treated as a
-    constant by the backward pass."""
+def _regress(params, cfg, points):
+    """The generator up to its coordinate regressor: the (expansion_rate *
+    N, 3) node of the over-generated cloud, before any trim."""
     pts = as_points(points)
     if len(pts) != cfg.n_input:
         raise ValueError(f"generator expects {cfg.n_input} input points, got {len(pts)}")
@@ -222,7 +217,18 @@ def generate_node(params, cfg, points):
     h = _apply_linear(params, "reduce.l1", h)
     h = up_down_up(params, cfg, h, cfg.expansion_rate)
     h = _apply_linear(params, "regress.l0", h)
-    raw = _apply_linear(params, "regress.l1", h, activation=False)
+    return _apply_linear(params, "regress.l1", h, activation=False)
+
+
+def generate_node(params, cfg, points):
+    """Full generator forward pass.
+
+    Returns (output, raw, selected): `raw` is the (expansion_rate * N, 3)
+    regressed cloud, `selected` the farthest-point-sampled row indices,
+    and `output` the (rate * N, 3) node holding raw's selected rows. The
+    selection is recomputed from values on every call and treated as a
+    constant by the backward pass."""
+    raw = _regress(params, cfg, points)
     if cfg.use_fps_trim:
         selected = farthest_point_sampling(raw.value, cfg.n_output, FPS_SEED)
         return ad.gather_rows(raw, selected), raw, selected
@@ -231,9 +237,21 @@ def generate_node(params, cfg, points):
 
 def generate(params, cfg, points):
     """The output coordinates of generate_node as an array, computed under
-    autodiff.no_grad, so no graph is kept for a backward pass."""
+    autodiff.no_grad, so no graph is kept for a backward pass.
+
+    `points` may also be a (P, N, 3) stack of patches: the network then
+    runs on each patch, and one farthest_point_sampling call over the
+    stack trims every raw output, so the (P, rate * N, 3) result holds,
+    bit for bit, each patch's output of a call on it alone."""
+    pts = np.asarray(points, dtype=np.float64)
     with ad.no_grad():
-        return generate_node(params, cfg, points)[0].value
+        if pts.ndim != 3:
+            return generate_node(params, cfg, pts)[0].value
+        raw = np.stack([_regress(params, cfg, patch).value for patch in pts])
+    if not cfg.use_fps_trim:
+        return raw
+    selected = farthest_point_sampling(raw, cfg.n_output, FPS_SEED)
+    return np.take_along_axis(raw, selected[:, :, None], axis=1)
 
 
 def discriminate_node(params, cfg, q):

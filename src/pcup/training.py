@@ -618,11 +618,13 @@ def upsample_cloud(points, params, gen_cfg, overlap_factor=3, generator_fn=None)
     """Patch-based upsampling of a whole cloud to rate * len(points).
 
     Farthest-point seeds cover the cloud with overlap_factor redundancy
-    (at least 1); each seed's N nearest input points form a patch that
-    is normalized, upsampled, and mapped back; the union is trimmed to
-    exactly rate * len(points) by farthest point sampling. `generator_fn`
-    maps (params, gen_cfg, patch) -> array and defaults to the real
-    network.
+    (at least 1); each seed's N nearest input points form a patch. A
+    cloud smaller than N is one patch, padded by cycling its own points.
+    Every patch is normalized, the generator upsamples the stack of them
+    in one call, each output is mapped back, and the union is trimmed to
+    exactly rate * len(points) by farthest point sampling.
+    `generator_fn` maps (params, gen_cfg, (P, N, 3) stack) -> (P, rate *
+    N, 3) stack and defaults to the real network.
     """
     pts = as_points(points)
     n = len(pts)
@@ -633,21 +635,15 @@ def upsample_cloud(points, params, gen_cfg, overlap_factor=3, generator_fn=None)
     if generator_fn is None:
         generator_fn = generate
     n_in = gen_cfg.n_input
-    target_count = gen_cfg.rate * n
     if n < n_in:
-        # degenerate path: pad to one full patch by cycling the input's
-        # own points, then trim
-        normed, centroid, scale = normalize_unit_sphere(pts[np.arange(n_in) % n])
-        up = denormalize(generator_fn(params, gen_cfg, normed), centroid, scale)
-        keep = farthest_point_sampling(up, target_count, 0)
-        return up[keep]
-    seed_count = max(1, min(n, math.ceil(overlap_factor * n / n_in)))
-    seeds = farthest_point_sampling(pts, seed_count, 0)
-    pieces = []
-    for patch in pts[SpatialIndex(pts).knn(pts[seeds], n_in)[0]]:
-        normed, centroid, scale = normalize_unit_sphere(patch)
-        up = generator_fn(params, gen_cfg, normed)
-        pieces.append(denormalize(up, centroid, scale))
-    union = np.vstack(pieces)
-    keep = farthest_point_sampling(union, target_count, 0)
+        patches = pts[np.arange(n_in) % n][None]
+    else:
+        seed_count = max(1, min(n, math.ceil(overlap_factor * n / n_in)))
+        seeds = farthest_point_sampling(pts, seed_count, 0)
+        patches = pts[SpatialIndex(pts).knn(pts[seeds], n_in)[0]]
+    frames = [normalize_unit_sphere(patch) for patch in patches]
+    up = generator_fn(params, gen_cfg, np.stack([normed for normed, _, _ in frames]))
+    union = np.vstack([denormalize(u, centroid, scale)
+                       for u, (_, centroid, scale) in zip(up, frames)])
+    keep = farthest_point_sampling(union, gen_cfg.rate * n, 0)
     return union[keep]

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 
 import helpers
-from pcup import geometry
+from pcup import autodiff, geometry
 from pcup.geometry import (
     SpatialIndex,
     as_points,
@@ -371,6 +371,64 @@ class TestFarthestPointSampling:
         assert farthest_point_sampling(pts, 4, []).shape == (0, 4)
         with pytest.raises(ValueError, match="seed_index=30 out of range"):
             farthest_point_sampling(pts, 4, [0, 30])
+
+    @staticmethod
+    def _collapsed_stack(n):
+        """Four clouds of n points, each the collapsed output of untrained
+        generators (1024 points apiece) stacked end to end."""
+        outputs = [helpers.collapsed_generator_output(256, seed) for seed in range(5)]
+        return np.stack([np.vstack(outputs[i:] + outputs[:i])[:n] for i in range(4)])
+
+    @pytest.mark.parametrize("kind", ["lattice", "near_ties", "collapsed"])
+    @pytest.mark.parametrize("offset", [-4, 4])
+    def test_stack_rows_match_single_cloud_calls(self, rng, monkeypatch, kind, offset):
+        # one loop over a (clouds, n) block below the pruning size, one
+        # pruned run per cloud from it on
+        n = geometry._FPS_PRUNE_MIN + offset
+        if kind == "collapsed":
+            stack, k = self._collapsed_stack(n), n // 3
+        else:
+            pts, k = self._pruning_input(rng, kind, n)
+            # the cloud itself, a shuffled copy, a shifted copy, and another draw
+            stack = np.stack([pts, pts[rng.permutation(n)], pts + 0.25,
+                              self._pruning_input(rng, kind, n)[0]])
+        trees = []
+        monkeypatch.setattr(geometry, "cKDTree", lambda p: trees.append(p) or cKDTree(p))
+        got = farthest_point_sampling(stack, k, 5)
+        assert len(trees) == (len(stack) if n >= geometry._FPS_PRUNE_MIN else 0)
+        assert got.shape == (len(stack), k)
+        for row, cloud in zip(got, stack):
+            assert np.array_equal(row, farthest_point_sampling(cloud, k, 5))
+
+    def test_stack_of_generator_trims_matches_single_cloud_calls(self):
+        # the trims of an untrained N=64 generator's raw outputs: 384 -> 256
+        from pcup import networks
+
+        cfg = networks.GeneratorConfig(n_input=64)
+        params = networks.init_generator(cfg, 0)
+        rng = np.random.default_rng(3)
+        with autodiff.no_grad():
+            raw = np.stack([networks.generate_node(params, cfg, rng.normal(size=(64, 3)))[1].value
+                            for _ in range(6)])
+        got = farthest_point_sampling(raw, cfg.n_output, 0)
+        for row, cloud in zip(got, raw):
+            assert np.array_equal(row, farthest_point_sampling(cloud, cfg.n_output, 0))
+            assert np.array_equal(row, helpers.brute_fps(cloud, cfg.n_output, 0))
+
+    def test_stack_errors_name_the_problem(self, rng):
+        stack = rng.normal(size=(3, 20, 3))
+        with pytest.raises(ValueError, match="stack of clouds takes one seed_index"):
+            farthest_point_sampling(stack, 4, [0, 1])
+        for shape in [(3, 20, 2), (2, 3, 20, 3), (20,)]:
+            with pytest.raises(ValueError, match=r"\(n, 3\) cloud or a \(P, n, 3\) stack"):
+                farthest_point_sampling(np.zeros(shape), 4, 0)
+        with pytest.raises(ValueError, match="k=21 out of range for 20 points"):
+            farthest_point_sampling(stack, 21, 0)
+        with pytest.raises(ValueError, match="seed_index=20 out of range for 20 points"):
+            farthest_point_sampling(stack, 4, 20)
+        stack[2, 7, 1] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            farthest_point_sampling(stack, 4, 0)
 
     def test_pruned_trim_cost_bound(self, rng):
         # 24 576 -> 8192 is upsample's trim at the paper's sizes; it took

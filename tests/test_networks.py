@@ -176,6 +176,12 @@ class TestGenerator:
         pts = _cloud(cfg.n_input)
         out = nw.generate(params, cfg, pts)
         assert out.tobytes() == nw.generate_node(params, cfg, pts)[0].value.tobytes()
+        # a stack of patches: one trim over all raw outputs, each row the
+        # bytes of its own generate_node
+        stack = np.stack([pts, _cloud(cfg.n_input, 1), _cloud(cfg.n_input, 2)])
+        rows = nw.generate(params, cfg, stack)
+        assert rows.tobytes() == np.stack(
+            [nw.generate_node(params, cfg, p)[0].value for p in stack]).tobytes()
 
     def test_generate_at_paper_size_keeps_no_graph(self):
         # the graph of one N=256 patch, with its two 1536 x 1536 attention

@@ -15,9 +15,15 @@ import helpers
 from pcup import autodiff as ad
 from pcup import losses as lo
 from pcup import training as tr
-from pcup.geometry import farthest_point_sampling, pairwise_distances, read_xyz
+from pcup.geometry import (
+    denormalize,
+    farthest_point_sampling,
+    normalize_unit_sphere,
+    pairwise_distances,
+    read_xyz,
+)
 from pcup.mesh import TriangleMesh
-from pcup.networks import init_generator
+from pcup.networks import generate, init_generator
 
 
 TINY = dict(
@@ -574,8 +580,8 @@ class TestTrainLoop:
 
 
 class TestUpsampleCloud:
-    def _stub(self, params, cfg, patch):
-        return np.tile(patch, (cfg.rate, 1))
+    def _stub(self, params, cfg, patches):
+        return np.tile(patches, (1, cfg.rate, 1))
 
     def test_stub_output_is_subset_of_input(self, rng):
         cfg = tr.TrainConfig(**TINY).generator_config()
@@ -601,6 +607,34 @@ class TestUpsampleCloud:
         assert up.shape == (cfg.rate * 10, 3)
         assert pairwise_distances(up, pts).min(axis=1).max() < 1e-9
 
+    @staticmethod
+    def _single_patch_reference(pts, params, cfg):
+        """upsample_cloud from one 2D generate call per patch: each
+        normalized patch upsampled on its own, denormalized, and the
+        union trimmed."""
+        n, n_in = len(pts), cfg.n_input
+        if n < n_in:
+            patches = [pts[np.arange(n_in) % n]]
+        else:
+            seeds = farthest_point_sampling(pts, math.ceil(3 * n / n_in), 0)
+            patches = [pts[helpers.brute_knn(pts, pts[s], n_in)] for s in seeds]
+        pieces = []
+        for patch in patches:
+            normed, centroid, scale = normalize_unit_sphere(patch)
+            pieces.append(denormalize(generate(params, cfg, normed), centroid, scale))
+        union = np.vstack(pieces)
+        return union[farthest_point_sampling(union, cfg.rate * n, 0)]
+
+    @pytest.mark.parametrize("ablate_fps", [False, True])
+    @pytest.mark.parametrize("n", [40, 10])  # 10 < n_input: one padded patch
+    def test_matches_single_patch_reference_bytes(self, rng, ablate_fps, n):
+        cfg = tr.TrainConfig(**TINY, ablate_fps=ablate_fps).generator_config()
+        params = init_generator(cfg, 1)
+        pts = rng.normal(size=(n, 3))
+        got = tr.upsample_cloud(pts, params, cfg)
+        assert got.shape == (cfg.rate * n, 3)
+        assert got.tobytes() == self._single_patch_reference(pts, params, cfg).tobytes()
+
     def test_trained_network_path(self, tiny_pairs, tmp_path, rng):
         pairs, cfg = tiny_pairs
         result = tr.train(pairs, cfg, tmp_path / "run")
@@ -614,9 +648,9 @@ class TestUpsampleCloud:
         pts = rng.normal(size=(200, 3))
         patches = []
 
-        def generator(params, gen_cfg, patch):
-            patches.append(patch)
-            return self._stub(params, gen_cfg, patch)
+        def generator(params, gen_cfg, stack):
+            patches.extend(stack)
+            return self._stub(params, gen_cfg, stack)
 
         calls = []
         knn = tr.SpatialIndex.knn
@@ -640,9 +674,9 @@ class TestUpsampleCloud:
         cfg = tr.TrainConfig(**TINY).generator_config()
         calls = []
 
-        def generator(params, gen_cfg, patch):
-            calls.append(patch)
-            return self._stub(params, gen_cfg, patch)
+        def generator(params, gen_cfg, stack):
+            calls.append(stack)
+            return self._stub(params, gen_cfg, stack)
 
         with pytest.raises(ValueError, match="overlap_factor must be at least 1"):
             tr.upsample_cloud(rng.normal(size=(50, 3)), None, cfg, overlap, generator)
