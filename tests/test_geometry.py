@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 
 import helpers
-from pcup import autodiff, geometry
+from pcup import geometry
 from pcup.geometry import (
     SpatialIndex,
     as_points,
@@ -399,21 +399,6 @@ class TestFarthestPointSampling:
         assert got.shape == (len(stack), k)
         for row, cloud in zip(got, stack):
             assert np.array_equal(row, farthest_point_sampling(cloud, k, 5))
-
-    def test_stack_of_generator_trims_matches_single_cloud_calls(self):
-        # the trims of an untrained N=64 generator's raw outputs: 384 -> 256
-        from pcup import networks
-
-        cfg = networks.GeneratorConfig(n_input=64)
-        params = networks.init_generator(cfg, 0)
-        rng = np.random.default_rng(3)
-        with autodiff.no_grad():
-            raw = np.stack([networks.generate_node(params, cfg, rng.normal(size=(64, 3)))[1].value
-                            for _ in range(6)])
-        got = farthest_point_sampling(raw, cfg.n_output, 0)
-        for row, cloud in zip(got, raw):
-            assert np.array_equal(row, farthest_point_sampling(cloud, cfg.n_output, 0))
-            assert np.array_equal(row, helpers.brute_fps(cloud, cfg.n_output, 0))
 
     def test_stack_errors_name_the_problem(self, rng):
         stack = rng.normal(size=(3, 20, 3))
