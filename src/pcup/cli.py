@@ -10,6 +10,7 @@ error (one line on stderr), 2 on usage errors. All randomness flows from
 """
 
 import argparse
+import glob
 import math
 import os
 import sys
@@ -171,6 +172,13 @@ def _open_fraction(text):
 
 
 def _cmd_prepare(args):
+    # read_archive loads every mesh directory of an archive, so preparing
+    # into an old one would mix its patches with the new ones
+    if os.path.isfile(os.path.join(args.out, "config.txt")) or glob.glob(
+        os.path.join(glob.escape(args.out), "*", "meta.json")
+    ):
+        raise ValueError(f"{args.out}: already holds a patch archive; "
+                         "prepare into a new or empty directory")
     if not os.path.isdir(args.meshes):
         raise ValueError(f"{args.meshes}: not a directory")
     names = sorted(

@@ -10,6 +10,7 @@ makes every query deterministic.
 
 import itertools
 import math
+import os
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -55,6 +56,28 @@ def pairwise_distances(a, b):
     return _row_norms(diff.reshape(-1, 3)).reshape(len(a), len(b))
 
 
+# batched kd-tree queries of at least this many points run on every CPU the
+# process may use, smaller ones on one thread: scipy answers each query
+# point on its own, with the same traversal of the same tree, at any worker
+# count, so only the time changes. k=16 queries over as many points on
+# 2 cores (numpy 2.4.6, scipy 1.17.1), one thread -> two: 256 points
+# 0.66-0.83 -> 0.97-1.04 ms, 1024 points 3.3-4.5 -> 4.1-4.9 ms, 2048 points
+# 8.6-9.4 -> 6.4-9.1 ms, 4096 points 14-20 -> 10-16 ms, 8192 points
+# 32-40 -> 17-23 ms; the 102 400-point pool graph of `prepare` at N=256
+# (k=10) 280-328 -> 152-190 ms
+_PARALLEL_MIN = 4096
+
+
+def _workers(m):
+    """Threads for a batched kd-tree query of m points: 1 below
+    _PARALLEL_MIN, from it on every CPU the process may run on."""
+    if m < _PARALLEL_MIN:
+        return 1
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _padded(radius):
     """A kd-tree search radius padded by a relative epsilon, so that
     rounding differences between the tree's distance arithmetic and
@@ -83,9 +106,11 @@ def padded_ball_runs(tree, queries, radius, chunk):
     query order.
     """
     radius = _padded(radius)
-    counts = tree.query_ball_point(queries, radius, return_length=True)
+    counts = tree.query_ball_point(queries, radius, return_length=True,
+                                   workers=_workers(len(queries)))
     for lo, hi in _runs(counts, chunk):
-        lists = tree.query_ball_point(queries[lo:hi], radius[lo:hi], return_sorted=True)
+        lists = tree.query_ball_point(queries[lo:hi], radius[lo:hi], return_sorted=True,
+                                      workers=_workers(hi - lo))
         cand = np.fromiter(itertools.chain.from_iterable(lists), np.intp, counts[lo:hi].sum())
         yield lo, hi, counts[lo:hi], cand
 
@@ -132,7 +157,8 @@ class SpatialIndex:
         n = len(self.points)
         if not 1 <= k <= n:
             raise ValueError(f"k={k} out of range for {n} indexed points")
-        tree_dist, nbr = self.tree.query(q, k=k + 1)  # past n: inf, index n
+        # past n: inf, index n
+        tree_dist, nbr = self.tree.query(q, k=k + 1, workers=_workers(len(q)))
         idx = nbr[:, :k]
         radius = tree_dist[:, k - 1]
         rows = np.flatnonzero(tree_dist[:, k] <= _padded(radius))

@@ -21,7 +21,14 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
 from scipy.spatial import cKDTree
 
-from .geometry import SpatialIndex, as_points, normalize_unit_sphere, padded_ball_runs, read_text
+from .geometry import (
+    SpatialIndex,
+    _workers,
+    as_points,
+    normalize_unit_sphere,
+    padded_ball_runs,
+    read_text,
+)
 
 __all__ = [
     "TriangleMesh",
@@ -107,7 +114,8 @@ class TriangleMesh:
             r_max = np.sqrt(((corners - centroids[:, None, :]) ** 2).sum(axis=2)).max()
             self._centroids = (cKDTree(centroids), float(r_max))
         tree, r_max = self._centroids
-        upper = point_triangle_distances(pts, corners[tree.query(pts)[1]])
+        nearest = tree.query(pts, workers=_workers(len(pts)))[1]
+        upper = point_triangle_distances(pts, corners[nearest])
         # the padding lets the tree's rounding only add candidates, so the
         # nearest centroid's triangle is always one of them
         out = np.empty(len(pts))
@@ -384,7 +392,7 @@ class PatchGrower:
         kk = min(k, n - 1)
         self.index = SpatialIndex(pool.positions)
         # self included at distance 0
-        dist, nbr = self.index.tree.query(pool.positions, kk + 1)
+        dist, nbr = self.index.tree.query(pool.positions, kk + 1, workers=_workers(n))
         knn = csr_matrix((dist.ravel(), nbr.ravel(), np.arange(0, n * (kk + 1) + 1, kk + 1)),
                          shape=(n, n))
         self._graph = _both_ways(knn)

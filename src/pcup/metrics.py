@@ -35,6 +35,7 @@ from .geometry import (
     SpatialIndex,
     _row_norms,
     _runs,
+    _workers,
     as_points,
     farthest_point_sampling,
     pairwise_distances,
@@ -81,7 +82,7 @@ def _check_pair(a, b):
 def _nearest_distances(src, dst):
     """Distance from every src point to its nearest dst point, recomputed
     in plain numpy after a kd-tree index lookup."""
-    idx = cKDTree(dst).query(src)[1]
+    idx = cKDTree(dst).query(src, workers=_workers(len(src)))[1]
     return np.linalg.norm(src - dst[idx], axis=1)
 
 
@@ -343,8 +344,8 @@ def uniformity_report_mesh(points, mesh, seed_count=1000, rng=0, pool_size=20000
     rng = np.random.default_rng(rng)
     pool = area_weighted_sample(mesh, pool_size, rng)
     grower = PatchGrower(pool)
-    attach = grower.index.tree.query(pts)[1]
     n = len(pts)
+    attach = grower.index.tree.query(pts, workers=_workers(n))[1]
     nearest = SpatialIndex(pts).nearest_others() if n >= 2 else None
     radii = {p: math.sqrt(p * mesh.total_area / math.pi) for p in P_VALUES}
     limit = max(radii.values()) * (1.0 + 1e-9)

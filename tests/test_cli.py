@@ -190,6 +190,51 @@ class TestPrepare:
         assert "tetra: 4 patches" in stdout
         assert (out / "tetra" / "patch_0003_gt.xyz").is_file()
 
+    def test_out_holding_an_archive_is_refused(self, capsys, tmp_path, mesh_dir):
+        # an icosphere archive at N=32, then a tetrahedron into the same
+        # --out at N=16: train would read both meshes' patches
+        ico, tetra = tmp_path / "ico", tmp_path / "tetra"
+        for d, name in ((ico, "icosphere.ply"), (tetra, "tetra.off")):
+            d.mkdir()
+            (d / name).write_bytes((mesh_dir / name).read_bytes())
+        out = tmp_path / "arch"
+        code, _, _ = run(capsys, "prepare", "--meshes", str(ico), "--out", str(out),
+                         *PREPARE_TINY, "--N", "32")
+        assert code == 0
+        before = {p: p.read_bytes() for p in out.rglob("*") if p.is_file()}
+        code, stdout, err = run(capsys, "prepare", "--meshes", str(tetra), "--out", str(out),
+                                *PREPARE_TINY)
+        assert code == 1
+        assert stdout == ""
+        assert err == f"error: {out}: already holds a patch archive; " \
+                      "prepare into a new or empty directory\n"
+        assert {p: p.read_bytes() for p in out.rglob("*") if p.is_file()} == before
+        cfg_path = tmp_path / "config.txt"
+        cfg_path.write_text(CONFIG_TINY.replace("n_input = 16", "n_input = 32"))
+        code, stdout, _ = run(capsys, "train", "--data", str(out), "--out", str(tmp_path / "run"),
+                              "--config", str(cfg_path))
+        assert code == 0
+        assert "trained 2 iterations on 4 patches" in stdout
+
+    @pytest.mark.parametrize("leftover", ["config.txt", "tetra/meta.json"])
+    def test_out_holding_part_of_an_archive_is_refused(self, capsys, tmp_path, leftover):
+        # refused before the (missing) mesh directory is even looked at
+        (tmp_path / leftover).parent.mkdir(exist_ok=True)
+        (tmp_path / leftover).write_text("")
+        code, _, err = run(capsys, "prepare", "--meshes", str(tmp_path / "nope"),
+                           "--out", str(tmp_path))
+        assert code == 1
+        assert err.startswith(f"error: {tmp_path}: already holds a patch archive")
+
+    def test_existing_empty_out_is_accepted(self, capsys, tmp_path, mesh_dir):
+        out = tmp_path / "arch"
+        out.mkdir()
+        code, stdout, _ = run(capsys, "prepare", "--meshes", str(mesh_dir), "--out", str(out),
+                              *PREPARE_TINY)
+        assert code == 0
+        assert "tetra: 4 patches" in stdout
+        assert (out / "config.txt").is_file()
+
     def test_rerun_is_byte_identical(self, capsys, tmp_path, mesh_dir):
         outs = []
         for sub in ("a", "b"):

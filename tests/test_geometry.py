@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 
 import helpers
-from pcup import geometry
+from pcup import geometry, metrics
 from pcup.geometry import (
     SpatialIndex,
     as_points,
@@ -23,6 +23,7 @@ from pcup.geometry import (
     read_xyz,
     write_xyz,
 )
+from pcup.mesh import PatchGrower, SurfaceSamples, area_weighted_sample
 
 
 class TestSpatialIndex:
@@ -252,6 +253,63 @@ class TestPaddedBallRuns:
             want.append((lo, hi))
             lo = hi
         assert list(geometry._runs(counts, chunk)) == want
+
+
+def _every_batched_query(points, mesh):
+    """The answers of each batched kd-tree query in the package on
+    `points`, as bytes: knn, balls, nearest_others, the PatchGrower
+    graph, distances_to_surface, chamfer and Hausdorff distances against
+    a shifted subset, and the geodesic uniformity report on `mesh`."""
+    index = SpatialIndex(points)
+    idx, dist = index.knn(points, 8)
+    runs = list(index.balls(points, dist[:, -1], 1 << 10))
+    graph = PatchGrower(SurfaceSamples(points, np.zeros(len(points)),
+                                       np.full((len(points), 3), 1 / 3)))._graph
+    other = points[::3] + 1e-3
+    report = metrics.uniformity_report_mesh(points, mesh, seed_count=20, pool_size=2000)
+    arrays = [idx, dist, index.nearest_others(), graph.data, graph.indices, graph.indptr,
+              mesh.distances_to_surface(points),
+              np.array([metrics.chamfer_distance(points, other),
+                        metrics.hausdorff_distance(points, other)]),
+              np.array(report.ordered_values())]
+    arrays += [a for _, _, sizes, members in runs for a in (sizes, members)]
+    return [a.tobytes() for a in arrays]
+
+
+class TestQueryWorkers:
+    @pytest.mark.parametrize("cpus", [1, 4])
+    def test_one_thread_below_the_gate_every_cpu_from_it(self, monkeypatch, cpus):
+        monkeypatch.setattr(geometry.os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                            raising=False)
+        least = geometry._PARALLEL_MIN
+        assert [geometry._workers(m) for m in (1, least - 1, least, 25 * least)] \
+            == [1, 1, cpus, cpus]
+
+    def test_cpu_count_where_affinity_is_unknown(self, monkeypatch):
+        monkeypatch.delattr(geometry.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(geometry.os, "cpu_count", lambda: 3)
+        least = geometry._PARALLEL_MIN
+        assert [geometry._workers(m) for m in (least - 1, least)] == [1, 3]
+
+    @pytest.mark.parametrize("cloud", ["lattice", "near_ties", "duplicates", "collapsed",
+                                       "icosphere_pool"])
+    def test_all_core_queries_give_the_same_bytes(self, monkeypatch, rng, icosphere_mesh,
+                                                  cloud):
+        points = {
+            "lattice": lambda: helpers.cubic_lattice(8, 0.25),
+            "near_ties": lambda: helpers.near_tie_cloud(rng),
+            "duplicates": lambda: helpers.with_duplicates(rng),
+            "collapsed": lambda: helpers.collapsed_generator_output(64),
+            "icosphere_pool": lambda: area_weighted_sample(icosphere_mesh, 20000, rng).positions,
+        }[cloud]()
+        monkeypatch.setattr(geometry, "_PARALLEL_MIN", 1 << 62)
+        one = _every_batched_query(points, icosphere_mesh)
+        # every query on four threads, whatever this machine has
+        monkeypatch.setattr(geometry, "_PARALLEL_MIN", 1)
+        monkeypatch.setattr(geometry.os, "sched_getaffinity", lambda pid: {0, 1, 2, 3},
+                            raising=False)
+        assert geometry._workers(1) == 4
+        assert _every_batched_query(points, icosphere_mesh) == one
 
 
 class TestFarthestPointSampling:
