@@ -10,7 +10,6 @@ error (one line on stderr), 2 on usage errors. All randomness flows from
 """
 
 import argparse
-import glob
 import math
 import os
 import sys
@@ -174,8 +173,9 @@ def _open_fraction(text):
 def _cmd_prepare(args):
     # read_archive loads every mesh directory of an archive, so preparing
     # into an old one would mix its patches with the new ones
-    if os.path.isfile(os.path.join(args.out, "config.txt")) or glob.glob(
-        os.path.join(glob.escape(args.out), "*", "meta.json")
+    if os.path.isdir(args.out) and any(
+        entry == "config.txt" or os.path.isfile(os.path.join(args.out, entry, "meta.json"))
+        for entry in os.listdir(args.out)
     ):
         raise ValueError(f"{args.out}: already holds a patch archive; "
                          "prepare into a new or empty directory")

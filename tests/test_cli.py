@@ -216,7 +216,8 @@ class TestPrepare:
         assert code == 0
         assert "trained 2 iterations on 4 patches" in stdout
 
-    @pytest.mark.parametrize("leftover", ["config.txt", "tetra/meta.json"])
+    # a mesh named .tetra.off gets the directory .tetra
+    @pytest.mark.parametrize("leftover", ["config.txt", "tetra/meta.json", ".tetra/meta.json"])
     def test_out_holding_part_of_an_archive_is_refused(self, capsys, tmp_path, leftover):
         # refused before the (missing) mesh directory is even looked at
         (tmp_path / leftover).parent.mkdir(exist_ok=True)
