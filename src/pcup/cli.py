@@ -213,6 +213,13 @@ def _cmd_prepare(args):
 
 
 def _cmd_train(args):
+    # an old run's checkpoints would sit beside the new run's, and the
+    # newest of them could be the old run's
+    if os.path.isdir(args.out) and any(
+        entry == "losses.csv" or entry.startswith("ckpt_") for entry in os.listdir(args.out)
+    ):
+        raise ValueError(f"{args.out}: already holds a training run; "
+                         "train into a new or empty directory")
     if not os.path.isdir(args.data):
         print(f"error: {args.data}: no such data directory", file=sys.stderr)
         return 2

@@ -43,8 +43,12 @@ def as_points(a, name="points"):
 
 
 def _row_norms(diff):
-    """Euclidean norm of each row of an (m, 3) array. Every exact distance
-    in the package is this one formula, so equal pairs give equal bits."""
+    """Euclidean norm of each row of an (m, 3) array. Every membership
+    and ranking test of the exact queries uses it (knn, balls, and the
+    crop membership and crop partners of metrics), so equal pairs compare
+    equal there. Other distances in the package (np.linalg.norm, FPS's
+    column arithmetic, autodiff.row_distances) can differ from it in the
+    last bit."""
     return np.sqrt(np.einsum("ij,ij->i", diff, diff))
 
 
@@ -211,9 +215,9 @@ class SpatialIndex:
         return np.where(idx[:, 0] == np.arange(n), idx[:, 1], idx[:, 0])
 
 
-# clouds of at least this many points take farthest_point_sampling's pruned
-# path: below it, a pick's ball query (about 10 µs) costs more than the
-# dense update it saves
+# single clouds of at least this many points take farthest_point_sampling's
+# pruned path: below it, a pick's ball query (about 10 µs) costs more than
+# the dense update it saves
 _FPS_PRUNE_MIN = 4096
 
 
@@ -222,72 +226,61 @@ def farthest_point_sampling(points, k, seed_index=0):
 
     The first pick is `seed_index`; every later pick maximizes the
     distance to the already-selected set, with ties broken by lower
-    index. Returns the k selected indices in pick order. `seed_index`
-    may also be a sequence of starts: the result is then a (starts, k)
-    array whose row i holds, bit for bit, the picks of a call with
-    seed_index[i]. `points` may also be a (P, n, 3) stack of clouds with
-    one start: the result is then a (P, k) array whose row p holds, bit
-    for bit, the picks of a call on points[p].
+    index. Returns the k selected indices in pick order. `points` may
+    also be a (P, n, 3) stack of clouds, with one start or a (P,) array
+    of starts: the result is then a (P, k) array whose row p holds, bit
+    for bit, the picks of a call on points[p] from its start. Several
+    starts on one cloud take np.broadcast_to(cloud, (starts, n, 3)).
 
     Distances are those of `np.linalg.norm`, sqrt((dx² + dy²) + dz²) in
     that order, computed bit for bit the same but on contiguous columns.
-    Below _FPS_PRUNE_MIN points all starts, or all clouds of a stack, run
-    in one loop over a (rows, n) block, and every pick updates every
-    point's min-distance in preallocated buffers. From that size on, each
-    start or cloud runs on its own, and a pick updates only the points a
-    kd-tree finds within its padded reach, its own min-distance: that is
-    the largest min-distance left, so a point farther away keeps its
-    min-distance under the dense update too. Min-distances, picks and
-    ties are the same on both paths.
+    A stack, or a cloud below _FPS_PRUNE_MIN points, runs one loop in
+    which every pick updates every point's min-distance in preallocated
+    (P, n) or (n,) buffers. From that size on, a single cloud's pick
+    updates only the points a kd-tree finds within its padded reach, its
+    own min-distance: that is the largest min-distance left, so a point
+    farther away keeps its min-distance under the dense update too.
+    Min-distances, picks and ties are the same on both paths.
     """
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim not in (2, 3) or pts.shape[-1] != 3:
         raise ValueError("points: expected an (n, 3) cloud or a (P, n, 3) stack, "
                          f"got shape {pts.shape}")
     as_points(pts.reshape(-1, 3))  # raises on non-finite coordinates
-    stack = pts.ndim == 3
     n = pts.shape[-2]
     if not 1 <= k <= n:
         raise ValueError(f"k={k} out of range for {n} points")
     starts = np.asarray(seed_index, dtype=np.intp)
-    if stack and starts.ndim:
-        raise ValueError(f"a stack of clouds takes one seed_index, got shape {starts.shape}")
-    if starts.ndim > 1:
-        raise ValueError(f"seed_index must be one index or a sequence, got shape {starts.shape}")
+    if starts.ndim and starts.shape != pts.shape[:-2]:
+        raise ValueError("seed_index: expected one index, or shape (P,) for a (P, n, 3) "
+                         f"stack; got shape {starts.shape} for points of shape {pts.shape}")
     for s in starts.reshape(-1).tolist():
         if not 0 <= s < n:
             raise ValueError(f"seed_index={s} out of range for {n} points")
-    if n < _FPS_PRUNE_MIN:
+    if pts.ndim == 3 or n < _FPS_PRUNE_MIN:
         return _fps(pts, k, starts, None)
-    if stack:
-        return np.array([_fps(cloud, k, starts, cKDTree(cloud)) for cloud in pts],
-                        np.intp).reshape(-1, k)
-    tree = cKDTree(pts)
-    if starts.ndim:
-        return np.array([_fps(pts, k, s, tree) for s in starts], np.intp).reshape(-1, k)
-    return _fps(pts, k, starts, tree)
+    return _fps(pts, k, starts, cKDTree(pts))
 
 
 def _fps(pts, k, starts, tree):
     """farthest_point_sampling's loop over one (n, 3) cloud or, with no
-    `tree`, a (P, n, 3) stack. `starts` is one start or, for one cloud
-    with no `tree`, a row of them; with a kd-tree over the cloud, picks
-    after the seed's update only the points within their reach."""
+    `tree`, a (P, n, 3) stack, from `starts`, one start or one per cloud
+    of the stack. With a kd-tree over the cloud, picks after the seed's
+    update only the points within their reach."""
     n = pts.shape[-2]
     x, y, z = (np.ascontiguousarray(pts[..., j]) for j in range(3))
-    rows = pts.shape[:-2] or starts.shape
+    rows = pts.shape[:-2]
     mindist = np.full(rows + (n,), np.inf)
     flat = mindist.reshape(-1)
     row_base = (np.arange(mindist.size // n) * n).reshape(rows)[()]
-    coord_base = row_base if pts.ndim == 3 else 0  # a stack: each row its own cloud
     dist = np.empty_like(mindist)
     term = np.empty_like(mindist)
     picks = np.empty((k,) + rows, dtype=np.intp)
-    picks[0] = nxt = np.broadcast_to(starts, rows)[()]  # one start: scalar arithmetic below
+    picks[0] = nxt = np.broadcast_to(starts, rows)[()]  # one cloud: scalar arithmetic below
     for i in range(1, k):
         if tree is None or i == 1:  # the seed's reach is infinite: every point
             if rows:
-                at = coord_base + nxt
+                at = row_base + nxt
                 cx, cy, cz = (c.reshape(-1)[at, None] for c in (x, y, z))
             else:
                 cx, cy, cz = pts[nxt]

@@ -225,12 +225,13 @@ def uniformity_crops(index, draws, seed_count):
 
     `index` is a SpatialIndex over the cloud; `draws` holds (p, rng)
     pairs. Draw i picks m = min(seed_count, n) seeds by farthest point
-    sampling from the start np.random.default_rng(rng).integers(n), one
-    dense loop serving every draw; its crop j is the closed ball of
-    radius sqrt(p) around seed j. Membership comes from one
-    SpatialIndex.balls pass over all crop centres, each with its own
-    radius, in runs of about _CROP_PAIRS_PER_POINT * n candidates, so a
-    crop holds what SpatialIndex.ball_query returns, in its order.
+    sampling from the start np.random.default_rng(rng).integers(n), in
+    one dense loop over a read-only stack of the cloud, one row per draw;
+    its crop j is the closed ball of radius sqrt(p) around seed j.
+    Membership comes from one SpatialIndex.balls pass over all crop
+    centres, each with its own radius, in runs of about
+    _CROP_PAIRS_PER_POINT * n candidates, so a crop holds what
+    SpatialIndex.ball_query returns, in its order.
 
     Returns (sizes, members, partners): the (draws, m) member counts,
     sizes[i, j] that of draw i's crop j; the crops' members, one crop
@@ -251,7 +252,8 @@ def uniformity_crops(index, draws, seed_count):
         return (np.ones((len(draws), 1), np.intp), np.zeros(len(draws), np.intp),
                 np.full(len(draws), -1))
     m = min(seed_count, n)
-    centres = pts[farthest_point_sampling(pts, m, starts).reshape(-1)]
+    stack = np.broadcast_to(pts, (len(draws), n, 3))
+    centres = pts[farthest_point_sampling(stack, m, starts).reshape(-1)]
     radius = np.repeat(radii, m)
     nearest = index.nearest_others()
     sizes = np.zeros(len(centres), np.intp)

@@ -173,18 +173,6 @@ class TrainConfig:
         lr_decay_every iterations (1-based step), floored at LR_FLOOR."""
         return max(LR_FLOOR, base * LR_DECAY ** ((step - 1) // self.lr_decay_every))
 
-    @classmethod
-    def desk_profile(cls):
-        """Small CPU-friendly profile: tiny patches, short run."""
-        return cls(
-            n_input=64,
-            patches_per_mesh=10,
-            pool_size=30000,
-            batch_size=4,
-            iterations=500,
-            checkpoint_every=250,
-        )
-
     def to_text(self):
         lines = []
         for f in fields(self):

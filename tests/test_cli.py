@@ -324,6 +324,53 @@ class TestTrain:
         assert stdout == ""
         assert not out.exists()
 
+    def test_out_holding_a_run_is_refused(self, capsys, archive, tmp_path):
+        # 4 iterations, then 2 into the same --out: the new ckpt_000002
+        # would sit beside the old run's ckpt_000004
+        cfg_path = tmp_path / "config.txt"
+        cfg_path.write_text(CONFIG_TINY)
+        out = tmp_path / "run"
+        code, _, _ = run(capsys, "train", "--data", str(archive), "--out", str(out),
+                         "--config", str(cfg_path), "--iterations", "4")
+        assert code == 0
+        before = {p: p.read_bytes() for p in out.rglob("*") if p.is_file()}
+        code, stdout, err = run(capsys, "train", "--data", str(archive), "--out", str(out),
+                                "--config", str(cfg_path), "--iterations", "2", "--seed", "1")
+        assert code == 1
+        assert stdout == ""
+        assert err == f"error: {out}: already holds a training run; " \
+                      "train into a new or empty directory\n"
+        assert {p: p.read_bytes() for p in out.rglob("*") if p.is_file()} == before
+        assert sorted(p.name for p in out.iterdir()) == ["ckpt_000002", "ckpt_000004",
+                                                         "losses.csv"]
+
+    @pytest.mark.parametrize("leftover", ["losses.csv", "ckpt_000002/", "ckpt_partial"])
+    def test_out_holding_part_of_a_run_is_refused(self, capsys, tmp_path, leftover):
+        # refused before the (missing) archive is even looked at
+        out = tmp_path / "run"
+        out.mkdir()
+        if leftover.endswith("/"):
+            (out / leftover).mkdir()
+        else:
+            (out / leftover).write_text("")
+        code, stdout, err = run(capsys, "train", "--data", str(tmp_path / "nope"),
+                                "--out", str(out))
+        assert code == 1
+        assert stdout == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith(f"error: {out}: already holds a training run")
+
+    def test_existing_empty_out_is_accepted(self, capsys, archive, tmp_path):
+        cfg_path = tmp_path / "config.txt"
+        cfg_path.write_text(CONFIG_TINY)
+        out = tmp_path / "run"
+        out.mkdir()
+        code, stdout, _ = run(capsys, "train", "--data", str(archive), "--out", str(out),
+                              "--config", str(cfg_path))
+        assert code == 0
+        assert "trained 2 iterations" in stdout
+        assert (out / "ckpt_000002" / "generator.params").is_file()
+
     def test_run_outputs(self, run_dir, capsys):
         lines = (run_dir / "losses.csv").read_text().splitlines()
         assert len(lines) == 3  # header + 2 iterations

@@ -406,16 +406,16 @@ class TestFarthestPointSampling:
     @pytest.mark.parametrize("kind", ["clustered", "lattice", "near_ties", "duplicates"])
     @pytest.mark.parametrize("offset", [-4, 4])
     def test_several_starts_match_single_start_calls(self, rng, monkeypatch, kind, offset):
-        # one loop over a block of starts below the pruning size, one
-        # pruned run per start over a shared kd-tree from it on
+        # several starts on one cloud: a read-only broadcast stack of it,
+        # one start per row, in one dense loop at any size
         n = geometry._FPS_PRUNE_MIN + offset
         pts, _ = self._pruning_input(rng, kind, n)
         n = len(pts)
         starts = [0, 17, n // 2 + 1, n - 1, 17]
         trees = []
         monkeypatch.setattr(geometry, "cKDTree", lambda p: trees.append(p) or cKDTree(p))
-        got = farthest_point_sampling(pts, 40, starts)
-        assert len(trees) == (n >= geometry._FPS_PRUNE_MIN)
+        got = farthest_point_sampling(np.broadcast_to(pts, (5, n, 3)), 40, starts)
+        assert trees == []
         assert got.shape == (5, 40)
         for row, s in zip(got, starts):
             assert np.array_equal(row, farthest_point_sampling(pts, 40, s))
@@ -424,11 +424,11 @@ class TestFarthestPointSampling:
     def test_start_sequence_shapes_and_range(self, rng):
         pts = rng.normal(size=(30, 3))
         assert farthest_point_sampling(pts, 30, 5).shape == (30,)
-        assert np.array_equal(farthest_point_sampling(pts, 30, [5])[0],
+        assert np.array_equal(farthest_point_sampling(pts[None], 30, [5])[0],
                               farthest_point_sampling(pts, 30, 5))
-        assert farthest_point_sampling(pts, 4, []).shape == (0, 4)
+        assert farthest_point_sampling(np.zeros((0, 30, 3)), 4, []).shape == (0, 4)
         with pytest.raises(ValueError, match="seed_index=30 out of range"):
-            farthest_point_sampling(pts, 4, [0, 30])
+            farthest_point_sampling(np.broadcast_to(pts, (2, 30, 3)), 4, [0, 30])
 
     @staticmethod
     def _collapsed_stack(n):
@@ -440,8 +440,8 @@ class TestFarthestPointSampling:
     @pytest.mark.parametrize("kind", ["lattice", "near_ties", "collapsed"])
     @pytest.mark.parametrize("offset", [-4, 4])
     def test_stack_rows_match_single_cloud_calls(self, rng, monkeypatch, kind, offset):
-        # one loop over a (clouds, n) block below the pruning size, one
-        # pruned run per cloud from it on
+        # one loop over a (clouds, n) block at any size, with one start
+        # for every cloud or one start per cloud
         n = geometry._FPS_PRUNE_MIN + offset
         if kind == "collapsed":
             stack, k = self._collapsed_stack(n), n // 3
@@ -452,16 +452,24 @@ class TestFarthestPointSampling:
                               self._pruning_input(rng, kind, n)[0]])
         trees = []
         monkeypatch.setattr(geometry, "cKDTree", lambda p: trees.append(p) or cKDTree(p))
-        got = farthest_point_sampling(stack, k, 5)
-        assert len(trees) == (len(stack) if n >= geometry._FPS_PRUNE_MIN else 0)
-        assert got.shape == (len(stack), k)
-        for row, cloud in zip(got, stack):
+        starts = [5, 0, n - 1, n // 2]
+        got, each = (farthest_point_sampling(stack, k, s) for s in (5, starts))
+        assert trees == []
+        assert got.shape == each.shape == (len(stack), k)
+        for row, each_row, cloud, s in zip(got, each, stack, starts):
             assert np.array_equal(row, farthest_point_sampling(cloud, k, 5))
+            assert np.array_equal(each_row, farthest_point_sampling(cloud, k, s))
 
     def test_stack_errors_name_the_problem(self, rng):
         stack = rng.normal(size=(3, 20, 3))
-        with pytest.raises(ValueError, match="stack of clouds takes one seed_index"):
-            farthest_point_sampling(stack, 4, [0, 1])
+        # a wrong-shape seed_index, on a stack and on a cloud
+        for points, seeds in [(stack, [0, 1]), (stack, [[0, 1, 2]]), (stack[0], [0]),
+                              (stack[0], [[0]])]:
+            message = (r"seed_index: expected one index, or shape \(P,\) for a \(P, n, 3\) "
+                       + re.escape(f"stack; got shape {np.shape(seeds)} "
+                                   f"for points of shape {points.shape}"))
+            with pytest.raises(ValueError, match=message):
+                farthest_point_sampling(points, 4, seeds)
         for shape in [(3, 20, 2), (2, 3, 20, 3), (20,)]:
             with pytest.raises(ValueError, match=r"\(n, 3\) cloud or a \(P, n, 3\) stack"):
                 farthest_point_sampling(np.zeros(shape), 4, 0)

@@ -206,11 +206,6 @@ class TestConfig:
         assert cfg.uniform_seed_count == 50
         assert lo.W_GAN == 0.5 and lo.W_RECONSTRUCTION == 100.0 and lo.W_UNIFORM == 10.0
 
-    def test_desk_profile(self):
-        cfg = tr.TrainConfig.desk_profile()
-        assert cfg.n_input == 64 and cfg.rate == 4
-        assert cfg.patches_per_mesh == 10 and cfg.iterations == 500
-
     def test_schedule_decays_by_0_7_every_50k(self):
         cfg = tr.TrainConfig()
         assert cfg.learning_rate(1e-3, 1) == 1e-3
