@@ -334,12 +334,6 @@ class Params:
     def __getitem__(self, name):
         return self._nodes[name]
 
-    def __contains__(self, name):
-        return name in self._nodes
-
-    def __len__(self):
-        return len(self._nodes)
-
     def names(self):
         return list(self._nodes)
 

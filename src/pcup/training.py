@@ -52,6 +52,7 @@ __all__ = [
     "read_archive",
     "random_rotation",
     "augment_pair",
+    "learning_rate",
     "train",
     "upsample_cloud",
     "save_checkpoint",
@@ -60,12 +61,15 @@ __all__ = [
 ]
 
 
-# the paper's schedule and augmentation: the learning rates fall by LR_DECAY
-# every lr_decay_every iterations, to no less than LR_FLOOR; both clouds of a
-# pair are scaled by one uniform factor in [SCALE_LOW, SCALE_HIGH], and the
-# inputs jittered by Gaussian noise of JITTER_SIGMA, clipped at
-# JITTER_CLIP_SIGMAS sigmas
-LR_DECAY, LR_FLOOR = 0.7, 1e-6
+# the paper's schedule and augmentation: EPOCHS passes over the dataset
+# unless a run sets its iterations; the learning rates start at LR_G and
+# LR_D and fall by LR_DECAY every LR_DECAY_EVERY iterations, to no less than
+# LR_FLOOR; both clouds of a pair are rotated at random and scaled by one
+# uniform factor in [SCALE_LOW, SCALE_HIGH], and the inputs jittered by
+# Gaussian noise of JITTER_SIGMA, clipped at JITTER_CLIP_SIGMAS sigmas
+EPOCHS = 100
+LR_G, LR_D = 1e-3, 1e-4
+LR_DECAY, LR_DECAY_EVERY, LR_FLOOR = 0.7, 50000, 1e-6
 SCALE_LOW, SCALE_HIGH = 0.8, 1.2
 JITTER_SIGMA, JITTER_CLIP_SIGMAS = 0.01, 3.0
 
@@ -77,11 +81,13 @@ _RETIRED_KEYS = {
     "graph_k": inspect.signature(PatchGrower).parameters["k"].default,
     "grid_extent": GRID_EXTENT, "generator_fps_seed": FPS_SEED,
     "w_gan": lo.W_GAN, "w_reconstruction": lo.W_RECONSTRUCTION, "w_uniform": lo.W_UNIFORM,
-    "lr_decay": LR_DECAY, "lr_floor": LR_FLOOR,
+    "p_values": metrics.P_VALUES, "epochs": EPOCHS, "lr_g": LR_G, "lr_d": LR_D,
+    "lr_decay": LR_DECAY, "lr_decay_every": LR_DECAY_EVERY, "lr_floor": LR_FLOOR,
     **{f"adam_{name}": inspect.signature(ad.adam_step).parameters[name].default
        for name in ("beta1", "beta2", "eps")},
     "scale_low": SCALE_LOW, "scale_high": SCALE_HIGH,
     "jitter_sigma": JITTER_SIGMA, "jitter_clip_sigmas": JITTER_CLIP_SIGMAS,
+    **{f"augment_{name}": True for name in ("rotate", "scale", "jitter")},
 }
 
 
@@ -118,22 +124,13 @@ class TrainConfig:
     disc_head_hidden: int = 64
     # uniformity protocol
     uniform_seed_count: int = 50
-    p_values: tuple = metrics.P_VALUES
     # not a field: the matching is exact, so its tolerance is 0;
     # perfbench/oracles.py reads it
     emd_epsilon: ClassVar[float] = 0.0
     # optimization schedule
     batch_size: int = 28
-    epochs: int = 100
-    iterations: int = 0  # 0 = epochs * ceil(dataset / batch)
-    lr_g: float = 1e-3
-    lr_d: float = 1e-4
-    lr_decay_every: int = 50000
+    iterations: int = 0  # 0 = EPOCHS * ceil(dataset / batch)
     checkpoint_every: int = 5000
-    # augmentation
-    augment_rotate: bool = True
-    augment_scale: bool = True
-    augment_jitter: bool = True
     # ablation switches
     ablate_discriminator: bool = False
     ablate_uniform: bool = False
@@ -168,21 +165,11 @@ class TrainConfig:
             use_attention=not self.ablate_attention,
         )
 
-    def learning_rate(self, base, step):
-        """Step-decayed rate: multiply by LR_DECAY once per
-        lr_decay_every iterations (1-based step), floored at LR_FLOOR."""
-        return max(LR_FLOOR, base * LR_DECAY ** ((step - 1) // self.lr_decay_every))
-
     def to_text(self):
         lines = []
         for f in fields(self):
             v = getattr(self, f.name)
-            if isinstance(v, bool):
-                s = "true" if v else "false"
-            elif isinstance(v, tuple):
-                s = ",".join(repr(float(x)) for x in v)
-            else:
-                s = repr(v)
+            s = ("true" if v else "false") if isinstance(v, bool) else repr(v)
             lines.append(f"{f.name} = {s}")
         return "\n".join(lines) + "\n"
 
@@ -323,6 +310,23 @@ def prepare_archive(meshes, cfg, out_dir, log=_default_log):
     return pairs
 
 
+def _read_manifest(meta_path):
+    """(mesh id, [(index, centroid, scale)]) of one meta.json, with
+    errors that name the file."""
+    try:
+        with open(meta_path, "r", encoding="ascii") as fh:
+            manifest = json.load(fh)
+        records = [
+            (int(rec["index"]), np.array(rec["centroid"]), float(rec["scale"]))
+            for rec in manifest["patches"]
+        ]
+        return manifest["mesh"], records
+    except KeyError as exc:
+        raise ValueError(f"{meta_path}: manifest lacks key {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{meta_path}: malformed manifest: {exc}") from None
+
+
 def read_archive(data_dir):
     """Load (pairs, config) back from a prepare_archive directory."""
     cfg_path = os.path.join(data_dir, "config.txt")
@@ -335,20 +339,10 @@ def read_archive(data_dir):
         meta_path = os.path.join(mesh_dir, "meta.json")
         if not os.path.isfile(meta_path):
             continue
-        with open(meta_path, "r", encoding="ascii") as fh:
-            manifest = json.load(fh)
-        for rec in manifest["patches"]:
-            stem = f"patch_{rec['index']:04d}"
-            target = read_xyz(os.path.join(mesh_dir, stem + "_gt.xyz"))
-            pairs.append(
-                PatchPair(
-                    target,
-                    manifest["mesh"],
-                    np.array(rec["centroid"]),
-                    float(rec["scale"]),
-                    int(rec["index"]),
-                )
-            )
+        mesh_id, records = _read_manifest(meta_path)
+        for index, centroid, scale in records:
+            target = read_xyz(os.path.join(mesh_dir, f"patch_{index:04d}_gt.xyz"))
+            pairs.append(PatchPair(target, mesh_id, centroid, scale, index))
     if not pairs:
         raise ValueError(f"{data_dir}: archive holds no patches")
     return pairs, cfg
@@ -372,23 +366,24 @@ def random_rotation(rng):
     )
 
 
-def augment_pair(inputs, target, rng, cfg):
+def augment_pair(inputs, target, rng):
     """One shared random rotation and uniform scale applied to both
     clouds, plus clipped Gaussian jitter on the inputs only."""
-    p = as_points(inputs).copy()
-    q = as_points(target).copy()
-    if cfg.augment_rotate:
-        rot = random_rotation(rng)
-        p = p @ rot.T
-        q = q @ rot.T
-    if cfg.augment_scale:
-        s = rng.uniform(SCALE_LOW, SCALE_HIGH)
-        p *= s
-        q *= s
-    if cfg.augment_jitter:
-        bound = JITTER_CLIP_SIGMAS * JITTER_SIGMA
-        p += np.clip(rng.normal(0.0, JITTER_SIGMA, p.shape), -bound, bound)
+    rot = random_rotation(rng)
+    p = as_points(inputs) @ rot.T
+    q = as_points(target) @ rot.T
+    s = rng.uniform(SCALE_LOW, SCALE_HIGH)
+    p *= s
+    q *= s
+    bound = JITTER_CLIP_SIGMAS * JITTER_SIGMA
+    p += np.clip(rng.normal(0.0, JITTER_SIGMA, p.shape), -bound, bound)
     return p, q
+
+
+def learning_rate(base, step):
+    """Step-decayed rate: multiply by LR_DECAY once per LR_DECAY_EVERY
+    iterations (1-based step), floored at LR_FLOOR."""
+    return max(LR_FLOOR, base * LR_DECAY ** ((step - 1) // LR_DECAY_EVERY))
 
 
 # ---------------------------------------------------------------------------
@@ -474,20 +469,13 @@ def train(pairs, cfg, out_dir, log=_default_log):
     iteration, each with its own decayed learning rate."""
     if not pairs:
         raise ValueError("empty dataset")
-    for key in ("batch_size", "checkpoint_every", "lr_decay_every", "uniform_seed_count"):
+    for key in ("batch_size", "checkpoint_every", "uniform_seed_count"):
         if getattr(cfg, key) < 1:
             raise ValueError(f"{key} must be at least 1, got {getattr(cfg, key)}")
-    if not all(0.0 < p < 1.0 for p in cfg.p_values):
-        raise ValueError(f"p_values must all lie in (0, 1), got {tuple(cfg.p_values)}")
-    if not cfg.p_values and not cfg.ablate_uniform:
-        raise ValueError("p_values is empty, but the uniform loss is on")
     batch_size = min(cfg.batch_size, len(pairs))
-    iterations = cfg.iterations or cfg.epochs * math.ceil(len(pairs) / batch_size)
+    iterations = cfg.iterations or EPOCHS * math.ceil(len(pairs) / batch_size)
     if iterations < 1:
-        raise ValueError(
-            f"training needs at least 1 iteration, got {iterations} "
-            f"(iterations = {cfg.iterations}, epochs = {cfg.epochs})"
-        )
+        raise ValueError(f"training needs at least 1 iteration, got {iterations}")
     for pair in pairs:
         if len(pair.target) != cfg.n_target:
             raise ValueError(
@@ -511,7 +499,8 @@ def train(pairs, cfg, out_dir, log=_default_log):
         rec_node, _ = lo.reconstruction_loss(out_node, q)
         uni_node = None
         if not cfg.ablate_uniform:
-            uni_node = lo.uniform_loss(out_node, cfg.p_values, cfg.uniform_seed_count, uni_seed)
+            uni_node = lo.uniform_loss(out_node, metrics.P_VALUES, cfg.uniform_seed_count,
+                                       uni_seed)
         adv_node = None
         if dparams is not None:
             adv_node = lo.generator_adversarial_loss(
@@ -538,15 +527,15 @@ def train(pairs, cfg, out_dir, log=_default_log):
     with open(log_path, "w", encoding="ascii") as logfh:
         logfh.write(LOSS_LOG_HEADER + "\n")
         for step in range(1, iterations + 1):
-            lr_g = cfg.learning_rate(cfg.lr_g, step)
-            lr_d = cfg.learning_rate(cfg.lr_d, step)
+            lr_g = learning_rate(LR_G, step)
+            lr_d = learning_rate(LR_D, step)
             chosen = rng.choice(len(pairs), size=batch_size, replace=False)
             batch = []
             for j in chosen:
                 pair = pairs[j]
                 picks = rng.choice(len(pair.target), size=cfg.n_input, replace=False)
-                batch.append(augment_pair(pair.target[picks], pair.target, rng, cfg))
-            uni_seed = int(rng.integers(2**31 - len(cfg.p_values)))
+                batch.append(augment_pair(pair.target[picks], pair.target, rng))
+            uni_seed = int(rng.integers(2**31 - len(metrics.P_VALUES)))
 
             g_terms, adv_vals, rec_vals, uni_vals = zip(
                 *[generator_patch(p, q, uni_seed) for p, q in batch]

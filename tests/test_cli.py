@@ -1,6 +1,7 @@
 """End-to-end command-line behavior: exit codes, file outputs, and the
 prepare -> train -> upsample -> eval chain on a tiny workload."""
 
+import json
 import os
 import re
 import shutil
@@ -286,7 +287,7 @@ class TestTrain:
         assert stdout == ""
         assert not out.exists()
 
-    @pytest.mark.parametrize("key", ["checkpoint_every", "lr_decay_every", "uniform_seed_count"])
+    @pytest.mark.parametrize("key", ["checkpoint_every", "uniform_seed_count"])
     def test_config_zero_period_or_count_exits_1(self, capsys, archive, tmp_path, key):
         cfg_path = tmp_path / "config.txt"
         cfg_path.write_text(CONFIG_TINY + f"{key} = 0\n")
@@ -343,6 +344,33 @@ class TestTrain:
         assert {p: p.read_bytes() for p in out.rglob("*") if p.is_file()} == before
         assert sorted(p.name for p in out.iterdir()) == ["ckpt_000002", "ckpt_000004",
                                                          "losses.csv"]
+
+    @pytest.mark.parametrize("case, message", [
+        ("without patches", "manifest lacks key 'patches'"),
+        ("a list", "malformed manifest: list indices must be integers"),
+        ("without a centroid", "manifest lacks key 'centroid'"),
+    ])
+    def test_malformed_manifest_exits_1_naming_the_file(self, capsys, archive, tmp_path,
+                                                         case, message):
+        # each used to end `pcup train` in a KeyError or TypeError traceback
+        data = tmp_path / "archive"
+        shutil.copytree(archive, data)
+        meta = sorted(data.glob("*/meta.json"))[0]
+        manifest = json.loads(meta.read_text())
+        if case == "without patches":
+            del manifest["patches"]
+        elif case == "a list":
+            manifest = list(manifest)
+        else:
+            del manifest["patches"][0]["centroid"]
+        meta.write_text(json.dumps(manifest))
+        out = tmp_path / "run"
+        code, stdout, err = run(capsys, "train", "--data", str(data), "--out", str(out))
+        assert code == 1
+        assert len(err.splitlines()) == 1
+        assert err.startswith(f"error: {meta}: {message}")
+        assert stdout == ""
+        assert not out.exists()
 
     @pytest.mark.parametrize("leftover", ["losses.csv", "ckpt_000002/", "ckpt_partial"])
     def test_out_holding_part_of_a_run_is_refused(self, capsys, tmp_path, leftover):
@@ -446,7 +474,8 @@ class TestUpsample:
         assert err.startswith(f"error: {src}: ")
         assert not dst.exists()
 
-    @pytest.mark.parametrize("line", ["grid_extent = 0.3", "w_uniform = 1.0", "graph_k = 12"])
+    @pytest.mark.parametrize("line", ["grid_extent = 0.3", "w_uniform = 1.0", "graph_k = 12",
+                                      "lr_decay_every = 0", "p_values = 0.004"])
     def test_retired_key_at_another_value_exits_1(self, capsys, run_dir, tmp_path, rng, line):
         # a checkpoint trained with another value would run a different model
         ckpt = tmp_path / "ckpt"
