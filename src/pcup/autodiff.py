@@ -17,10 +17,10 @@ Inside `with no_grad():` a new Node keeps no parents and no push
 closure, so each intermediate array (and whatever an op's closure would
 have held, such as self_attention's (n, n) weights) is freed as soon as
 the next op has used it. The ops compute the same values either way;
-nothing built there can pass a gradient back. networks.generate and
-networks.discriminate, the helpers that return plain values, run their
-forward pass this way; generate_node and discriminate_node, which
-training differentiates, record as usual.
+nothing built there can pass a gradient back. networks.generate, the
+helper that returns plain values, runs its forward pass this way;
+generate_node and discriminate_node, which training differentiates,
+record as usual.
 """
 
 from contextlib import contextmanager
@@ -359,22 +359,26 @@ class Params:
             node.value = arr.copy()
 
 
-def adam_step(params, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+# Adam's standard moment decays and denominator offset
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+
+
+def adam_step(params, lr):
     """One bias-corrected Adam update over every parameter; missing
     gradients count as zero. Gradients are cleared afterwards."""
     params.step += 1
     t = params.step
-    c1 = 1.0 - beta1 ** t
-    c2 = 1.0 - beta2 ** t
+    c1 = 1.0 - ADAM_BETA1 ** t
+    c2 = 1.0 - ADAM_BETA2 ** t
     for name, node in params.items():
         g = node.grad if node.grad is not None else np.zeros_like(node.value)
         m = params._m[name]
         v = params._v[name]
-        m *= beta1
-        m += (1.0 - beta1) * g
-        v *= beta2
-        v += (1.0 - beta2) * (g * g)
-        node.value -= lr * (m / c1) / (np.sqrt(v / c2) + eps)
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * g
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * (g * g)
+        node.value -= lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
     params.zero_grad()
 
 

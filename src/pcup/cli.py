@@ -201,7 +201,7 @@ def _cmd_prepare(args):
         stem = os.path.splitext(fname)[0]
         try:
             mesh = load_mesh(os.path.join(args.meshes, fname))
-            pairs = prepare_archive([(stem, mesh)], cfg, args.out)
+            pairs = prepare_archive(stem, mesh, cfg, args.out)
             prepared += 1
             print(f"{stem}: {len(pairs)} patches")
         except (ValueError, OSError) as exc:
@@ -262,14 +262,14 @@ def _cmd_eval(args):
     cd = metrics.chamfer_distance(pred, gt)
     hd = metrics.hausdorff_distance(pred, gt)
     p2f_mean, p2f_max = metrics.point_to_surface_stats(pred, mesh)
-    report = metrics.uniformity_report_mesh(
+    uniformity = metrics.uniformity_report_mesh(
         pred, mesh,
         seed_count=args.subsets,
         rng=args.seed,
         pool_size=args.pool_size,
     )
-    metrics.write_report_csv(args.out, [(name, cd, hd, p2f_mean, report)])
-    uni = "  ".join(f"{v * 1e3:9.4f}" for v in report.ordered_values())
+    metrics.write_report_csv(args.out, [(name, cd, hd, p2f_mean, uniformity)])
+    uni = "  ".join(f"{v * 1e3:9.4f}" for v in uniformity)
     print("all values x 1e-3; uniformity at p = 0.4/0.6/0.8/1.0/1.2 %")
     print(f"{'name':<16} {'CD':>9} {'HD':>9} {'P2F':>9}  uniformity")
     print(

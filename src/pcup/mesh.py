@@ -46,10 +46,7 @@ _AREA_FLOOR = 1e-12  # minimum triangle area after unit-sphere normalization
 _ELIMINATION_POWER = 8  # exponent of the sample-elimination weight kernel
 _PAIR_CHUNK = 1 << 13  # (point, triangle) pairs per distance-kernel call
 _GROWTH_START = 1.5  # first Dijkstra limit of grow(), over the Euclidean bound
-
-
-def _as_rng(rng):
-    return np.random.default_rng(rng)
+GRAPH_K = 10  # neighbours per pool point in PatchGrower's graph
 
 
 class TriangleMesh:
@@ -296,7 +293,7 @@ def area_weighted_sample(mesh, n, rng):
     then uniform within the triangle."""
     if n < 1:
         raise ValueError(f"sample count must be >= 1, got {n}")
-    rng = _as_rng(rng)
+    rng = np.random.default_rng(rng)
     tri = rng.choice(len(mesh.triangles), size=n, p=mesh.areas / mesh.total_area)
     u = rng.random(n)
     v = rng.random(n)
@@ -328,7 +325,7 @@ def poisson_disk_sample(mesh, count, rng, pool=None, pool_factor=5, area=None):
     """
     if count < 1:
         raise ValueError(f"sample count must be >= 1, got {count}")
-    rng = _as_rng(rng)
+    rng = np.random.default_rng(rng)
     if pool is None:
         pool = area_weighted_sample(mesh, pool_factor * count, rng)
     if len(pool) < count:
@@ -384,7 +381,7 @@ class PatchGrower:
     growth. Build once per mesh, grow many patches. `index` is the
     pool's SpatialIndex, whose kd-tree built the graph."""
 
-    def __init__(self, pool, k=10):
+    def __init__(self, pool, k=GRAPH_K):
         self.pool = pool
         n = len(pool)
         if n < 2:

@@ -45,7 +45,6 @@ from .mesh import PatchGrower, area_weighted_sample
 __all__ = [
     "P_VALUES",
     "Matching",
-    "UniformityReport",
     "chamfer_distance",
     "hausdorff_distance",
     "emd_exact",
@@ -313,18 +312,6 @@ def uniformity_loss_value(points, p, seed_count, rng):
                      for m, nn, d_hat in subsets if nn is not None))
 
 
-@dataclass
-class UniformityReport:
-    """Uniformity values keyed by area fraction p, plus the seed count
-    used to compute them."""
-
-    values: dict
-    seed_count: int
-
-    def ordered_values(self):
-        return [self.values[p] for p in sorted(self.values)]
-
-
 # uniformity_report_mesh's graph distances are taken for this many seeds at a time
 _REPORT_SEED_CHUNK = 128
 
@@ -337,8 +324,8 @@ def uniformity_report_mesh(points, mesh, seed_count=1000, rng=0, pool_size=20000
     query points whose attachment lies within graph distance R_p of seed
     j, where pi * R_p^2 = p * total_area (the geodesic disk covering an
     area fraction p). The formula then matches uniformity_loss_value with
-    d_hat computed from R_p. One value for each p of P_VALUES, the columns
-    of REPORT_HEADER.
+    d_hat computed from R_p. Returns a tuple of one value for each p of
+    P_VALUES, in that order: the uniformity columns of REPORT_HEADER.
     """
     pts = as_points(points)
     if seed_count < 1:
@@ -375,7 +362,7 @@ def uniformity_report_mesh(points, mesh, seed_count=1000, rng=0, pool_size=20000
                 start, end = end, end + len(m)
                 d_hat = hexagonal_neighbor_spacing(r, len(m))
                 totals[p] += _crop_value(expected_ball_count(n, p), d_hat, gaps[start:end])
-    return UniformityReport(totals, len(seeds))
+    return tuple(totals[p] for p in P_VALUES)
 
 
 # ---------------------------------------------------------------------------
@@ -393,10 +380,11 @@ REPORT_HEADER = "name,cd,hd,p2f_mean,uni_p0.4pct,uni_p0.6pct,uni_p0.8pct,uni_p1.
 
 def write_report_csv(path, rows):
     """Write evaluation rows: each row is (name, cd, hd, p2f_mean,
-    UniformityReport). Values are written in full precision; presentation
-    scaling is left to callers."""
+    uniformity), with uniformity_report_mesh's tuple of values in P_VALUES
+    order. Values are written in full precision; presentation scaling is
+    left to callers."""
     with open(path, "w", encoding="ascii") as fh:
         fh.write(REPORT_HEADER + "\n")
-        for name, cd, hd, p2f_mean, report in rows:
-            uni = ",".join(repr(v) for v in report.ordered_values())
+        for name, cd, hd, p2f_mean, uniformity in rows:
+            uni = ",".join(repr(v) for v in uniformity)
             fh.write(f"{name},{cd!r},{hd!r},{p2f_mean!r},{uni}\n")

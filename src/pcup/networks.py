@@ -34,7 +34,6 @@ __all__ = [
     "generate_node",
     "generate",
     "discriminate_node",
-    "discriminate",
     "local_embedding",
 ]
 
@@ -154,12 +153,12 @@ def extract_features(params, cfg, points):
     return ad.concat_cols(*outs)
 
 
-def grid_codes(rho, extent, n_points):
+def grid_codes(rho, n_points):
     """(rho * n_points, 2) constant block of per-copy 2D codes: the first
-    rho cells of a ceil(sqrt(rho))-wide grid over [-extent, extent]^2 in
-    row-major order (u varies fastest)."""
+    rho cells of a ceil(sqrt(rho))-wide grid over [-GRID_EXTENT,
+    GRID_EXTENT]^2 in row-major order (u varies fastest)."""
     m = math.ceil(math.sqrt(rho))
-    ticks = np.linspace(-extent, extent, m)
+    ticks = np.linspace(-GRID_EXTENT, GRID_EXTENT, m)
     codes = np.array([(ticks[i % m], ticks[i // m]) for i in range(rho)])
     return np.repeat(codes, n_points, axis=0)
 
@@ -171,7 +170,7 @@ def up_feature(params, prefix, cfg, x, rho):
     if rho < 2:
         raise ValueError(f"expansion rate must be >= 2, got {rho}")
     n = x.shape[0]
-    h = ad.concat_cols(ad.tile_rows(x, rho), ad.constant(grid_codes(rho, GRID_EXTENT, n)))
+    h = ad.concat_cols(ad.tile_rows(x, rho), ad.constant(grid_codes(rho, n)))
     if cfg.use_attention:
         h = ad.self_attention(h, params, f"{prefix}.attn")
     h = _apply_linear(params, f"{prefix}.l0", h)
@@ -273,10 +272,3 @@ def discriminate_node(params, cfg, q):
     h = _apply_linear(params, "d.head.l0", ad.max_over_rows(h))
     h = _apply_linear(params, "d.head.l1", h, activation=False)
     return ad.sigmoid(h)
-
-
-def discriminate(params, cfg, q):
-    """The confidence of discriminate_node as a float, computed under
-    autodiff.no_grad."""
-    with ad.no_grad():
-        return float(discriminate_node(params, cfg, q).value[0, 0])

@@ -49,23 +49,26 @@ def random_disk(n, seed=0):
     return _embed(np.column_stack([radius * np.cos(angle), radius * np.sin(angle)]))
 
 
-def clustered_disk(n, seed=0, clusters=25, sigma=0.03):
-    """n points in tight Gaussian clumps around random disk centers —
-    deliberately non-uniform."""
+def clustered_disk(n, seed=0):
+    """n points in 25 tight Gaussian clumps (sigma 0.03) around random
+    disk centers — deliberately non-uniform."""
     if n < 1:
         raise ValueError("need at least one point")
     rng = np.random.default_rng(seed)
+    clusters = 25
     centers = random_disk(clusters, seed=seed + 1)[:, :2]
     owner = rng.integers(0, clusters, n)
-    xy = centers[owner] + rng.normal(0.0, sigma, (n, 2))
+    xy = centers[owner] + rng.normal(0.0, 0.03, (n, 2))
     norms = np.linalg.norm(xy, axis=1)
     outside = norms > 1.0
     xy[outside] /= norms[outside, None]
     return _embed(xy)
 
 
-def scatter_svg(path, points, size=480, margin=20, radius=2.0, color="#1f6f8b"):
-    """Write a standalone SVG scatter plot of the xy-projection."""
+def scatter_svg(path, points):
+    """Write a standalone 480-pixel SVG scatter plot of the
+    xy-projection."""
+    size, margin = 480, 20
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] < 2:
         raise ValueError("expected an (n, 2+) array of points")
@@ -82,7 +85,7 @@ def scatter_svg(path, points, size=480, margin=20, radius=2.0, color="#1f6f8b"):
     for x, y in xy:
         px = margin + (x - lo[0]) / span * usable
         py = size - margin - (y - lo[1]) / span * usable
-        parts.append(f'<circle cx="{px:.2f}" cy="{py:.2f}" r="{radius}" fill="{color}"/>')
+        parts.append(f'<circle cx="{px:.2f}" cy="{py:.2f}" r="2.0" fill="#1f6f8b"/>')
     parts.append("</svg>")
     with open(path, "w", encoding="ascii") as fh:
         fh.write("\n".join(parts) + "\n")

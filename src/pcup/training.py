@@ -6,7 +6,6 @@ Every random decision flows from one seeded generator, so a fixed
 TrainConfig reproduces byte-identical archives, logs, and checkpoints.
 """
 
-import inspect
 import json
 import math
 import os
@@ -30,7 +29,7 @@ from .geometry import (
     read_xyz,
     write_xyz,
 )
-from .mesh import PatchGrower, area_weighted_sample, poisson_disk_sample
+from .mesh import GRAPH_K, PatchGrower, area_weighted_sample, poisson_disk_sample
 from .networks import (
     FPS_SEED,
     GRID_EXTENT,
@@ -78,13 +77,12 @@ JITTER_SIGMA, JITTER_CLIP_SIGMAS = 0.01, 3.0
 # be another model or run, is rejected. emd_epsilon loads at any value
 _RETIRED_KEYS = {
     "emd_epsilon": None,
-    "graph_k": inspect.signature(PatchGrower).parameters["k"].default,
+    "graph_k": GRAPH_K,
     "grid_extent": GRID_EXTENT, "generator_fps_seed": FPS_SEED,
     "w_gan": lo.W_GAN, "w_reconstruction": lo.W_RECONSTRUCTION, "w_uniform": lo.W_UNIFORM,
     "p_values": metrics.P_VALUES, "epochs": EPOCHS, "lr_g": LR_G, "lr_d": LR_D,
     "lr_decay": LR_DECAY, "lr_decay_every": LR_DECAY_EVERY, "lr_floor": LR_FLOOR,
-    **{f"adam_{name}": inspect.signature(ad.adam_step).parameters[name].default
-       for name in ("beta1", "beta2", "eps")},
+    "adam_beta1": ad.ADAM_BETA1, "adam_beta2": ad.ADAM_BETA2, "adam_eps": ad.ADAM_EPS,
     "scale_low": SCALE_LOW, "scale_high": SCALE_HIGH,
     "jitter_sigma": JITTER_SIGMA, "jitter_clip_sigmas": JITTER_CLIP_SIGMAS,
     **{f"augment_{name}": True for name in ("rotate", "scale", "jitter")},
@@ -178,6 +176,7 @@ class TrainConfig:
         """Parse to_text's format; `source` names the text in errors."""
         known = {f.name: f.default for f in fields(cls)}
         values = {}
+        first_line = {}
         for lineno, raw in enumerate(text.splitlines(), start=1):
             line = raw.strip()
             if not line or line.startswith("#"):
@@ -186,6 +185,8 @@ class TrainConfig:
                 raise ValueError(f"{source} line {lineno}: expected 'key = value', got {raw!r}")
             key, val = (part.strip() for part in line.split("=", 1))
             where = f"{source} line {lineno}: {key}"
+            if key in first_line:
+                raise ValueError(f"{where} repeats the key of line {first_line[key]}")
             if key in _RETIRED_KEYS:
                 fixed = _RETIRED_KEYS[key]
                 if fixed is not None and _parse_value(where, val, fixed) != fixed:
@@ -194,6 +195,7 @@ class TrainConfig:
                 values[key] = _parse_value(where, val, known[key])
             else:
                 raise ValueError(f"{source} line {lineno}: unknown key {key!r}")
+            first_line[key] = lineno
         return cls(**values)
 
     @classmethod
@@ -219,20 +221,13 @@ def _default_log(message):
     print(message, file=sys.stderr)
 
 
-def build_dataset(meshes, cfg, rng=None, log=_default_log):
-    """Extract patches_per_mesh geodesic patches per (name, mesh) entry
-    and Poisson-disk sample a dense target from each.
+def build_dataset(name, mesh, cfg, rng=None, log=_default_log):
+    """Extract patches_per_mesh geodesic patches from the mesh and
+    Poisson-disk sample a dense target from each.
 
-    Individual patch failures are logged and skipped; a mesh yielding
-    fewer than min(10, patches_per_mesh) patches raises."""
+    Individual patch failures are logged and skipped; fewer than
+    min(10, patches_per_mesh) patches raises."""
     rng = np.random.default_rng(cfg.seed if rng is None else rng)
-    pairs = []
-    for name, mesh in meshes:
-        pairs.extend(_mesh_patches(name, mesh, cfg, rng, log))
-    return pairs
-
-
-def _mesh_patches(name, mesh, cfg, rng, log):
     n_target = cfg.n_target
     # the patch must hold ~5x the Poisson target for elimination quality
     pool_n = max(cfg.pool_size, math.ceil(5 * n_target / cfg.patch_fraction))
@@ -244,7 +239,7 @@ def _mesh_patches(name, mesh, cfg, rng, log):
     pool = area_weighted_sample(mesh, pool_n, rng)
     grower = PatchGrower(pool)
     seeds = area_weighted_sample(mesh, cfg.patches_per_mesh, rng)
-    out = []
+    pairs = []
     for i in range(cfg.patches_per_mesh):
         try:
             patch = grower.grow(seeds.positions[i], cfg.patch_fraction)
@@ -257,56 +252,56 @@ def _mesh_patches(name, mesh, cfg, rng, log):
             log(f"warning: {name}: patch {i} skipped: {exc}")
             continue
         target, centroid, scale = normalize_unit_sphere(dense.positions)
-        out.append(PatchPair(target, name, centroid, float(scale), len(out)))
+        pairs.append(PatchPair(target, name, centroid, float(scale), len(pairs)))
     required = min(10, cfg.patches_per_mesh)
-    if len(out) < required:
+    if len(pairs) < required:
         raise ValueError(
-            f"{name}: only {len(out)} of {cfg.patches_per_mesh} patches succeeded"
+            f"{name}: only {len(pairs)} of {cfg.patches_per_mesh} patches succeeded"
         )
-    return out
+    return pairs
 
 
 def _safe_name(name):
     return re.sub(r"[^A-Za-z0-9._-]", "_", name) or "mesh"
 
 
-def prepare_archive(meshes, cfg, out_dir, log=_default_log):
-    """Full data-preparation pipeline: build the dataset and write the
-    patch archive (per-mesh directories of paired XYZ files plus JSON
-    manifests and the config). Deterministic given cfg.seed."""
+def prepare_archive(name, mesh, cfg, out_dir, log=_default_log):
+    """Data preparation of one mesh: build its dataset and write it into
+    the patch archive out_dir (a directory of paired XYZ files plus a
+    JSON manifest for the mesh, and the archive's config). Deterministic
+    given cfg.seed. A mesh whose directory out_dir already holds, such as
+    another mesh of the same name, is refused before anything is built."""
+    mesh_dir = os.path.join(out_dir, _safe_name(name))
+    if os.path.exists(mesh_dir):
+        raise ValueError(f"{mesh_dir}: already exists; each mesh of an archive "
+                         "needs a name of its own")
     rng = np.random.default_rng(cfg.seed)
-    pairs = build_dataset(meshes, cfg, rng, log)
-    os.makedirs(out_dir, exist_ok=True)
+    pairs = build_dataset(name, mesh, cfg, rng, log)
+    os.makedirs(mesh_dir)
     with open(os.path.join(out_dir, "config.txt"), "w", encoding="ascii") as fh:
         fh.write(cfg.to_text())
-    by_mesh = {}
+    manifest = {
+        "mesh": name,
+        "rng_seed": cfg.seed,
+        "patch_fraction": cfg.patch_fraction,
+        "n_input": cfg.n_input,
+        "rate": cfg.rate,
+        "patches": [],
+    }
     for pair in pairs:
-        by_mesh.setdefault(pair.mesh_id, []).append(pair)
-    for mesh_id, group in by_mesh.items():
-        mesh_dir = os.path.join(out_dir, _safe_name(mesh_id))
-        os.makedirs(mesh_dir, exist_ok=True)
-        manifest = {
-            "mesh": mesh_id,
-            "rng_seed": cfg.seed,
-            "patch_fraction": cfg.patch_fraction,
-            "n_input": cfg.n_input,
-            "rate": cfg.rate,
-            "patches": [],
-        }
-        for pair in group:
-            stem = f"patch_{pair.index:04d}"
-            write_xyz(os.path.join(mesh_dir, stem + "_gt.xyz"), pair.target)
-            picks = rng.choice(len(pair.target), size=cfg.n_input, replace=False)
-            write_xyz(os.path.join(mesh_dir, stem + "_input.xyz"), pair.target[picks])
-            manifest["patches"].append(
-                {
-                    "index": pair.index,
-                    "centroid": [float(c) for c in pair.centroid],
-                    "scale": pair.scale,
-                }
-            )
-        with open(os.path.join(mesh_dir, "meta.json"), "w", encoding="ascii") as fh:
-            fh.write(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
+        stem = f"patch_{pair.index:04d}"
+        write_xyz(os.path.join(mesh_dir, stem + "_gt.xyz"), pair.target)
+        picks = rng.choice(len(pair.target), size=cfg.n_input, replace=False)
+        write_xyz(os.path.join(mesh_dir, stem + "_input.xyz"), pair.target[picks])
+        manifest["patches"].append(
+            {
+                "index": pair.index,
+                "centroid": [float(c) for c in pair.centroid],
+                "scale": pair.scale,
+            }
+        )
+    with open(os.path.join(mesh_dir, "meta.json"), "w", encoding="ascii") as fh:
+        fh.write(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
     return pairs
 
 
@@ -463,7 +458,7 @@ def load_checkpoint(ckpt_dir):
     return gparams, dparams, cfg
 
 
-def train(pairs, cfg, out_dir, log=_default_log):
+def train(pairs, cfg, out_dir):
     """Alternating optimization: one generator step (compound loss) then
     one discriminator step (on freshly generated vs. real targets) per
     iteration, each with its own decayed learning rate."""
@@ -472,6 +467,8 @@ def train(pairs, cfg, out_dir, log=_default_log):
     for key in ("batch_size", "checkpoint_every", "uniform_seed_count"):
         if getattr(cfg, key) < 1:
             raise ValueError(f"{key} must be at least 1, got {getattr(cfg, key)}")
+    if not 1 <= cfg.group_k <= cfg.n_input:
+        raise ValueError(f"group_k must be in 1..n_input = {cfg.n_input}, got {cfg.group_k}")
     batch_size = min(cfg.batch_size, len(pairs))
     iterations = cfg.iterations or EPOCHS * math.ceil(len(pairs) / batch_size)
     if iterations < 1:

@@ -129,6 +129,6 @@ def test_training_check_passes_on_a_tiny_run(icosphere_mesh, tmp_path):
         disc_global_channels=16, disc_head_hidden=8, uniform_seed_count=5, seed=0,
     )
     archive = tmp_path / "archive"
-    pairs = tr.prepare_archive([("ico", icosphere_mesh)], cfg, archive, log=lambda m: None)
-    tr.train(pairs, cfg, tmp_path / "run", log=lambda m: None)
+    pairs = tr.prepare_archive("ico", icosphere_mesh, cfg, archive, log=lambda m: None)
+    tr.train(pairs, cfg, tmp_path / "run")
     oracles.check_training(str(tmp_path / "run"), str(archive), cfg.iterations)

@@ -40,6 +40,15 @@ disc_head_hidden = 8
 uniform_seed_count = 5
 """
 
+
+def config_with(line):
+    """CONFIG_TINY with `line` in place of the line of its key, which a
+    config may give only once."""
+    key = line.split("=")[0].strip()
+    kept = [old for old in CONFIG_TINY.splitlines() if old.split("=")[0].strip() != key]
+    return "\n".join(kept + [line]) + "\n"
+
+
 # the least value a size flag accepts where it is not 1
 LEAST = {"--seed": 0}
 
@@ -237,6 +246,37 @@ class TestPrepare:
         assert "tetra: 4 patches" in stdout
         assert (out / "config.txt").is_file()
 
+    @pytest.mark.parametrize("first, second", [("bunny.off", "bunny.ply"),
+                                               ("a b.off", "a_b.off")])
+    def test_mesh_named_like_an_earlier_one_is_refused(self, capsys, tmp_path, mesh_dir,
+                                                       first, second):
+        # both names map to one mesh directory; the second mesh used to
+        # overwrite the first one's patches
+        src, alone = tmp_path / "meshes", tmp_path / "alone"
+        src.mkdir()
+        alone.mkdir()
+        for d in (src, alone):
+            (d / first).write_bytes((mesh_dir / "tetra.off").read_bytes())
+        suffix = os.path.splitext(second)[1]
+        (src / second).write_bytes((mesh_dir / f"icosphere{suffix}").read_bytes()
+                                   if suffix == ".ply" else
+                                   (mesh_dir / "tetra.off").read_bytes())
+        out, want = tmp_path / "arch", tmp_path / "want"
+        code, stdout, err = run(capsys, "prepare", "--meshes", str(src), "--out", str(out),
+                                *PREPARE_TINY)
+        stem = os.path.splitext(first)[0]
+        mesh_out = out / stem.replace(" ", "_")
+        assert code == 1
+        assert stdout == f"{stem}: 4 patches\n"
+        assert [line for line in err.splitlines() if line.startswith("error:")] == [
+            f"error: {second}: {mesh_out}: already exists; each mesh of an archive needs "
+            "a name of its own"]
+        assert run(capsys, "prepare", "--meshes", str(alone), "--out", str(want),
+                   *PREPARE_TINY)[0] == 0
+        files = {p.relative_to(out): p.read_bytes() for p in out.rglob("*") if p.is_file()}
+        assert files == {p.relative_to(want): p.read_bytes()
+                         for p in want.rglob("*") if p.is_file()}
+
     def test_rerun_is_byte_identical(self, capsys, tmp_path, mesh_dir):
         outs = []
         for sub in ("a", "b"):
@@ -277,7 +317,7 @@ class TestTrain:
     ])
     def test_config_without_an_iteration_exits_1(self, capsys, archive, tmp_path, line, message):
         cfg_path = tmp_path / "config.txt"
-        cfg_path.write_text(CONFIG_TINY + line + "\n")
+        cfg_path.write_text(config_with(line))
         out = tmp_path / "run"
         code, stdout, err = run(capsys, "train", "--data", str(archive), "--out", str(out),
                                 "--config", str(cfg_path))
@@ -290,7 +330,7 @@ class TestTrain:
     @pytest.mark.parametrize("key", ["checkpoint_every", "uniform_seed_count"])
     def test_config_zero_period_or_count_exits_1(self, capsys, archive, tmp_path, key):
         cfg_path = tmp_path / "config.txt"
-        cfg_path.write_text(CONFIG_TINY + f"{key} = 0\n")
+        cfg_path.write_text(config_with(f"{key} = 0"))
         out = tmp_path / "run"
         code, stdout, err = run(capsys, "train", "--data", str(archive), "--out", str(out),
                                 "--config", str(cfg_path))
@@ -310,6 +350,18 @@ class TestTrain:
         assert len(err.splitlines()) == 1
         assert err.startswith("error: patch ")
         assert f"holds 32 target points, but rate 2 x n_input {n_input} needs {2 * n_input}" in err
+        assert stdout == ""
+        assert not out.exists()
+
+    def test_config_group_k_above_n_input_exits_1(self, capsys, archive, tmp_path):
+        # refused before losses.csv is written, so the same --out can be reused
+        cfg_path = tmp_path / "config.txt"
+        cfg_path.write_text(CONFIG_TINY.replace("group_k = 8", "group_k = 32"))
+        out = tmp_path / "run"
+        code, stdout, err = run(capsys, "train", "--data", str(archive), "--out", str(out),
+                                "--config", str(cfg_path))
+        assert code == 1
+        assert err == "error: group_k must be in 1..n_input = 16, got 32\n"
         assert stdout == ""
         assert not out.exists()
 

@@ -266,12 +266,12 @@ def _every_batched_query(points, mesh):
     graph = PatchGrower(SurfaceSamples(points, np.zeros(len(points)),
                                        np.full((len(points), 3), 1 / 3)))._graph
     other = points[::3] + 1e-3
-    report = metrics.uniformity_report_mesh(points, mesh, seed_count=20, pool_size=2000)
+    uniformity = metrics.uniformity_report_mesh(points, mesh, seed_count=20, pool_size=2000)
     arrays = [idx, dist, index.nearest_others(), graph.data, graph.indices, graph.indptr,
               mesh.distances_to_surface(points),
               np.array([metrics.chamfer_distance(points, other),
                         metrics.hausdorff_distance(points, other)]),
-              np.array(report.ordered_values())]
+              np.array(uniformity)]
     arrays += [a for _, _, sizes, members in runs for a in (sizes, members)]
     return [a.tobytes() for a in arrays]
 

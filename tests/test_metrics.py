@@ -475,17 +475,16 @@ class TestMeshUniformityReport:
         rep_rnd = metrics.uniformity_report_mesh(
             rnd.positions, icosphere_mesh, seed_count=60, rng=0, pool_size=3000
         )
-        for p in metrics.P_VALUES:
-            assert rep_pd.values[p] < rep_rnd.values[p]
+        for v_pd, v_rnd in zip(rep_pd, rep_rnd, strict=True):
+            assert v_pd < v_rnd
 
-    def test_values_are_finite_and_keyed_by_p(self, icosphere_mesh, rng):
+    def test_values_are_finite_one_per_p(self, icosphere_mesh, rng):
         pts = area_weighted_sample(icosphere_mesh, 200, rng).positions
         rep = metrics.uniformity_report_mesh(
             pts, icosphere_mesh, seed_count=20, rng=0, pool_size=2000
         )
-        assert sorted(rep.values) == sorted(metrics.P_VALUES)
-        assert all(np.isfinite(v) for v in rep.values.values())
-        assert len(rep.ordered_values()) == 5
+        assert isinstance(rep, tuple) and len(rep) == len(metrics.P_VALUES) == 5
+        assert all(np.isfinite(v) for v in rep)
 
     def test_collapsed_cloud_cost_bound(self, icosphere_mesh):
         # 8192 points in eight collapsed clumps, as an untrained N=256
@@ -498,7 +497,7 @@ class TestMeshUniformityReport:
         start = time.perf_counter()
         report = metrics.uniformity_report_mesh(cloud, icosphere_mesh)
         assert time.perf_counter() - start < 4.5
-        assert all(v > 0 for v in report.values.values())
+        assert all(v > 0 for v in report)
 
     def test_collapsed_cloud_peak_memory(self, icosphere_mesh):
         # the clumps of test_collapsed_cloud_cost_bound; the graph distances
@@ -526,7 +525,7 @@ class TestMeshUniformityReport:
 
         monkeypatch.setattr(metrics, "cKDTree", refuse)
         got = metrics.uniformity_report_mesh(pts, icosphere_mesh, seed_count=20, pool_size=2000)
-        assert got.values == want.values
+        assert got == want
 
     @pytest.mark.parametrize("seed_count", [0, -3])
     def test_seed_count_below_one_rejected(self, icosphere_mesh, rng, seed_count):
@@ -538,17 +537,15 @@ class TestMeshUniformityReport:
 
 class TestReportCsv:
     def test_header_and_roundtrip(self, tmp_path):
-        report = metrics.UniformityReport(
-            {p: float(i) / 7 for i, p in enumerate(metrics.P_VALUES)}, 50
-        )
+        uniformity = tuple(float(i) / 7 for i in range(len(metrics.P_VALUES)))
         path = tmp_path / "report.csv"
-        metrics.write_report_csv(path, [("modelA", 0.001234, 0.01, 0.0005, report)])
+        metrics.write_report_csv(path, [("modelA", 0.001234, 0.01, 0.0005, uniformity)])
         lines = path.read_text().splitlines()
         assert lines[0] == metrics.REPORT_HEADER
         fields = lines[1].split(",")
         assert fields[0] == "modelA"
         assert float(fields[1]) == 0.001234  # full precision survives
-        assert [float(f) for f in fields[4:]] == report.ordered_values()
+        assert tuple(float(f) for f in fields[4:]) == uniformity
 
 
 class TestPointToSurfaceStats:

@@ -92,12 +92,12 @@ class TestLocalEmbedding:
 
 class TestGridCodes:
     def test_rho_four_uses_two_by_two_grid(self):
-        codes = nw.grid_codes(4, 0.2, 1)
+        codes = nw.grid_codes(4, 1)
         expected = np.array([[-0.2, -0.2], [0.2, -0.2], [-0.2, 0.2], [0.2, 0.2]])
         assert np.allclose(codes, expected)
 
     def test_rho_six_fills_three_wide_grid_row_major(self):
-        codes = nw.grid_codes(6, 0.2, 1)
+        codes = nw.grid_codes(6, 1)
         t = np.linspace(-0.2, 0.2, 3)
         expected = np.array(
             [[t[0], t[0]], [t[1], t[0]], [t[2], t[0]], [t[0], t[1]], [t[1], t[1]], [t[2], t[1]]]
@@ -105,7 +105,7 @@ class TestGridCodes:
         assert np.allclose(codes, expected)
 
     def test_copies_are_blocked_per_code(self):
-        codes = nw.grid_codes(2, 0.1, 3)
+        codes = nw.grid_codes(2, 3)
         assert codes.shape == (6, 2)
         assert np.allclose(codes[:3], codes[0])  # first copy-block shares its code
         assert np.allclose(codes[3:], codes[3])
@@ -260,31 +260,37 @@ class TestAblations:
         assert out.value.shape == (cfg.n_output, 3)
 
 
+def _confidence(params, cfg, q):
+    """discriminate_node's confidence as a float, computed without a graph."""
+    with ad.no_grad():
+        return float(nw.discriminate_node(params, cfg, q).value[0, 0])
+
+
 class TestDiscriminator:
     def test_confidence_in_unit_interval(self, rng):
         params = nw.init_discriminator(TOY_D, rng)
-        val = nw.discriminate(params, TOY_D, _cloud(40))
+        val = _confidence(params, TOY_D, _cloud(40))
         assert 0.0 < val < 1.0
         assert val == nw.discriminate_node(params, TOY_D, _cloud(40)).value[0, 0]
 
     def test_permutation_invariance(self, rng):
         params = nw.init_discriminator(TOY_D, rng)
         pts = _cloud(60)
-        base = nw.discriminate(params, TOY_D, pts)
+        base = _confidence(params, TOY_D, pts)
         for _ in range(5):
             perm = rng.permutation(60)
-            assert abs(nw.discriminate(params, TOY_D, pts[perm]) - base) < 1e-9
+            assert abs(_confidence(params, TOY_D, pts[perm]) - base) < 1e-9
 
     def test_variable_input_sizes(self, rng):
         params = nw.init_discriminator(TOY_D, rng)
         for n in (1, 2, 17, 100):
-            val = nw.discriminate(params, TOY_D, _cloud(n))
+            val = _confidence(params, TOY_D, _cloud(n))
             assert np.isfinite(val)
 
     def test_wrong_shape_rejected(self, rng):
         params = nw.init_discriminator(TOY_D, rng)
         with pytest.raises(ValueError):
-            nw.discriminate(params, TOY_D, np.zeros((5, 2)))
+            _confidence(params, TOY_D, np.zeros((5, 2)))
 
     def test_gradcheck_sampled(self, rng):
         params = nw.init_discriminator(TOY_D, rng)
@@ -337,12 +343,12 @@ class TestDiscriminator:
                 nw.discriminate_node(params, cfg, uniform_ball(rng)),
             )
             ad.backward(loss)
-            ad.adam_step(params, 1e-3, 0.9, 0.999, 1e-8)
+            ad.adam_step(params, 1e-3)
         eval_rng = np.random.default_rng(99)
         real = np.mean(
-            [nw.discriminate(params, cfg, uniform_ball(eval_rng)) for _ in range(10)]
+            [_confidence(params, cfg, uniform_ball(eval_rng)) for _ in range(10)]
         )
         fake = np.mean(
-            [nw.discriminate(params, cfg, clustered_ball(eval_rng)) for _ in range(10)]
+            [_confidence(params, cfg, clustered_ball(eval_rng)) for _ in range(10)]
         )
         assert real - fake > 0.2

@@ -201,7 +201,7 @@ def openblas_core():
 @pytest.fixture(scope="module")
 def tiny_pairs(tetra_mesh):
     cfg = tr.TrainConfig(**TINY)
-    return tr.build_dataset([("tetra", tetra_mesh)], cfg), cfg
+    return tr.build_dataset("tetra", tetra_mesh, cfg), cfg
 
 
 class TestConfig:
@@ -287,6 +287,17 @@ class TestConfig:
         with pytest.raises(ValueError, match=re.escape(str(archive / "config.txt"))):
             tr.read_archive(archive)
 
+    def test_repeated_key_rejected(self):
+        text = "seed = 1\nbatch_size = 2\n# a comment\nbatch_size = 3\n"
+        with pytest.raises(ValueError, match="^config line 4: batch_size repeats the key of line 2$"):
+            tr.TrainConfig.from_text(text)
+        # a retired key too, also at its fixed value
+        text = DEFAULTS_45_KEYS + "grid_extent = 0.2\n"
+        line = DEFAULTS_45_KEYS.splitlines().index("grid_extent = 0.2") + 1
+        with pytest.raises(ValueError, match=f"^config line 46: grid_extent repeats the key of "
+                                             f"line {line}$"):
+            tr.TrainConfig.from_text(text)
+
     def test_malformed_line_rejected(self):
         with pytest.raises(ValueError, match="line 1"):
             tr.TrainConfig.from_text("just words\n")
@@ -366,8 +377,8 @@ class TestDataset:
 
     def test_deterministic(self, tetra_mesh):
         cfg = tr.TrainConfig(**TINY)
-        a = tr.build_dataset([("t", tetra_mesh)], cfg)
-        b = tr.build_dataset([("t", tetra_mesh)], cfg)
+        a = tr.build_dataset("t", tetra_mesh, cfg)
+        b = tr.build_dataset("t", tetra_mesh, cfg)
         assert all(np.array_equal(x.target, y.target) for x, y in zip(a, b))
 
     def test_partial_failures_logged_and_skipped(self, two_triangle_mesh):
@@ -376,7 +387,7 @@ class TestDataset:
         cfg = tr.TrainConfig(**{**TINY, "patches_per_mesh": 20, "patch_fraction": 0.3,
                                 "pool_size": 2000, "n_input": 8})
         messages = []
-        pairs = tr.build_dataset([("two", two_triangle_mesh)], cfg, log=messages.append)
+        pairs = tr.build_dataset("two", two_triangle_mesh, cfg, log=messages.append)
         assert messages, "expected at least one skipped-seed warning"
         assert all("skipped" in m for m in messages)
         assert len(pairs) == 20 - len(messages)
@@ -385,12 +396,12 @@ class TestDataset:
     def test_pool_floor_is_logged(self, tetra_mesh):
         # 5 x 32 target points / 0.05 = 3200 > the configured 2000
         messages = []
-        tr.build_dataset([("t", tetra_mesh)], tr.TrainConfig(**TINY), log=messages.append)
+        tr.build_dataset("t", tetra_mesh, tr.TrainConfig(**TINY), log=messages.append)
         assert messages == ["t: pool size raised from 2000 to 3200 "
                             "(5 x 32 target points / patch fraction 0.05)"]
         messages = []
         cfg = tr.TrainConfig(**{**TINY, "pool_size": 3200})
-        tr.build_dataset([("t", tetra_mesh)], cfg, log=messages.append)
+        tr.build_dataset("t", tetra_mesh, cfg, log=messages.append)
         assert messages == []
 
     def test_mesh_with_too_few_usable_patches_fails(self):
@@ -405,14 +416,14 @@ class TestDataset:
         cfg = tr.TrainConfig(**{**TINY, "patch_fraction": 0.45, "n_input": 8,
                                 "pool_size": 3000})
         with pytest.raises(ValueError, match="only 0 of 10 patches succeeded"):
-            tr.build_dataset([("tri3", mesh)], cfg, log=lambda m: None)
+            tr.build_dataset("tri3", mesh, cfg, log=lambda m: None)
 
 
 class TestArchive:
     def test_layout_and_roundtrip(self, tmp_path, tetra_mesh):
         cfg = tr.TrainConfig(**TINY)
         out = tmp_path / "arch"
-        pairs = tr.prepare_archive([("tetra", tetra_mesh)], cfg, out)
+        pairs = tr.prepare_archive("tetra", tetra_mesh, cfg, out)
         mesh_dir = out / "tetra"
         assert (out / "config.txt").is_file()
         assert (mesh_dir / "meta.json").is_file()
@@ -435,8 +446,8 @@ class TestArchive:
     def test_rerun_is_byte_identical(self, tmp_path, tetra_mesh):
         cfg = tr.TrainConfig(**TINY)
         out1, out2 = tmp_path / "a", tmp_path / "b"
-        tr.prepare_archive([("tetra", tetra_mesh)], cfg, out1)
-        tr.prepare_archive([("tetra", tetra_mesh)], cfg, out2)
+        tr.prepare_archive("tetra", tetra_mesh, cfg, out1)
+        tr.prepare_archive("tetra", tetra_mesh, cfg, out2)
         files1 = sorted(p.relative_to(out1) for p in out1.rglob("*") if p.is_file())
         files2 = sorted(p.relative_to(out2) for p in out2.rglob("*") if p.is_file())
         assert files1 == files2
@@ -616,6 +627,18 @@ class TestTrainLoop:
             tr.train(pairs, cfg, tmp_path / "run")
         assert not (tmp_path / "run").exists()
 
+    @pytest.mark.parametrize("group_k", [0, 17, 32])
+    def test_group_k_outside_the_patch_rejected_before_writing(self, tiny_pairs, tmp_path,
+                                                               group_k):
+        # the local embedding takes group_k of a patch's n_input = 16 points;
+        # a larger group_k used to fail in the first iteration, after
+        # losses.csv was written, so the run directory refused a rerun
+        pairs, cfg = tiny_pairs
+        cfg = dataclasses.replace(cfg, group_k=group_k)
+        with pytest.raises(ValueError, match=f"^group_k must be in 1..n_input = 16, got {group_k}$"):
+            tr.train(pairs, cfg, tmp_path / "run")
+        assert not (tmp_path / "run").exists()
+
     def test_negative_seed_rejected_before_writing(self, tiny_pairs, tmp_path):
         pairs, cfg = tiny_pairs
         with pytest.raises(ValueError):
@@ -630,7 +653,7 @@ class TestTrainLoop:
 
         cfg = tr.TrainConfig(**{**TINY, "patches_per_mesh": 6, "iterations": 250,
                                 "ablate_discriminator": True})
-        pairs = tr.build_dataset([("ico", icosphere_mesh)], cfg)
+        pairs = tr.build_dataset("ico", icosphere_mesh, cfg)
         held, train_pairs = pairs[-1], pairs[:-1]
         inp = held.target[: cfg.n_input]
 
@@ -641,7 +664,7 @@ class TestTrainLoop:
         before = held_out_emd(
             init_generator(cfg.generator_config(), np.random.default_rng(cfg.seed))
         )
-        result = tr.train(train_pairs, cfg, tmp_path / "run", log=lambda m: None)
+        result = tr.train(train_pairs, cfg, tmp_path / "run")
         after = held_out_emd(result.generator)
         assert after < 0.9 * before
 
