@@ -13,6 +13,14 @@ interior node's gradient buffer is made just before the first push into
 it and dropped once the node has pushed, so backward holds the buffers
 of the graph's frontier, not of the whole graph.
 
+A recorded graph holds every Node's value, since each node keeps its
+parents, and what a push needs beyond those values. linear, square,
+sigmoid and the shape ops need nothing more. linear_relu keeps a
+boolean mask: its pre-activation is overwritten in place to make its
+output. gather_rows and max_over_rows keep row indices, row_distances
+the row differences, and self_attention G, H, K and its (n, n) weights
+W; its push makes one more (n, n) array, dW.
+
 Inside `with no_grad():` a new Node keeps no parents and no push
 closure, so each intermediate array (and whatever an op's closure would
 have held, such as self_attention's (n, n) weights) is freed as soon as
@@ -39,7 +47,7 @@ __all__ = [
     "init_attention",
     "save_params",
     "load_params",
-    "add", "sub", "scale", "add_scalar", "linear", "relu", "sigmoid",
+    "add", "sub", "scale", "add_scalar", "linear", "linear_relu", "sigmoid",
     "concat_cols", "reshape", "tile_rows", "gather_rows", "max_over_rows",
     "sum_all", "square", "row_distances",
 ]
@@ -136,30 +144,50 @@ def add_scalar(a, c):
     return Node(a.value + c, (a,), push)
 
 
-def linear(x, w, b):
-    """Shared per-row affine map: x (n, cin) -> x @ w + b, with w
-    (cin, cout) and bias b (1, cout) broadcast over rows."""
+def _check_linear(op, x, w, b):
     if x.value.shape[1] != w.value.shape[0] or b.value.shape != (1, w.value.shape[1]):
         raise ValueError(
-            "linear: shape mismatch "
+            f"{op}: shape mismatch "
             f"x={x.value.shape} w={w.value.shape} b={b.value.shape}"
         )
 
+
+def _affine(x, w, b):
+    """x @ w + b for arrays, the bias added in place."""
+    y = x @ w
+    y += b
+    return y
+
+
+def _push_linear(x, w, b, g):
+    x.grad += g @ w.value.T
+    w.grad += x.value.T @ g
+    b.grad += g.sum(axis=0, keepdims=True)
+
+
+def linear(x, w, b):
+    """Shared per-row affine map: x (n, cin) -> x @ w + b, with w
+    (cin, cout) and bias b (1, cout) broadcast over rows."""
+    _check_linear("linear", x, w, b)
+    return Node(_affine(x.value, w.value, b.value), (x, w, b),
+                lambda g: _push_linear(x, w, b, g))
+
+
+def linear_relu(x, w, b):
+    """max(0, x @ w + b) as one op. It keeps the mask of positive
+    pre-activations, not the pre-activations: they are overwritten in
+    place to make the output."""
+    _check_linear("linear_relu", x, w, b)
+    y = _affine(x.value, w.value, b.value)
+    mask = y > 0.0
+    np.copyto(y, 0.0, where=~mask)
+
     def push(g):
-        x.grad += g @ w.value.T
-        w.grad += x.value.T @ g
-        b.grad += g.sum(axis=0, keepdims=True)
+        dz = g * mask
+        dz += 0.0  # a -0.0 reads +0.0, as it did summed into a zeroed buffer
+        _push_linear(x, w, b, dz)
 
-    return Node(x.value @ w.value + b.value, (x, w, b), push)
-
-
-def relu(a):
-    mask = a.value > 0.0
-
-    def push(g):
-        a.grad += g * mask
-
-    return Node(np.where(mask, a.value, 0.0), (a,), push)
+    return Node(y, (x, w, b), push)
 
 
 def sigmoid(a):
@@ -396,6 +424,14 @@ def init_attention(params, prefix, channels, rng):
         params.add(f"{prefix}.{tag}.b", np.zeros((1, cout)))
 
 
+# Rows per block of the attention push's softmax backward, so the whole
+# (n, n) product dW * W is never made: at n=1536 that product is 18 MiB,
+# a 128-row block 1.5 MiB. At n=1536 and 130 columns one push took a
+# median 33-37 ms in 128-row blocks against 39-42 ms on the whole product
+# (2 Xeon cores, 31 pushes each).
+_ATTENTION_PUSH_ROWS = 128
+
+
 def self_attention(x, params, prefix):
     """Residual attention as one op: out = x + W^T K, W = row-softmax(G H^T).
 
@@ -414,7 +450,7 @@ def self_attention(x, params, prefix):
             f"self_attention: input width {xv.shape[1]} does not match "
             f"{prefix!r} width {wg.value.shape[0]}"
         )
-    g, h, k = (xv @ wn.value + bn.value for wn, bn in maps)
+    g, h, k = (_affine(xv, wn.value, bn.value) for wn, bn in maps)
     w = g @ h.T
     w -= w.max(axis=1, keepdims=True)  # overflow-safe row softmax, in place
     np.exp(w, out=w)
@@ -422,13 +458,13 @@ def self_attention(x, params, prefix):
 
     def push(d):
         ds = k @ d.T  # dW, turned into dS = W * (dW - rowsum(dW * W)) in place
-        ds -= (ds * w).sum(axis=1, keepdims=True)
-        ds *= w
+        for lo in range(0, len(ds), _ATTENTION_PUSH_ROWS):
+            rows = slice(lo, lo + _ATTENTION_PUSH_ROWS)
+            ds[rows] -= (ds[rows] * w[rows]).sum(axis=1, keepdims=True)
+            ds[rows] *= w[rows]
         x.grad += d
         for (wn, bn), dz in zip(maps, (ds @ h, ds.T @ g, w @ d)):
-            x.grad += dz @ wn.value.T
-            wn.grad += xv.T @ dz
-            bn.grad += dz.sum(axis=0, keepdims=True)
+            _push_linear(x, wn, bn, dz)
 
     return Node(xv + w.T @ k, (x, wg, bg, wh, bh, wk, bk), push)
 

@@ -77,8 +77,8 @@ def _add_linear(params, prefix, fan_in, fan_out, rng):
 
 
 def _apply_linear(params, prefix, x, activation=True):
-    y = ad.linear(x, params[f"{prefix}.w"], params[f"{prefix}.b"])
-    return ad.relu(y) if activation else y
+    op = ad.linear_relu if activation else ad.linear
+    return op(x, params[f"{prefix}.w"], params[f"{prefix}.b"])
 
 
 def init_generator(cfg, rng):

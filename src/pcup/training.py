@@ -464,9 +464,14 @@ def train(pairs, cfg, out_dir):
     iteration, each with its own decayed learning rate."""
     if not pairs:
         raise ValueError("empty dataset")
-    for key in ("batch_size", "checkpoint_every", "uniform_seed_count"):
+    for key in ("batch_size", "checkpoint_every", "uniform_seed_count", "working_channels",
+                "regress_hidden", "disc_point_channels", "disc_global_channels",
+                "disc_head_hidden"):
         if getattr(cfg, key) < 1:
             raise ValueError(f"{key} must be at least 1, got {getattr(cfg, key)}")
+    if cfg.feature_channels < 1 or cfg.feature_channels % 3:
+        raise ValueError("feature_channels must be a positive multiple of 3, "
+                         f"got {cfg.feature_channels}")
     if not 1 <= cfg.group_k <= cfg.n_input:
         raise ValueError(f"group_k must be in 1..n_input = {cfg.n_input}, got {cfg.group_k}")
     batch_size = min(cfg.batch_size, len(pairs))

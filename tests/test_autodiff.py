@@ -20,7 +20,7 @@ def _params_with(rng, shapes):
 
 
 # each entry: name -> (param shapes, loss builder)
-# builders keep inputs away from relu/max/zero-distance kinks so central
+# builders keep inputs away from ReLU/max/zero-distance kinks so central
 # differences are valid
 def _op_cases():
     def via(reduce, expr):
@@ -40,9 +40,13 @@ def _op_cases():
             {"x": (5, 3), "w": (3, 4), "b": (1, 4)},
             via(s, lambda p: ad.square(ad.linear(p["x"], p["w"], p["b"]))),
         ),
-        "relu": (
-            {"a": (4, 3)},
-            via(s, lambda p: ad.relu(ad.add_scalar(ad.square(p["a"]), 0.2))),
+        # sigmoids put x @ w in (0, 3), and the bias offsets put the
+        # pre-activations of columns 0 and 2 in (-5, -1), of 1 and 3 in (1, 5)
+        "linear_relu": (
+            {"x": (5, 3), "w": (3, 4), "b": (1, 4)},
+            via(s, lambda p: ad.square(ad.linear_relu(
+                ad.sigmoid(p["x"]), ad.sigmoid(p["w"]),
+                ad.add(ad.sigmoid(p["b"]), ad.constant([[-5.0, 1.0, -5.0, 1.0]]))))),
         ),
         "sigmoid": ({"a": (4, 3)}, via(s, lambda p: ad.sigmoid(p["a"]))),
         "concat_cols": (
@@ -75,6 +79,36 @@ def test_op_gradients_match_finite_differences(op, seed):
     rng = np.random.default_rng(100 + seed)
     params = _params_with(rng, shapes)
     helpers.gradcheck(lambda: build(params), params)
+
+
+def test_linear_relu_bytes_equal_relu_of_linear(rng):
+    # the unfused chain, in NumPy: relu kept np.where(mask, pre, 0.0), and
+    # pushed g * mask into linear's zeroed buffer, which linear pushed on
+    x = rng.normal(size=(8, 3))
+    x[1] = 0.0  # pre-activation exactly the bias: 0.0 in columns 0 and 1
+    x[2] = [-1e-200, -1e-200, 0.0]
+    w = rng.normal(size=(3, 4))
+    w[:2, 1] = [1e-200, 1e-200]  # x[2]'s products underflow, to -0.0 under some BLAS kernels
+    b = rng.normal(size=(1, 4))
+    b[0, :2] = [0.0, -0.0]
+    b[0, 3] = -50.0  # column 3 never passes, so its bias gradient sums -0.0s
+    g = rng.normal(size=(8, 4))
+    g[:, 3] = -np.abs(g[:, 3])
+    pre = x @ w + b
+    assert (pre[1, :2] == 0.0).all() and pre[2, 1] == 0.0 and (pre[:, 3] < 0.0).all()
+    mask = pre > 0.0
+    dz = np.zeros_like(pre)
+    dz += g * mask
+    want = {"x": np.zeros_like(x) + dz @ w.T, "w": np.zeros_like(w) + x.T @ dz,
+            "b": np.zeros_like(b) + dz.sum(axis=0, keepdims=True)}
+
+    params = _params_with(rng, {"x": x.shape, "w": w.shape, "b": b.shape})
+    params.set_values({"x": x, "w": w, "b": b})
+    out = ad.linear_relu(params["x"], params["w"], params["b"])
+    assert out.value.tobytes() == np.where(mask, pre, 0.0).tobytes()
+    ad.backward(ad.sum_all(ad.scale(out, g)))
+    for name, grad in want.items():
+        assert params[name].grad.tobytes() == grad.tobytes(), name
 
 
 def test_max_over_rows_gradient_away_from_ties():
@@ -344,6 +378,21 @@ class TestAttention:
             return ad.sum_all(ad.square(ad.add(out, ad.scale(x, -0.5))))
 
         helpers.gradcheck(make_loss, params)
+
+    def test_push_makes_at_most_one_n_by_n_buffer(self, rng):
+        # dW = K d^T is the one (n, n) array the push makes; the softmax
+        # backward runs over blocks of its rows
+        n = 1024
+        params = ad.Params()
+        ad.init_attention(params, "att", 8, rng)
+        loss = ad.sum_all(ad.self_attention(ad.constant(rng.normal(size=(n, 8))), params, "att"))
+        tracemalloc.start()
+        try:
+            ad.backward(loss)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * n * n * 8
 
     def test_bottleneck_is_quarter_width(self, rng):
         params = ad.Params()

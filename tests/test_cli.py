@@ -365,6 +365,27 @@ class TestTrain:
         assert stdout == ""
         assert not out.exists()
 
+    @pytest.mark.parametrize("line, key", [
+        ("feature_channels = 0", "feature_channels"),
+        ("feature_channels = -3", "feature_channels"),
+        ("working_channels = 0", "working_channels"),
+        ("regress_hidden = 0", "regress_hidden"),
+        ("disc_head_hidden = 0", "disc_head_hidden"),
+    ])
+    def test_config_width_below_one_exits_1(self, capsys, archive, tmp_path, line, key):
+        # was a ZeroDivisionError or numpy traceback after --out was made,
+        # or for regress_hidden a run without complaint
+        cfg_path = tmp_path / "config.txt"
+        cfg_path.write_text(config_with(line))
+        out = tmp_path / "run"
+        code, stdout, err = run(capsys, "train", "--data", str(archive), "--out", str(out),
+                                "--config", str(cfg_path))
+        assert code == 1
+        assert len(err.splitlines()) == 1
+        assert err.startswith(f"error: {key} must be ")
+        assert stdout == ""
+        assert not out.exists()
+
     def test_non_ascii_config_exits_1_naming_the_file(self, capsys, archive, tmp_path):
         cfg_path = tmp_path / "config.txt"
         cfg_path.write_bytes(CONFIG_TINY.encode("ascii") + b"\xff\n")

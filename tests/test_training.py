@@ -639,6 +639,27 @@ class TestTrainLoop:
             tr.train(pairs, cfg, tmp_path / "run")
         assert not (tmp_path / "run").exists()
 
+    @pytest.mark.parametrize("key, value, message", [
+        ("feature_channels", 0, "feature_channels must be a positive multiple of 3, got 0"),
+        ("feature_channels", -3, "feature_channels must be a positive multiple of 3, got -3"),
+        ("feature_channels", 25, "feature_channels must be a positive multiple of 3, got 25"),
+        ("working_channels", 0, "working_channels must be at least 1, got 0"),
+        ("regress_hidden", 0, "regress_hidden must be at least 1, got 0"),
+        ("disc_point_channels", 0, "disc_point_channels must be at least 1, got 0"),
+        ("disc_global_channels", -1, "disc_global_channels must be at least 1, got -1"),
+        ("disc_head_hidden", 0, "disc_head_hidden must be at least 1, got 0"),
+    ])
+    def test_network_widths_rejected_before_writing(self, tiny_pairs, tmp_path, key, value,
+                                                    message):
+        # a zero width used to end in a ZeroDivisionError from
+        # glorot_uniform, a negative one in numpy's "negative dimensions",
+        # and regress_hidden = 0 trained a generator that outputs its bias
+        pairs, cfg = tiny_pairs
+        cfg = dataclasses.replace(cfg, **{key: value})
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            tr.train(pairs, cfg, tmp_path / "run")
+        assert not (tmp_path / "run").exists()
+
     def test_negative_seed_rejected_before_writing(self, tiny_pairs, tmp_path):
         pairs, cfg = tiny_pairs
         with pytest.raises(ValueError):
