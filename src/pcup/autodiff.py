@@ -184,7 +184,7 @@ def linear_relu(x, w, b):
 
     def push(g):
         dz = g * mask
-        dz += 0.0  # a -0.0 reads +0.0, as it did summed into a zeroed buffer
+        dz += 0.0  # -0.0 + 0.0 is +0.0, as summed into a zeroed buffer
         _push_linear(x, w, b, dz)
 
     return Node(y, (x, w, b), push)

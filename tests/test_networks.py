@@ -209,7 +209,8 @@ class TestGenerator:
         pts = np.random.default_rng(0).standard_normal((gcfg.n_input, 3))
         tracemalloc.start()
         try:
-            ad.backward(nw.discriminate_node(dparams, dcfg, nw.generate_node(gparams, gcfg, pts)[0]))
+            fake = nw.generate_node(gparams, gcfg, pts)[0]
+            ad.backward(nw.discriminate_node(dparams, dcfg, fake))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
