@@ -56,24 +56,25 @@ def build_parser():
     p.add_argument("--meshes", required=True, help="directory of ASCII OFF/PLY meshes")
     p.add_argument("--out", required=True, help="output archive directory")
     p.add_argument(
-        "--patches-per-mesh", type=_int_at_least(1), default=200,
+        "--patches-per-mesh", type=_int_at_least(1), default=TrainConfig.patches_per_mesh,
         help="patch seeds per mesh (>= 1)",
     )
     p.add_argument(
-        "--N", type=_int_at_least(1), default=256, dest="n_input",
+        "--N", type=_int_at_least(1), default=TrainConfig.n_input, dest="n_input",
         help="input points per patch (>= 1)",
     )
     p.add_argument(
-        "--r", type=_int_at_least(1), default=4, dest="rate", help="upsampling rate (>= 1)"
+        "--r", type=_int_at_least(1), default=TrainConfig.rate, dest="rate",
+        help="upsampling rate (>= 1)",
     )
     p.add_argument(
-        "--fraction", type=_open_fraction, default=0.05,
+        "--fraction", type=_open_fraction, default=TrainConfig.patch_fraction,
         help="surface area fraction per patch, in (0, 0.5)",
     )
     p.add_argument(
         "--pool-size",
         type=_int_at_least(1),
-        default=50000,
+        default=TrainConfig.pool_size,
         help="dense sample pool per mesh (>= 1); raised to at least "
         "ceil(5 * r * N / fraction) so that each patch holds 5x its target points",
     )
@@ -248,7 +249,7 @@ def _cmd_train(args):
 def _cmd_upsample(args):
     points = read_xyz(args.input)
     gparams, _, cfg = load_checkpoint(args.ckpt)
-    dense = upsample_cloud(points, gparams, cfg.generator_config(), args.overlap)
+    dense = upsample_cloud(points, gparams, cfg, args.overlap)
     write_xyz(args.out, dense)
     print(f"{len(points)} -> {len(dense)} points written to {args.out}")
     return 0

@@ -11,10 +11,13 @@ regresses a confidence in (0, 1).
 
 Both networks are permutation-aware by construction: all per-point maps
 are shared, and pooling is symmetric.
+
+A `cfg` argument is the run's `training.TrainConfig`: the networks read
+its sizes and widths (`disc_*` for the discriminator) and its
+`ablate_attention`, `ablate_up_down_up` and `ablate_fps` switches.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,8 +25,6 @@ from . import autodiff as ad
 from .geometry import SpatialIndex, as_points, farthest_point_sampling
 
 __all__ = [
-    "GeneratorConfig",
-    "DiscriminatorConfig",
     "init_generator",
     "init_discriminator",
     "extract_features",
@@ -40,35 +41,6 @@ __all__ = [
 
 GRID_EXTENT = 0.2  # half-extent of the 2D grid codes
 FPS_SEED = 0       # first index kept by the trimming FPS
-
-
-@dataclass(frozen=True)
-class GeneratorConfig:
-    n_input: int = 256          # points per input patch
-    rate: int = 4               # upsampling ratio
-    feature_channels: int = 480  # dense extractor output width (3 blocks)
-    working_channels: int = 128  # width inside the expansion unit
-    group_k: int = 16           # neighborhood size of the input embedding
-    regress_hidden: int = 64    # hidden width of the coordinate regressor
-    use_attention: bool = True
-    use_up_down_up: bool = True
-    use_fps_trim: bool = True   # over-generate (rate+2)N then trim to rate*N
-
-    @property
-    def expansion_rate(self):
-        return self.rate + 2 if self.use_fps_trim else self.rate
-
-    @property
-    def n_output(self):
-        return self.rate * self.n_input
-
-
-@dataclass(frozen=True)
-class DiscriminatorConfig:
-    point_channels: int = 64    # per-point width before global pooling
-    global_channels: int = 256  # width after the global-context stage
-    head_hidden: int = 64       # hidden width of the confidence head
-    use_attention: bool = True
 
 
 def _add_linear(params, prefix, fan_in, fan_out, rng):
@@ -95,14 +67,14 @@ def init_generator(cfg, rng):
     _add_linear(params, "reduce.l0", cfg.feature_channels, cfg.working_channels, rng)
     _add_linear(params, "reduce.l1", cfg.working_channels, cfg.working_channels, rng)
     _add_linear(params, "expand.pre", cfg.working_channels, cfg.working_channels, rng)
-    up_units = ("up1", "up2") if cfg.use_up_down_up else ("up1",)
+    up_units = ("up1",) if cfg.ablate_up_down_up else ("up1", "up2")
     for unit in up_units:
         cin = cfg.working_channels + 2
-        if cfg.use_attention:
+        if not cfg.ablate_attention:
             ad.init_attention(params, f"expand.{unit}.attn", cin, rng)
         _add_linear(params, f"expand.{unit}.l0", cin, cfg.working_channels, rng)
         _add_linear(params, f"expand.{unit}.l1", cfg.working_channels, cfg.working_channels, rng)
-    if cfg.use_up_down_up:
+    if not cfg.ablate_up_down_up:
         _add_linear(params, "expand.down.l0",
                     cfg.expansion_rate * cfg.working_channels, cfg.working_channels, rng)
         _add_linear(params, "expand.down.l1", cfg.working_channels, cfg.working_channels, rng)
@@ -114,15 +86,15 @@ def init_generator(cfg, rng):
 def init_discriminator(cfg, rng):
     rng = np.random.default_rng(rng)
     params = ad.Params()
-    _add_linear(params, "d.point.l0", 3, cfg.point_channels, rng)
-    _add_linear(params, "d.point.l1", cfg.point_channels, cfg.point_channels, rng)
-    mixed = 2 * cfg.point_channels
-    if cfg.use_attention:
+    _add_linear(params, "d.point.l0", 3, cfg.disc_point_channels, rng)
+    _add_linear(params, "d.point.l1", cfg.disc_point_channels, cfg.disc_point_channels, rng)
+    mixed = 2 * cfg.disc_point_channels
+    if not cfg.ablate_attention:
         ad.init_attention(params, "d.attn", mixed, rng)
-    _add_linear(params, "d.global.l0", mixed, cfg.global_channels, rng)
-    _add_linear(params, "d.global.l1", cfg.global_channels, cfg.global_channels, rng)
-    _add_linear(params, "d.head.l0", cfg.global_channels, cfg.head_hidden, rng)
-    _add_linear(params, "d.head.l1", cfg.head_hidden, 1, rng)
+    _add_linear(params, "d.global.l0", mixed, cfg.disc_global_channels, rng)
+    _add_linear(params, "d.global.l1", cfg.disc_global_channels, cfg.disc_global_channels, rng)
+    _add_linear(params, "d.head.l0", cfg.disc_global_channels, cfg.disc_head_hidden, rng)
+    _add_linear(params, "d.head.l1", cfg.disc_head_hidden, 1, rng)
     return params
 
 
@@ -171,7 +143,7 @@ def up_feature(params, prefix, cfg, x, rho):
         raise ValueError(f"expansion rate must be >= 2, got {rho}")
     n = x.shape[0]
     h = ad.concat_cols(ad.tile_rows(x, rho), ad.constant(grid_codes(rho, n)))
-    if cfg.use_attention:
+    if not cfg.ablate_attention:
         h = ad.self_attention(h, params, f"{prefix}.attn")
     h = _apply_linear(params, f"{prefix}.l0", h)
     return _apply_linear(params, f"{prefix}.l1", h)
@@ -198,7 +170,7 @@ def up_down_up(params, cfg, x, rho):
     up-expansion."""
     f1 = _apply_linear(params, "expand.pre", x)
     f_up = up_feature(params, "expand.up1", cfg, f1, rho)
-    if not cfg.use_up_down_up:
+    if cfg.ablate_up_down_up:
         return f_up
     f2 = down_feature(params, cfg, f_up, rho)
     delta_up = up_feature(params, "expand.up2", cfg, ad.sub(f2, f1), rho)
@@ -228,10 +200,10 @@ def generate_node(params, cfg, points):
     selection is recomputed from values on every call and treated as a
     constant by the backward pass."""
     raw = _regress(params, cfg, points)
-    if cfg.use_fps_trim:
-        selected = farthest_point_sampling(raw.value, cfg.n_output, FPS_SEED)
-        return ad.gather_rows(raw, selected), raw, selected
-    return raw, raw, np.arange(cfg.n_output, dtype=np.intp)
+    if cfg.ablate_fps:
+        return raw, raw, np.arange(cfg.n_target, dtype=np.intp)
+    selected = farthest_point_sampling(raw.value, cfg.n_target, FPS_SEED)
+    return ad.gather_rows(raw, selected), raw, selected
 
 
 def generate(params, cfg, points):
@@ -247,9 +219,9 @@ def generate(params, cfg, points):
         if pts.ndim != 3:
             return generate_node(params, cfg, pts)[0].value
         raw = np.stack([_regress(params, cfg, patch).value for patch in pts])
-    if not cfg.use_fps_trim:
+    if cfg.ablate_fps:
         return raw
-    selected = farthest_point_sampling(raw, cfg.n_output, FPS_SEED)
+    selected = farthest_point_sampling(raw, cfg.n_target, FPS_SEED)
     return np.take_along_axis(raw, selected[:, :, None], axis=1)
 
 
@@ -265,7 +237,7 @@ def discriminate_node(params, cfg, q):
     h = _apply_linear(params, "d.point.l1", h)
     pooled = ad.max_over_rows(h)
     h = ad.concat_cols(h, ad.tile_rows(pooled, h.shape[0]))
-    if cfg.use_attention:
+    if not cfg.ablate_attention:
         h = ad.self_attention(h, params, "d.attn")
     h = _apply_linear(params, "d.global.l0", h)
     h = _apply_linear(params, "d.global.l1", h)

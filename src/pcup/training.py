@@ -33,8 +33,6 @@ from .mesh import GRAPH_K, PatchGrower, area_weighted_sample, poisson_disk_sampl
 from .networks import (
     FPS_SEED,
     GRID_EXTENT,
-    DiscriminatorConfig,
-    GeneratorConfig,
     discriminate_node,
     generate,
     generate_node,
@@ -142,26 +140,17 @@ class TrainConfig:
     def n_target(self):
         return self.rate * self.n_input
 
-    def generator_config(self):
-        return GeneratorConfig(
-            n_input=self.n_input,
-            rate=self.rate,
-            feature_channels=self.feature_channels,
-            working_channels=self.working_channels,
-            group_k=self.group_k,
-            regress_hidden=self.regress_hidden,
-            use_attention=not self.ablate_attention,
-            use_up_down_up=not self.ablate_up_down_up,
-            use_fps_trim=not self.ablate_fps,
-        )
+    @property
+    def expansion_rate(self):
+        """Copies the generator makes of each input point: rate + 2, of
+        which farthest point sampling keeps rate, or rate under ablate_fps."""
+        return self.rate if self.ablate_fps else self.rate + 2
 
-    def discriminator_config(self):
-        return DiscriminatorConfig(
-            point_channels=self.disc_point_channels,
-            global_channels=self.disc_global_channels,
-            head_hidden=self.disc_head_hidden,
-            use_attention=not self.ablate_attention,
-        )
+    def generator_config(self):
+        """This config itself, which the networks read. Kept only because
+        perfbench/run.py and perfbench/oracles.py call it, as
+        metrics.emd_approx is kept."""
+        return self
 
     def to_text(self):
         lines = []
@@ -448,12 +437,12 @@ def load_checkpoint(ckpt_dir):
     """Rebuild (generator params, discriminator params or None, config)
     from a checkpoint directory."""
     cfg = TrainConfig.load(os.path.join(ckpt_dir, "config.txt"))
-    gparams = init_generator(cfg.generator_config(), 0)
+    gparams = init_generator(cfg, 0)
     gparams.set_values(ad.load_params(os.path.join(ckpt_dir, "generator.params")))
     dparams = None
     dpath = os.path.join(ckpt_dir, "discriminator.params")
     if os.path.isfile(dpath):
-        dparams = init_discriminator(cfg.discriminator_config(), 0)
+        dparams = init_discriminator(cfg, 0)
         dparams.set_values(ad.load_params(dpath))
     return gparams, dparams, cfg
 
@@ -484,12 +473,12 @@ def train(pairs, cfg, out_dir):
                 f"patch {pair.mesh_id}/{pair.index} holds {len(pair.target)} target points, "
                 f"but rate {cfg.rate} x n_input {cfg.n_input} needs {cfg.n_target}"
             )
+    if cfg.expansion_rate < 2:  # up_feature needs two copies of each point or more
+        raise ValueError(f"rate must be at least 2 under ablate_fps, got {cfg.rate}")
     rng = np.random.default_rng(cfg.seed)  # rejects a bad seed before anything is written
     os.makedirs(out_dir, exist_ok=True)
-    gen_cfg = cfg.generator_config()
-    disc_cfg = cfg.discriminator_config()
-    gparams = init_generator(gen_cfg, rng)
-    dparams = None if cfg.ablate_discriminator else init_discriminator(disc_cfg, rng)
+    gparams = init_generator(cfg, rng)
+    dparams = None if cfg.ablate_discriminator else init_discriminator(cfg, rng)
 
     # Each patch's graph goes through backward as soon as its term exists,
     # scaled by 1 / B, and dies when its function returns, so memory holds
@@ -497,7 +486,7 @@ def train(pairs, cfg, out_dir):
     # Params nodes across the calls.
     def generator_patch(p, q, uni_seed):
         """(term, adv, rec, uni) values of one patch's compound loss."""
-        out_node = generate_node(gparams, gen_cfg, p)[0]
+        out_node = generate_node(gparams, cfg, p)[0]
         rec_node, _ = lo.reconstruction_loss(out_node, q)
         uni_node = None
         if not cfg.ablate_uniform:
@@ -506,7 +495,7 @@ def train(pairs, cfg, out_dir):
         adv_node = None
         if dparams is not None:
             adv_node = lo.generator_adversarial_loss(
-                discriminate_node(dparams, disc_cfg, out_node)
+                discriminate_node(dparams, cfg, out_node)
             )
         term = lo.compound_generator_loss(adv_node, rec_node, uni_node)
         ad.backward(ad.scale(term, 1.0 / batch_size))
@@ -517,9 +506,9 @@ def train(pairs, cfg, out_dir):
 
     def discriminator_patch(p, q):
         """(term, d_fake, d_real) values of one patch's discriminator loss."""
-        fake_pts = generate(gparams, gen_cfg, p)
-        conf_fake = discriminate_node(dparams, disc_cfg, fake_pts)
-        conf_real = discriminate_node(dparams, disc_cfg, q)
+        fake_pts = generate(gparams, cfg, p)
+        conf_fake = discriminate_node(dparams, cfg, fake_pts)
+        conf_real = discriminate_node(dparams, cfg, q)
         term = lo.discriminator_adversarial_loss(conf_fake, conf_real)
         ad.backward(ad.scale(term, 1.0 / batch_size))
         return tuple(float(node.value[0, 0]) for node in (term, conf_fake, conf_real))
@@ -593,7 +582,7 @@ def train(pairs, cfg, out_dir):
 # inference
 
 
-def upsample_cloud(points, params, gen_cfg, overlap_factor=3, generator_fn=None):
+def upsample_cloud(points, params, cfg, overlap_factor=3, generator_fn=None):
     """Patch-based upsampling of a whole cloud to rate * len(points).
 
     Farthest-point seeds cover the cloud with overlap_factor redundancy
@@ -602,7 +591,7 @@ def upsample_cloud(points, params, gen_cfg, overlap_factor=3, generator_fn=None)
     Every patch is normalized, the generator upsamples the stack of them
     in one call, each output is mapped back, and the union is trimmed to
     exactly rate * len(points) by farthest point sampling.
-    `generator_fn` maps (params, gen_cfg, (P, N, 3) stack) -> (P, rate *
+    `generator_fn` maps (params, cfg, (P, N, 3) stack) -> (P, rate *
     N, 3) stack and defaults to the real network.
     """
     pts = as_points(points)
@@ -613,7 +602,7 @@ def upsample_cloud(points, params, gen_cfg, overlap_factor=3, generator_fn=None)
         raise ValueError(f"overlap_factor must be at least 1, got {overlap_factor}")
     if generator_fn is None:
         generator_fn = generate
-    n_in = gen_cfg.n_input
+    n_in = cfg.n_input
     if n < n_in:
         patches = pts[np.arange(n_in) % n][None]
     else:
@@ -621,8 +610,8 @@ def upsample_cloud(points, params, gen_cfg, overlap_factor=3, generator_fn=None)
         seeds = farthest_point_sampling(pts, seed_count, 0)
         patches = pts[SpatialIndex(pts).knn(pts[seeds], n_in)[0]]
     frames = [normalize_unit_sphere(patch) for patch in patches]
-    up = generator_fn(params, gen_cfg, np.stack([normed for normed, _, _ in frames]))
+    up = generator_fn(params, cfg, np.stack([normed for normed, _, _ in frames]))
     union = np.vstack([denormalize(u, centroid, scale)
                        for u, (_, centroid, scale) in zip(up, frames)])
-    keep = farthest_point_sampling(union, gen_cfg.rate * n, 0)
+    keep = farthest_point_sampling(union, cfg.rate * n, 0)
     return union[keep]

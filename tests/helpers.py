@@ -210,12 +210,12 @@ def collapsed_generator_output(n_input, seed=0):
     """What an untrained generator makes of an n_input-point planar patch:
     rate * n_input points collapsed to a few percent of the patch's
     extent, with no exact ties."""
-    from pcup import networks
+    from pcup import networks, training
 
     rng = np.random.default_rng(seed)
     patch = rng.normal(size=(n_input, 3)) * [1.0, 1.0, 0.1]
     patch /= np.linalg.norm(patch, axis=1).max()
-    cfg = networks.GeneratorConfig(n_input=n_input)
+    cfg = training.TrainConfig(n_input=n_input)
     return networks.generate(networks.init_generator(cfg, rng), cfg, patch)
 
 

@@ -72,7 +72,7 @@ def test_c02_gradient_suite(rng):
         att,
     )
     # 3. the expansion operators, each in isolation
-    cfg = nw.GeneratorConfig(
+    cfg = tr.TrainConfig(
         n_input=8, rate=2, feature_channels=12, working_channels=6,
         group_k=4, regress_hidden=4,
     )
@@ -178,34 +178,33 @@ def test_c04_spatial_query_exactness(icosphere_mesh):
 
 
 def test_c05_architecture_contracts(rng):
-    gen_cfg = tr.TrainConfig().generator_config()
-    disc_cfg = tr.TrainConfig().discriminator_config()
-    gp = nw.init_generator(gen_cfg, np.random.default_rng(0))
-    dp = nw.init_discriminator(disc_cfg, np.random.default_rng(0))
+    cfg = tr.TrainConfig()
+    gp = nw.init_generator(cfg, np.random.default_rng(0))
+    dp = nw.init_discriminator(cfg, np.random.default_rng(0))
     # default channel widths: 480 extracted features reduced to 128
     # working channels, 64-wide regression head, 256-wide global pipeline
-    assert gen_cfg.feature_channels == 480
+    assert cfg.feature_channels == 480
     assert gp["reduce.l0.w"].value.shape == (480, 128)
     assert gp["regress.l0.w"].value.shape == (128, 64)
     assert dp["d.global.l0.w"].value.shape == (128, 256)
     # exactly rate*N points selected out of (rate+2)*N regressed ones
-    pts = rng.normal(size=(gen_cfg.n_input, 3))
+    pts = rng.normal(size=(cfg.n_input, 3))
     pts /= np.abs(pts).max()
-    out, raw, selected = nw.generate_node(gp, gen_cfg, pts)
-    assert raw.value.shape == ((gen_cfg.rate + 2) * gen_cfg.n_input, 3)
-    assert out.value.shape == (gen_cfg.rate * gen_cfg.n_input, 3)
+    out, raw, selected = nw.generate_node(gp, cfg, pts)
+    assert raw.value.shape == ((cfg.rate + 2) * cfg.n_input, 3)
+    assert out.value.shape == (cfg.rate * cfg.n_input, 3)
     assert np.array_equal(out.value, raw.value[selected])
     assert np.array_equal(
         selected,
-        farthest_point_sampling(raw.value, gen_cfg.rate * gen_cfg.n_input, nw.FPS_SEED),
+        farthest_point_sampling(raw.value, cfg.rate * cfg.n_input, nw.FPS_SEED),
     )
     # permutation invariance of the discriminator at full width
     cloud = rng.normal(size=(512, 3))
     with ad.no_grad():
-        base = nw.discriminate_node(dp, disc_cfg, cloud).value[0, 0]
+        base = nw.discriminate_node(dp, cfg, cloud).value[0, 0]
         for _ in range(3):
             perm = rng.permutation(len(cloud))
-            assert abs(nw.discriminate_node(dp, disc_cfg, cloud[perm]).value[0, 0] - base) < 1e-9
+            assert abs(nw.discriminate_node(dp, cfg, cloud[perm]).value[0, 0] - base) < 1e-9
 
 
 def test_c06_overfit_sanity(icosphere_mesh):
@@ -215,14 +214,13 @@ def test_c06_overfit_sanity(icosphere_mesh):
     pairs = tr.build_dataset("ico", icosphere_mesh, cfg)
     target = pairs[0].target  # one fixed 256-point unit-sphere patch
     inp = target[farthest_point_sampling(target, 64, 0)]  # fixed 64-point input
-    gen_cfg = cfg.generator_config()
-    params = nw.init_generator(gen_cfg, np.random.default_rng(0))
+    params = nw.init_generator(cfg, np.random.default_rng(0))
     best = math.inf
     for step in range(1, 1001):
         # reconstruction only (adversarial and uniformity weights zero),
         # with the decay schedule compressed to the short horizon
         lr = max(1e-4, 1e-3 * 0.7 ** ((step - 1) // 250))
-        out_node = nw.generate_node(params, gen_cfg, inp)[0]
+        out_node = nw.generate_node(params, cfg, inp)[0]
         rec, _ = lo.reconstruction_loss(out_node, target)
         best = min(best, float(rec.value[0, 0]) / len(target))
         ad.backward(rec)
@@ -258,9 +256,9 @@ def test_c07_adversarial_smoke(icosphere_mesh, tmp_path):
 def test_c08_pipeline_count_contract():
     mesh = TriangleMesh(*helpers.icosphere(3))
     cloud = area_weighted_sample(mesh, 2048, np.random.default_rng(0)).positions
-    gen_cfg = tr.TrainConfig().generator_config()
-    params = nw.init_generator(gen_cfg, np.random.default_rng(0))
-    dense = tr.upsample_cloud(cloud, params, gen_cfg)
+    cfg = tr.TrainConfig()
+    params = nw.init_generator(cfg, np.random.default_rng(0))
+    dense = tr.upsample_cloud(cloud, params, cfg)
     assert dense.shape == (8192, 3)
     values = metrics.uniformity_report_mesh(
         dense, mesh, seed_count=50, rng=0, pool_size=3000

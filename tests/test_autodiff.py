@@ -10,6 +10,7 @@ import pytest
 import helpers
 from pcup import autodiff as ad
 from pcup import networks as nw
+from pcup.training import TrainConfig
 
 
 def _params_with(rng, shapes):
@@ -259,8 +260,8 @@ def test_no_grad_restores_recording_after_nesting_and_after_a_raise(rng):
             assert not _records()
         assert not _records()  # the inner exit restores the outer setting
     assert _records()
-    cfg = nw.GeneratorConfig(n_input=24, rate=2, feature_channels=24, working_channels=10,
-                             group_k=6, regress_hidden=6)
+    cfg = TrainConfig(n_input=24, rate=2, feature_channels=24, working_channels=10,
+                      group_k=6, regress_hidden=6)
     params = nw.init_generator(cfg, rng)
     with pytest.raises(ValueError, match="expects 24 input points"):
         nw.generate(params, cfg, rng.normal(size=(25, 3)))

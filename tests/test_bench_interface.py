@@ -132,3 +132,18 @@ def test_training_check_passes_on_a_tiny_run(icosphere_mesh, tmp_path):
     pairs = tr.prepare_archive("ico", icosphere_mesh, cfg, archive, log=lambda m: None)
     tr.train(pairs, cfg, tmp_path / "run")
     oracles.check_training(str(tmp_path / "run"), str(archive), cfg.iterations)
+
+
+def test_set_up_writes_a_checkpoint_that_upsamples(tmp_path, monkeypatch):
+    # Run.set_up makes its config, generator and checkpoint through the
+    # names it reads from pcup; `pcup upsample` then reads the checkpoint
+    bench = _load("run")
+    for name in ("inputs", "oracles"):
+        monkeypatch.setitem(sys.modules, name, _load(name))
+    run = bench.Run(bench.WORKLOADS["train_desk"], 1, tmp_path)
+    run.set_up()
+    gparams, dparams, cfg = tr.load_checkpoint(str(run.checkpoint))
+    assert dparams is None
+    assert (cfg.n_input, cfg.rate) == (run.w.upsample_n, bench.RATE)
+    assert pcup.cli.main(run.argv("upsample")) == 0
+    run.check("upsample")

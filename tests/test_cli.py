@@ -386,6 +386,32 @@ class TestTrain:
         assert stdout == ""
         assert not out.exists()
 
+    @pytest.mark.parametrize("how", [["--ablate", "fps"], ["--baseline"], ["ablate_fps = true"]])
+    def test_rate_one_without_fps_trim_exits_1(self, capsys, tmp_path, mesh_dir, how):
+        # the generator then expands by 1, which up_feature refuses; that
+        # used to happen after losses.csv was written, so a retry into the
+        # same --out was refused as a run already there
+        meshes = tmp_path / "meshes"
+        meshes.mkdir()
+        (meshes / "tetra.off").write_bytes((mesh_dir / "tetra.off").read_bytes())
+        data = tmp_path / "archive"
+        prepare = PREPARE_TINY[:]
+        prepare[prepare.index("--r") + 1] = "1"
+        assert main(["prepare", "--meshes", str(meshes), "--out", str(data)] + prepare) == 0
+        cfg_path = tmp_path / "config.txt"
+        lines = [config_with("rate = 1")] + [line + "\n" for line in how if "=" in line]
+        cfg_path.write_text("".join(lines))
+        flags = [flag for flag in how if "=" not in flag]
+        capsys.readouterr()
+        out = tmp_path / "run"
+        code, stdout, err = run(capsys, "train", "--data", str(data), "--out", str(out),
+                                "--config", str(cfg_path), *flags)
+        assert code == 1
+        assert stdout == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: ") and "rate" in err and "ablate_fps" in err
+        assert not (out / "losses.csv").exists()
+
     def test_non_ascii_config_exits_1_naming_the_file(self, capsys, archive, tmp_path):
         cfg_path = tmp_path / "config.txt"
         cfg_path.write_bytes(CONFIG_TINY.encode("ascii") + b"\xff\n")

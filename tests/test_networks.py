@@ -1,7 +1,9 @@
 """Generator and discriminator: widths, expansion mechanics, grid codes,
 invariances, ablation switches, and end-to-end gradients."""
 
+import hashlib
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,17 +12,36 @@ import helpers
 from pcup import autodiff as ad
 from pcup import networks as nw
 from pcup.geometry import farthest_point_sampling
+from pcup.training import TrainConfig
 
 
-TOY = nw.GeneratorConfig(
+TOY = TrainConfig(
     n_input=24,
     rate=2,
     feature_channels=24,
     working_channels=10,
     group_k=6,
     regress_hidden=6,
+    disc_point_channels=6,
+    disc_global_channels=12,
+    disc_head_hidden=5,
 )
-TOY_D = nw.DiscriminatorConfig(point_channels=6, global_channels=12, head_hidden=5)
+
+# sha256 of save_params of init_generator and init_discriminator at seed 0.
+# Initialisation only draws uniforms and scales them, with no BLAS call,
+# so the digests do not depend on the OpenBLAS kernel
+INIT_SHA256 = {
+    "toy": ("73fa7483bbbc93a822e6bfe821bc66a0e4c2d0be60c622eb2846c6d9b000686c",
+            "e58166907482ce1dbf185ff99e4f35f6dd2812c5d3a7f3386e945fd2d364b50e"),
+    "ablate_attention": ("63f688b504beef6856e786a69e07fb119448a4b322a6620005913be69c162667",
+                         "1d7af3af8a4c59e252dfb52fd99c4f25bfe17e5444601ae851e927d67fa1668d"),
+    "ablate_up_down_up": ("301d4fda20ea20176de4916b21bd8cb9e2277e139f0cf26984a0bcf841851b04",
+                          "e58166907482ce1dbf185ff99e4f35f6dd2812c5d3a7f3386e945fd2d364b50e"),
+    "ablate_fps": ("11bea4454db393e604c6db91e1ba7d7e18c2863a4f1eca24cff0105e83372947",
+                   "e58166907482ce1dbf185ff99e4f35f6dd2812c5d3a7f3386e945fd2d364b50e"),
+    "paper": ("573d42f9a5de4c33018ae8318544a80e0831b619490daa47f2b575d4446b095a",
+              "c268eeb2e231a7b8b5dc68a74b7fd6a27ad51fbe0e31056aae058dc15677f4aa"),
+}
 
 
 def _cloud(n, seed=0):
@@ -29,12 +50,12 @@ def _cloud(n, seed=0):
 
 class TestWidths:
     def test_default_channel_plan(self, rng):
-        cfg = nw.GeneratorConfig()
+        cfg = TrainConfig()
         assert cfg.feature_channels == 480
         assert cfg.working_channels == 128
         assert cfg.regress_hidden == 64
         assert cfg.expansion_rate == 6  # rate 4 + 2 over-generation
-        assert cfg.n_output == 1024
+        assert cfg.n_target == 1024
         params = nw.init_generator(cfg, rng)
         assert params["feat.b0.l0.w"].value.shape == (6, 160)
         assert params["feat.b1.l0.w"].value.shape == (6 + 160, 160)
@@ -45,17 +66,29 @@ class TestWidths:
         assert params["regress.l1.w"].value.shape == (64, 3)
 
     def test_default_discriminator_plan(self, rng):
-        cfg = nw.DiscriminatorConfig()
-        params = nw.init_discriminator(cfg, rng)
+        params = nw.init_discriminator(TrainConfig(), rng)
         assert params["d.point.l0.w"].value.shape == (3, 64)
         assert params["d.attn.k.w"].value.shape == (128, 128)
         assert params["d.global.l0.w"].value.shape == (128, 256)
         assert params["d.head.l0.w"].value.shape == (256, 64)
         assert params["d.head.l1.w"].value.shape == (64, 1)
 
+    @pytest.mark.parametrize("case", sorted(INIT_SHA256))
+    def test_initial_parameters_are_pinned(self, tmp_path, case):
+        if case == "paper":
+            cfg = TrainConfig()
+        else:
+            cfg = replace(TOY, **({} if case == "toy" else {case: True}))
+        got = []
+        for init in (nw.init_generator, nw.init_discriminator):
+            path = tmp_path / f"{init.__name__}.params"
+            ad.save_params(init(cfg, 0), path)
+            got.append(hashlib.sha256(path.read_bytes()).hexdigest())
+        assert tuple(got) == INIT_SHA256[case]
+
     def test_feature_channels_must_split_into_three(self, rng):
         with pytest.raises(ValueError, match="divisible by 3"):
-            nw.init_generator(nw.GeneratorConfig(feature_channels=100), rng)
+            nw.init_generator(TrainConfig(feature_channels=100), rng)
 
 
 class TestLocalEmbedding:
@@ -161,17 +194,17 @@ class TestGenerator:
         pts = _cloud(TOY.n_input)
         out, raw, selected = nw.generate_node(params, TOY, pts)
         assert raw.value.shape == (TOY.expansion_rate * TOY.n_input, 3)
-        assert out.value.shape == (TOY.n_output, 3)
+        assert out.value.shape == (TOY.n_target, 3)
         assert np.array_equal(out.value, raw.value[selected])
         # trim is exactly farthest point sampling from the configured seed
         assert np.array_equal(
-            selected, farthest_point_sampling(raw.value, TOY.n_output, nw.FPS_SEED)
+            selected, farthest_point_sampling(raw.value, TOY.n_target, nw.FPS_SEED)
         )
 
-    @pytest.mark.parametrize("ablation", [None, "use_attention", "use_up_down_up",
-                                          "use_fps_trim"])
+    @pytest.mark.parametrize("ablation", [None, "ablate_attention", "ablate_up_down_up",
+                                          "ablate_fps"])
     def test_generate_returns_the_bytes_of_generate_node(self, rng, ablation):
-        cfg = TOY if ablation is None else nw.GeneratorConfig(**{**TOY.__dict__, ablation: False})
+        cfg = TOY if ablation is None else replace(TOY, **{ablation: True})
         params = nw.init_generator(cfg, rng)
         pts = _cloud(cfg.n_input)
         out = nw.generate(params, cfg, pts)
@@ -187,7 +220,7 @@ class TestGenerator:
         # the graph of one N=256 patch, with its two 1536 x 1536 attention
         # weights, traced 76 MiB at its peak when generate kept it for a
         # backward pass; without it the peak is about 26 MiB
-        cfg = nw.GeneratorConfig()
+        cfg = TrainConfig()
         params = nw.init_generator(cfg, 0)
         pts = _cloud(cfg.n_input)
         tracemalloc.start()
@@ -196,7 +229,7 @@ class TestGenerator:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert out.shape == (cfg.n_output, 3)
+        assert out.shape == (cfg.n_target, 3)
         assert peak < 40 * 2**20
 
     def test_recorded_step_at_paper_size_peaks_under_125_mib(self):
@@ -204,13 +237,13 @@ class TestGenerator:
         # a training step records them: 140.9 MiB traced at its peak while
         # relu kept each pre-activation and the attention push made the
         # (1536, 1536) product dW * W whole; 111.8 MiB without either
-        gcfg, dcfg = nw.GeneratorConfig(), nw.DiscriminatorConfig()
-        gparams, dparams = nw.init_generator(gcfg, 0), nw.init_discriminator(dcfg, 1)
-        pts = np.random.default_rng(0).standard_normal((gcfg.n_input, 3))
+        cfg = TrainConfig()
+        gparams, dparams = nw.init_generator(cfg, 0), nw.init_discriminator(cfg, 1)
+        pts = np.random.default_rng(0).standard_normal((cfg.n_input, 3))
         tracemalloc.start()
         try:
-            fake = nw.generate_node(gparams, gcfg, pts)[0]
-            ad.backward(nw.discriminate_node(dparams, dcfg, fake))
+            fake = nw.generate_node(gparams, cfg, pts)[0]
+            ad.backward(nw.discriminate_node(dparams, cfg, fake))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -253,17 +286,17 @@ class TestGenerator:
 
 class TestAblations:
     def test_fps_trim_off_returns_raw(self, rng):
-        cfg = nw.GeneratorConfig(**{**TOY.__dict__, "use_fps_trim": False})
+        cfg = replace(TOY, ablate_fps=True)
         params = nw.init_generator(cfg, rng)
         assert cfg.expansion_rate == cfg.rate
         out, raw, selected = nw.generate_node(params, cfg, _cloud(cfg.n_input))
         assert out is raw
-        assert out.value.shape == (cfg.n_output, 3)
-        assert np.array_equal(selected, np.arange(cfg.n_output))
+        assert out.value.shape == (cfg.n_target, 3)
+        assert np.array_equal(selected, np.arange(cfg.n_target))
 
     def test_attention_off_removes_only_attention_params(self, rng):
         on = nw.init_generator(TOY, rng)
-        cfg = nw.GeneratorConfig(**{**TOY.__dict__, "use_attention": False})
+        cfg = replace(TOY, ablate_attention=True)
         off = nw.init_generator(cfg, rng)
         gone = set(on.names()) - set(off.names())
         assert gone and all(".attn." in name for name in gone)
@@ -271,11 +304,11 @@ class TestAblations:
             assert off[name].value.shape == on[name].value.shape
 
     def test_up_down_up_off_removes_correction_blocks(self, rng):
-        cfg = nw.GeneratorConfig(**{**TOY.__dict__, "use_up_down_up": False})
+        cfg = replace(TOY, ablate_up_down_up=True)
         off = nw.init_generator(cfg, rng)
         assert not any(name.startswith(("expand.up2", "expand.down")) for name in off.names())
         out, _, _ = nw.generate_node(off, cfg, _cloud(cfg.n_input))
-        assert out.value.shape == (cfg.n_output, 3)
+        assert out.value.shape == (cfg.n_target, 3)
 
 
 def _confidence(params, cfg, q):
@@ -286,36 +319,36 @@ def _confidence(params, cfg, q):
 
 class TestDiscriminator:
     def test_confidence_in_unit_interval(self, rng):
-        params = nw.init_discriminator(TOY_D, rng)
-        val = _confidence(params, TOY_D, _cloud(40))
+        params = nw.init_discriminator(TOY, rng)
+        val = _confidence(params, TOY, _cloud(40))
         assert 0.0 < val < 1.0
-        assert val == nw.discriminate_node(params, TOY_D, _cloud(40)).value[0, 0]
+        assert val == nw.discriminate_node(params, TOY, _cloud(40)).value[0, 0]
 
     def test_permutation_invariance(self, rng):
-        params = nw.init_discriminator(TOY_D, rng)
+        params = nw.init_discriminator(TOY, rng)
         pts = _cloud(60)
-        base = _confidence(params, TOY_D, pts)
+        base = _confidence(params, TOY, pts)
         for _ in range(5):
             perm = rng.permutation(60)
-            assert abs(_confidence(params, TOY_D, pts[perm]) - base) < 1e-9
+            assert abs(_confidence(params, TOY, pts[perm]) - base) < 1e-9
 
     def test_variable_input_sizes(self, rng):
-        params = nw.init_discriminator(TOY_D, rng)
+        params = nw.init_discriminator(TOY, rng)
         for n in (1, 2, 17, 100):
-            val = _confidence(params, TOY_D, _cloud(n))
+            val = _confidence(params, TOY, _cloud(n))
             assert np.isfinite(val)
 
     def test_wrong_shape_rejected(self, rng):
-        params = nw.init_discriminator(TOY_D, rng)
+        params = nw.init_discriminator(TOY, rng)
         with pytest.raises(ValueError):
-            _confidence(params, TOY_D, np.zeros((5, 2)))
+            _confidence(params, TOY, np.zeros((5, 2)))
 
     def test_gradcheck_sampled(self, rng):
-        params = nw.init_discriminator(TOY_D, rng)
+        params = nw.init_discriminator(TOY, rng)
         pts = _cloud(12)
 
         def make_loss():
-            return ad.square(nw.discriminate_node(params, TOY_D, pts))
+            return ad.square(nw.discriminate_node(params, TOY, pts))
 
         helpers.gradcheck(
             make_loss,
@@ -330,9 +363,9 @@ class TestDiscriminator:
         # realistic widths (64) a fully dead head is vanishingly unlikely
         rng = np.random.default_rng(1)
         gparams = nw.init_generator(TOY, rng)
-        dparams = nw.init_discriminator(TOY_D, rng)
+        dparams = nw.init_discriminator(TOY, rng)
         out, _, _ = nw.generate_node(gparams, TOY, _cloud(TOY.n_input))
-        conf = nw.discriminate_node(dparams, TOY_D, out)
+        conf = nw.discriminate_node(dparams, TOY, out)
         ad.backward(ad.square(conf))
         assert gparams["regress.l1.w"].grad is not None
         assert np.linalg.norm(gparams["regress.l1.w"].grad) > 0
@@ -352,7 +385,7 @@ class TestDiscriminator:
             centers = uniform_ball(rng, k)
             return centers[rng.integers(0, k, n)] + rng.normal(0, sigma, (n, 3))
 
-        cfg = nw.DiscriminatorConfig(8, 16, 8)
+        cfg = TrainConfig(disc_point_channels=8, disc_global_channels=16, disc_head_hidden=8)
         rng = np.random.default_rng(0)
         params = nw.init_discriminator(cfg, rng)
         for _ in range(200):

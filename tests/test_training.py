@@ -230,7 +230,7 @@ class TestConfig:
         old_text = "".join(lines[:at] + ["emd_epsilon = 0.001\n"] + lines[at:])
         assert tr.TrainConfig.from_text(old_text) == cfg
         ckpt = tmp_path / "ckpt"
-        gparams = init_generator(cfg.generator_config(), 0)
+        gparams = init_generator(cfg, 0)
         tr.save_checkpoint(ckpt, gparams, None, cfg)
         (ckpt / "config.txt").write_text(old_text)
         assert tr.load_checkpoint(ckpt)[2] == cfg
@@ -269,7 +269,7 @@ class TestConfig:
     def test_retired_key_in_a_checkpoint_is_rejected(self, tmp_path):
         cfg = tr.TrainConfig(**TINY)
         ckpt = tmp_path / "ckpt"
-        tr.save_checkpoint(ckpt, init_generator(cfg.generator_config(), 0), None, cfg)
+        tr.save_checkpoint(ckpt, init_generator(cfg, 0), None, cfg)
         (ckpt / "config.txt").write_text(cfg.to_text() + "grid_extent = 0.2\n")
         assert tr.load_checkpoint(ckpt)[2] == cfg
         (ckpt / "config.txt").write_text(cfg.to_text() + "grid_extent = 0.3\n")
@@ -485,8 +485,8 @@ class TestTrainLoop:
         gp, dp, cfg2 = tr.load_checkpoint(out / "ckpt_000003")
         assert dp is not None
         pts = pairs[0].target[: cfg.n_input]
-        a = generate(result.generator, cfg.generator_config(), pts)
-        b = generate(gp, cfg2.generator_config(), pts)
+        a = generate(result.generator, cfg, pts)
+        b = generate(gp, cfg2, pts)
         assert np.array_equal(a, b)
 
     def test_training_is_deterministic(self, tiny_pairs, tmp_path):
@@ -679,11 +679,11 @@ class TestTrainLoop:
         inp = held.target[: cfg.n_input]
 
         def held_out_emd(params):
-            out = generate(params, cfg.generator_config(), inp)
+            out = generate(params, cfg, inp)
             return emd_exact(out, held.target).cost / len(held.target)
 
         before = held_out_emd(
-            init_generator(cfg.generator_config(), np.random.default_rng(cfg.seed))
+            init_generator(cfg, np.random.default_rng(cfg.seed))
         )
         result = tr.train(train_pairs, cfg, tmp_path / "run")
         after = held_out_emd(result.generator)
@@ -695,7 +695,7 @@ class TestUpsampleCloud:
         return np.tile(patches, (1, cfg.rate, 1))
 
     def test_stub_output_is_subset_of_input(self, rng):
-        cfg = tr.TrainConfig(**TINY).generator_config()
+        cfg = tr.TrainConfig(**TINY)
         pts = rng.normal(size=(50, 3))
         up = tr.upsample_cloud(pts, None, cfg, generator_fn=self._stub)
         assert up.shape == (cfg.rate * 50, 3)
@@ -704,7 +704,7 @@ class TestUpsampleCloud:
         assert d.max() < 1e-9
 
     def test_small_cloud_zero_pad_path(self, rng):
-        cfg = tr.TrainConfig(**TINY).generator_config()
+        cfg = tr.TrainConfig(**TINY)
         pts = rng.normal(size=(5, 3))  # below n_input=16
         up = tr.upsample_cloud(pts, None, cfg, generator_fn=self._stub)
         assert up.shape == (cfg.rate * 5, 3)
@@ -712,7 +712,7 @@ class TestUpsampleCloud:
     def test_small_cloud_pads_with_its_own_points(self, rng):
         # an ideal generator gives back the padded patch, so padding at the
         # origin would survive the final trim as points off the cloud
-        cfg = tr.TrainConfig(**TINY).generator_config()
+        cfg = tr.TrainConfig(**TINY)
         pts = 10.0 + rng.normal(size=(10, 3))  # below n_input=16
         up = tr.upsample_cloud(pts, None, cfg, generator_fn=self._stub)
         assert up.shape == (cfg.rate * 10, 3)
@@ -739,7 +739,7 @@ class TestUpsampleCloud:
     @pytest.mark.parametrize("ablate_fps", [False, True])
     @pytest.mark.parametrize("n", [40, 10])  # 10 < n_input: one padded patch
     def test_matches_single_patch_reference_bytes(self, rng, ablate_fps, n):
-        cfg = tr.TrainConfig(**TINY, ablate_fps=ablate_fps).generator_config()
+        cfg = tr.TrainConfig(**TINY, ablate_fps=ablate_fps)
         params = init_generator(cfg, 1)
         pts = rng.normal(size=(n, 3))
         got = tr.upsample_cloud(pts, params, cfg)
@@ -750,18 +750,18 @@ class TestUpsampleCloud:
         pairs, cfg = tiny_pairs
         result = tr.train(pairs, cfg, tmp_path / "run")
         pts = rng.normal(size=(40, 3))
-        up = tr.upsample_cloud(pts, result.generator, cfg.generator_config())
+        up = tr.upsample_cloud(pts, result.generator, cfg)
         assert up.shape == (cfg.rate * 40, 3)
         assert np.isfinite(up).all()
 
     def test_patches_come_from_one_knn_query(self, rng, monkeypatch):
-        cfg = tr.TrainConfig(**TINY).generator_config()
+        cfg = tr.TrainConfig(**TINY)
         pts = rng.normal(size=(200, 3))
         patches = []
 
-        def generator(params, gen_cfg, stack):
+        def generator(params, cfg, stack):
             patches.extend(stack)
-            return self._stub(params, gen_cfg, stack)
+            return self._stub(params, cfg, stack)
 
         calls = []
         knn = tr.SpatialIndex.knn
@@ -776,18 +776,18 @@ class TestUpsampleCloud:
             assert np.allclose(patch, normed / np.linalg.norm(normed, axis=1).max())
 
     def test_empty_input_rejected(self):
-        cfg = tr.TrainConfig(**TINY).generator_config()
+        cfg = tr.TrainConfig(**TINY)
         with pytest.raises(ValueError, match="empty input"):
             tr.upsample_cloud(np.zeros((0, 3)), None, cfg, generator_fn=self._stub)
 
     @pytest.mark.parametrize("overlap", [0, 0.5, -1])
     def test_overlap_below_one_rejected(self, rng, overlap):
-        cfg = tr.TrainConfig(**TINY).generator_config()
+        cfg = tr.TrainConfig(**TINY)
         calls = []
 
-        def generator(params, gen_cfg, stack):
+        def generator(params, cfg, stack):
             calls.append(stack)
-            return self._stub(params, gen_cfg, stack)
+            return self._stub(params, cfg, stack)
 
         with pytest.raises(ValueError, match="overlap_factor must be at least 1"):
             tr.upsample_cloud(rng.normal(size=(50, 3)), None, cfg, overlap, generator)
