@@ -105,19 +105,19 @@ class TrainConfig:
     text; each fixed value of the paper is a constant where it is used."""
 
     # patch extraction
-    n_input: int = 256
-    rate: int = 4
+    n_input: int = 256  # points per input patch
+    rate: int = 4  # upsampling ratio
     patches_per_mesh: int = 200
     patch_fraction: float = 0.05
     pool_size: int = 50000
     # network widths
-    feature_channels: int = 480
-    working_channels: int = 128
-    group_k: int = 16
-    regress_hidden: int = 64
-    disc_point_channels: int = 64
-    disc_global_channels: int = 256
-    disc_head_hidden: int = 64
+    feature_channels: int = 480  # dense extractor output width (3 blocks)
+    working_channels: int = 128  # width inside the expansion unit
+    group_k: int = 16  # neighborhood size of the input embedding
+    regress_hidden: int = 64  # hidden width of the coordinate regressor
+    disc_point_channels: int = 64  # per-point width before global pooling
+    disc_global_channels: int = 256  # width after the global-context stage
+    disc_head_hidden: int = 64  # hidden width of the confidence head
     # uniformity protocol
     uniform_seed_count: int = 50
     # not a field: the matching is exact, so its tolerance is 0;
