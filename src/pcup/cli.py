@@ -240,7 +240,7 @@ def _cmd_train(args):
     result = train(pairs, cfg, args.out)
     last = result.history[-1]
     print(
-        f"trained {result.iterations} iterations on {len(pairs)} patches; "
+        f"trained {len(result.history)} iterations on {len(pairs)} patches; "
         f"final generator loss {last['loss_g']:.6g}"
     )
     return 0
@@ -256,10 +256,14 @@ def _cmd_upsample(args):
 
 
 def _cmd_eval(args):
+    name = args.name or os.path.splitext(os.path.basename(args.pred))[0]
+    # the label is written raw as the first field of a CSV row
+    if not name.isascii() or set(name) & set(',"\r\n'):
+        raise ValueError(f"report label {name!r} holds a comma, a double quote, a line break "
+                         "or a non-ASCII character; give another with --name")
     pred = read_xyz(args.pred)
     gt = read_xyz(args.gt)
     mesh = load_mesh(args.mesh)
-    name = args.name or os.path.splitext(os.path.basename(args.pred))[0]
     cd = metrics.chamfer_distance(pred, gt)
     hd = metrics.hausdorff_distance(pred, gt)
     p2f_mean, p2f_max = metrics.point_to_surface_stats(pred, mesh)

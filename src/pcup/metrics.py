@@ -316,7 +316,7 @@ def uniformity_loss_value(points, p, seed_count, rng):
 _REPORT_SEED_CHUNK = 128
 
 
-def uniformity_report_mesh(points, mesh, seed_count=1000, rng=0, pool_size=20000):
+def uniformity_report_mesh(points, mesh, seed_count, rng, pool_size):
     """Uniformity evaluated with geodesic crops on the actual surface.
 
     Seeds are drawn uniformly from a dense area-weighted pool; each query

@@ -27,15 +27,11 @@ from .geometry import SpatialIndex, as_points, farthest_point_sampling
 __all__ = [
     "init_generator",
     "init_discriminator",
-    "extract_features",
     "grid_codes",
-    "up_feature",
-    "down_feature",
-    "up_down_up",
+    "local_embedding",
     "generate_node",
     "generate",
     "discriminate_node",
-    "local_embedding",
 ]
 
 
@@ -60,6 +56,8 @@ def init_generator(cfg, rng):
     params = ad.Params()
     if cfg.feature_channels % 3:
         raise ValueError(f"feature_channels must be divisible by 3, got {cfg.feature_channels}")
+    if cfg.expansion_rate < 2:  # _up_feature needs two copies of each point or more
+        raise ValueError(f"rate must be at least 2 under ablate_fps, got {cfg.rate}")
     width = cfg.feature_channels // 3
     for i in range(3):
         _add_linear(params, f"feat.b{i}.l0", 6 + i * width, width, rng)
@@ -111,7 +109,7 @@ def local_embedding(points, k):
     return np.hstack([pts, offsets.max(axis=1)])
 
 
-def extract_features(params, cfg, points):
+def _extract_features(params, cfg, points):
     """Densely connected per-point feature stack: each of the 3 blocks
     consumes the embedding plus every earlier block's output; the final
     feature is the concatenation of all block outputs."""
@@ -135,45 +133,41 @@ def grid_codes(rho, n_points):
     return np.repeat(codes, n_points, axis=0)
 
 
-def up_feature(params, prefix, cfg, x, rho):
-    """Duplicate features rho times, append a distinct 2D grid code to
-    each copy, mix with self-attention, and map back to the working
-    width: (n, c) -> (rho * n, working_channels)."""
-    if rho < 2:
-        raise ValueError(f"expansion rate must be >= 2, got {rho}")
-    n = x.shape[0]
-    h = ad.concat_cols(ad.tile_rows(x, rho), ad.constant(grid_codes(rho, n)))
+def _up_feature(params, prefix, cfg, x):
+    """Duplicate features r = cfg.expansion_rate times, append a distinct
+    2D grid code to each copy, mix with self-attention, and map back to
+    the working width: (n, c) -> (r * n, working_channels)."""
+    r, n = cfg.expansion_rate, x.shape[0]
+    h = ad.concat_cols(ad.tile_rows(x, r), ad.constant(grid_codes(r, n)))
     if not cfg.ablate_attention:
         h = ad.self_attention(h, params, f"{prefix}.attn")
     h = _apply_linear(params, f"{prefix}.l0", h)
     return _apply_linear(params, f"{prefix}.l1", h)
 
 
-def down_feature(params, cfg, x, rho):
-    """Regroup the rho copies of each original point into one row
-    (copies n, n+N, ..., n+(rho-1)N in order) and regress back to the
-    working width: (rho * n, c) -> (n, working_channels)."""
-    rn, c = x.shape
-    if rn % rho:
-        raise ValueError(f"down_feature: {rn} rows not divisible by rate {rho}")
-    n = rn // rho
-    idx = (np.arange(n)[:, None] + n * np.arange(rho)[None, :]).ravel()
-    h = ad.reshape(ad.gather_rows(x, idx), n, rho * c)
+def _down_feature(params, cfg, x):
+    """Regroup the r = cfg.expansion_rate copies of each original point
+    into one row (copies n, n+N, ..., n+(r-1)N in order) and regress back
+    to the working width: (r * n, c) -> (n, working_channels)."""
+    r = cfg.expansion_rate
+    n, c = x.shape[0] // r, x.shape[1]
+    idx = (np.arange(n)[:, None] + n * np.arange(r)[None, :]).ravel()
+    h = ad.reshape(ad.gather_rows(x, idx), n, r * c)
     h = _apply_linear(params, "expand.down.l0", h)
     return _apply_linear(params, "expand.down.l1", h)
 
 
-def up_down_up(params, cfg, x, rho):
+def _up_down_up(params, cfg, x):
     """Self-correcting expansion: up-expand, regress back down, and
     up-expand the residual with separate parameters, adding it to the
     first expansion. With the correction disabled this is a single
     up-expansion."""
     f1 = _apply_linear(params, "expand.pre", x)
-    f_up = up_feature(params, "expand.up1", cfg, f1, rho)
+    f_up = _up_feature(params, "expand.up1", cfg, f1)
     if cfg.ablate_up_down_up:
         return f_up
-    f2 = down_feature(params, cfg, f_up, rho)
-    delta_up = up_feature(params, "expand.up2", cfg, ad.sub(f2, f1), rho)
+    f2 = _down_feature(params, cfg, f_up)
+    delta_up = _up_feature(params, "expand.up2", cfg, ad.sub(f2, f1))
     return ad.add(f_up, delta_up)
 
 
@@ -183,10 +177,10 @@ def _regress(params, cfg, points):
     pts = as_points(points)
     if len(pts) != cfg.n_input:
         raise ValueError(f"generator expects {cfg.n_input} input points, got {len(pts)}")
-    h = extract_features(params, cfg, pts)
+    h = _extract_features(params, cfg, pts)
     h = _apply_linear(params, "reduce.l0", h)
     h = _apply_linear(params, "reduce.l1", h)
-    h = up_down_up(params, cfg, h, cfg.expansion_rate)
+    h = _up_down_up(params, cfg, h)
     h = _apply_linear(params, "regress.l0", h)
     return _apply_linear(params, "regress.l1", h, activation=False)
 

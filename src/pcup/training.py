@@ -382,7 +382,6 @@ class TrainResult:
     generator: ad.Params
     discriminator: ad.Params
     history: list
-    iterations: int
 
 
 def _batch_mean(values):
@@ -473,7 +472,7 @@ def train(pairs, cfg, out_dir):
                 f"patch {pair.mesh_id}/{pair.index} holds {len(pair.target)} target points, "
                 f"but rate {cfg.rate} x n_input {cfg.n_input} needs {cfg.n_target}"
             )
-    if cfg.expansion_rate < 2:  # up_feature needs two copies of each point or more
+    if cfg.expansion_rate < 2:  # _up_feature needs two copies of each point or more
         raise ValueError(f"rate must be at least 2 under ablate_fps, got {cfg.rate}")
     rng = np.random.default_rng(cfg.seed)  # rejects a bad seed before anything is written
     os.makedirs(out_dir, exist_ok=True)
@@ -575,7 +574,7 @@ def train(pairs, cfg, out_dir):
                 save_checkpoint(
                     os.path.join(out_dir, f"ckpt_{step:06d}"), gparams, dparams, cfg
                 )
-    return TrainResult(gparams, dparams, history, iterations)
+    return TrainResult(gparams, dparams, history)
 
 
 # ---------------------------------------------------------------------------

@@ -81,14 +81,14 @@ def test_c02_gradient_suite(rng):
     feat = rng.normal(size=(5, cfg.working_channels))
     ops = [
         (lambda: ad.sum_all(ad.square(
-            nw.up_feature(gp, "expand.up1", cfg, ad.constant(feat), rho))),
+            nw._up_feature(gp, "expand.up1", cfg, ad.constant(feat)))),
          ["expand.up1.l0.w", "expand.up1.l1.b",
           "expand.up1.attn.g.w", "expand.up1.attn.k.w"]),
         (lambda: ad.sum_all(ad.square(
-            nw.down_feature(gp, cfg, ad.constant(np.tile(feat, (rho, 1))), rho))),
+            nw._down_feature(gp, cfg, ad.constant(np.tile(feat, (rho, 1)))))),
          ["expand.down.l0.w", "expand.down.l1.b"]),
         (lambda: ad.sum_all(ad.square(
-            nw.up_down_up(gp, cfg, ad.constant(feat), rho))),
+            nw._up_down_up(gp, cfg, ad.constant(feat)))),
          ["expand.pre.w", "expand.up1.l0.w", "expand.down.l0.w",
           "expand.up2.l1.w", "expand.up2.attn.h.w"]),
     ]

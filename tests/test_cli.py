@@ -388,9 +388,9 @@ class TestTrain:
 
     @pytest.mark.parametrize("how", [["--ablate", "fps"], ["--baseline"], ["ablate_fps = true"]])
     def test_rate_one_without_fps_trim_exits_1(self, capsys, tmp_path, mesh_dir, how):
-        # the generator then expands by 1, which up_feature refuses; that
-        # used to happen after losses.csv was written, so a retry into the
-        # same --out was refused as a run already there
+        # the generator would then expand each point by 1, which it refuses;
+        # that used to happen after losses.csv was written, so a retry into
+        # the same --out was refused as a run already there
         meshes = tmp_path / "meshes"
         meshes.mkdir()
         (meshes / "tetra.off").write_bytes((mesh_dir / "tetra.off").read_bytes())
@@ -498,6 +498,16 @@ class TestTrain:
         assert "trained 2 iterations" in stdout
         assert (out / "ckpt_000002" / "generator.params").is_file()
 
+    def test_seed_flag_overrides_the_config_seed(self, capsys, archive, tmp_path):
+        cfg_path = tmp_path / "config.txt"
+        cfg_path.write_text(config_with("seed = 5"))
+        out = tmp_path / "run"
+        code, _, _ = run(capsys, "train", "--data", str(archive), "--out", str(out),
+                         "--config", str(cfg_path), "--iterations", "1")
+        assert code == 0
+        saved = (out / "ckpt_000001" / "config.txt").read_text().splitlines()
+        assert "seed = 0" in saved
+
     def test_run_outputs(self, run_dir, capsys):
         lines = (run_dir / "losses.csv").read_text().splitlines()
         assert len(lines) == 3  # header + 2 iterations
@@ -594,6 +604,28 @@ class TestUpsample:
         assert f": {key} is fixed at " in err
         assert not dst.exists()
 
+    def test_rate_one_without_fps_trim_exits_1(self, capsys, run_dir, tmp_path, rng):
+        # the generator would expand each point by 1; init_generator refuses
+        # that when load_checkpoint builds the model
+        ckpt = tmp_path / "ckpt"
+        shutil.copytree(run_dir / "ckpt_000002", ckpt)
+        text = (ckpt / "config.txt").read_text()
+        text = text.replace("rate = 2\n", "rate = 1\n")
+        text = text.replace("ablate_fps = false\n", "ablate_fps = true\n")
+        assert "\nrate = 1\n" in text and "\nablate_fps = true\n" in text
+        (ckpt / "config.txt").write_text(text)
+        src = tmp_path / "cloud.xyz"
+        write_xyz(src, rng.normal(size=(20, 3)))
+        dst = tmp_path / "o.xyz"
+        code, stdout, err = run(
+            capsys, "upsample", "--in", str(src), "--ckpt", str(ckpt), "--out", str(dst),
+        )
+        assert code == 1
+        assert stdout == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: ") and "rate" in err and "ablate_fps" in err
+        assert not dst.exists()
+
     @pytest.mark.parametrize("overlap", ["0", "-2"])
     def test_overlap_below_one_is_usage_error(self, capsys, tmp_path, rng, overlap):
         # the checkpoint does not exist: loading it first would exit 1
@@ -675,6 +707,31 @@ class TestEval:
         )
         assert code == 2
         assert message in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("label, flags", [
+        pytest.param("a,b", ["--name", "a,b"], id="comma"),
+        pytest.param("x\ny", ["--name", "x\ny"], id="line-break"),
+        pytest.param("\u00e9", ["--name", "\u00e9"], id="non-ascii"),
+        pytest.param("a,b", [], id="pred-file-name"),  # the default label
+    ])
+    def test_label_that_would_break_the_csv_exits_1(self, capsys, tmp_path, mesh_dir,
+                                                     label, flags):
+        mesh_path = mesh_dir / "tetra.off"
+        samples = area_weighted_sample(load_mesh(mesh_path), 300, np.random.default_rng(0))
+        cloud = tmp_path / "a,b.xyz"
+        write_xyz(cloud, samples.positions)
+        out = tmp_path / "report.csv"
+        code, stdout, err = run(
+            capsys, "eval", "--pred", str(cloud), "--gt", str(cloud),
+            "--mesh", str(mesh_path), "--out", str(out),
+            "--subsets", "20", "--pool-size", "500", *flags,
+        )
+        assert code == 1
+        assert stdout == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith(f"error: report label {label!r} ")
+        assert "--name" in err
         assert not out.exists()
 
     def test_missing_prediction_file(self, capsys, tmp_path, mesh_dir):

@@ -266,7 +266,8 @@ def _every_batched_query(points, mesh):
     graph = PatchGrower(SurfaceSamples(points, np.zeros(len(points)),
                                        np.full((len(points), 3), 1 / 3)))._graph
     other = points[::3] + 1e-3
-    uniformity = metrics.uniformity_report_mesh(points, mesh, seed_count=20, pool_size=2000)
+    uniformity = metrics.uniformity_report_mesh(points, mesh, seed_count=20, rng=0,
+                                                 pool_size=2000)
     arrays = [idx, dist, index.nearest_others(), graph.data, graph.indices, graph.indptr,
               mesh.distances_to_surface(points),
               np.array([metrics.chamfer_distance(points, other),

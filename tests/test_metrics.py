@@ -495,7 +495,8 @@ class TestMeshUniformityReport:
         centers = area_weighted_sample(icosphere_mesh, 8, np.random.default_rng(0)).positions
         cloud = np.vstack([c + 0.25 * out for c in centers])
         start = time.perf_counter()
-        report = metrics.uniformity_report_mesh(cloud, icosphere_mesh)
+        report = metrics.uniformity_report_mesh(cloud, icosphere_mesh, seed_count=1000, rng=0,
+                                                pool_size=20000)
         assert time.perf_counter() - start < 4.5
         assert all(v > 0 for v in report)
 
@@ -509,7 +510,8 @@ class TestMeshUniformityReport:
         cloud = np.vstack([c + 0.25 * out for c in centers])
         tracemalloc.start()
         try:
-            metrics.uniformity_report_mesh(cloud, icosphere_mesh)
+            metrics.uniformity_report_mesh(cloud, icosphere_mesh, seed_count=1000, rng=0,
+                                           pool_size=20000)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -518,20 +520,22 @@ class TestMeshUniformityReport:
     def test_attaches_through_the_grower_tree(self, icosphere_mesh, rng, monkeypatch):
         # PatchGrower's SpatialIndex already holds a kd-tree over the pool
         pts = area_weighted_sample(icosphere_mesh, 300, rng).positions
-        want = metrics.uniformity_report_mesh(pts, icosphere_mesh, seed_count=20, pool_size=2000)
+        want = metrics.uniformity_report_mesh(pts, icosphere_mesh, seed_count=20, rng=0,
+                                              pool_size=2000)
 
         def refuse(*args, **kwargs):
             raise AssertionError("a second kd-tree over the pool")
 
         monkeypatch.setattr(metrics, "cKDTree", refuse)
-        got = metrics.uniformity_report_mesh(pts, icosphere_mesh, seed_count=20, pool_size=2000)
+        got = metrics.uniformity_report_mesh(pts, icosphere_mesh, seed_count=20, rng=0,
+                                             pool_size=2000)
         assert got == want
 
     @pytest.mark.parametrize("seed_count", [0, -3])
     def test_seed_count_below_one_rejected(self, icosphere_mesh, rng, seed_count):
         pts = area_weighted_sample(icosphere_mesh, 50, rng).positions
         with pytest.raises(ValueError, match="seed_count must be >= 1"):
-            metrics.uniformity_report_mesh(pts, icosphere_mesh, seed_count=seed_count,
+            metrics.uniformity_report_mesh(pts, icosphere_mesh, seed_count=seed_count, rng=0,
                                            pool_size=500)
 
 

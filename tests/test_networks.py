@@ -149,43 +149,37 @@ class TestExpansion:
     def test_up_feature_shape(self, rng):
         params = nw.init_generator(TOY, rng)
         x = ad.constant(rng.normal(size=(5, TOY.working_channels)))
-        up = nw.up_feature(params, "expand.up1", TOY, x, 4)
+        up = nw._up_feature(params, "expand.up1", TOY, x)
         assert up.value.shape == (20, TOY.working_channels)
 
-    def test_down_feature_inverts_grouping(self, rng):
-        params = nw.init_generator(TOY, rng)
+    def test_down_feature_inverts_grouping(self):
         rho = TOY.expansion_rate
         # mark each (point, copy) pair so the regroup is visible
         n, c = 4, TOY.working_channels
         base = np.arange(n * rho * c, dtype=float).reshape(n * rho, c)
         node = ad.constant(base)
-        rn = node.value.shape[0]
         idx = (np.arange(n)[:, None] + n * np.arange(rho)[None, :]).ravel()
         regrouped = base[idx].reshape(n, rho * c)
         got = ad.reshape(ad.gather_rows(node, idx), n, rho * c)
         assert np.array_equal(got.value, regrouped)
-        # and the full operator accepts exactly divisible inputs only
-        with pytest.raises(ValueError, match="not divisible"):
-            nw.down_feature(params, TOY, ad.constant(np.zeros((7, c))), rho)
 
     def test_up_down_up_residual_structure(self, rng):
         params = nw.init_generator(TOY, rng)
         x = ad.constant(rng.normal(size=(6, TOY.working_channels)))
         rho = TOY.expansion_rate
-        out = nw.up_down_up(params, TOY, x, rho)
+        out = nw._up_down_up(params, TOY, x)
         assert out.value.shape == (6 * rho, TOY.working_channels)
         # recompute by hand from the building blocks
         f1 = ad.linear_relu(x, params["expand.pre.w"], params["expand.pre.b"])
-        f_up = nw.up_feature(params, "expand.up1", TOY, f1, rho)
-        f2 = nw.down_feature(params, TOY, f_up, rho)
-        delta = nw.up_feature(params, "expand.up2", TOY, ad.sub(f2, f1), rho)
+        f_up = nw._up_feature(params, "expand.up1", TOY, f1)
+        f2 = nw._down_feature(params, TOY, f_up)
+        delta = nw._up_feature(params, "expand.up2", TOY, ad.sub(f2, f1))
         assert np.allclose(out.value, f_up.value + delta.value)
 
     def test_rate_below_two_rejected(self, rng):
-        params = nw.init_generator(TOY, rng)
-        x = ad.constant(rng.normal(size=(5, TOY.working_channels)))
-        with pytest.raises(ValueError, match=">= 2"):
-            nw.up_feature(params, "expand.up1", TOY, x, 1)
+        # rate 1 without the over-generation of the FPS trim expands by 1
+        with pytest.raises(ValueError, match="rate must be at least 2 under ablate_fps"):
+            nw.init_generator(replace(TOY, rate=1, ablate_fps=True), rng)
 
 
 class TestGenerator:
