@@ -52,12 +52,23 @@ def _row_norms(diff):
     return np.sqrt(np.einsum("ij,ij->i", diff, diff))
 
 
+# pairwise_distances takes a's rows this many at a time, so its difference
+# temporary holds 64 x len(b) x 3 values (1.5 MB at 1024 x 1024, against
+# 25 MB for the whole broadcast); each entry is _row_norms of the same
+# difference, so the matrix has the same bits at any block size
+_PAIRWISE_ROWS = 64
+
+
 def pairwise_distances(a, b):
     """Full (len(a), len(b)) matrix of Euclidean distances."""
     a = as_points(a, "a")
     b = as_points(b, "b")
-    diff = a[:, None, :] - b[None, :, :]
-    return _row_norms(diff.reshape(-1, 3)).reshape(len(a), len(b))
+    out = np.empty((len(a), len(b)))
+    for lo in range(0, len(a), _PAIRWISE_ROWS):
+        rows = a[lo : lo + _PAIRWISE_ROWS]
+        diff = rows[:, None, :] - b[None, :, :]
+        out[lo : lo + len(rows)] = _row_norms(diff.reshape(-1, 3)).reshape(len(rows), len(b))
+    return out
 
 
 # batched kd-tree queries of at least this many points run on every CPU the

@@ -312,8 +312,40 @@ def uniformity_loss_value(points, p, seed_count, rng):
                      for m, nn, d_hat in subsets if nn is not None))
 
 
-# uniformity_report_mesh's graph distances are taken for this many seeds at a time
-_REPORT_SEED_CHUNK = 128
+# uniformity_report_mesh's graph distances are taken for this many seeds at a
+# time, and one block of seeds x pool distances is held at once (64 x 20 000
+# float64, 9.8 MiB, in `pcup eval`). On 2048- and 8192-point clouds with a
+# 20 000-point pool the report traces a 17.6-17.8 MiB peak; blocks of 128,
+# with the previous block still held while the next was computed, traced
+# 45.5-45.8 MiB
+_REPORT_SEED_CHUNK = 64
+
+
+def _add_block(totals, dists, pts, attach, nearest, radii, limit):
+    """Add the crop values of one block of seed rows of graph distances
+    to `totals`, row by row and in P_VALUES order within a row, so the
+    sums do not depend on the block size. The block is freed when this
+    returns."""
+    n = len(pts)
+    for row in dists:
+        reach = row[attach]  # graph distance of each query point's attachment
+        # the crops of a row are nested: each is a subset of the widest
+        widest = (reach <= limit).nonzero()[0]
+        crops = [(p, radii[p], widest[reach[widest] <= radii[p]]) for p in P_VALUES]
+        crops = [crop for crop in crops if len(crop[2]) >= 2]  # else clutter 0
+        if not crops:
+            continue
+        members = np.concatenate([m for _, _, m in crops])
+        sizes = np.array([len(m) for _, _, m in crops])
+        nn = nearest[members]
+        inside = reach[nn] <= np.repeat([r for _, r, _ in crops], sizes)
+        partners = _crop_partners(pts, members, sizes, nn, inside)
+        gaps = np.linalg.norm(pts[members] - pts[partners], axis=1)
+        end = 0
+        for p, r, m in crops:
+            start, end = end, end + len(m)
+            d_hat = hexagonal_neighbor_spacing(r, len(m))
+            totals[p] += _crop_value(expected_ball_count(n, p), d_hat, gaps[start:end])
 
 
 def uniformity_report_mesh(points, mesh, seed_count, rng, pool_size):
@@ -342,26 +374,10 @@ def uniformity_report_mesh(points, mesh, seed_count, rng, pool_size):
     totals = {p: 0.0 for p in P_VALUES}
     for lo in range(0, len(seeds), _REPORT_SEED_CHUNK):
         block = seeds[lo : lo + _REPORT_SEED_CHUNK]
-        dists = np.atleast_2d(grower.distances_from(block, limit=limit))
-        for row in dists:
-            reach = row[attach]  # graph distance of each query point's attachment
-            # the crops of a row are nested: each is a subset of the widest
-            widest = (reach <= limit).nonzero()[0]
-            crops = [(p, radii[p], widest[reach[widest] <= radii[p]]) for p in P_VALUES]
-            crops = [crop for crop in crops if len(crop[2]) >= 2]  # else clutter 0
-            if not crops:
-                continue
-            members = np.concatenate([m for _, _, m in crops])
-            sizes = np.array([len(m) for _, _, m in crops])
-            nn = nearest[members]
-            inside = reach[nn] <= np.repeat([r for _, r, _ in crops], sizes)
-            partners = _crop_partners(pts, members, sizes, nn, inside)
-            gaps = np.linalg.norm(pts[members] - pts[partners], axis=1)
-            end = 0
-            for p, r, m in crops:
-                start, end = end, end + len(m)
-                d_hat = hexagonal_neighbor_spacing(r, len(m))
-                totals[p] += _crop_value(expected_ball_count(n, p), d_hat, gaps[start:end])
+        # Dijkstra runs on each source on its own, so a row's distances do
+        # not depend on the block it is taken in
+        _add_block(totals, np.atleast_2d(grower.distances_from(block, limit=limit)),
+                   pts, attach, nearest, radii, limit)
     return tuple(totals[p] for p in P_VALUES)
 
 

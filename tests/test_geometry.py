@@ -3,6 +3,7 @@
 import math
 import re
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -497,6 +498,43 @@ class TestFarthestPointSampling:
         for seed in (0, 17, 89):
             got = farthest_point_sampling(pts, 90, seed)
             assert np.array_equal(got, helpers.brute_fps(pts, 90, seed))
+
+
+def _broadcast_distances(a, b):
+    """The whole (len(a), len(b), 3) broadcast in one temporary."""
+    diff = a[:, None, :] - b[None, :, :]
+    return geometry._row_norms(diff.reshape(-1, 3)).reshape(len(a), len(b))
+
+
+class TestPairwiseDistances:
+    @pytest.mark.parametrize("rows", [1, 32, 64, 128])
+    def test_row_blocks_give_the_broadcast_bits(self, rng, monkeypatch, rows):
+        monkeypatch.setattr(geometry, "_PAIRWISE_ROWS", rows)
+        grid = np.stack(np.meshgrid(*[np.arange(4.0)] * 3), axis=-1).reshape(-1, 3)
+        base = rng.normal(size=(30, 3))
+        clouds = {
+            "random": (rng.normal(size=(256, 3)), rng.normal(size=(97, 3))),
+            "tied": (grid, grid[::-1] + 0.5),  # many equal distances
+            "duplicate": (base[rng.integers(0, 30, 200)], base[rng.integers(0, 30, 150)]),
+        }
+        for name, (a, b) in clouds.items():
+            got = pairwise_distances(a, b)
+            assert got.tobytes() == _broadcast_distances(a, b).tobytes(), name
+        assert pairwise_distances(np.zeros((0, 3)), base).shape == (0, 30)
+        assert pairwise_distances(base, np.zeros((0, 3))).shape == (30, 0)
+
+    def test_large_matrix_bits_and_peak_memory(self, rng):
+        # the broadcast's (1024, 1024, 3) temporary alone is 24 MiB; in
+        # blocks of 64 rows the result's 8 MiB sets the peak, about 11 MiB
+        a, b = rng.normal(size=(1024, 3)), rng.normal(size=(1024, 3))
+        tracemalloc.start()
+        try:
+            got = pairwise_distances(a, b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 14 * 2**20
+        assert got.tobytes() == _broadcast_distances(a, b).tobytes()
 
 
 class TestNormalization:

@@ -502,9 +502,10 @@ class TestMeshUniformityReport:
 
     def test_collapsed_cloud_peak_memory(self, icosphere_mesh):
         # the clumps of test_collapsed_cloud_cost_bound; the graph distances
-        # of a block of 128 seeds to the 20 000-point pool set the peak.
-        # tracemalloc (numpy reports to it) saw 45.6 MB with a search per
-        # crop and 45.8 MB with one per seed row
+        # of a block of 64 seeds to the 20 000-point pool (9.8 MiB) set the
+        # peak. tracemalloc (numpy reports to it) saw 17.8 MiB; with blocks
+        # of 128 seeds, the previous block still held while the next was
+        # computed, it saw 45.8 MiB
         out = helpers.collapsed_generator_output(256)
         centers = area_weighted_sample(icosphere_mesh, 8, np.random.default_rng(0)).positions
         cloud = np.vstack([c + 0.25 * out for c in centers])
@@ -515,7 +516,21 @@ class TestMeshUniformityReport:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 50 * 2**20
+        assert peak <= 24 * 2**20
+
+    def test_values_do_not_depend_on_the_seed_block(self, icosphere_mesh, monkeypatch):
+        # each seed's Dijkstra run is its own and the totals add up seed by
+        # seed, so any block size gives the same bits: one seed at a time
+        # and blocks of 16, the default and 128 seeds
+        out = helpers.collapsed_generator_output(256)
+        centers = area_weighted_sample(icosphere_mesh, 8, np.random.default_rng(0)).positions
+        cloud = np.vstack([c + 0.25 * out for c in centers])
+        reports = set()
+        for block in (1, 16, metrics._REPORT_SEED_CHUNK, 128):
+            monkeypatch.setattr(metrics, "_REPORT_SEED_CHUNK", block)
+            reports.add(metrics.uniformity_report_mesh(cloud, icosphere_mesh, seed_count=1000,
+                                                       rng=0, pool_size=20000))
+        assert len(reports) == 1
 
     def test_attaches_through_the_grower_tree(self, icosphere_mesh, rng, monkeypatch):
         # PatchGrower's SpatialIndex already holds a kd-tree over the pool

@@ -152,7 +152,7 @@ class TestExpansion:
         up = nw._up_feature(params, "expand.up1", TOY, x)
         assert up.value.shape == (20, TOY.working_channels)
 
-    def test_down_feature_inverts_grouping(self):
+    def test_down_feature_inverts_grouping(self, rng):
         rho = TOY.expansion_rate
         # mark each (point, copy) pair so the regroup is visible
         n, c = 4, TOY.working_channels
@@ -162,6 +162,18 @@ class TestExpansion:
         regrouped = base[idx].reshape(n, rho * c)
         got = ad.reshape(ad.gather_rows(node, idx), n, rho * c)
         assert np.array_equal(got.value, regrouped)
+        # _down_feature regresses row i from copies i, i + n, ..., i + (rho - 1) n
+        # of point i, in that order: expand.down applied to that regroup, built
+        # row by row
+        params = nw.init_generator(TOY, rng)
+        by_hand = np.array([np.concatenate([base[i + n * j] for j in range(rho)])
+                            for i in range(n)])
+        want = ad.constant(by_hand)
+        for layer in ("expand.down.l0", "expand.down.l1"):
+            want = ad.linear_relu(want, params[f"{layer}.w"], params[f"{layer}.b"])
+        out = nw._down_feature(params, TOY, node)
+        assert out.value.shape == (n, TOY.working_channels)
+        assert np.array_equal(out.value, want.value)
 
     def test_up_down_up_residual_structure(self, rng):
         params = nw.init_generator(TOY, rng)
