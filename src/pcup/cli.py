@@ -10,6 +10,7 @@ error (one line on stderr), 2 on usage errors. All randomness flows from
 """
 
 import argparse
+import dataclasses
 import math
 import os
 import sys
@@ -227,16 +228,12 @@ def _cmd_train(args):
     pairs, cfg = read_archive(args.data)
     if args.config is not None:
         cfg = TrainConfig.load(args.config)
-    cfg.seed = args.seed
-    if args.iterations is not None:
-        cfg.iterations = args.iterations
-    if args.batch is not None:
-        cfg.batch_size = args.batch
-    chosen = list(args.ablate)
-    if args.baseline:
-        chosen.extend(BASELINE_ABLATIONS)
-    for component in chosen:
-        setattr(cfg, ABLATION_CHOICES[component], True)
+    sizes = {"iterations": args.iterations, "batch_size": args.batch}
+    chosen = args.ablate + list(BASELINE_ABLATIONS if args.baseline else ())
+    cfg = dataclasses.replace(
+        cfg, seed=args.seed, **{key: value for key, value in sizes.items() if value is not None},
+        **{ABLATION_CHOICES[component]: True for component in chosen},
+    )
     result = train(pairs, cfg, args.out)
     last = result.history[-1]
     print(

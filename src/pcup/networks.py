@@ -14,7 +14,8 @@ are shared, and pooling is symmetric.
 
 A `cfg` argument is the run's `training.TrainConfig`: the networks read
 its sizes and widths (`disc_*` for the discriminator) and its
-`ablate_attention`, `ablate_up_down_up` and `ablate_fps` switches.
+`ablate_attention`, `ablate_up_down_up` and `ablate_fps` switches, whose
+values the config checked when it was made.
 """
 
 import math
@@ -54,10 +55,6 @@ def init_generator(cfg, rng):
     exist, so parameter counts change only for the disabled component."""
     rng = np.random.default_rng(rng)
     params = ad.Params()
-    if cfg.feature_channels % 3:
-        raise ValueError(f"feature_channels must be divisible by 3, got {cfg.feature_channels}")
-    if cfg.expansion_rate < 2:  # _up_feature needs two copies of each point or more
-        raise ValueError(f"rate must be at least 2 under ablate_fps, got {cfg.rate}")
     width = cfg.feature_channels // 3
     for i in range(3):
         _add_linear(params, f"feat.b{i}.l0", 6 + i * width, width, rng)

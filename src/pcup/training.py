@@ -99,10 +99,11 @@ def _parse_value(where, text, like):
         raise ValueError(f"{where} = {text} is not of type {type(like).__name__}") from None
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainConfig:
     """Every knob of the pipeline that a run may set, as ASCII key-value
-    text; each fixed value of the paper is a constant where it is used."""
+    text; each fixed value of the paper is a constant where it is used.
+    Frozen; made, loaded or replaced, it refuses values no run can use."""
 
     # patch extraction
     n_input: int = 256  # points per input patch
@@ -135,6 +136,22 @@ class TrainConfig:
     ablate_fps: bool = False
     # reproducibility
     seed: int = 0
+
+    def __post_init__(self):
+        for key in ("batch_size", "checkpoint_every", "uniform_seed_count", "working_channels",
+                    "regress_hidden", "disc_point_channels", "disc_global_channels",
+                    "disc_head_hidden"):
+            if getattr(self, key) < 1:
+                raise ValueError(f"{key} must be at least 1, got {getattr(self, key)}")
+        if self.feature_channels < 1 or self.feature_channels % 3:
+            raise ValueError("feature_channels must be a positive multiple of 3, "
+                             f"got {self.feature_channels}")
+        if self.iterations < 0:  # 0 = EPOCHS passes over the dataset
+            raise ValueError(f"training needs at least 1 iteration, got {self.iterations}")
+        if self.expansion_rate < 2:  # _up_feature needs two copies of each point or more
+            raise ValueError(f"rate must be at least 2 under ablate_fps, got {self.rate}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be at least 0, got {self.seed}")
 
     @property
     def n_target(self):
@@ -452,29 +469,17 @@ def train(pairs, cfg, out_dir):
     iteration, each with its own decayed learning rate."""
     if not pairs:
         raise ValueError("empty dataset")
-    for key in ("batch_size", "checkpoint_every", "uniform_seed_count", "working_channels",
-                "regress_hidden", "disc_point_channels", "disc_global_channels",
-                "disc_head_hidden"):
-        if getattr(cfg, key) < 1:
-            raise ValueError(f"{key} must be at least 1, got {getattr(cfg, key)}")
-    if cfg.feature_channels < 1 or cfg.feature_channels % 3:
-        raise ValueError("feature_channels must be a positive multiple of 3, "
-                         f"got {cfg.feature_channels}")
     if not 1 <= cfg.group_k <= cfg.n_input:
         raise ValueError(f"group_k must be in 1..n_input = {cfg.n_input}, got {cfg.group_k}")
     batch_size = min(cfg.batch_size, len(pairs))
     iterations = cfg.iterations or EPOCHS * math.ceil(len(pairs) / batch_size)
-    if iterations < 1:
-        raise ValueError(f"training needs at least 1 iteration, got {iterations}")
     for pair in pairs:
         if len(pair.target) != cfg.n_target:
             raise ValueError(
                 f"patch {pair.mesh_id}/{pair.index} holds {len(pair.target)} target points, "
                 f"but rate {cfg.rate} x n_input {cfg.n_input} needs {cfg.n_target}"
             )
-    if cfg.expansion_rate < 2:  # _up_feature needs two copies of each point or more
-        raise ValueError(f"rate must be at least 2 under ablate_fps, got {cfg.rate}")
-    rng = np.random.default_rng(cfg.seed)  # rejects a bad seed before anything is written
+    rng = np.random.default_rng(cfg.seed)
     os.makedirs(out_dir, exist_ok=True)
     gparams = init_generator(cfg, rng)
     dparams = None if cfg.ablate_discriminator else init_discriminator(cfg, rng)

@@ -7,6 +7,7 @@ import re
 import shutil
 import subprocess
 import sys
+from dataclasses import replace
 from importlib.metadata import EntryPoint
 from pathlib import Path
 
@@ -17,6 +18,7 @@ import pcup
 from pcup.cli import main
 from pcup.geometry import read_xyz, write_xyz
 from pcup.mesh import area_weighted_sample, load_mesh
+from pcup.training import TrainConfig, load_checkpoint, read_archive
 
 
 PREPARE_TINY = [
@@ -626,6 +628,31 @@ class TestUpsample:
         assert err.startswith("error: ") and "rate" in err and "ablate_fps" in err
         assert not dst.exists()
 
+    @pytest.mark.parametrize("line", ["feature_channels = 0", "working_channels = 0",
+                                      "disc_global_channels = 0", "regress_hidden = -1"])
+    def test_config_value_no_run_can_use_exits_1(self, capsys, run_dir, tmp_path, rng, line):
+        # building the networks used to end in a ZeroDivisionError traceback
+        # from glorot_uniform, or numpy's "negative dimensions are not allowed"
+        ckpt = tmp_path / "ckpt"
+        shutil.copytree(run_dir / "ckpt_000002", ckpt)
+        assert (ckpt / "discriminator.params").is_file()
+        key = line.split()[0]
+        text, count = re.subn(rf"^{key} = .*$", line, (ckpt / "config.txt").read_text(),
+                              flags=re.M)
+        assert count == 1
+        (ckpt / "config.txt").write_text(text)
+        src = tmp_path / "cloud.xyz"
+        write_xyz(src, rng.normal(size=(20, 3)))
+        dst = tmp_path / "o.xyz"
+        code, stdout, err = run(
+            capsys, "upsample", "--in", str(src), "--ckpt", str(ckpt), "--out", str(dst),
+        )
+        assert code == 1
+        assert stdout == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith(f"error: {key} must be ")
+        assert not dst.exists()
+
     @pytest.mark.parametrize("overlap", ["0", "-2"])
     def test_overlap_below_one_is_usage_error(self, capsys, tmp_path, rng, overlap):
         # the checkpoint does not exist: loading it first would exit 1
@@ -662,6 +689,59 @@ class TestUpsample:
         )
         assert code == 1
         assert err.startswith("error:")
+
+
+class TestWrittenConfigsLoad:
+    """Every config pcup writes loads again: the config's own rules hold
+    for any archive or checkpoint that prepare or train wrote."""
+
+    def test_archive_with_group_k_above_n_input(self, capsys, tmp_path, mesh_dir):
+        # prepare --N 8 writes the default group_k of 16; the archive loads,
+        # and train refuses the group only when the patch is too small
+        meshes = tmp_path / "meshes"
+        meshes.mkdir()
+        (meshes / "tetra.off").write_bytes((mesh_dir / "tetra.off").read_bytes())
+        data = tmp_path / "archive"
+        prepare = PREPARE_TINY[:]
+        prepare[prepare.index("--N") + 1] = "8"
+        assert main(["prepare", "--meshes", str(meshes), "--out", str(data)] + prepare) == 0
+        pairs, cfg = read_archive(data)
+        assert (cfg.n_input, cfg.group_k) == (8, 16)
+        assert {len(pair.target) for pair in pairs} == {16}
+        capsys.readouterr()
+        code, stdout, err = run(capsys, "train", "--data", str(data),
+                                "--out", str(tmp_path / "refused"))
+        assert code == 1
+        assert err == "error: group_k must be in 1..n_input = 8, got 16\n"
+        cfg_path = tmp_path / "config.txt"
+        cfg_path.write_text(config_with("n_input = 8"))
+        assert "group_k = 8\n" in cfg_path.read_text()
+        out = tmp_path / "run"
+        code, stdout, err = run(capsys, "train", "--data", str(data), "--out", str(out),
+                                "--config", str(cfg_path), "--iterations", "1")
+        assert code == 0, err
+        assert load_checkpoint(out / "ckpt_000001")[2] == replace(
+            TrainConfig.load(cfg_path), iterations=1)
+
+    @pytest.mark.parametrize("ablate", [[], ["--ablate", "discriminator"]])
+    def test_trained_checkpoint(self, capsys, archive, tmp_path, rng, ablate):
+        cfg_path = tmp_path / "config.txt"
+        cfg_path.write_text(CONFIG_TINY)
+        out = tmp_path / "run"
+        code, _, err = run(capsys, "train", "--data", str(archive), "--out", str(out),
+                           "--config", str(cfg_path), "--iterations", "1", *ablate)
+        assert code == 0, err
+        ckpt = out / "ckpt_000001"
+        _, dparams, cfg = load_checkpoint(ckpt)
+        assert cfg == TrainConfig.load(ckpt / "config.txt")
+        assert cfg == replace(TrainConfig.load(cfg_path), iterations=1,
+                              ablate_discriminator=bool(ablate))
+        assert (dparams is None) == bool(ablate)
+        src = tmp_path / "cloud.xyz"
+        write_xyz(src, rng.normal(size=(20, 3)))
+        code, _, err = run(capsys, "upsample", "--in", str(src), "--ckpt", str(ckpt),
+                           "--out", str(tmp_path / "dense.xyz"))
+        assert code == 0, err
 
 
 class TestEval:

@@ -87,7 +87,7 @@ class TestWidths:
         assert tuple(got) == INIT_SHA256[case]
 
     def test_feature_channels_must_split_into_three(self, rng):
-        with pytest.raises(ValueError, match="divisible by 3"):
+        with pytest.raises(ValueError, match="positive multiple of 3"):
             nw.init_generator(TrainConfig(feature_channels=100), rng)
 
 

@@ -306,6 +306,47 @@ class TestConfig:
         with pytest.raises(ValueError, match="true or false"):
             tr.TrainConfig.from_text("ablate_uniform = yes\n")
 
+    @pytest.mark.parametrize("changes, message", [
+        *(({key: value}, f"{key} must be at least 1, got {value}")
+          for key in ("batch_size", "checkpoint_every", "uniform_seed_count",
+                      "working_channels", "regress_hidden", "disc_point_channels",
+                      "disc_global_channels", "disc_head_hidden") for value in (0, -2)),
+        *(({"feature_channels": value}, f"feature_channels must be a positive multiple of 3, "
+                                        f"got {value}") for value in (0, -3, 25)),
+        ({"iterations": -1}, "training needs at least 1 iteration, got -1"),
+        ({"seed": -1}, "seed must be at least 0, got -1"),
+        ({"rate": 1, "ablate_fps": True}, "rate must be at least 2 under ablate_fps, got 1"),
+    ])
+    def test_value_no_run_can_use_refused_however_made(self, tmp_path, changes, message):
+        match = f"^{re.escape(message)}$"
+        with pytest.raises(ValueError, match=match):
+            tr.TrainConfig(**{**TINY, **changes})
+        with pytest.raises(ValueError, match=match):
+            dataclasses.replace(tr.TrainConfig(**TINY), **changes)
+        values = {**TINY, **changes}
+        text = "".join(f"{key} = {str(value).lower()}\n" for key, value in values.items())
+        with pytest.raises(ValueError, match=match):
+            tr.TrainConfig.from_text(text)
+        path = tmp_path / "config.txt"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=match):
+            tr.TrainConfig.load(path)
+
+    def test_fields_cannot_be_assigned(self):
+        cfg = tr.TrainConfig(**TINY)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cfg.batch_size = 3
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(cfg, "ablate_fps", True)
+        assert cfg == tr.TrainConfig(**TINY)
+
+    def test_rules_that_need_the_data_are_not_the_configs(self):
+        # train checks group_k against the patch; the fields only prepare
+        # reads keep whatever a --config gave them, so such checkpoints load
+        cfg = tr.TrainConfig(n_input=8, group_k=16, patches_per_mesh=0, patch_fraction=0.9,
+                             pool_size=-1)
+        assert tr.TrainConfig.from_text(cfg.to_text()) == cfg
+
     def test_default_hyperparameters(self):
         cfg = tr.TrainConfig()
         assert cfg.n_input == 256 and cfg.rate == 4
@@ -599,8 +640,8 @@ class TestTrainLoop:
     ])
     def test_sizes_without_an_iteration_rejected(self, tiny_pairs, tmp_path, key, value, message):
         pairs, cfg = tiny_pairs
-        cfg = tr.TrainConfig(**{**cfg.__dict__, "iterations": 0, key: value})
         with pytest.raises(ValueError, match=message):
+            cfg = tr.TrainConfig(**{**cfg.__dict__, "iterations": 0, key: value})
             tr.train(pairs, cfg, tmp_path / "run")
         assert not (tmp_path / "run").exists()
 
@@ -610,8 +651,8 @@ class TestTrainLoop:
         # each would fail only mid-run: a modulo or floor division by
         # zero, or an empty uniform-loss seed set
         pairs, cfg = tiny_pairs
-        cfg = dataclasses.replace(cfg, **{key: value})
         with pytest.raises(ValueError, match=f"^{key} must be at least 1, got {value}$"):
+            cfg = dataclasses.replace(cfg, **{key: value})
             tr.train(pairs, cfg, tmp_path / "run")
         assert not (tmp_path / "run").exists()
 
@@ -655,8 +696,8 @@ class TestTrainLoop:
         # glorot_uniform, a negative one in numpy's "negative dimensions",
         # and regress_hidden = 0 trained a generator that outputs its bias
         pairs, cfg = tiny_pairs
-        cfg = dataclasses.replace(cfg, **{key: value})
         with pytest.raises(ValueError, match=f"^{message}$"):
+            cfg = dataclasses.replace(cfg, **{key: value})
             tr.train(pairs, cfg, tmp_path / "run")
         assert not (tmp_path / "run").exists()
 
