@@ -33,7 +33,6 @@ from .geometry import (
 __all__ = [
     "TriangleMesh",
     "SurfaceSamples",
-    "Patch",
     "PatchGrower",
     "load_mesh",
     "area_weighted_sample",
@@ -123,36 +122,16 @@ class TriangleMesh:
 
 
 class SurfaceSamples:
-    """Points on a mesh surface with provenance: the triangle index and
-    barycentric weights that produced each position."""
+    """Points on a mesh surface."""
 
-    def __init__(self, positions, triangles, bary):
+    def __init__(self, positions):
         self.positions = as_points(positions, "positions")
-        self.triangles = np.asarray(triangles, dtype=np.intp)
-        self.bary = np.asarray(bary, dtype=np.float64)
-        n = len(self.positions)
-        if self.triangles.shape != (n,) or self.bary.shape != (n, 3):
-            raise ValueError("SurfaceSamples: mismatched field lengths")
 
     def __len__(self):
         return len(self.positions)
 
     def subset(self, indices):
-        idx = np.asarray(indices, dtype=np.intp)
-        return SurfaceSamples(self.positions[idx], self.triangles[idx], self.bary[idx])
-
-
-class Patch:
-    """A geodesically grown surface region: samples sorted by graph
-    distance from the seed."""
-
-    def __init__(self, samples, pool_indices, graph_distances):
-        self.samples = samples
-        self.pool_indices = np.asarray(pool_indices, dtype=np.intp)
-        self.graph_distances = np.asarray(graph_distances, dtype=np.float64)
-
-    def __len__(self):
-        return len(self.pool_indices)
+        return SurfaceSamples(self.positions[np.asarray(indices, dtype=np.intp)])
 
 
 # ---------------------------------------------------------------------------
@@ -301,8 +280,7 @@ def area_weighted_sample(mesh, n, rng):
     u[flip] = 1.0 - u[flip]
     v[flip] = 1.0 - v[flip]
     bary = np.column_stack([np.maximum(1.0 - u - v, 0.0), u, v])
-    pos = np.einsum("nk,nkd->nd", bary, mesh.corners()[tri])
-    return SurfaceSamples(pos, tri, bary)
+    return SurfaceSamples(np.einsum("nk,nkd->nd", bary, mesh.corners()[tri]))
 
 
 def poisson_disk_radius(area, count):
@@ -402,12 +380,10 @@ class PatchGrower:
         point; unreachable entries, and those beyond `limit`, are +inf."""
         return dijkstra(self._graph, directed=True, indices=sources, limit=limit)
 
-    def nearest_pool_index(self, position):
-        return int(self.index.knn(position, 1)[0][0])
-
     def grow(self, seed_position, fraction):
-        """The ceil(fraction * pool) pool points closest to the seed in
-        graph distance, ties broken by lower index.
+        """Pool indices of the ceil(fraction * pool) points closest in graph
+        distance to the pool point nearest the seed, in order of distance,
+        ties broken by lower index.
 
         Dijkstra runs with a limit, starting a little above the Euclidean
         distance of the target-th nearest pool point (no graph distance is
@@ -419,7 +395,7 @@ class PatchGrower:
         if not 0.0 < fraction < 0.5:
             raise ValueError(f"fraction must be in (0, 0.5), got {fraction}")
         target = math.ceil(fraction * len(self.pool))
-        src = self.nearest_pool_index(seed_position)
+        src = int(self.index.knn(seed_position, 1)[0][0])
         euclid = self.index.tree.query(self.pool.positions[src], k=[target])[0][0]
         limit = _GROWTH_START * float(euclid)
         count = 0
@@ -437,8 +413,7 @@ class PatchGrower:
             # or be 0: finish with one unbounded run
             limit = 2.0 * limit if len(reached) > count else np.inf
             count = len(reached)
-        order = reached[np.lexsort((reached, dist[reached]))[:target]]
-        return Patch(self.pool.subset(order), order, dist[order])
+        return reached[np.lexsort((reached, dist[reached]))[:target]]
 
 
 def _both_ways(graph):

@@ -138,9 +138,9 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for key in ("batch_size", "checkpoint_every", "uniform_seed_count", "working_channels",
-                    "regress_hidden", "disc_point_channels", "disc_global_channels",
-                    "disc_head_hidden"):
+        for key in ("n_input", "rate", "batch_size", "checkpoint_every", "uniform_seed_count",
+                    "working_channels", "regress_hidden", "disc_point_channels",
+                    "disc_global_channels", "disc_head_hidden"):
             if getattr(self, key) < 1:
                 raise ValueError(f"{key} must be at least 1, got {getattr(self, key)}")
         if self.feature_channels < 1 or self.feature_channels % 3:
@@ -251,7 +251,7 @@ def build_dataset(name, mesh, cfg, rng=None, log=_default_log):
             patch = grower.grow(seeds.positions[i], cfg.patch_fraction)
             dense = poisson_disk_sample(
                 mesh, n_target, rng,
-                pool=patch.samples,
+                pool=pool.subset(patch),
                 area=cfg.patch_fraction * mesh.total_area,
             )
         except ValueError as exc:

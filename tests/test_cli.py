@@ -629,10 +629,13 @@ class TestUpsample:
         assert not dst.exists()
 
     @pytest.mark.parametrize("line", ["feature_channels = 0", "working_channels = 0",
-                                      "disc_global_channels = 0", "regress_hidden = -1"])
+                                      "disc_global_channels = 0", "regress_hidden = -1",
+                                      "n_input = 0", "n_input = -3", "rate = 0"])
     def test_config_value_no_run_can_use_exits_1(self, capsys, run_dir, tmp_path, rng, line):
         # building the networks used to end in a ZeroDivisionError traceback
-        # from glorot_uniform, or numpy's "negative dimensions are not allowed"
+        # from glorot_uniform, or numpy's "negative dimensions are not allowed";
+        # n_input = 0 in one from upsample_cloud, n_input = -3 in a knn error
+        # and rate = 0 in a parameter shape error, neither naming the key
         ckpt = tmp_path / "ckpt"
         shutil.copytree(run_dir / "ckpt_000002", ckpt)
         assert (ckpt / "discriminator.params").is_file()

@@ -264,8 +264,7 @@ def _every_batched_query(points, mesh):
     index = SpatialIndex(points)
     idx, dist = index.knn(points, 8)
     runs = list(index.balls(points, dist[:, -1], 1 << 10))
-    graph = PatchGrower(SurfaceSamples(points, np.zeros(len(points)),
-                                       np.full((len(points), 3), 1 / 3)))._graph
+    graph = PatchGrower(SurfaceSamples(points))._graph
     other = points[::3] + 1e-3
     uniformity = metrics.uniformity_report_mesh(points, mesh, seed_count=20, rng=0,
                                                  pool_size=2000)

@@ -116,18 +116,11 @@ class TestAreaWeightedSampling:
     def test_triangle_counts_follow_area_weights(self, two_triangle_mesh, rng):
         n = 4000
         samples = area_weighted_sample(two_triangle_mesh, n, rng)
-        big = int((samples.triangles == 1).sum())
+        # the big triangle spans x in [10, 12], the small one x in [0, 2]
+        big = int((samples.positions[:, 0] > 5).sum())
         p = 0.75  # area 3 of total 4
         sigma = math.sqrt(n * p * (1 - p))
         assert abs(big - n * p) < 3 * sigma
-
-    def test_positions_match_barycentric_fields(self, tetra_mesh, rng):
-        samples = area_weighted_sample(tetra_mesh, 100, rng)
-        corners = tetra_mesh.corners()[samples.triangles]
-        rebuilt = np.einsum("nk,nkd->nd", samples.bary, corners)
-        assert np.abs(rebuilt - samples.positions).max() < 1e-12
-        assert np.abs(samples.bary.sum(axis=1) - 1).max() < 1e-12
-        assert samples.bary.min() >= 0
 
     def test_deterministic_given_seed(self, tetra_mesh):
         a = area_weighted_sample(tetra_mesh, 64, np.random.default_rng(7))
@@ -183,11 +176,10 @@ class TestPoissonDisk:
         assert np.array_equal(a.positions, b.positions)
 
 
-def as_samples(positions):
-    """Bare positions as surface samples; the provenance fields are
-    placeholders."""
-    n = len(positions)
-    return SurfaceSamples(positions, np.zeros(n, dtype=np.intp), np.full((n, 3), 1 / 3))
+def nearest_pool_index(grower, position):
+    """The pool point grow() starts from: the nearest to `position`, the
+    lowest index on ties."""
+    return int(grower.index.knn(position, 1)[0][0])
 
 
 def planar_lattice(side):
@@ -216,7 +208,7 @@ class TestEliminationOracle:
             patch = grower.grow(position, 0.05)
             count = len(patch) // 5
             r_max = poisson_disk_radius(0.05 * icosphere_mesh.total_area, count)
-            self.check(patch.samples.positions, count, r_max)
+            self.check(pool.positions[patch], count, r_max)
 
     def test_planar_lattice_with_tied_weights(self):
         pos = planar_lattice(30)
@@ -242,15 +234,17 @@ class TestEliminationOracle:
 
 class TestGrowthOracle:
     """grow() against one unbounded Dijkstra run over the whole pool: the
-    same patch order and the same distance bits."""
+    same patch order, and distances_from gives the same distance bits."""
 
     def check(self, grower, seed_position, fraction, k=10):
         patch = grower.grow(seed_position, fraction)
-        src = grower.nearest_pool_index(seed_position)
+        src = nearest_pool_index(grower, seed_position)
         order, dist = helpers.full_dijkstra_patch(
             grower.pool.positions, src, math.ceil(fraction * len(grower)), k)
-        assert np.array_equal(patch.pool_indices, order)
-        assert np.array_equal(patch.graph_distances, dist)
+        assert np.array_equal(patch, order)
+        # the class's method: a test that records grow()'s calls on the
+        # instance sees only those
+        assert np.array_equal(PatchGrower.distances_from(grower, src)[order], dist)
         return patch
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
@@ -262,14 +256,14 @@ class TestGrowthOracle:
         self.check(grower, position, 0.3)
 
     def test_lattice_ties_at_the_cut(self):
-        grower = PatchGrower(as_samples(planar_lattice(40)), k=4)
+        grower = PatchGrower(SurfaceSamples(planar_lattice(40)), k=4)
         center = np.array([20.0, 20.0, 0.0])
         patch = self.check(grower, center, 0.05, k=4)
         # many points share the last kept distance, and some of them fall
         # outside the patch: only the index tie-break decides
-        all_d = grower.distances_from(grower.nearest_pool_index(center))
-        cutoff = patch.graph_distances[-1]
-        assert (all_d == cutoff).sum() > (patch.graph_distances == cutoff).sum() > 1
+        all_d = grower.distances_from(nearest_pool_index(grower, center))
+        cutoff = all_d[patch[-1]]
+        assert (all_d == cutoff).sum() > (all_d[patch] == cutoff).sum() > 1
 
     @staticmethod
     def record_limits(grower, monkeypatch):
@@ -309,7 +303,7 @@ class TestGrowthOracle:
         pos = helpers.with_duplicates(rng, n=100, copies=4)
         target = math.ceil(0.01 * len(pos))
         assert np.sort(np.linalg.norm(pos - pos[0], axis=1))[target - 1] == 0.0
-        self.check(PatchGrower(as_samples(pos)), pos[0], 0.01)
+        self.check(PatchGrower(SurfaceSamples(pos)), pos[0], 0.01)
 
     def test_last_run_reaches_at_most_four_times_target(self, icosphere_mesh, rng, monkeypatch):
         pool = area_weighted_sample(icosphere_mesh, 20000, rng)
@@ -329,13 +323,46 @@ class TestGrowthOracle:
             assert reached[-1] <= 4 * len(patch)
 
 
+class TestBoundedDistances:
+    """distances_from with a limit reaches exactly the points within it,
+    each at the unbounded run's bits. grow() relies on this, and returns
+    no distances of its own."""
+
+    @staticmethod
+    def check(grower, sources, limits):
+        full = grower.distances_from(sources)
+        for limit in limits:
+            bounded = grower.distances_from(sources, limit)
+            reached = np.isfinite(bounded)
+            assert np.array_equal(reached, full <= limit)
+            assert np.array_equal(bounded[reached], full[reached])
+
+    def test_icosphere_pool(self, icosphere_mesh, rng):
+        grower = PatchGrower(area_weighted_sample(icosphere_mesh, 5000, rng))
+        sources = rng.choice(len(grower), size=5, replace=False)
+        # reached distances as limits too, so points lie on the limit
+        limits = [0.05, 0.3, *np.sort(grower.distances_from(sources[0]))[[10, 250, 2000]]]
+        self.check(grower, sources[0], limits)
+        # a block of sources, as the uniformity report runs them
+        self.check(grower, sources, limits)
+
+    def test_lattice_ties_at_the_limit(self):
+        grower = PatchGrower(SurfaceSamples(planar_lattice(40)), k=4)
+        src = 20 * 40 + 20
+        limits = (3.0, 5.0, 12.0)
+        full = grower.distances_from(src)
+        # integer coordinates: many points lie exactly on each limit
+        assert all((full == limit).sum() > 1 for limit in limits)
+        self.check(grower, src, limits)
+
+
 class TestGeodesicPatches:
     def test_patch_size_is_ceil_fraction(self, icosphere_mesh, rng):
         pool = area_weighted_sample(icosphere_mesh, 1500, rng)
         grower = PatchGrower(pool)
         patch = grower.grow(pool.positions[0], 0.05)
         assert len(patch) == math.ceil(0.05 * 1500)
-        assert len(patch.samples) == len(patch)
+        assert len(np.unique(patch)) == len(patch)
 
     def test_fraction_domain(self, icosphere_mesh, rng):
         pool = area_weighted_sample(icosphere_mesh, 1200, rng)
@@ -349,9 +376,9 @@ class TestGeodesicPatches:
         grower = PatchGrower(pool)
         patch = grower.grow(pool.positions[3], 0.1)
         # distances come out sorted and the patch is exactly the closest set
-        assert np.all(np.diff(patch.graph_distances) >= 0)
-        all_d = grower.distances_from(grower.nearest_pool_index(pool.positions[3]))
-        cutoff = patch.graph_distances[-1]
+        all_d = grower.distances_from(nearest_pool_index(grower, pool.positions[3]))
+        assert np.all(np.diff(all_d[patch]) >= 0)
+        cutoff = all_d[patch[-1]]
         inside = int((all_d < cutoff).sum())
         assert inside <= len(patch) <= int((all_d <= cutoff).sum())
 
@@ -361,14 +388,15 @@ class TestGeodesicPatches:
         pool = area_weighted_sample(planar_mesh, 4000, rng)
         center = np.array([0.5, 0.5, 0.0])
         patch = PatchGrower(pool).grow(center, 0.05)
-        reach = np.linalg.norm(patch.samples.positions - center, axis=1).max()
+        reach = np.linalg.norm(pool.positions[patch] - center, axis=1).max()
         ideal = math.sqrt(0.05 / math.pi)
         assert 0.8 * ideal <= reach <= 1.2 * ideal
 
     def test_disconnected_component_detected(self, two_triangle_mesh, rng):
         pool = area_weighted_sample(two_triangle_mesh, 400, rng)
         grower = PatchGrower(pool)
-        seed = pool.positions[np.nonzero(pool.triangles == 0)[0][0]]
+        # the small triangle spans x in [0, 2], the big one x in [10, 12]
+        seed = pool.positions[np.nonzero(pool.positions[:, 0] < 5)[0][0]]
         # the small triangle holds ~25% of samples; ask for 40%
         with pytest.raises(ValueError, match="exceeds connected component"):
             grower.grow(seed, 0.4)
@@ -378,8 +406,7 @@ class TestGeodesicPatches:
         pool = area_weighted_sample(bent_sheet_mesh, 4000, rng)
         grower = PatchGrower(pool)
         seed = np.array([0.02, 0.05, 0.0])
-        patch = grower.grow(seed, 0.2)
-        pts = patch.samples.positions
+        pts = pool.positions[grower.grow(seed, 0.2)]
         assert pts[:, 2].max() < 0.025, "patch leaked onto the far sheet"
         # meaningful: a Euclidean ball of the same reach would leak
         reach = np.linalg.norm(pts - seed, axis=1).max()

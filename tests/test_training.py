@@ -316,6 +316,8 @@ class TestConfig:
         ({"iterations": -1}, "training needs at least 1 iteration, got -1"),
         ({"seed": -1}, "seed must be at least 0, got -1"),
         ({"rate": 1, "ablate_fps": True}, "rate must be at least 2 under ablate_fps, got 1"),
+        *(({"n_input": value}, f"n_input must be at least 1, got {value}") for value in (0, -3)),
+        ({"rate": 0}, "rate must be at least 1, got 0"),
     ])
     def test_value_no_run_can_use_refused_however_made(self, tmp_path, changes, message):
         match = f"^{re.escape(message)}$"
