@@ -243,8 +243,16 @@ def _cmd_train(args):
     return 0
 
 
+def _read_cloud(path, flag):
+    """read_xyz, refusing a file without points, named with its flag."""
+    points = read_xyz(path)
+    if len(points) == 0:
+        raise ValueError(f"{path}: the {flag} cloud holds no points")
+    return points
+
+
 def _cmd_upsample(args):
-    points = read_xyz(args.input)
+    points = _read_cloud(args.input, "--in")
     gparams, _, cfg = load_checkpoint(args.ckpt)
     dense = upsample_cloud(points, gparams, cfg, args.overlap)
     write_xyz(args.out, dense)
@@ -258,8 +266,8 @@ def _cmd_eval(args):
     if not name.isascii() or set(name) & set(',"\r\n'):
         raise ValueError(f"report label {name!r} holds a comma, a double quote, a line break "
                          "or a non-ASCII character; give another with --name")
-    pred = read_xyz(args.pred)
-    gt = read_xyz(args.gt)
+    pred = _read_cloud(args.pred, "--pred")
+    gt = _read_cloud(args.gt, "--gt")
     mesh = load_mesh(args.mesh)
     cd = metrics.chamfer_distance(pred, gt)
     hd = metrics.hausdorff_distance(pred, gt)

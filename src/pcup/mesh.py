@@ -52,8 +52,8 @@ class TriangleMesh:
     """Immutable triangle mesh with per-triangle areas.
 
     Construction validates index ranges and rejects zero-area triangles;
-    load_mesh() additionally normalizes into the unit sphere and applies
-    the stricter post-normalization area floor.
+    load_mesh() builds its mesh from unit-sphere-normalized vertices and
+    applies the stricter post-normalization area floor.
     """
 
     def __init__(self, vertices, triangles):
@@ -85,19 +85,6 @@ class TriangleMesh:
         if self._corners is None:
             self._corners = self.vertices[self.triangles]
         return self._corners
-
-    def normalized(self):
-        """Unit-sphere-normalized copy; rejects triangles that collapse
-        below the area floor at that scale."""
-        verts, _, _ = normalize_unit_sphere(self.vertices)
-        out = TriangleMesh(verts, self.triangles)
-        bad = np.nonzero(out.areas <= _AREA_FLOOR)[0]
-        if bad.size:
-            raise ValueError(
-                f"degenerate triangle {bad[0]} (area {out.areas[bad[0]]:.3g} "
-                "after unit-sphere normalization)"
-            )
-        return out
 
     def distances_to_surface(self, points):
         """Exact minimum distance from each point to the surface: the
@@ -147,82 +134,88 @@ def _meaningful_lines(text):
 
 def load_mesh(path):
     """Load an ASCII OFF or ASCII PLY triangle mesh, normalized into the
-    unit sphere. Non-triangle faces, binary formats, and degenerate
-    geometry raise descriptive errors."""
+    unit sphere. Malformed headers, non-triangle faces, binary formats,
+    and degenerate geometry raise descriptive errors."""
     text = read_text(path, "mesh")
     lines = list(_meaningful_lines(text))
     if not lines:
         raise ValueError(f"{path}: empty mesh file")
     head = lines[0][1].split()[0]
     if head == "OFF":
-        verts, tris = _parse_off(path, lines)
+        vertex_lines, face_lines, cols, width = _off_header(path, lines)
     elif head.lower() == "ply":
-        verts, tris = _parse_ply(path, lines)
+        vertex_lines, face_lines, cols, width = _ply_header(path, lines)
     else:
         raise ValueError(f"{path}: unrecognized mesh format (expected ASCII OFF or PLY)")
-    return TriangleMesh(verts, tris).normalized()
+    if len(lines) < max(vertex_lines.stop, face_lines.stop):
+        raise ValueError(f"{path}: truncated {head.upper()} file")
+    verts = [_parse_vertex(path, lineno, text, width, cols)
+             for lineno, text in lines[vertex_lines]]
+    tris = [_parse_face(path, lineno, text) for lineno, text in lines[face_lines]]
+    normed, _, _ = normalize_unit_sphere(as_points(np.array(verts), "vertices"))
+    mesh = TriangleMesh(normed, np.array(tris))
+    bad = np.nonzero(mesh.areas <= _AREA_FLOOR)[0]
+    if bad.size:
+        raise ValueError(
+            f"degenerate triangle {bad[0]} (area {mesh.areas[bad[0]]:.3g} "
+            "after unit-sphere normalization)"
+        )
+    return mesh
 
 
-def _parse_floats(path, lineno, text, n):
+def _count(path, lineno, token, what):
+    """`token` as a non-negative integer; anything else raises a
+    ValueError naming the file and line."""
+    try:
+        value = int(token)
+        if value >= 0:
+            return value
+    except ValueError:
+        pass
+    raise ValueError(f"{path}:{lineno}: {what} must be a non-negative integer, got {token!r}")
+
+
+def _parse_vertex(path, lineno, text, n, cols):
     parts = text.split()
     if len(parts) < n:
         raise ValueError(f"{path}:{lineno}: expected {n} numbers, got {len(parts)}")
     try:
-        return [float(t) for t in parts[:n]]
+        values = [float(t) for t in parts[:n]]
     except ValueError:
         raise ValueError(f"{path}:{lineno}: malformed number in {text!r}") from None
+    return [values[c] for c in cols]
 
 
 def _parse_face(path, lineno, text):
     parts = text.split()
-    try:
-        n = int(parts[0])
-    except (ValueError, IndexError):
-        raise ValueError(f"{path}:{lineno}: malformed face line {text!r}") from None
+    n = _count(path, lineno, parts[0], "face vertex count")
     if n != 3:
         raise ValueError(f"{path}:{lineno}: non-triangle face with {n} vertices")
     if len(parts) < 4:
         raise ValueError(f"{path}:{lineno}: face line too short")
-    return [int(parts[1]), int(parts[2]), int(parts[3])]
+    return [_count(path, lineno, token, "face index") for token in parts[1:4]]
 
 
-def _parse_off(path, lines):
-    first = lines[0][1].split()
-    cursor = 1
-    if len(first) == 4:  # counts on the OFF line itself
-        counts = first[1:]
-        countline = lines[0][0]
-    else:
-        if len(lines) < 2:
-            raise ValueError(f"{path}: missing OFF count line")
-        countline, counttext = lines[1]
-        counts = counttext.split()
-        cursor = 2
+def _off_header(path, lines):
+    """Where the vertex lines and the face lines sit among `lines` (two
+    slices), the x/y/z columns of a vertex line and the number of values
+    it must hold. _ply_header returns the same."""
+    start = 1 if len(lines[0][1].split()) == 4 else 2  # counts on the OFF line, or the next
+    if len(lines) < start:
+        raise ValueError(f"{path}: missing OFF count line")
+    lineno, text = lines[start - 1]
+    counts = text.removeprefix("OFF").split()
     if len(counts) < 2:
-        raise ValueError(f"{path}:{countline}: expected 'nv nf ne' counts")
-    nv, nf = int(counts[0]), int(counts[1])
-    if len(lines) < cursor + nv + nf:
-        raise ValueError(f"{path}: truncated OFF file")
-    verts = [
-        _parse_floats(path, lines[cursor + i][0], lines[cursor + i][1], 3)
-        for i in range(nv)
-    ]
-    cursor += nv
-    tris = [
-        _parse_face(path, lines[cursor + i][0], lines[cursor + i][1])
-        for i in range(nf)
-    ]
-    return np.array(verts), np.array(tris)
+        raise ValueError(f"{path}:{lineno}: expected 'nv nf ne' counts")
+    nv = _count(path, lineno, counts[0], "vertex count")
+    nf = _count(path, lineno, counts[1], "face count")
+    return slice(start, start + nv), slice(start + nv, start + nv + nf), (0, 1, 2), 3
 
 
-def _parse_ply(path, lines):
-    # header
-    idx = 1
+def _ply_header(path, lines):
     fmt_seen = False
-    elements = []  # (name, count, [property names])
-    while idx < len(lines):
-        lineno, text = lines[idx]
-        idx += 1
+    elements = []  # (name, count, [property names]) in declared order
+    for idx, (lineno, text) in enumerate(lines[1:], start=1):
         parts = text.split()
         if parts[0] == "end_header":
             break
@@ -231,36 +224,31 @@ def _parse_ply(path, lines):
                 raise ValueError(f"{path}:{lineno}: binary PLY is not supported (ASCII only)")
             fmt_seen = True
         elif parts[0] == "element":
-            elements.append([parts[1], int(parts[2]), []])
+            if len(parts) < 3:
+                raise ValueError(f"{path}:{lineno}: expected 'element <name> <count>'")
+            elements.append((parts[1], _count(path, lineno, parts[2], "element count"), []))
         elif parts[0] == "property":
             if not elements:
                 raise ValueError(f"{path}:{lineno}: property before any element")
             elements[-1][2].append(parts[-1])
-        elif parts[0] == "comment":
-            continue
     else:
         raise ValueError(f"{path}: missing end_header")
     if not fmt_seen:
         raise ValueError(f"{path}: missing PLY format line")
-    table = {name: (count, props) for name, count, props in elements}
+    # each element's lines follow the header in declared order
+    table = {}
+    start = idx + 1
+    for name, count, props in elements:
+        table[name] = (slice(start, start + count), props)
+        start += count
     if "vertex" not in table or "face" not in table:
         raise ValueError(f"{path}: PLY must declare vertex and face elements")
-    nv, vprops = table["vertex"]
-    nf, _ = table["face"]
+    vertex_lines, vprops = table["vertex"]
     try:
-        cols = [vprops.index(axis) for axis in ("x", "y", "z")]
+        cols = tuple(vprops.index(axis) for axis in ("x", "y", "z"))
     except ValueError:
         raise ValueError(f"{path}: vertex element lacks x/y/z properties") from None
-    body = lines[idx:]
-    if len(body) < nv + nf:
-        raise ValueError(f"{path}: truncated PLY file")
-    verts = []
-    for i in range(nv):
-        lineno, text = body[i]
-        vals = _parse_floats(path, lineno, text, len(vprops))
-        verts.append([vals[c] for c in cols])
-    tris = [_parse_face(path, body[nv + i][0], body[nv + i][1]) for i in range(nf)]
-    return np.array(verts), np.array(tris)
+    return vertex_lines, table["face"][0], cols, len(vprops)
 
 
 # ---------------------------------------------------------------------------

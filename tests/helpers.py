@@ -394,6 +394,36 @@ def quad_off_text():
     return "OFF\n4 1 0\n0 0 0\n1 0 0\n1 1 0\n0 1 0\n4 0 1 2 3\n"
 
 
+def malformed_mesh_headers():
+    """(id, file name, text, line of the fault, message after "path:line: ")
+    of mesh files that a loader must refuse: a tetrahedron with one
+    count or face index spoiled."""
+    verts = [[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    faces = [[0, 1, 2], [0, 1, 3], [0, 2, 3], [1, 2, 3]]
+    off, ply = off_text(verts, faces), ply_text(verts, faces)
+    bad = "must be a non-negative integer, got"
+    return [
+        ("ply-element-without-count", "m.ply", ply.replace("element vertex 4", "element vertex"),
+         3, "expected 'element <name> <count>'"),
+        ("ply-count-not-integer", "m.ply", ply.replace("element face 4", "element face 4.0"),
+         7, f"element count {bad} '4.0'"),
+        ("ply-negative-count", "m.ply", ply.replace("element vertex 4", "element vertex -4"),
+         3, f"element count {bad} '-4'"),
+        ("off-count-not-integer", "m.off", off.replace("4 4 0", "four 4 0"),
+         2, f"vertex count {bad} 'four'"),
+        ("off-negative-count", "m.off", off.replace("4 4 0", "-1 4 0"),
+         2, f"vertex count {bad} '-1'"),
+        ("off-negative-count-on-keyword-line", "m.off", off.replace("OFF\n4 4 0", "OFF 4 -4 0"),
+         1, f"face count {bad} '-4'"),
+        ("off-face-index-not-integer", "m.off", off.replace("3 0 2 3", "3 0 2 z"),
+         9, f"face index {bad} 'z'"),
+        ("ply-face-index-not-integer", "m.ply", ply.replace("3 1 2 3", "3 1 2.0 3"),
+         17, f"face index {bad} '2.0'"),
+        ("off-negative-face-index", "m.off", off.replace("3 0 1 3", "3 0 -1 3"),
+         8, f"face index {bad} '-1'"),
+    ]
+
+
 def binary_ply_bytes():
     """Minimal binary-format PLY — must be rejected."""
     header = (

@@ -14,6 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import helpers
 import pcup
 from pcup.cli import main
 from pcup.geometry import read_xyz, write_xyz
@@ -55,6 +56,9 @@ def config_with(line):
 LEAST = {"--seed": 0}
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
+
+MALFORMED_HEADERS = [pytest.param(*case[1:], id=case[0])
+                     for case in helpers.malformed_mesh_headers()]
 
 
 def declared_console_script(name):
@@ -291,6 +295,50 @@ class TestPrepare:
         assert rels
         for rel in rels:
             assert (outs[0] / rel).read_bytes() == (outs[1] / rel).read_bytes()
+
+
+    @pytest.mark.parametrize("name, text, lineno, message", MALFORMED_HEADERS)
+    def test_malformed_header_exits_1_naming_file_and_line(self, capsys, tmp_path, mesh_dir,
+                                                           name, text, lineno, message):
+        src = tmp_path / "meshes"
+        src.mkdir()
+        (src / "tetra.off").write_bytes((mesh_dir / "tetra.off").read_bytes())
+        (src / name).write_text(text)
+        code, stdout, err = run(capsys, "prepare", "--meshes", str(src),
+                                "--out", str(tmp_path / "arch"), *PREPARE_TINY)
+        assert code == 1
+        errors = [line for line in err.splitlines() if line.startswith("error:")]
+        assert errors == [f"error: {name}: {src / name}:{lineno}: {message}"]
+        assert "tetra: 4 patches" in stdout
+
+
+class TestMeshFormat:
+    """The same vertices and faces, written as OFF and as PLY under one
+    stem, give the same archive and the same report."""
+
+    def test_archive_and_report_do_not_depend_on_the_format(self, capsys, tmp_path):
+        verts, faces = helpers.tetrahedron()
+        cloud = tmp_path / "cloud.xyz"
+        results = []
+        for suffix, text in ((".off", helpers.off_text), (".ply", helpers.ply_text)):
+            side = tmp_path / suffix[1:]
+            (side / "meshes").mkdir(parents=True)
+            mesh_path = side / "meshes" / f"shape{suffix}"
+            mesh_path.write_text(text(verts, faces))
+            if not cloud.exists():
+                write_xyz(cloud, area_weighted_sample(load_mesh(mesh_path), 300, 0).positions)
+            code, prepared, logged = run(capsys, "prepare", "--meshes", str(side / "meshes"),
+                                         "--out", str(side / "arch"), *PREPARE_TINY)
+            assert code == 0
+            archive = {p.relative_to(side / "arch"): p.read_bytes()
+                       for p in (side / "arch").rglob("*") if p.is_file()}
+            code, evaluated, err = run(capsys, "eval", "--pred", str(cloud), "--gt", str(cloud),
+                                       "--mesh", str(mesh_path), "--out", str(side / "r.csv"),
+                                       "--subsets", "20", "--pool-size", "500")
+            assert (code, err) == (0, "")
+            results.append((archive, prepared, logged, (side / "r.csv").read_bytes(), evaluated))
+        assert len(results[0][0]) > 2
+        assert results[0] == results[1]
 
 
 class TestTrain:
@@ -683,6 +731,17 @@ class TestUpsample:
         assert code == 1
         assert err == f"error: {ckpt / 'generator.params'}: malformed header\n"
 
+    def test_empty_cloud_exits_1_naming_it_before_the_checkpoint(self, capsys, tmp_path):
+        src = tmp_path / "empty.xyz"
+        src.write_text("# no points\n")
+        dst = tmp_path / "o.xyz"
+        code, stdout, err = run(capsys, "upsample", "--in", str(src),
+                                "--ckpt", str(tmp_path / "nope"), "--out", str(dst))
+        assert code == 1
+        assert stdout == ""
+        assert err == f"error: {src}: the --in cloud holds no points\n"
+        assert not dst.exists()
+
     def test_missing_checkpoint(self, capsys, tmp_path, rng):
         src = tmp_path / "cloud.xyz"
         write_xyz(src, rng.normal(size=(20, 3)))
@@ -815,6 +874,38 @@ class TestEval:
         assert len(err.splitlines()) == 1
         assert err.startswith(f"error: report label {label!r} ")
         assert "--name" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag", ["--pred", "--gt"])
+    def test_empty_cloud_exits_1_naming_it_before_the_mesh(self, capsys, tmp_path, rng, flag):
+        empty = tmp_path / "empty.xyz"
+        empty.write_text("")
+        cloud = tmp_path / "cloud.xyz"
+        write_xyz(cloud, rng.normal(size=(20, 3)))
+        clouds = {"--pred": cloud, "--gt": cloud, flag: empty}
+        out = tmp_path / "report.csv"
+        code, stdout, err = run(
+            capsys, "eval", "--pred", str(clouds["--pred"]), "--gt", str(clouds["--gt"]),
+            "--mesh", str(tmp_path / "nope.off"), "--out", str(out),
+        )
+        assert code == 1
+        assert stdout == ""
+        assert err == f"error: {empty}: the {flag} cloud holds no points\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("name, text, lineno, message", MALFORMED_HEADERS)
+    def test_malformed_mesh_header_exits_1_naming_file_and_line(self, capsys, tmp_path, rng,
+                                                                name, text, lineno, message):
+        mesh_path = tmp_path / name
+        mesh_path.write_text(text)
+        cloud = tmp_path / "cloud.xyz"
+        write_xyz(cloud, rng.normal(size=(20, 3)))
+        out = tmp_path / "report.csv"
+        code, stdout, err = run(capsys, "eval", "--pred", str(cloud), "--gt", str(cloud),
+                                "--mesh", str(mesh_path), "--out", str(out))
+        assert code == 1
+        assert stdout == ""
+        assert err == f"error: {mesh_path}:{lineno}: {message}\n"
         assert not out.exists()
 
     def test_missing_prediction_file(self, capsys, tmp_path, mesh_dir):

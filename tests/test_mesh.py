@@ -23,6 +23,29 @@ from pcup.mesh import (
 )
 
 
+def ply_with_elements(verts, faces, order):
+    """ASCII PLY text whose elements come in `order`: "vertex", "face"
+    and "edge", an element of two lines that a loader must skip."""
+    header = {
+        "vertex": [f"element vertex {len(verts)}", "property float x", "property float y",
+                   "property float z"],
+        "face": [f"element face {len(faces)}", "property list uchar int vertex_indices"],
+        "edge": ["element edge 2", "property int vertex1", "property int vertex2"],
+    }
+    body = {
+        "vertex": [" ".join(f"{c:.17g}" for c in v) for v in verts],
+        "face": ["3 " + " ".join(str(i) for i in f) for f in faces],
+        "edge": ["0 1", "1 2"],
+    }
+    lines = ["ply", "format ascii 1.0"] + [h for name in order for h in header[name]]
+    lines += ["end_header"] + [b for name in order for b in body[name]]
+    return "\n".join(lines) + "\n"
+
+
+MALFORMED_HEADERS = [pytest.param(*case[1:], id=case[0])
+                     for case in helpers.malformed_mesh_headers()]
+
+
 class TestLoading:
     def test_off_tetrahedron(self, tmp_path):
         verts, faces = helpers.tetrahedron()
@@ -97,6 +120,32 @@ class TestLoading:
         path.write_text("OFF\n4 4 0\n0 0 0\n1 0 0\n")
         with pytest.raises(ValueError, match="truncated"):
             load_mesh(path)
+
+    @pytest.mark.parametrize("order", [
+        ("face", "vertex"),
+        ("vertex", "edge", "face"),
+        ("edge", "face", "vertex"),
+        ("vertex", "face", "edge"),
+    ])
+    def test_ply_elements_in_any_order(self, tmp_path, order):
+        verts, faces = helpers.icosphere(1)
+        plain = tmp_path / "plain.ply"
+        plain.write_text(helpers.ply_text(verts, faces))
+        path = tmp_path / "ordered.ply"
+        path.write_text(ply_with_elements(verts, faces, order))
+        expected, mesh = load_mesh(plain), load_mesh(path)
+        for field in ("vertices", "triangles", "areas"):
+            assert getattr(mesh, field).tobytes() == getattr(expected, field).tobytes()
+        assert mesh.total_area == expected.total_area
+
+    @pytest.mark.parametrize("name, text, lineno, message", MALFORMED_HEADERS)
+    def test_malformed_header_names_file_and_line(self, tmp_path, name, text, lineno,
+                                                  message):
+        path = tmp_path / name
+        path.write_text(text)
+        with pytest.raises(ValueError) as exc:
+            load_mesh(path)
+        assert str(exc.value) == f"{path}:{lineno}: {message}"
 
     def test_degenerate_triangle_rejected(self):
         with pytest.raises(ValueError, match="degenerate triangle"):
@@ -507,8 +556,10 @@ class TestPointToSurface:
 
 
 class TestNormalizedMesh:
-    def test_unit_sphere_bound(self, two_triangle_mesh):
-        normed = two_triangle_mesh.normalized()
+    def test_unit_sphere_bound(self, tmp_path):
+        path = tmp_path / "two.off"
+        path.write_text(helpers.off_text(*helpers.two_triangles()))
+        normed = load_mesh(path)
         assert np.linalg.norm(normed.vertices, axis=1).max() == pytest.approx(1.0)
         # area ratios survive normalization
         ratio = normed.areas[1] / normed.areas[0]
