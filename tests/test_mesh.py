@@ -126,7 +126,7 @@ class TestLoading:
         ("vertex", "edge", "face"),
         ("edge", "face", "vertex"),
         ("vertex", "face", "edge"),
-    ])
+    ], ids="-".join)
     def test_ply_elements_in_any_order(self, tmp_path, order):
         verts, faces = helpers.icosphere(1)
         plain = tmp_path / "plain.ply"

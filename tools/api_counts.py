@@ -35,10 +35,15 @@ def signatures(obj):
     `cls` count."""
     if not inspect.isclass(obj):
         return [inspect.signature(obj)] if callable(obj) else []
-    defs = [getattr(d, "__func__", d)  # the function under a static or class method
-            for d in (inspect.getattr_static(obj, name) for name in dir(obj)
-                      if name == "__init__" or not name.startswith("_"))]
-    return [inspect.signature(d) for d in defs if callable(d)]
+    sigs = []
+    for name in dir(obj):
+        if name != "__init__" and name.startswith("_"):
+            continue
+        member = inspect.getattr_static(obj, name)
+        member = getattr(member, "__func__", member)  # under a static or class method
+        if callable(member):
+            sigs.append(inspect.signature(member))
+    return sigs
 
 
 def api_counts(src):
