@@ -1,12 +1,13 @@
 """Minimal reverse-mode automatic differentiation over dense 2D float64
-arrays, plus the Adam optimizer, a residual self-attention op, and a
-binary checkpoint format.
+arrays, plus the Adam optimizer, a residual self-attention op, a grouped
+squared-deviation op, and a binary checkpoint format.
 
 Every value in a computation graph is a Node holding an (r, c) numpy
 array. Ops build new Nodes eagerly and register a closure that pushes the
-output gradient into the parents; self_attention is one such op, with a
-hand-written backward pass. backward() runs an iterative topological
-sort, so graph depth is not limited by Python recursion.
+output gradient into the parents; self_attention and
+grouped_square_deviation are such ops, with hand-written backward
+passes. backward() runs an iterative topological sort, so graph depth
+is not limited by Python recursion.
 Only leaves (Params nodes and constants) keep their gradients: those
 accumulate across backward() calls until Params.zero_grad(). An
 interior node's gradient buffer is made just before the first push into
@@ -19,7 +20,8 @@ sigmoid and the shape ops need nothing more. linear_relu keeps a
 boolean mask: its pre-activation is overwritten in place to make its
 output. gather_rows and max_over_rows keep row indices, row_distances
 the row differences, and self_attention G, H, K and its (n, n) weights
-W; its push makes one more (n, n) array, dW.
+W; its push makes one more (n, n) array, dW. grouped_square_deviation
+keeps its row indices and per-group arrays.
 
 Inside `with no_grad():` a new Node keeps no parents and no push
 closure, so each intermediate array (and whatever an op's closure would
@@ -45,6 +47,7 @@ __all__ = [
     "glorot_uniform",
     "self_attention",
     "init_attention",
+    "grouped_square_deviation",
     "save_params",
     "load_params",
     "add", "sub", "scale", "add_scalar", "linear", "linear_relu", "sigmoid",
@@ -121,13 +124,8 @@ def sub(a, b):
 
 
 def scale(a, c):
-    """c * a for a scalar c, or for a constant array c that broadcasts to
-    a's shape, such as a column of per-row weights."""
-    c = np.asarray(c, dtype=np.float64)
-    if c.ndim == 0:
-        c = float(c)
-    elif c.ndim > 2 or any(k not in (1, m) for k, m in zip(c.shape[::-1], a.value.shape[::-1])):
-        raise ValueError(f"scale: factor of shape {c.shape} does not fit {a.value.shape}")
+    """c * a for a scalar c."""
+    c = float(c)
 
     def push(g):
         a.grad += c * g
@@ -467,6 +465,49 @@ def self_attention(x, params, prefix):
             _push_linear(x, wn, bn, dz)
 
     return Node(xv + w.T @ k, (x, wg, bg, wh, bh, wk, bk), push)
+
+
+def grouped_square_deviation(x, rows, sizes, centers, weights):
+    """sum over groups c and their members m of
+    weights[c] * (x[rows[m]] - centers[c])^2, as one op: (r, 1) -> (1, 1).
+
+    `rows` lists the members group after group, sizes[c] of them for
+    group c, and may repeat a row. Value and gradient equal, bit for bit,
+    those of the chain gather_rows, sub of a constant column, square,
+    scale by a constant column, sum_all. The op keeps only `rows` and the
+    per-group arrays; its push recomputes the deviations, so no array of
+    one entry per member lives from the forward to the backward pass.
+    """
+    rows = np.asarray(rows, dtype=np.intp)
+    sizes, centers, weights = np.asarray(sizes, dtype=np.intp), np.asarray(centers), \
+        np.asarray(weights, dtype=np.float64)
+    if x.value.shape[1] != 1 or rows.ndim != 1 or sizes.sum() != len(rows):
+        raise ValueError(f"grouped_square_deviation: expected a column and 1D rows as many "
+                         f"as the group sizes sum to, got {x.value.shape}, {rows.shape} "
+                         f"and {sizes.sum()}")
+    if rows.size and (rows.min() < 0 or rows.max() >= x.value.shape[0]):
+        raise ValueError("grouped_square_deviation: row index out of range")
+
+    def deviations():
+        dev = x.value[rows]
+        dev -= np.repeat(centers, sizes)[:, None]
+        return dev
+
+    terms = deviations()
+    terms *= terms
+    terms *= np.repeat(weights, sizes)[:, None]
+
+    def push(g):
+        # the chain's products: scale's weight * g, then square's
+        # 2 * dev * (weight * g). The chain also summed each into a zeroed
+        # buffer, which only turns -0.0 into +0.0; np.add.at into x's
+        # buffer, which never holds -0.0, does the same
+        dx = deviations()
+        dx *= 2.0
+        dx *= np.repeat(weights * g[0, 0], sizes)[:, None]
+        np.add.at(x.grad, rows, dx)
+
+    return Node(terms.sum().reshape(1, 1), (x,), push)
 
 
 _CKPT_MAGIC = "PCUP-PARAMS-1"

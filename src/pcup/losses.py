@@ -56,10 +56,13 @@ def uniform_loss(q, p_values, seed_count, seed):
     weights; only the nearest-neighbor distances carry gradient.
 
     Every crop of every p comes from one metrics.uniformity_crops call
-    over one SpatialIndex. The graph is flat: the (member, partner) pairs
-    of every crop of two or more members, in crop order, each distinct
-    pair's distance computed once, and a member row carries its crop's
-    d_hat and imbalance / d_hat as constant columns.
+    over one SpatialIndex. The graph is flat: each distinct (member,
+    partner) pair's distance is computed once, and one
+    autodiff.grouped_square_deviation op sums every crop of two or more
+    members, in crop order, each member's pair distance taken against its
+    crop's d_hat with weight imbalance / d_hat. That op keeps the member
+    to pair index and one d_hat, weight and size per crop, so no node has
+    a row per crop member.
     """
     n = q.shape[0]
     draws = [(p, seed + k) for k, p in enumerate(p_values)]
@@ -79,10 +82,8 @@ def uniform_loss(q, p_values, seed_count, seed):
         return ad.constant(np.zeros((1, 1)))
     paired = partners >= 0
     pairs, row_pair = np.unique(members[paired] * n + partners[paired], return_inverse=True)
-    gaps = ad.gather_rows(ad.row_distances(ad.gather_rows(q, pairs // n),
-                                           ad.gather_rows(q, pairs % n)), row_pair)
-    dev = ad.sub(gaps, ad.constant(np.repeat(d_hats, kept)[:, None]))
-    return ad.sum_all(ad.scale(ad.square(dev), np.repeat(weights, kept)[:, None]))
+    gaps = ad.row_distances(ad.gather_rows(q, pairs // n), ad.gather_rows(q, pairs % n))
+    return ad.grouped_square_deviation(gaps, row_pair, kept, d_hats, weights)
 
 
 def reconstruction_loss(q, target, _epsilon=None):

@@ -151,13 +151,18 @@ def load_mesh(path):
         raise ValueError(f"{path}: truncated {head.upper()} file")
     verts = [_parse_vertex(path, lineno, text, width, cols)
              for lineno, text in lines[vertex_lines]]
-    tris = [_parse_face(path, lineno, text) for lineno, text in lines[face_lines]]
-    normed, _, _ = normalize_unit_sphere(as_points(np.array(verts), "vertices"))
-    mesh = TriangleMesh(normed, np.array(tris))
+    tris = [_parse_face(path, lineno, text, len(verts)) for lineno, text in lines[face_lines]]
+    if not tris:  # a face needs a vertex, so this covers no vertices too
+        raise ValueError(f"{path}: empty mesh ({len(verts)} vertices, no faces)")
+    normed, _, _ = normalize_unit_sphere(np.array(verts))
+    try:
+        mesh = TriangleMesh(normed, np.array(tris))
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     bad = np.nonzero(mesh.areas <= _AREA_FLOOR)[0]
     if bad.size:
         raise ValueError(
-            f"degenerate triangle {bad[0]} (area {mesh.areas[bad[0]]:.3g} "
+            f"{path}: degenerate triangle {bad[0]} (area {mesh.areas[bad[0]]:.3g} "
             "after unit-sphere normalization)"
         )
     return mesh
@@ -183,17 +188,25 @@ def _parse_vertex(path, lineno, text, n, cols):
         values = [float(t) for t in parts[:n]]
     except ValueError:
         raise ValueError(f"{path}:{lineno}: malformed number in {text!r}") from None
-    return [values[c] for c in cols]
+    xyz = [values[c] for c in cols]
+    if not all(map(math.isfinite, xyz)):
+        raise ValueError(f"{path}:{lineno}: non-finite coordinate")
+    return xyz
 
 
-def _parse_face(path, lineno, text):
+def _parse_face(path, lineno, text, nv):
+    """The three vertex indices of a face line, each below `nv`."""
     parts = text.split()
     n = _count(path, lineno, parts[0], "face vertex count")
     if n != 3:
         raise ValueError(f"{path}:{lineno}: non-triangle face with {n} vertices")
     if len(parts) < 4:
         raise ValueError(f"{path}:{lineno}: face line too short")
-    return [_count(path, lineno, token, "face index") for token in parts[1:4]]
+    face = [_count(path, lineno, token, "face index") for token in parts[1:4]]
+    if max(face) >= nv:
+        raise ValueError(f"{path}:{lineno}: face index {max(face)} out of range "
+                         f"for {nv} vertices")
+    return face
 
 
 def _off_header(path, lines):

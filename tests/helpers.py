@@ -424,6 +424,37 @@ def malformed_mesh_headers():
     ]
 
 
+def malformed_mesh_arrays():
+    """(id, file name, text, line of the fault or None, message after
+    "path:line: " or "path: ") of mesh files whose headers parse but whose
+    vertices or faces a loader must refuse: a tetrahedron with one face
+    index or coordinate spoiled, no vertices or faces, or a triangle of
+    (almost) no area."""
+    verts = [[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    faces = [[0, 1, 2], [0, 1, 3], [0, 2, 3], [1, 2, 3]]
+    off, ply = off_text(verts, faces), ply_text(verts, faces)
+    return [
+        ("off-face-index-past-vertex-count", "m.off", off.replace("3 1 2 3", "3 1 2 9"),
+         10, "face index 9 out of range for 4 vertices"),
+        ("ply-face-index-past-vertex-count", "m.ply", ply.replace("3 1 2 3", "3 1 4 3"),
+         17, "face index 4 out of range for 4 vertices"),
+        ("off-nan-coordinate", "m.off", off.replace("\n0 1 0\n", "\n0 nan 0\n"),
+         5, "non-finite coordinate"),
+        ("ply-inf-coordinate", "m.ply", ply.replace("\n0 0 1\n", "\n0 0 -inf\n"),
+         13, "non-finite coordinate"),
+        ("off-face-without-vertices", "m.off", "OFF\n0 1 0\n3 0 1 2\n",
+         3, "face index 2 out of range for 0 vertices"),
+        ("off-no-vertices", "m.off", "OFF\n0 0 0\n", None, "empty mesh (0 vertices, no faces)"),
+        ("ply-no-faces", "m.ply", ply.replace("element face 4", "element face 0"),
+         None, "empty mesh (4 vertices, no faces)"),
+        ("off-zero-area-triangle", "m.off", off.replace("3 0 2 3", "3 0 2 2"),
+         None, "degenerate triangle 2 (zero area)"),
+        ("off-area-below-floor", "m.off",
+         off_text(verts + [[0.5, 1e-13, 0]], faces + [[0, 1, 4]]),
+         None, "degenerate triangle 4 (area 6.49e-14 after unit-sphere normalization)"),
+    ]
+
+
 def binary_ply_bytes():
     """Minimal binary-format PLY — must be rejected."""
     header = (

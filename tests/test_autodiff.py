@@ -32,10 +32,6 @@ def _op_cases():
         "add": ({"a": (4, 3), "b": (4, 3)}, via(s, lambda p: ad.add(p["a"], p["b"]))),
         "sub": ({"a": (4, 3), "b": (4, 3)}, via(s, lambda p: ad.sub(p["a"], p["b"]))),
         "scale": ({"a": (4, 3)}, via(s, lambda p: ad.scale(p["a"], -2.5))),
-        "scale_column": (
-            {"a": (4, 3)},
-            via(s, lambda p: ad.square(ad.scale(p["a"], np.array([[-2.5], [0.5], [3.0], [1.0]])))),
-        ),
         "add_scalar": ({"a": (4, 3)}, via(s, lambda p: ad.square(ad.add_scalar(p["a"], 1.5)))),
         "linear": (
             {"x": (5, 3), "w": (3, 4), "b": (1, 4)},
@@ -82,6 +78,15 @@ def test_op_gradients_match_finite_differences(op, seed):
     helpers.gradcheck(lambda: build(params), params)
 
 
+def _pushing(node, g):
+    """A (1, 1) loss whose push adds the array g into node's gradient."""
+
+    def push(_):
+        node.grad += g
+
+    return ad.Node(np.zeros((1, 1)), (node,), push)
+
+
 def test_linear_relu_bytes_equal_relu_of_linear(rng):
     # the unfused chain, in NumPy: relu kept np.where(mask, pre, 0.0), and
     # pushed g * mask into linear's zeroed buffer, which linear pushed on
@@ -107,7 +112,7 @@ def test_linear_relu_bytes_equal_relu_of_linear(rng):
     params.set_values({"x": x, "w": w, "b": b})
     out = ad.linear_relu(params["x"], params["w"], params["b"])
     assert out.value.tobytes() == np.where(mask, pre, 0.0).tobytes()
-    ad.backward(ad.sum_all(ad.scale(out, g)))
+    ad.backward(_pushing(out, g))
     for name, grad in want.items():
         assert params[name].grad.tobytes() == grad.tobytes(), name
 
@@ -126,13 +131,38 @@ def test_max_over_rows_ties_route_to_first_row():
     assert params["a"].grad.ravel().tolist() == [1.0, 0.0, 0.0]
 
 
-def test_scale_factor_must_fit_the_operand():
-    a = ad.constant(np.ones((3, 2)))
-    assert ad.scale(a, np.full((3, 1), 2.0)).value.tolist() == [[2.0, 2.0]] * 3
-    with pytest.raises(ValueError, match="does not fit"):
-        ad.scale(a, np.ones((4, 1)))
-    with pytest.raises(ValueError, match="does not fit"):
-        ad.scale(ad.constant(np.ones((1, 1))), np.ones((3, 1)))
+def test_grouped_square_deviation_gradient_matches_finite_differences():
+    # rows repeat within and across groups, one group is empty, and row 2
+    # sits exactly on the first group's centre: a zero deviation
+    params = ad.Params()
+    params.add("x", np.array([[0.3], [-1.2], [0.25], [2.0], [0.7]]))
+    rows = np.array([2, 0, 2, 4, 1, 2, 3, 3])
+    sizes, centers, weights = [3, 0, 1, 4], [0.25, 9.0, -0.5, 1.0], [2.0, 7.0, 0.5, 3.0]
+
+    def make_loss():
+        return ad.grouped_square_deviation(params["x"], rows, sizes, centers, weights)
+
+    x = params["x"].value[:, 0]
+    want = sum(w * (x[r] - c) ** 2 for r, w, c in
+               zip(rows, np.repeat(weights, sizes), np.repeat(centers, sizes)))
+    assert make_loss().value[0, 0] == pytest.approx(want, rel=1e-15)
+    helpers.gradcheck(make_loss, params)
+
+
+@pytest.mark.parametrize("shape, rows, sizes, centers, match", [
+    pytest.param((4, 2), [0, 1], [2], [0.0], "expected a column", id="two-columns"),
+    pytest.param((4, 1), [[0, 1]], [2], [0.0], "expected a column", id="2d-rows"),
+    pytest.param((4, 1), [0, 1], [1], [0.0], "sizes sum to", id="sizes-short"),
+    pytest.param((4, 1), [0, 4], [2], [0.0], "out of range", id="row-out-of-range"),
+    # numpy's own refusals, from np.repeat
+    pytest.param((4, 1), [0, 1], [2], [0.0, 1.0], "broadcast", id="centers-per-group-long"),
+    pytest.param((4, 1), [0, 1], [3, -1], [0.0, 1.0], "negative", id="negative-size"),
+])
+def test_grouped_square_deviation_refuses_what_does_not_fit(shape, rows, sizes, centers,
+                                                            match):
+    x = ad.constant(np.zeros(shape))
+    with pytest.raises(ValueError, match=match):
+        ad.grouped_square_deviation(x, rows, sizes, centers, np.ones(len(centers)))
 
 
 def test_row_distance_at_zero_has_zero_gradient():

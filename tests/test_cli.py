@@ -59,6 +59,8 @@ PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 
 MALFORMED_HEADERS = [pytest.param(*case[1:], id=case[0])
                      for case in helpers.malformed_mesh_headers()]
+MALFORMED_ARRAYS = [pytest.param(*case[1:], id=case[0])
+                    for case in helpers.malformed_mesh_arrays()]
 
 
 def declared_console_script(name):
@@ -309,6 +311,21 @@ class TestPrepare:
         assert code == 1
         errors = [line for line in err.splitlines() if line.startswith("error:")]
         assert errors == [f"error: {name}: {src / name}:{lineno}: {message}"]
+        assert "tetra: 4 patches" in stdout
+
+    @pytest.mark.parametrize("name, text, lineno, message", MALFORMED_ARRAYS)
+    def test_malformed_arrays_exit_1_naming_file(self, capsys, tmp_path, mesh_dir, name, text,
+                                                 lineno, message):
+        src = tmp_path / "meshes"
+        src.mkdir()
+        (src / "tetra.off").write_bytes((mesh_dir / "tetra.off").read_bytes())
+        (src / name).write_text(text)
+        code, stdout, err = run(capsys, "prepare", "--meshes", str(src),
+                                "--out", str(tmp_path / "arch"), *PREPARE_TINY)
+        assert code == 1
+        errors = [line for line in err.splitlines() if line.startswith("error:")]
+        where = f"{src / name}:{lineno}" if lineno else f"{src / name}"
+        assert errors == [f"error: {name}: {where}: {message}"]
         assert "tetra: 4 patches" in stdout
 
 
@@ -906,6 +923,22 @@ class TestEval:
         assert code == 1
         assert stdout == ""
         assert err == f"error: {mesh_path}:{lineno}: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("name, text, lineno, message", MALFORMED_ARRAYS)
+    def test_malformed_mesh_arrays_exit_1_naming_file(self, capsys, tmp_path, rng, name, text,
+                                                      lineno, message):
+        mesh_path = tmp_path / name
+        mesh_path.write_text(text)
+        cloud = tmp_path / "cloud.xyz"
+        write_xyz(cloud, rng.normal(size=(20, 3)))
+        out = tmp_path / "report.csv"
+        code, stdout, err = run(capsys, "eval", "--pred", str(cloud), "--gt", str(cloud),
+                                "--mesh", str(mesh_path), "--out", str(out))
+        assert code == 1
+        assert stdout == ""
+        where = f"{mesh_path}:{lineno}" if lineno else f"{mesh_path}"
+        assert err == f"error: {where}: {message}\n"
         assert not out.exists()
 
     def test_missing_prediction_file(self, capsys, tmp_path, mesh_dir):

@@ -2,6 +2,7 @@
 of the uniformity loss, and the compound weighting."""
 
 import hashlib
+import math
 import time
 import tracemalloc
 
@@ -304,6 +305,116 @@ class TestUniformFlatGraph:
         finally:
             tracemalloc.stop()
         assert peak < bound_mb * 2**20
+
+
+def _scale_rows(a, column):
+    """column * a for a constant column: what autodiff.scale did with a
+    column factor before it took scalars only."""
+
+    def push(g):
+        a.grad += column * g
+
+    return ad.Node(column * a.value, (a,), push)
+
+
+def _chain_uniform_loss(q, p_values, seed_count, seed):
+    """uniform_loss with its tail as the chain of row-wise nodes that
+    grouped_square_deviation replaced: each crop member's pair distance
+    gathered, its crop's d_hat subtracted as a constant column, squared,
+    scaled by a constant column of weights and summed."""
+    n = q.shape[0]
+    draws = [(p, seed + k) for k, p in enumerate(p_values)]
+    sizes, members, partners = metrics.uniformity_crops(SpatialIndex(q.value), draws,
+                                                        seed_count)
+    kept, d_hats, weights = [], [], []
+    for p, row in zip(p_values, sizes.tolist()):
+        n_hat = metrics.expected_ball_count(n, p)
+        for size in row:
+            if size >= 2:
+                d_hat = metrics.hexagonal_neighbor_spacing(math.sqrt(p), size)
+                kept.append(size)
+                d_hats.append(d_hat)
+                weights.append((size - n_hat) ** 2 / n_hat / d_hat)
+    paired = partners >= 0
+    pairs, row_pair = np.unique(members[paired] * n + partners[paired], return_inverse=True)
+    gaps = ad.gather_rows(ad.row_distances(ad.gather_rows(q, pairs // n),
+                                           ad.gather_rows(q, pairs % n)), row_pair)
+    dev = ad.sub(gaps, ad.constant(np.repeat(d_hats, kept)[:, None]))
+    return ad.sum_all(_scale_rows(ad.square(dev), np.repeat(weights, kept)[:, None]))
+
+
+def _sparse_cloud():
+    """100 points of a thin slab where crops at p = 0.02 and 0.01 hold
+    1 to 9 members: crops of one member, and crops of two where
+    n_hat = 2.0 gives a zero weight."""
+    return np.random.default_rng(1).uniform(-0.5, 0.5, size=(100, 3)) * [1.0, 1.0, 0.05]
+
+
+def _graph(root):
+    nodes, stack, seen = [], [root], set()
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            nodes.append(node)
+            stack.extend(node.parents)
+    return nodes
+
+
+class TestUniformOneOp:
+    """The tail of uniform_loss is one grouped_square_deviation op, with
+    the bits of the chain it replaced."""
+
+    @pytest.mark.parametrize("case, p_values, seed_count, seed", [
+        pytest.param("collapsed-64", metrics.P_VALUES, 50, 5, id="collapsed-64"),
+        pytest.param("collapsed-256", metrics.P_VALUES, 50, 5, id="collapsed-256"),
+        pytest.param("patch", metrics.P_VALUES, 50, 7, id="patch"),
+        pytest.param("lattice", (0.004, 0.01), 20, 11, id="lattice"),
+        pytest.param("sparse", (0.02, 0.01), 20, 1, id="sparse"),
+    ])
+    def test_value_and_gradient_bytes_equal_the_chain(self, case, p_values, seed_count, seed):
+        pts = {"collapsed-64": lambda: helpers.collapsed_generator_output(64),
+               "collapsed-256": lambda: helpers.collapsed_generator_output(256),
+               "patch": lambda: _pinned_cloud("patch"),
+               "lattice": lambda: helpers.cubic_lattice(8, 0.03),
+               "sparse": _sparse_cloud}[case]()
+        if case == "sparse":
+            sizes = metrics.uniformity_crops(SpatialIndex(pts), [(p, seed + k) for k, p in
+                                                                 enumerate(p_values)],
+                                             seed_count)[0]
+            assert (sizes < 2).any() and (sizes == 2).any() and (sizes > 2).any()
+        values, grads = [], []
+        for build in (lo.uniform_loss, _chain_uniform_loss):
+            q = ad.constant(pts.copy())
+            loss = build(q, p_values, seed_count, seed)
+            values.append(loss.value.tobytes())
+            # a batch of three's share of the weighted term, as training
+            # pushes it, so the op's incoming gradient is not 1.0
+            ad.backward(ad.scale(lo.compound_generator_loss(None, None, loss), 1.0 / 3))
+            grads.append(q.grad.tobytes())
+        assert values[0] == values[1]
+        assert grads[0] == grads[1]
+
+    def test_loss_node_holds_no_row_per_member(self):
+        # nearly all of an untrained N=256 generator's 1024 points fall
+        # into each of the 250 crops: about 250 000 members over a few
+        # thousand distinct pairs.
+        # The chain kept five nodes of one row per member and a weight
+        # column, about 13.4 MiB in all; the op keeps the member-to-pair
+        # index, about 2 MiB
+        q = ad.constant(helpers.collapsed_generator_output(256))
+        tracemalloc.start()
+        try:
+            loss = lo.uniform_loss(q, metrics.P_VALUES, 50, seed=5)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert held < 4 * 2**20
+        members = int(metrics.uniformity_crops(
+            SpatialIndex(q.value), [(p, 5 + k) for k, p in enumerate(metrics.P_VALUES)],
+            50)[0].sum())
+        assert members > 240_000
+        assert max(node.value.shape[0] for node in _graph(loss)) < members
 
 
 class TestCompound:

@@ -44,6 +44,8 @@ def ply_with_elements(verts, faces, order):
 
 MALFORMED_HEADERS = [pytest.param(*case[1:], id=case[0])
                      for case in helpers.malformed_mesh_headers()]
+MALFORMED_ARRAYS = [pytest.param(*case[1:], id=case[0])
+                    for case in helpers.malformed_mesh_arrays()]
 
 
 class TestLoading:
@@ -146,6 +148,15 @@ class TestLoading:
         with pytest.raises(ValueError) as exc:
             load_mesh(path)
         assert str(exc.value) == f"{path}:{lineno}: {message}"
+
+    @pytest.mark.parametrize("name, text, lineno, message", MALFORMED_ARRAYS)
+    def test_malformed_arrays_name_file(self, tmp_path, name, text, lineno, message):
+        path = tmp_path / name
+        path.write_text(text)
+        with pytest.raises(ValueError) as exc:
+            load_mesh(path)
+        where = f"{path}:{lineno}" if lineno else f"{path}"
+        assert str(exc.value) == f"{where}: {message}"
 
     def test_degenerate_triangle_rejected(self):
         with pytest.raises(ValueError, match="degenerate triangle"):
