@@ -478,9 +478,8 @@ def grouped_square_deviation(x, rows, sizes, centers, weights):
     per-group arrays; its push recomputes the deviations, so no array of
     one entry per member lives from the forward to the backward pass.
     """
-    rows = np.asarray(rows, dtype=np.intp)
-    sizes, centers, weights = np.asarray(sizes, dtype=np.intp), np.asarray(centers), \
-        np.asarray(weights, dtype=np.float64)
+    rows, sizes = np.asarray(rows, dtype=np.intp), np.asarray(sizes, dtype=np.intp)
+    weights = np.asarray(weights, dtype=np.float64)
     if x.value.shape[1] != 1 or rows.ndim != 1 or sizes.sum() != len(rows):
         raise ValueError(f"grouped_square_deviation: expected a column and 1D rows as many "
                          f"as the group sizes sum to, got {x.value.shape}, {rows.shape} "
