@@ -19,13 +19,16 @@ parents, and what a push needs beyond those values. linear, square,
 sigmoid and the shape ops need nothing more. linear_relu keeps a
 boolean mask: its pre-activation is overwritten in place to make its
 output. gather_rows and max_over_rows keep row indices, row_distances
-the row differences, and self_attention G, H, K and its (n, n) weights
-W; its push makes one more (n, n) array, dW. grouped_square_deviation
-keeps its row indices and per-group arrays.
+the row differences, and self_attention G, H, K and two (n, 1) columns,
+each row's softmax maximum and sum: no array with n^2 entries lives
+from its forward to its backward pass. Its push rebuilds the (n, n)
+weights W from them and turns W into dS in place, so it makes one
+(n, n) array. grouped_square_deviation keeps its row indices and
+per-group arrays.
 
 Inside `with no_grad():` a new Node keeps no parents and no push
 closure, so each intermediate array (and whatever an op's closure would
-have held, such as self_attention's (n, n) weights) is freed as soon as
+have held, such as self_attention's G, H and K) is freed as soon as
 the next op has used it. The ops compute the same values either way;
 nothing built there can pass a gradient back. networks.generate, the
 helper that returns plain values, runs its forward pass this way;
@@ -422,11 +425,15 @@ def init_attention(params, prefix, channels, rng):
         params.add(f"{prefix}.{tag}.b", np.zeros((1, cout)))
 
 
-# Rows per block of the attention push's softmax backward, so the whole
-# (n, n) product dW * W is never made: at n=1536 that product is 18 MiB,
+# Rows per block of the attention softmax, forward and backward. The
+# forward pass records each block's row maxima and sums, and the push
+# rebuilds W from them, makes dW = K[rows] d^T and turns it into dS over
+# W's rows, so no second (n, n) array is made: at n=1536 one is 18 MiB,
 # a 128-row block 1.5 MiB. At n=1536 and 130 columns one push took a
 # median 33-37 ms in 128-row blocks against 39-42 ms on the whole product
-# (2 Xeon cores, 31 pushes each).
+# dW * W (2 Xeon cores, 31 pushes each). The rows left over join the last
+# block: a short block's product takes another BLAS path (OpenBLAS's
+# small-matrix kernel), whose rows need not be the whole product's bits.
 _ATTENTION_PUSH_ROWS = 128
 
 
@@ -435,9 +442,16 @@ def self_attention(x, params, prefix):
 
     G, H and K are per-row linear maps of x by the six tensors that
     init_attention made under `prefix`: G and H at a quarter of the input
-    width, K at full width. The op keeps G, H, K and the (n, n) W for its
-    backward pass. With zero K weights this is exactly the identity.
-    Permuting input rows permutes output rows identically.
+    width, K at full width. The op keeps G, H, K and each row's softmax
+    maximum and sum, not the (n, n) W: its push rebuilds W with the same
+    product and elementwise ops, so the bits are the forward pass's. The
+    push takes dW = K d^T by row blocks, so its gradients are those of the
+    whole product wherever the BLAS gives a block the whole product's
+    rows: below 256 rows (one block), and at multiples of 16 rows on
+    OpenBLAS's SkylakeX, Haswell, Sandybridge, Nehalem and Prescott kernels
+    at 1 and 2 threads. Elsewhere they can differ in the last bits. With
+    zero K weights this is exactly the identity. Permuting input rows
+    permutes output rows identically.
     """
     (wg, bg), (wh, bh), (wk, bk) = maps = [
         (params[f"{prefix}.{t}.w"], params[f"{prefix}.{t}.b"]) for t in "ghk"
@@ -449,22 +463,38 @@ def self_attention(x, params, prefix):
             f"{prefix!r} width {wg.value.shape[0]}"
         )
     g, h, k = (_affine(xv, wn.value, bn.value) for wn, bn in maps)
-    w = g @ h.T
-    w -= w.max(axis=1, keepdims=True)  # overflow-safe row softmax, in place
-    np.exp(w, out=w)
-    w /= w.sum(axis=1, keepdims=True)
+    stops = [*range(_ATTENTION_PUSH_ROWS, len(xv) - _ATTENTION_PUSH_ROWS + 1,
+                    _ATTENTION_PUSH_ROWS), len(xv)]
+    blocks = [slice(lo, hi) for lo, hi in zip([0, *stops], stops)]
+    peaks, sums = np.empty((len(xv), 1)), np.empty((len(xv), 1))
+
+    def weights(record):
+        # overflow-safe row softmax in place, block by block; `record`
+        # stores each row's maximum and sum, else the stored ones are used
+        w = g @ h.T
+        for rows in blocks:
+            block = w[rows]
+            if record:
+                peaks[rows] = block.max(axis=1, keepdims=True)
+            block -= peaks[rows]
+            np.exp(block, out=block)
+            if record:
+                sums[rows] = block.sum(axis=1, keepdims=True)
+            block /= sums[rows]
+        return w
 
     def push(d):
-        ds = k @ d.T  # dW, turned into dS = W * (dW - rowsum(dW * W)) in place
-        for lo in range(0, len(ds), _ATTENTION_PUSH_ROWS):
-            rows = slice(lo, lo + _ATTENTION_PUSH_ROWS)
-            ds[rows] -= (ds[rows] * w[rows]).sum(axis=1, keepdims=True)
-            ds[rows] *= w[rows]
+        w = weights(False)
+        dk = w @ d  # before W is overwritten
+        for rows in blocks:  # dS = W * (dW - rowsum(dW * W)) over W's rows
+            block, dw = w[rows], k[rows] @ d.T
+            dw -= (dw * block).sum(axis=1, keepdims=True)
+            block *= dw
         x.grad += d
-        for (wn, bn), dz in zip(maps, (ds @ h, ds.T @ g, w @ d)):
+        for (wn, bn), dz in zip(maps, (w @ h, w.T @ g, dk)):
             _push_linear(x, wn, bn, dz)
 
-    return Node(xv + w.T @ k, (x, wg, bg, wh, bh, wk, bk), push)
+    return Node(xv + weights(True).T @ k, (x, wg, bg, wh, bh, wk, bk), push)
 
 
 def grouped_square_deviation(x, rows, sizes, centers, weights):

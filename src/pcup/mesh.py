@@ -371,6 +371,7 @@ class PatchGrower:
         dist, nbr = self.index.tree.query(pool.positions, kk + 1, workers=_workers(n))
         knn = csr_matrix((dist.ravel(), nbr.ravel(), np.arange(0, n * (kk + 1) + 1, kk + 1)),
                          shape=(n, n))
+        del dist, nbr  # knn holds dist's buffer and an index copy of nbr: free nbr's
         self._graph = _both_ways(knn)
 
     def __len__(self):
@@ -429,10 +430,13 @@ def _both_ways(graph):
     indptr = graph.indptr + rev.indptr
     indices = np.empty(indptr[-1], dtype=graph.indices.dtype)
     data = np.empty(indptr[-1])
-    fwd = np.arange(graph.nnz) + np.repeat(rev.indptr[:-1], np.diff(graph.indptr))
-    back = np.arange(rev.nnz) + np.repeat(graph.indptr[1:], np.diff(rev.indptr))
-    indices[fwd], data[fwd] = graph.indices, graph.data
-    indices[back], data[back] = rev.indices, rev.data
+    # entry e of a part's row i goes to e plus the other part's entries
+    # before it: rev's rows before i for graph, graph's rows up to i for
+    # rev. One position array at a time, in the index dtype
+    for part, offsets in ((graph, rev.indptr[:-1]), (rev, graph.indptr[1:])):
+        at = np.repeat(offsets, np.diff(part.indptr))
+        at += np.arange(part.nnz, dtype=at.dtype)
+        indices[at], data[at] = part.indices, part.data
     return csr_matrix((data, indices, indptr), shape=graph.shape)
 
 

@@ -138,11 +138,17 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for key in ("n_input", "rate", "batch_size", "checkpoint_every", "uniform_seed_count",
-                    "working_channels", "regress_hidden", "disc_point_channels",
-                    "disc_global_channels", "disc_head_hidden"):
+        for key in ("n_input", "rate", "patches_per_mesh", "pool_size", "batch_size",
+                    "checkpoint_every", "uniform_seed_count", "working_channels",
+                    "regress_hidden", "disc_point_channels", "disc_global_channels",
+                    "disc_head_hidden"):
             if getattr(self, key) < 1:
                 raise ValueError(f"{key} must be at least 1, got {getattr(self, key)}")
+        if not 0.0 < self.patch_fraction < 0.5:  # what PatchGrower.grow accepts; nan fails
+            raise ValueError(f"patch_fraction must be in (0, 0.5), got {self.patch_fraction}")
+        if self.group_k < 1:  # train checks the upper bound against the archive's n_input
+            raise ValueError(f"group_k must be in 1..n_input = {self.n_input}, "
+                             f"got {self.group_k}")
         if self.feature_channels < 1 or self.feature_channels % 3:
             raise ValueError("feature_channels must be a positive multiple of 3, "
                              f"got {self.feature_channels}")
@@ -454,13 +460,22 @@ def load_checkpoint(ckpt_dir):
     from a checkpoint directory."""
     cfg = TrainConfig.load(os.path.join(ckpt_dir, "config.txt"))
     gparams = init_generator(cfg, 0)
-    gparams.set_values(ad.load_params(os.path.join(ckpt_dir, "generator.params")))
+    _set_values(gparams, os.path.join(ckpt_dir, "generator.params"))
     dparams = None
     dpath = os.path.join(ckpt_dir, "discriminator.params")
     if os.path.isfile(dpath):
         dparams = init_discriminator(cfg, 0)
-        dparams.set_values(ad.load_params(dpath))
+        _set_values(dparams, dpath)
     return gparams, dparams, cfg
+
+
+def _set_values(params, path):
+    """Params.set_values from a params file, with errors that name it."""
+    arrays = ad.load_params(path)
+    try:
+        params.set_values(arrays)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def train(pairs, cfg, out_dir):
@@ -469,7 +484,7 @@ def train(pairs, cfg, out_dir):
     iteration, each with its own decayed learning rate."""
     if not pairs:
         raise ValueError("empty dataset")
-    if not 1 <= cfg.group_k <= cfg.n_input:
+    if cfg.group_k > cfg.n_input:
         raise ValueError(f"group_k must be in 1..n_input = {cfg.n_input}, got {cfg.group_k}")
     batch_size = min(cfg.batch_size, len(pairs))
     iterations = cfg.iterations or EPOCHS * math.ceil(len(pairs) / batch_size)

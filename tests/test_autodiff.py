@@ -334,6 +334,69 @@ class TestAdam:
             params.add("w", np.zeros((1, 1)))
 
 
+def _stored_weights_attention(x, params, prefix):
+    """self_attention as it was when it kept its (n, n) weights W for the
+    push: the reference whose bits the op must keep."""
+    (wg, bg), (wh, bh), (wk, bk) = maps = [
+        (params[f"{prefix}.{t}.w"], params[f"{prefix}.{t}.b"]) for t in "ghk"
+    ]
+    xv = x.value
+    g, h, k = (ad._affine(xv, wn.value, bn.value) for wn, bn in maps)
+    w = g @ h.T
+    w -= w.max(axis=1, keepdims=True)
+    np.exp(w, out=w)
+    w /= w.sum(axis=1, keepdims=True)
+
+    def push(d):
+        ds = k @ d.T
+        for lo in range(0, len(ds), 128):
+            rows = slice(lo, lo + 128)
+            ds[rows] -= (ds[rows] * w[rows]).sum(axis=1, keepdims=True)
+            ds[rows] *= w[rows]
+        x.grad += d
+        for (wn, bn), dz in zip(maps, (ds @ h, ds.T @ g, w @ d)):
+            ad._push_linear(x, wn, bn, dz)
+
+    return ad.Node(xv + w.T @ k, (x, wg, bg, wh, bh, wk, bk), push)
+
+
+def _attention_case(n, kind, width=130):
+    """Attention weights and an input leaf "x" of n rows: random, with
+    each row repeated about four times, or with logits large enough that
+    most of each softmax row underflows to 0."""
+    rng = np.random.default_rng(n)
+    params = ad.Params()
+    ad.init_attention(params, "att", width, rng)
+    for _, node in params.items():
+        node.value += rng.normal(scale=0.05, size=node.value.shape)
+    x = rng.normal(size=(n, width))
+    if kind == "duplicated":
+        x = x[rng.integers(0, max(1, n // 4), size=n)]
+    elif kind == "saturated":
+        params["att.g.w"].value *= 40.0
+        params["att.h.w"].value *= 40.0
+    return params, params.add("x", x)
+
+
+def _attention_bits(op, params, x):
+    """The bytes of the op's value and of every gradient it pushes."""
+    params.zero_grad()
+    out = op(x, params, "att")
+    ad.backward(ad.sum_all(ad.square(out)))
+    return out.value.tobytes(), {name: node.grad.tobytes() for name, node in params.items()}
+
+
+def _two_backwards(op, params, x):
+    """Every gradient after one and after two backward calls on one graph."""
+    params.zero_grad()
+    loss = ad.sum_all(ad.square(op(x, params, "att")))
+    grads = []
+    for _ in range(2):
+        ad.backward(loss)
+        grads.append({name: node.grad.copy() for name, node in params.items()})
+    return grads
+
+
 class TestAttention:
     def test_zero_value_weights_is_identity(self, rng):
         params = ad.Params()
@@ -424,6 +487,59 @@ class TestAttention:
         finally:
             tracemalloc.stop()
         assert peak < 1.5 * n * n * 8
+
+    @pytest.mark.parametrize("kind", ["random", "duplicated", "saturated"])
+    @pytest.mark.parametrize("n", [96, 130, 320, 384, 1024, 1536])
+    def test_value_and_gradients_are_the_stored_weights_op_bits(self, n, kind):
+        # 96 rows fill one block of 128; at 130 the 2 rows left over join
+        # it, at 320 the last 64 join the second block; 1536 and 1024 are
+        # the generator's and discriminator's row counts at N=256, 384 the
+        # generator's at N=64
+        params, x = _attention_case(n, kind)
+        got = _attention_bits(ad.self_attention, params, x)
+        want = _attention_bits(_stored_weights_attention, params, x)
+        assert got == want
+
+    def test_gradients_match_stored_weights_op_at_any_row_count(self):
+        # at 300 rows, not a multiple of 8, the SkylakeX kernel's block
+        # products differ from the whole product's rows in the last bits
+        params, x = _attention_case(300, "random")
+        got = _attention_bits(ad.self_attention, params, x)
+        want = _attention_bits(_stored_weights_attention, params, x)
+        assert got[0] == want[0]
+        grads = {name: [np.frombuffer(v[1][name]) for v in (got, want)] for name in got[1]}
+        # H's bias gradient is rounding noise: the row softmax cancels it
+        scale = max(np.abs(b).max() for _, b in grads.values())
+        for name, (a, b) in grads.items():
+            assert np.allclose(a, b, rtol=1e-12, atol=1e-12 * scale), name
+
+    def test_second_backward_adds_the_same_gradient_again(self):
+        # the push rebuilds W on every call, so a second backward on the
+        # same graph adds the stored-weights op's gradient again
+        params, x = _attention_case(320, "random")
+        got = _two_backwards(ad.self_attention, params, x)
+        want = _two_backwards(_stored_weights_attention, params, x)
+        assert [{k: v.tobytes() for k, v in grads.items()} for grads in got] == [
+            {k: v.tobytes() for k, v in grads.items()} for grads in want]
+        once, twice = got
+        for name in once:
+            assert np.allclose(twice[name], 2.0 * once[name], rtol=1e-12, atol=0.0), name
+
+    def test_forward_keeps_no_n_by_n_array(self, rng):
+        # between its forward and backward passes the op keeps G, H, K and
+        # two (n, 1) columns, far below one (n, n) array of weights
+        n = 1024
+        params = ad.Params()
+        ad.init_attention(params, "att", 8, rng)
+        x = ad.constant(rng.normal(size=(n, 8)))
+        tracemalloc.start()
+        try:
+            out = ad.self_attention(x, params, "att")
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert out._push is not None
+        assert held < 0.1 * n * n * 8
 
     def test_bottleneck_is_quarter_width(self, rng):
         params = ad.Params()

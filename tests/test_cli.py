@@ -406,6 +406,28 @@ class TestTrain:
         assert stdout == ""
         assert not out.exists()
 
+    @pytest.mark.parametrize("line, message", [
+        ("patch_fraction = nan", "patch_fraction must be in (0, 0.5), got nan"),
+        ("patch_fraction = 0.9", "patch_fraction must be in (0, 0.5), got 0.9"),
+        ("patch_fraction = 0.0", "patch_fraction must be in (0, 0.5), got 0.0"),
+        ("pool_size = 0", "pool_size must be at least 1, got 0"),
+        ("patches_per_mesh = 0", "patches_per_mesh must be at least 1, got 0"),
+        ("group_k = 0", "group_k must be in 1..n_input = 16, got 0"),
+    ])
+    def test_config_value_prepare_refuses_exits_1(self, capsys, archive, tmp_path, line,
+                                                   message):
+        # pcup prepare's flags refuse each of these; a config file gives
+        # the same refusal, naming the key
+        cfg_path = tmp_path / "config.txt"
+        cfg_path.write_text(config_with(line))
+        out = tmp_path / "run"
+        code, stdout, err = run(capsys, "train", "--data", str(archive), "--out", str(out),
+                                "--config", str(cfg_path))
+        assert code == 1
+        assert err == f"error: {message}\n"
+        assert stdout == ""
+        assert not out.exists()
+
     @pytest.mark.parametrize("n_input", [8, 32])
     def test_config_patch_size_mismatch_exits_1(self, capsys, archive, tmp_path, n_input):
         cfg_path = tmp_path / "config.txt"
@@ -747,6 +769,43 @@ class TestUpsample:
         )
         assert code == 1
         assert err == f"error: {ckpt / 'generator.params'}: malformed header\n"
+
+    @pytest.mark.parametrize("params_file", ["generator.params", "discriminator.params"])
+    def test_renamed_parameter_exits_1_naming_the_file(self, capsys, run_dir, tmp_path, rng,
+                                                       params_file):
+        ckpt = tmp_path / "ckpt"
+        shutil.copytree(run_dir / "ckpt_000002", ckpt)
+        path = ckpt / params_file
+        raw = path.read_bytes()
+        header = raw[:raw.index(b"\nDATA\n")]
+        path.write_bytes(header.replace(b".w ", b".X ", 1) + raw[len(header):])
+        src, dst = tmp_path / "cloud.xyz", tmp_path / "o.xyz"
+        write_xyz(src, rng.normal(size=(20, 3)))
+        code, stdout, err = run(capsys, "upsample", "--in", str(src), "--ckpt", str(ckpt),
+                                "--out", str(dst))
+        assert code == 1
+        assert stdout == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith(f"error: {path}: parameter name mismatch: missing=[")
+        assert err.endswith(".X']\n")
+        assert not dst.exists()
+
+    def test_config_width_that_disagrees_exits_1_naming_the_params_file(
+            self, capsys, run_dir, tmp_path, rng):
+        ckpt = tmp_path / "ckpt"
+        shutil.copytree(run_dir / "ckpt_000002", ckpt)
+        cfg_path = ckpt / "config.txt"
+        cfg_path.write_text(cfg_path.read_text().replace("working_channels = 8",
+                                                         "working_channels = 16"))
+        src, dst = tmp_path / "cloud.xyz", tmp_path / "o.xyz"
+        write_xyz(src, rng.normal(size=(20, 3)))
+        code, stdout, err = run(capsys, "upsample", "--in", str(src), "--ckpt", str(ckpt),
+                                "--out", str(dst))
+        assert code == 1
+        assert stdout == ""
+        assert re.fullmatch(rf"error: {re.escape(str(ckpt / 'generator.params'))}: "
+                            r"parameter '[\w.]+': shape \(\d+, \d+\) != \(\d+, \d+\)\n", err)
+        assert not dst.exists()
 
     def test_empty_cloud_exits_1_naming_it_before_the_checkpoint(self, capsys, tmp_path):
         src = tmp_path / "empty.xyz"

@@ -256,6 +256,27 @@ class TestGenerator:
         assert gparams["feat.b0.l0.w"].grad is not None
         assert peak < 125 * 2**20
 
+    def test_recorded_step_at_paper_size_keeps_no_attention_weights(self):
+        # the same step: 83.7 MiB held after the forward pass and 111.8 MiB
+        # at the peak while each attention op kept its (n, n) weights for
+        # the push (two of 18 MiB in the generator, 8 MiB in the
+        # discriminator); 39.8 and 69.3 MiB with the push rebuilding them
+        cfg = TrainConfig()
+        gparams, dparams = nw.init_generator(cfg, 0), nw.init_discriminator(cfg, 1)
+        pts = np.random.default_rng(0).standard_normal((cfg.n_input, 3))
+        tracemalloc.start()
+        try:
+            fake = nw.generate_node(gparams, cfg, pts)[0]
+            loss = nw.discriminate_node(dparams, cfg, fake)
+            held = tracemalloc.get_traced_memory()[0]
+            ad.backward(loss)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert gparams["feat.b0.l0.w"].grad is not None
+        assert held < 50 * 2**20
+        assert peak < 85 * 2**20
+
     def test_wrong_input_count_rejected(self, rng):
         params = nw.init_generator(TOY, rng)
         with pytest.raises(ValueError, match="expects 24 input points"):

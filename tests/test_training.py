@@ -318,6 +318,12 @@ class TestConfig:
         ({"rate": 1, "ablate_fps": True}, "rate must be at least 2 under ablate_fps, got 1"),
         *(({"n_input": value}, f"n_input must be at least 1, got {value}") for value in (0, -3)),
         ({"rate": 0}, "rate must be at least 1, got 0"),
+        *(({"patch_fraction": value}, f"patch_fraction must be in (0, 0.5), got {value}")
+          for value in (float("nan"), 0.0, -0.1, 0.5, 0.9)),
+        *(({key: value}, f"{key} must be at least 1, got {value}")
+          for key in ("pool_size", "patches_per_mesh") for value in (0, -2)),
+        *(({"group_k": value}, f"group_k must be in 1..n_input = 16, got {value}")
+          for value in (0, -1)),
     ])
     def test_value_no_run_can_use_refused_however_made(self, tmp_path, changes, message):
         match = f"^{re.escape(message)}$"
@@ -341,10 +347,10 @@ class TestConfig:
         assert cfg == tr.TrainConfig(**TINY)
 
     def test_rules_that_need_the_data_are_not_the_configs(self):
-        # train checks group_k against the patch; the fields only prepare
-        # reads keep whatever a --config gave them, so such checkpoints load
-        cfg = tr.TrainConfig(n_input=8, group_k=16, patches_per_mesh=0, patch_fraction=0.9,
-                             pool_size=-1)
+        # train checks group_k against the patch, so a config whose group_k
+        # exceeds its own n_input loads; the fields only prepare reads are
+        # refused as prepare's flags refuse them
+        cfg = tr.TrainConfig(n_input=8, group_k=16)
         assert tr.TrainConfig.from_text(cfg.to_text()) == cfg
 
     def test_default_hyperparameters(self):
@@ -675,8 +681,8 @@ class TestTrainLoop:
         # a larger group_k used to fail in the first iteration, after
         # losses.csv was written, so the run directory refused a rerun
         pairs, cfg = tiny_pairs
-        cfg = dataclasses.replace(cfg, group_k=group_k)
         with pytest.raises(ValueError, match=f"^group_k must be in 1..n_input = 16, got {group_k}$"):
+            cfg = dataclasses.replace(cfg, group_k=group_k)
             tr.train(pairs, cfg, tmp_path / "run")
         assert not (tmp_path / "run").exists()
 
