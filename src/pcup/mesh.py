@@ -371,7 +371,7 @@ class PatchGrower:
         dist, nbr = self.index.tree.query(pool.positions, kk + 1, workers=_workers(n))
         knn = csr_matrix((dist.ravel(), nbr.ravel(), np.arange(0, n * (kk + 1) + 1, kk + 1)),
                          shape=(n, n))
-        del dist, nbr  # knn holds dist's buffer and an index copy of nbr: free nbr's
+        del dist, nbr  # knn holds dist's buffer and its own copy of the indices
         self._graph = _both_ways(knn)
 
     def __len__(self):
