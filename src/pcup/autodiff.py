@@ -449,7 +449,8 @@ def self_attention(x, params, prefix):
     whole product wherever the BLAS gives a block the whole product's
     rows: below 256 rows (one block), and at multiples of 16 rows on
     OpenBLAS's SkylakeX, Haswell, Sandybridge, Nehalem and Prescott kernels
-    at 1 and 2 threads. Elsewhere they can differ in the last bits. With
+    at 1 and 2 threads (SkylakeX and Haswell also at 3 and 4). Elsewhere
+    they can differ in the last bits. With
     zero K weights this is exactly the identity. Permuting input rows
     permutes output rows identically.
     """
