@@ -19,12 +19,15 @@ parents, and what a push needs beyond those values. linear, square,
 sigmoid and the shape ops need nothing more. linear_relu keeps a
 boolean mask: its pre-activation is overwritten in place to make its
 output. gather_rows and max_over_rows keep row indices, row_distances
-the row differences, and self_attention G, H, K and two (n, 1) columns,
-each row's softmax maximum and sum: no array with n^2 entries lives
-from its forward to its backward pass. Its push rebuilds the (n, n)
-weights W from them and turns W into dS in place, so it makes one
-(n, n) array. grouped_square_deviation keeps its row indices and
-per-group arrays.
+the row differences, and self_attention G, H's feature part, K and two
+columns, each row's softmax maximum and sum, plus, given a code table,
+the coded copies of its input and the code-part weights: no array with
+a row and a column per attended row lives from its forward to its
+backward pass. Its push rebuilds the feature-part weights from them and
+turns them into their softmax gradient in place, so it makes one array
+of their size: (n, n) without codes, (r * n, n) over r coded copies of
+n rows, whose (r * n, r * n) weights neither pass makes.
+grouped_square_deviation keeps its row indices and per-group arrays.
 
 Inside `with no_grad():` a new Node keeps no parents and no push
 closure, so each intermediate array (and whatever an op's closure would
@@ -427,54 +430,90 @@ def init_attention(params, prefix, channels, rng):
 
 # Rows per block of the attention softmax, forward and backward. The
 # forward pass records each block's row maxima and sums, and the push
-# rebuilds W from them, makes dW = K[rows] d^T and turns it into dS over
-# W's rows, so no second (n, n) array is made: at n=1536 one is 18 MiB,
-# a 128-row block 1.5 MiB. At n=1536 and 130 columns one push took a
-# median 33-37 ms in 128-row blocks against 39-42 ms on the whole product
-# dW * W (2 Xeon cores, 31 pushes each). The rows left over join the last
-# block: a short block's product takes another BLAS path (OpenBLAS's
+# rebuilds the feature-part weights A from them, makes A's gradient by
+# row blocks and turns it into the softmax's over A's rows in place, so
+# no second array of A's size is made: without codes, at 1536 rows, A is
+# 18 MiB and a 128-row block 1.5 MiB. There, at 130 columns, one push
+# took a median 33-37 ms in 128-row blocks against 39-42 ms on the whole
+# product (2 Xeon cores, 31 pushes each). The rows left over join the
+# last block: a short block's product takes another BLAS path (OpenBLAS's
 # small-matrix kernel), whose rows need not be the whole product's bits.
 _ATTENTION_PUSH_ROWS = 128
 
 
-def self_attention(x, params, prefix):
-    """Residual attention as one op: out = x + W^T K, W = row-softmax(G H^T).
+def _with_grad(value, grad):
+    """A Node over `value` whose gradient buffer is `grad`, which may be
+    a view into another node's buffer."""
+    node = Node(value)
+    node.grad = grad
+    return node
 
-    G, H and K are per-row linear maps of x by the six tensors that
-    init_attention made under `prefix`: G and H at a quarter of the input
-    width, K at full width. The op keeps G, H, K and each row's softmax
-    maximum and sum, not the (n, n) W: its push rebuilds W with the same
-    product and elementwise ops, so the bits are the forward pass's. The
-    push takes dW = K d^T by row blocks, so its gradients are those of the
-    whole product wherever the BLAS gives a block the whole product's
-    rows: below 256 rows (one block), and at multiples of 16 rows on
-    OpenBLAS's SkylakeX, Haswell, Sandybridge, Nehalem and Prescott kernels
-    at 1 and 2 threads (SkylakeX and Haswell also at 3 and 4). Elsewhere
-    they can differ in the last bits. With
-    zero K weights this is exactly the identity. Permuting input rows
-    permutes output rows identically.
+
+def self_attention(x, params, prefix, codes=None):
+    """Residual attention as one op: out = X + W^T K, W = row-softmax(G H^T).
+
+    G, H and K are per-row linear maps of X by the six tensors that
+    init_attention made under `prefix`: G and H at a quarter of X's
+    width, K at full width. Without `codes`, X is x. With an (r, k) table
+    of codes, X is r copies of x, copy b with codes[b] appended to each
+    row, stacked copy-major: X = [tile(x, r) | repeat(codes, n)], which
+    the op builds itself, and the output has X's (r * n) rows.
+
+    H's rows then split into a feature part and a code part, H_(b,l) =
+    Hf_l + Hc_b with Hf = x Wh[:c] + b_h and Hc = codes Wh[c:], so each
+    weight factorises: W_(i,(b,l)) = A_il B_ib with A = row-softmax(G Hf^T)
+    of shape (r * n, n) and B = row-softmax(G Hc^T) of shape (r * n, r).
+    Copy b's output is X_b + A^T (B[:, b] * K), each row of K scaled by
+    its weight for code b. Neither pass makes the (r * n, r * n) W;
+    without codes B is 1 and A is W.
+
+    The op keeps G, Hf, K, B, X and each row of A's softmax maximum and
+    sum, not A: its push rebuilds A with the same product and elementwise
+    ops, so the bits are the forward pass's. The push takes A's gradient
+    by row blocks. Without codes its gradients are those of the whole product
+    wherever the BLAS gives a block the whole product's rows: below 256
+    rows (one block), and at multiples of 16 rows on OpenBLAS's SkylakeX,
+    Haswell, Sandybridge, Nehalem and Prescott kernels at 1 and 2 threads
+    (SkylakeX and Haswell also at 3 and 4). Elsewhere they can differ in
+    the last bits. With zero K weights the output is exactly X.
+    Permuting x's rows permutes each copy's output rows identically.
     """
-    (wg, bg), (wh, bh), (wk, bk) = maps = [
+    (wg, bg), (wh, bh), (wk, bk) = [
         (params[f"{prefix}.{t}.w"], params[f"{prefix}.{t}.b"]) for t in "ghk"
     ]
     xv = x.value
-    if xv.shape[1] != wg.value.shape[0]:
+    n, c = xv.shape
+    if codes is None:
+        r, tiled = 1, xv
+    else:
+        codes = np.asarray(codes, dtype=np.float64)
+        r = len(codes)
+        tiled = np.hstack([np.tile(xv, (r, 1)), np.repeat(codes, n, axis=0)])
+    if tiled.shape[1] != wg.value.shape[0]:
         raise ValueError(
-            f"self_attention: input width {xv.shape[1]} does not match "
+            f"self_attention: input width {tiled.shape[1]} does not match "
             f"{prefix!r} width {wg.value.shape[0]}"
         )
-    g, h, k = (_affine(xv, wn.value, bn.value) for wn, bn in maps)
-    stops = [*range(_ATTENTION_PUSH_ROWS, len(xv) - _ATTENTION_PUSH_ROWS + 1,
-                    _ATTENTION_PUSH_ROWS), len(xv)]
+    width = wk.value.shape[1]
+    g, k = _affine(tiled, wg.value, bg.value), _affine(tiled, wk.value, bk.value)
+    hf = _affine(xv, wh.value[:c], bh.value)
+    if codes is not None:
+        hc = codes @ wh.value[c:]
+        b = g @ hc.T
+        b -= b.max(axis=1, keepdims=True)
+        np.exp(b, out=b)
+        b /= b.sum(axis=1, keepdims=True)
+    stops = [*range(_ATTENTION_PUSH_ROWS, len(g) - _ATTENTION_PUSH_ROWS + 1,
+                    _ATTENTION_PUSH_ROWS), len(g)]
     blocks = [slice(lo, hi) for lo, hi in zip([0, *stops], stops)]
-    peaks, sums = np.empty((len(xv), 1)), np.empty((len(xv), 1))
+    peaks, sums = np.empty((len(g), 1)), np.empty((len(g), 1))
 
     def weights(record):
-        # overflow-safe row softmax in place, block by block; `record`
-        # stores each row's maximum and sum, else the stored ones are used
-        w = g @ h.T
+        # A's row softmax in place, block by block; `record` stores each
+        # row's maximum and sum, else the stored ones are used
+        a = g @ hf.T
         for rows in blocks:
-            block = w[rows]
+            block = a[rows]
             if record:
                 peaks[rows] = block.max(axis=1, keepdims=True)
             block -= peaks[rows]
@@ -482,20 +521,50 @@ def self_attention(x, params, prefix):
             if record:
                 sums[rows] = block.sum(axis=1, keepdims=True)
             block /= sums[rows]
-        return w
+        return a
+
+    def values(rows):
+        # B_b * K for every copy b side by side, over `rows`: (rows, r * width)
+        if codes is None:
+            return k[rows]
+        return (b[rows, :, None] * k[rows, None, :]).reshape(-1, r * width)
 
     def push(d):
-        w = weights(False)
-        dk = w @ d  # before W is overwritten
-        for rows in blocks:  # dS = W * (dW - rowsum(dW * W)) over W's rows
-            block, dw = w[rows], k[rows] @ d.T
-            dw -= (dw * block).sum(axis=1, keepdims=True)
-            block *= dw
-        x.grad += d
-        for (wn, bn), dz in zip(maps, (w @ h, w.T @ g, dk)):
-            _push_linear(x, wn, bn, dz)
+        a = weights(False)
+        # d with each copy's rows side by side: (n, r * width)
+        dcat = d.reshape(r, n, width).swapaxes(0, 1).reshape(n, -1)
+        if codes is None:
+            dk = a @ d  # before A is overwritten
+        else:
+            # Y_b = A D_b for each copy b's rows D_b of d
+            dk, db = np.zeros_like(k), np.empty_like(b)
+            for copy in range(r):
+                y = a @ d[copy * n:(copy + 1) * n]
+                db[:, copy] = (k * y).sum(axis=1)
+                y *= b[:, copy:copy + 1]
+                dk += y
+        for rows in blocks:  # dP = A * (dA - rowsum(dA * A)) over A's rows
+            block, da = a[rows], values(rows) @ dcat.T
+            da -= (da * block).sum(axis=1, keepdims=True)
+            block *= da
+        dg = a @ hf
+        if codes is not None:
+            db -= (db * b).sum(axis=1, keepdims=True)
+            db *= b
+            dg += db @ hc
+            wh.grad[c:] += codes.T @ (db.T @ g)
+        # X's gradient: x's own buffer, or one over the copies that sums into x's
+        xt = x if codes is None else _with_grad(tiled, np.zeros_like(tiled))
+        xt.grad += d
+        _push_linear(xt, wg, bg, dg)
+        _push_linear(x, _with_grad(wh.value[:c], wh.grad[:c]), bh, a.T @ g)
+        _push_linear(xt, wk, bk, dk)
+        if codes is not None:
+            x.grad += xt.grad[:, :c].reshape(r, n, c).sum(axis=0)
 
-    return Node(xv + weights(True).T @ k, (x, wg, bg, wh, bh, wk, bk), push)
+    y = weights(True).T @ values(slice(None))  # (n, r * width), copies side by side
+    out = tiled + y.reshape(n, r, width).swapaxes(0, 1).reshape(-1, width)
+    return Node(out, (x, wg, bg, wh, bh, wk, bk), push)
 
 
 def grouped_square_deviation(x, rows, sizes, centers, weights):

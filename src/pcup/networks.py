@@ -133,11 +133,17 @@ def grid_codes(rho, n_points):
 def _up_feature(params, prefix, cfg, x):
     """Duplicate features r = cfg.expansion_rate times, append a distinct
     2D grid code to each copy, mix with self-attention, and map back to
-    the working width: (n, c) -> (r * n, working_channels)."""
+    the working width: (n, c) -> (r * n, working_channels).
+
+    The attention op takes x and the (r, 2) code table and builds the
+    copies itself: its weights factorise over the copies (see
+    autodiff.self_attention), so no (r * n, r * n) array is made. Only
+    without attention is the tiled concat a graph node."""
     r, n = cfg.expansion_rate, x.shape[0]
-    h = ad.concat_cols(ad.tile_rows(x, r), ad.constant(grid_codes(r, n)))
-    if not cfg.ablate_attention:
-        h = ad.self_attention(h, params, f"{prefix}.attn")
+    if cfg.ablate_attention:
+        h = ad.concat_cols(ad.tile_rows(x, r), ad.constant(grid_codes(r, n)))
+    else:
+        h = ad.self_attention(x, params, f"{prefix}.attn", grid_codes(r, 1))
     h = _apply_linear(params, f"{prefix}.l0", h)
     return _apply_linear(params, f"{prefix}.l1", h)
 

@@ -360,16 +360,17 @@ def _stored_weights_attention(x, params, prefix):
     return ad.Node(xv + w.T @ k, (x, wg, bg, wh, bh, wk, bk), push)
 
 
-def _attention_case(n, kind, width=130):
+def _attention_case(n, kind, width=130, codes=0):
     """Attention weights and an input leaf "x" of n rows: random, with
     each row repeated about four times, or with logits large enough that
-    most of each softmax row underflows to 0."""
+    most of each softmax row underflows to 0. x leaves `codes` of the
+    attention's columns to a code table."""
     rng = np.random.default_rng(n)
     params = ad.Params()
     ad.init_attention(params, "att", width, rng)
     for _, node in params.items():
         node.value += rng.normal(scale=0.05, size=node.value.shape)
-    x = rng.normal(size=(n, width))
+    x = rng.normal(size=(n, width - codes))
     if kind == "duplicated":
         x = x[rng.integers(0, max(1, n // 4), size=n)]
     elif kind == "saturated":
@@ -548,6 +549,119 @@ class TestAttention:
         assert params["att.g.w"].value.shape == (16, 4)
         assert params["att.h.w"].value.shape == (16, 4)
         assert params["att.k.w"].value.shape == (16, 16)
+
+
+def _copies_case(n, r, kind, width=128):
+    """Attention weights over `width` feature columns and two code
+    columns, an input leaf "x" of n rows and the (r, 2) grid code table,
+    with the kinds of _attention_case; r * n rows are attended over."""
+    return (*_attention_case(n, kind, width + 2, codes=2), nw.grid_codes(r, 1))
+
+
+def _copies_of(x, codes):
+    """The explicit [tile(x, r) | repeat(codes)] node the op attends over."""
+    r, n = len(codes), x.shape[0]
+    return ad.concat_cols(ad.tile_rows(x, r), ad.constant(np.repeat(codes, n, axis=0)))
+
+
+def _value_and_gradients(make_out, params):
+    params.zero_grad()
+    out = make_out()
+    ad.backward(ad.sum_all(ad.square(out)))
+    return out.value, {name: node.grad.copy() for name, node in params.items()}
+
+
+class TestAttentionOverCopies:
+    @pytest.mark.parametrize("r", [2, 6])
+    def test_gradients(self, rng, r):
+        # nonzero biases, so H's code rows and bias both enter the scores
+        params = ad.Params()
+        ad.init_attention(params, "att", 6, rng)
+        for _, node in params.items():
+            node.value += rng.normal(scale=0.3, size=node.value.shape)
+        x = params.add("x", rng.normal(size=(5, 4)))
+        codes = nw.grid_codes(r, 1)
+
+        def make_loss():
+            out = ad.self_attention(x, params, "att", codes)
+            return ad.sum_all(ad.square(ad.add(out, ad.scale(_copies_of(x, codes), -0.5))))
+
+        helpers.gradcheck(make_loss, params)
+        ad.backward(make_loss())
+        assert np.abs(params["att.h.w"].grad[4:]).max() > 1e-6
+
+    @pytest.mark.parametrize("kind", ["random", "duplicated", "saturated"])
+    @pytest.mark.parametrize("n", [64, 256])
+    def test_matches_the_op_over_explicit_copies(self, n, kind):
+        # r = 6 at N=64 and N=256: the generator's 384 and 1536 rows. The
+        # factors round differently from the (6n, 6n) softmax; both carry
+        # an absolute rounding of about eps * |logit| in each score, which
+        # exceeds 1e-12 relative where the logits saturate (about 6e4 to
+        # 9e4 here; at 384 rows the op over explicit copies is itself
+        # 1.6e-10 of its largest entry away from a long-double evaluation
+        # in G's bias gradient, the factorised op 9.1e-12)
+        params, x, codes = _copies_case(n, 6, kind)
+        tiled = _copies_of(x, codes)
+        g, h = (tiled.value @ params[f"att.{t}.w"].value + params[f"att.{t}.b"].value
+                for t in "gh")
+        tol = max(1e-12, 2 * np.finfo(float).eps * np.abs(g @ h.T).max())
+        got, grads = _value_and_gradients(lambda: ad.self_attention(x, params, "att", codes),
+                                          params)
+        want = helpers.reference_attention(tiled.value, params, "att")
+        assert np.abs(got - want).max() <= tol * np.abs(want).max()
+        want_grads = _value_and_gradients(
+            lambda: ad.self_attention(_copies_of(x, codes), params, "att"), params)[1]
+        # H's bias gradient is rounding noise: the row softmax cancels it
+        scale = max(np.abs(v).max() for v in want_grads.values())
+        for name, want_grad in want_grads.items():
+            assert np.allclose(grads[name], want_grad, rtol=tol, atol=tol * scale), name
+
+    def test_zero_value_weights_give_the_copies(self, rng):
+        params = ad.Params()
+        ad.init_attention(params, "att", 10, rng)
+        params["att.k.w"].value[:] = 0.0
+        params["att.k.b"].value[:] = 0.0
+        x = ad.constant(rng.normal(size=(7, 8)))
+        codes = nw.grid_codes(6, 1)
+        out = ad.self_attention(x, params, "att", codes)
+        assert np.array_equal(out.value, _copies_of(x, codes).value)
+
+    def test_permuting_x_permutes_each_copy(self, rng):
+        params = ad.Params()
+        ad.init_attention(params, "att", 8, rng)
+        x = rng.normal(size=(9, 6))
+        perm = rng.permutation(9)
+        codes = nw.grid_codes(4, 1)
+        out = ad.self_attention(ad.constant(x), params, "att", codes).value
+        out_p = ad.self_attention(ad.constant(x[perm]), params, "att", codes).value
+        want = out.reshape(4, 9, 8)[:, perm]
+        assert np.abs(out_p.reshape(4, 9, 8) - want).max() < 1e-12
+
+    def test_refuses_an_input_and_codes_of_another_width(self, rng):
+        params = ad.Params()
+        ad.init_attention(params, "att", 10, rng)
+        x = ad.constant(rng.normal(size=(7, 7)))
+        with pytest.raises(ValueError, match="input width 9 does not match 'att' width 10"):
+            ad.self_attention(x, params, "att", nw.grid_codes(6, 1))
+
+    def test_forward_and_push_make_no_weights_over_all_copies(self):
+        # 1536 rows, r = 6, 128 feature columns: the op over the explicit
+        # tiled concat, with its (1536, 1536) weights, traced 6.9 MiB held
+        # after the forward pass and 33.4 MiB at the peak of forward plus
+        # push; factorised, 5.1 and 18.4 MiB. One (1536, 1536) array alone
+        # is 18 MiB
+        params, x, codes = _copies_case(256, 6, "random")
+        rows = 6 * 256
+        tracemalloc.start()
+        try:
+            out = ad.self_attention(x, params, "att", codes)
+            held = tracemalloc.get_traced_memory()[0]
+            ad.backward(ad.sum_all(out))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert held < 0.5 * rows * rows * 8
+        assert peak < 25 * 2**20
 
 
 class TestCheckpoint:

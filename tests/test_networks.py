@@ -225,7 +225,8 @@ class TestGenerator:
     def test_generate_at_paper_size_keeps_no_graph(self):
         # the graph of one N=256 patch, with its two 1536 x 1536 attention
         # weights, traced 76 MiB at its peak when generate kept it for a
-        # backward pass; without it the peak is about 26 MiB
+        # backward pass; without it the peak was about 26 MiB, and 19.8 MiB
+        # since the attention factorises its weights over the copies
         cfg = TrainConfig()
         params = nw.init_generator(cfg, 0)
         pts = _cloud(cfg.n_input)
@@ -260,7 +261,9 @@ class TestGenerator:
         # the same step: 83.7 MiB held after the forward pass and 111.8 MiB
         # at the peak while each attention op kept its (n, n) weights for
         # the push (two of 18 MiB in the generator, 8 MiB in the
-        # discriminator); 39.8 and 69.3 MiB with the push rebuilding them
+        # discriminator); 39.8 and 69.3 MiB with the push rebuilding them,
+        # and 36.2 and 52.5 MiB with the generator's attention factorised
+        # over its copies, which makes no (1536, 1536) array
         cfg = TrainConfig()
         gparams, dparams = nw.init_generator(cfg, 0), nw.init_discriminator(cfg, 1)
         pts = np.random.default_rng(0).standard_normal((cfg.n_input, 3))

@@ -24,6 +24,7 @@ from pcup.geometry import (
     normalize_unit_sphere,
     pairwise_distances,
     read_xyz,
+    write_xyz,
 )
 from pcup.mesh import TriangleMesh
 from pcup.networks import generate, init_generator
@@ -156,29 +157,29 @@ RETIRED_DEFAULTS = {
 # OPENBLAS_CORETYPE=Prescott runs the kernel named Katmai
 BATCH_OF_THREE_DIGESTS = {
     "SkylakeX": (
-        "4b32afd2d317bd3ab0d73dafdb7f19a478e82aa502d8deef10a68469629f68d3",
-        "988f6d2c31eb0aa14b9ec10ddc4f913ab02cf69398b56cc2698cf407260a953c",
-        "eac120714dbfc6fd056e4709684155b5a1d2661db443aad2eeedfc405f227302",
+        "5da409fb7bb5e4a09562e2d61f576381bb01fe600366e89f9c2eb22dc4d9899c",
+        "f6cdea8cdecb1fce3df673ea64e3ca49e83a29ad8bbdc25769f0b397a6ea52fa",
+        "228a6dc7af61bacde1016c6ecbf4681e6426084596a733cb4be6d64d3165ff75",
     ),
     "Haswell": (
-        "8ef949d95f0c94fe7ab7e6dac9a256824ca1ff72b652364e36d004bd2a897f46",
-        "bd947d9e3dad2db6c96c38914b64b6257a5edd56abc014b0f6ad817b84915122",
-        "b83f1f999fd1800d73ff0a1b24f2832ac204d020309c4bddbadb83f99bdbddde",
+        "4c02d7fcdbe74e8895e182d113fd0419f01d04155389e97c8d82745acb3c391c",
+        "36e3ebbb822008c4cf0f5c4cf7d1f410e0469960154dc57fe23b182e881d529c",
+        "3f1e7729ed6b35288d6405e62a50bc3f1e65733cf35d0dc5cab932c596c28f12",
     ),
     "Sandybridge": (
-        "b045e17859b6502ccab0b4ecf2a786c165fc2803584be568608f285eb564c07b",
-        "e805cd31db9e74b56515ad40204b932548cb8cbc5895f5034988a882dcff64c2",
-        "bcd82c7357c28df3fe7faff22d2f4d3d47d54a1daaea62653c399fa770c399c9",
+        "d84c668f9f59abd647d9af943647dc9a5710dc975e51db18b373bb6af020731f",
+        "6bfaca68ea3e0157466f02f0b435271e68213db1f832c710b986b74e5f755fd4",
+        "b282438b320f656ed4bdae1b29373befffa697bfb893fec961ceaf40e0d836c3",
     ),
     "Nehalem": (
-        "22f0fc9db4aae7220b6bfb723d9c04d6c5004eec710e1cf8f915348fea86e98c",
-        "d3b4f74e36e0d74ccea13c404f6044532bfb9a8efb57f313be23fe4f58c9fac8",
-        "9f59bd60a78be618cc2c9aab0911360f173a3cb3465689e0d9506c98ed4bf8ad",
+        "13ac84222bd71aa40f4a3c3e24a16945031ba457d9f6076681f90c4208a0bf61",
+        "c35c766dfd0fdfdef94f16096898bcffa5b587d82ac30dec633b4d57e970ef47",
+        "bd820a0654e98bd8d9842de67b52588ff57f2e77468dd549b085092bdda48920",
     ),
     "Katmai": (
-        "928ffedb748eb96fb4ddccd5665bb61107bc3615981ef6598349e8b18d1b0998",
-        "db2de84c6eb34447b78ff3fb6f36aecea3341b2c17724b5b3752f6160e1c5ac8",
-        "244e6963d046c188374f226c8e513418f43a6ea4f53bca57394e0e4ce7977f09",
+        "1672b58777358c4febd7a78315c0d37f8059e2242905489ab638093325bd69fd",
+        "2226a08040e2d127bd1234247737dc21a982a4af8f0bc878f8b512195fd03324",
+        "acf55d24e25037351a1d7b5a01e5d96bbd35320ee54a20c6fc808622fafb418c",
     ),
 }
 
@@ -821,6 +822,20 @@ class TestUpsampleCloud:
             nbr = helpers.brute_knn(pts, pts[s], cfg.n_input)
             normed = (pts[nbr] - pts[nbr].mean(axis=0))
             assert np.allclose(patch, normed / np.linalg.norm(normed, axis=1).max())
+
+    def test_written_cloud_bytes_are_pinned(self, tmp_path):
+        # one digest for every OpenBLAS kernel, at 1 and 2 BLAS threads: the
+        # generator's output arrays differ between kernels in the last bits
+        # (SkylakeX and Haswell agree here, as do Sandybridge, Nehalem and
+        # Katmai), but the file, at 6 significant digits, was the same on
+        # all five kernels. A kernel whose rounding crosses a printed digit,
+        # or flips a near-tie of the trim, would fail here
+        cfg = tr.TrainConfig(**TINY)
+        up = tr.upsample_cloud(np.random.default_rng(0).normal(size=(200, 3)),
+                               init_generator(cfg, 0), cfg)
+        write_xyz(str(tmp_path / "up.xyz"), up)
+        assert hashlib.sha256((tmp_path / "up.xyz").read_bytes()).hexdigest() == (
+            "5a494c0623af108e26191cb0f01984f4b0fa9515f2012833fdf865002aa523b5")
 
     def test_empty_input_rejected(self):
         cfg = tr.TrainConfig(**TINY)
