@@ -19,14 +19,14 @@ parents, and what a push needs beyond those values. linear, square,
 sigmoid and the shape ops need nothing more. linear_relu keeps a
 boolean mask: its pre-activation is overwritten in place to make its
 output. gather_rows and max_over_rows keep row indices, row_distances
-the row differences, and self_attention G, H's feature part, K and two
-columns, each row's softmax maximum and sum, plus, given a code table,
-the coded copies of its input and the code-part weights: no array with
-a row and a column per attended row lives from its forward to its
-backward pass. Its push rebuilds the feature-part weights from them and
-turns them into their softmax gradient in place, so it makes one array
-of their size: (n, n) without codes, (r * n, n) over r coded copies of
-n rows, whose (r * n, r * n) weights neither pass makes.
+the row differences, and self_attention the coded copies of its input,
+G, H's feature part, K, the code-part weights and two columns, each
+row's softmax maximum and sum: no array with a row and a column per
+attended row lives from its forward to its backward pass. Its push
+rebuilds the feature-part weights from them and turns them into their
+softmax gradient in place, so it makes one array of their size,
+(r * n, n) over r coded copies of n rows, whose (r * n, r * n) weights
+neither pass makes.
 grouped_square_deviation keeps its row indices and per-group arrays.
 
 Inside `with no_grad():` a new Node keeps no parents and no push
@@ -420,19 +420,22 @@ def glorot_uniform(rng, fan_in, fan_out):
 
 
 def init_attention(params, prefix, channels, rng):
-    """Create the six tensors of a self-attention block: linear query/key
-    maps at a channels//4 bottleneck and a full-width value map."""
+    """Create the five tensors of a self-attention block: query and value
+    maps g and k with biases, and a key map h without one; g and h at a
+    channels//4 bottleneck, k at full width. A bias on h would add
+    G_i . b_h to every score of row i, which the row softmax cancels."""
     bottleneck = max(1, channels // 4)
     for tag, cout in (("g", bottleneck), ("h", bottleneck), ("k", channels)):
         params.add(f"{prefix}.{tag}.w", glorot_uniform(rng, channels, cout))
-        params.add(f"{prefix}.{tag}.b", np.zeros((1, cout)))
+        if tag != "h":
+            params.add(f"{prefix}.{tag}.b", np.zeros((1, cout)))
 
 
 # Rows per block of the attention softmax, forward and backward. The
 # forward pass records each block's row maxima and sums, and the push
 # rebuilds the feature-part weights A from them, makes A's gradient by
 # row blocks and turns it into the softmax's over A's rows in place, so
-# no second array of A's size is made: without codes, at 1536 rows, A is
+# no second array of A's size is made: at r = 1 and 1536 rows, A is
 # 18 MiB and a 128-row block 1.5 MiB. There, at 130 columns, one push
 # took a median 33-37 ms in 128-row blocks against 39-42 ms on the whole
 # product (2 Xeon cores, 31 pushes each). The rows left over join the
@@ -441,54 +444,44 @@ def init_attention(params, prefix, channels, rng):
 _ATTENTION_PUSH_ROWS = 128
 
 
-def _with_grad(value, grad):
-    """A Node over `value` whose gradient buffer is `grad`, which may be
-    a view into another node's buffer."""
-    node = Node(value)
-    node.grad = grad
-    return node
+def self_attention(x, codes, params, prefix):
+    """Residual attention over coded copies of x as one op:
+    out = X + W^T K, W = row-softmax(G H^T).
 
+    X is r copies of the (n, c) node x, copy b with row b of the (r, k)
+    node `codes` appended to each row, stacked copy-major:
+    X = [tile(x, r) | repeat(codes, n)], which the op builds itself; the
+    output has X's r * n rows. G = X Wg + b_g and H = X Wh, at a quarter
+    of X's width, and K = X Wk + b_k, at full width, are per-row maps by
+    the five tensors that init_attention made under `prefix`.
 
-def self_attention(x, params, prefix, codes=None):
-    """Residual attention as one op: out = X + W^T K, W = row-softmax(G H^T).
-
-    G, H and K are per-row linear maps of X by the six tensors that
-    init_attention made under `prefix`: G and H at a quarter of X's
-    width, K at full width. Without `codes`, X is x. With an (r, k) table
-    of codes, X is r copies of x, copy b with codes[b] appended to each
-    row, stacked copy-major: X = [tile(x, r) | repeat(codes, n)], which
-    the op builds itself, and the output has X's (r * n) rows.
-
-    H's rows then split into a feature part and a code part, H_(b,l) =
-    Hf_l + Hc_b with Hf = x Wh[:c] + b_h and Hc = codes Wh[c:], so each
-    weight factorises: W_(i,(b,l)) = A_il B_ib with A = row-softmax(G Hf^T)
-    of shape (r * n, n) and B = row-softmax(G Hc^T) of shape (r * n, r).
+    H's rows split into a feature part and a code part, H_(b,l) =
+    Hf_l + Hc_b with Hf = x Wh[:c] and Hc = codes Wh[c:], so each weight
+    factorises: W_(i,(b,l)) = A_il B_ib with A = row-softmax(G Hf^T) of
+    shape (r * n, n) and B = row-softmax(G Hc^T) of shape (r * n, r).
     Copy b's output is X_b + A^T (B[:, b] * K), each row of K scaled by
-    its weight for code b. Neither pass makes the (r * n, r * n) W;
-    without codes B is 1 and A is W.
+    its weight for code b. Neither pass makes the (r * n, r * n) W. At
+    r = 1, B is exactly 1 and A is W: one code adds G_i . Hc to every
+    score of row i, which the softmax cancels, so Wh[c:] gets an exactly
+    zero gradient.
 
     The op keeps G, Hf, K, B, X and each row of A's softmax maximum and
     sum, not A: its push rebuilds A with the same product and elementwise
     ops, so the bits are the forward pass's. The push takes A's gradient
-    by row blocks. Without codes its gradients are those of the whole product
-    wherever the BLAS gives a block the whole product's rows: below 256
-    rows (one block), and at multiples of 16 rows on OpenBLAS's SkylakeX,
-    Haswell, Sandybridge, Nehalem and Prescott kernels at 1 and 2 threads
-    (SkylakeX and Haswell also at 3 and 4). Elsewhere they can differ in
-    the last bits. With zero K weights the output is exactly X.
-    Permuting x's rows permutes each copy's output rows identically.
+    by row blocks. With codes of width 0 (X is x) its gradients are those
+    of the whole (n, n) product wherever the BLAS gives a block the whole
+    product's rows: below 256 rows (one block), and at multiples of 16
+    rows on OpenBLAS's SkylakeX, Haswell, Sandybridge, Nehalem and
+    Prescott kernels at 1 and 2 threads (SkylakeX and Haswell also at 3
+    and 4). Elsewhere they can differ in the last bits. With zero K
+    weights the output is exactly X. Permuting x's rows permutes each
+    copy's output rows identically.
     """
-    (wg, bg), (wh, bh), (wk, bk) = [
-        (params[f"{prefix}.{t}.w"], params[f"{prefix}.{t}.b"]) for t in "ghk"
-    ]
-    xv = x.value
+    wg, bg, wh, wk, bk = (params[f"{prefix}.{t}"] for t in ("g.w", "g.b", "h.w", "k.w", "k.b"))
+    xv, cv = x.value, codes.value
     n, c = xv.shape
-    if codes is None:
-        r, tiled = 1, xv
-    else:
-        codes = np.asarray(codes, dtype=np.float64)
-        r = len(codes)
-        tiled = np.hstack([np.tile(xv, (r, 1)), np.repeat(codes, n, axis=0)])
+    r = len(cv)
+    tiled = np.hstack([np.tile(xv, (r, 1)), np.repeat(cv, n, axis=0)])
     if tiled.shape[1] != wg.value.shape[0]:
         raise ValueError(
             f"self_attention: input width {tiled.shape[1]} does not match "
@@ -496,13 +489,11 @@ def self_attention(x, params, prefix, codes=None):
         )
     width = wk.value.shape[1]
     g, k = _affine(tiled, wg.value, bg.value), _affine(tiled, wk.value, bk.value)
-    hf = _affine(xv, wh.value[:c], bh.value)
-    if codes is not None:
-        hc = codes @ wh.value[c:]
-        b = g @ hc.T
-        b -= b.max(axis=1, keepdims=True)
-        np.exp(b, out=b)
-        b /= b.sum(axis=1, keepdims=True)
+    hf, hc = xv @ wh.value[:c], cv @ wh.value[c:]
+    b = g @ hc.T
+    b -= b.max(axis=1, keepdims=True)
+    np.exp(b, out=b)
+    b /= b.sum(axis=1, keepdims=True)
     stops = [*range(_ATTENTION_PUSH_ROWS, len(g) - _ATTENTION_PUSH_ROWS + 1,
                     _ATTENTION_PUSH_ROWS), len(g)]
     blocks = [slice(lo, hi) for lo, hi in zip([0, *stops], stops)]
@@ -525,46 +516,45 @@ def self_attention(x, params, prefix, codes=None):
 
     def values(rows):
         # B_b * K for every copy b side by side, over `rows`: (rows, r * width)
-        if codes is None:
-            return k[rows]
         return (b[rows, :, None] * k[rows, None, :]).reshape(-1, r * width)
 
     def push(d):
         a = weights(False)
         # d with each copy's rows side by side: (n, r * width)
         dcat = d.reshape(r, n, width).swapaxes(0, 1).reshape(n, -1)
-        if codes is None:
-            dk = a @ d  # before A is overwritten
-        else:
-            # Y_b = A D_b for each copy b's rows D_b of d
-            dk, db = np.zeros_like(k), np.empty_like(b)
-            for copy in range(r):
-                y = a @ d[copy * n:(copy + 1) * n]
-                db[:, copy] = (k * y).sum(axis=1)
-                y *= b[:, copy:copy + 1]
-                dk += y
+        # Y_b = A D_b for each copy b's rows D_b of d
+        dk, db = np.zeros_like(k), np.empty_like(b)
+        for copy in range(r):
+            y = a @ d[copy * n:(copy + 1) * n]
+            db[:, copy] = np.einsum("ij,ij->i", k, y)
+            y *= b[:, copy:copy + 1]
+            dk += y
         for rows in blocks:  # dP = A * (dA - rowsum(dA * A)) over A's rows
             block, da = a[rows], values(rows) @ dcat.T
             da -= (da * block).sum(axis=1, keepdims=True)
             block *= da
+        db -= (db * b).sum(axis=1, keepdims=True)
+        db *= b
         dg = a @ hf
-        if codes is not None:
-            db -= (db * b).sum(axis=1, keepdims=True)
-            db *= b
-            dg += db @ hc
-            wh.grad[c:] += codes.T @ (db.T @ g)
-        # X's gradient: x's own buffer, or one over the copies that sums into x's
-        xt = x if codes is None else _with_grad(tiled, np.zeros_like(tiled))
-        xt.grad += d
+        dg += db @ hc
+        dhf, dhc = a.T @ g, db.T @ g
+        # X's gradient, whose copies' columns sum into x's and codes' buffers
+        xt = Node(tiled)
+        xt.grad = d.copy()
         _push_linear(xt, wg, bg, dg)
-        _push_linear(x, _with_grad(wh.value[:c], wh.grad[:c]), bh, a.T @ g)
         _push_linear(xt, wk, bk, dk)
-        if codes is not None:
-            x.grad += xt.grad[:, :c].reshape(r, n, c).sum(axis=0)
+        copies = xt.grad.reshape(r, n, -1)
+        dx, dcodes = copies[:, :, :c].sum(axis=0), copies[:, :, c:].sum(axis=1)
+        dx += dhf @ wh.value[:c].T
+        dcodes += dhc @ wh.value[c:].T
+        x.grad += dx
+        codes.grad += dcodes
+        wh.grad[:c] += xv.T @ dhf
+        wh.grad[c:] += cv.T @ dhc
 
     y = weights(True).T @ values(slice(None))  # (n, r * width), copies side by side
     out = tiled + y.reshape(n, r, width).swapaxes(0, 1).reshape(-1, width)
-    return Node(out, (x, wg, bg, wh, bh, wk, bk), push)
+    return Node(out, (x, codes, wg, bg, wh, wk, bk), push)
 
 
 def grouped_square_deviation(x, rows, sizes, centers, weights):

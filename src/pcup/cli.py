@@ -2,7 +2,7 @@
 
 Commands: prepare (meshes -> patch archive), train (archive ->
 checkpoints + loss log), upsample (xyz -> denser xyz), eval (metric
-report CSV), uniformity-demo (three reference patterns + SVG plots).
+report CSV).
 
 Every command is non-interactive and exits 0 on success, 1 on a runtime
 error (one line on stderr), 2 on usage errors. All randomness flows from
@@ -11,13 +11,10 @@ error (one line on stderr), 2 on usage errors. All randomness flows from
 
 import argparse
 import dataclasses
-import math
 import os
 import sys
 
-import numpy as np
-
-from . import metrics, patterns
+from . import metrics
 from .geometry import read_xyz, write_xyz
 from .mesh import load_mesh
 from .training import (
@@ -29,7 +26,7 @@ from .training import (
     upsample_cloud,
 )
 
-__all__ = ["main", "build_parser", "ABLATION_CHOICES", "BASELINE_ABLATIONS"]
+__all__ = ["main", "build_parser"]
 
 MESH_EXTENSIONS = (".off", ".ply")
 
@@ -131,16 +128,6 @@ def build_parser():
     )
     p.add_argument("--seed", type=_int_at_least(0), default=0, help="rng seed (>= 0)")
     p.set_defaults(func=_cmd_eval)
-
-    p = sub.add_parser(
-        "uniformity-demo",
-        help="uniformity metric sanity check on three reference patterns",
-    )
-    p.add_argument("--out", required=True, help="output directory for SVG plots")
-    p.add_argument("--points", type=_int_at_least(1), default=625, help="points per pattern (>= 1)")
-    p.add_argument("--subsets", type=_int_at_least(1), default=50, help="crops per pattern (>= 1)")
-    p.add_argument("--seed", type=_int_at_least(0), default=0, help="rng seed (>= 0)")
-    p.set_defaults(func=_cmd_demo)
 
     return parser
 
@@ -285,28 +272,6 @@ def _cmd_eval(args):
     print(
         f"{name:<16} {cd * 1e3:9.4f} {hd * 1e3:9.4f} {p2f_mean * 1e3:9.4f}  {uni}"
     )
-    return 0
-
-
-def _cmd_demo(args):
-    os.makedirs(args.out, exist_ok=True)
-    layouts = [
-        ("clustered", patterns.clustered_disk(args.points, seed=args.seed)),
-        ("random", patterns.random_disk(args.points, seed=args.seed)),
-        ("hexagonal", patterns.hexagonal_disk(args.points)),
-    ]
-    values = {}
-    for label, pts in layouts:
-        patterns.scatter_svg(os.path.join(args.out, label + ".svg"), pts)
-        values[label] = metrics.uniformity_loss_value(pts, 0.01, args.subsets, args.seed)
-        print(f"{label:<10} L_uni(p=1%) = {values[label]:.6g}")
-    if not values["clustered"] > values["random"] > values["hexagonal"]:
-        raise ValueError(
-            "uniformity ordering violated: expected clustered > random > hexagonal, "
-            f"got {values['clustered']:.6g} / {values['random']:.6g} / "
-            f"{values['hexagonal']:.6g}"
-        )
-    print("ordering holds: clustered > random > hexagonal")
     return 0
 
 

@@ -6,8 +6,8 @@ codes + attention, regroup-and-regress back down, then re-expand the
 residual as self-correction), regresses coordinates, and trims the
 over-generated set back to the target count with farthest point
 sampling. The discriminator max-pools per-point features into a global
-vector, re-attaches it per point, applies attention, pools again, and
-regresses a confidence in (0, 1).
+vector, re-attaches it per point (the attention takes it as its one
+code), pools again, and regresses a confidence in (0, 1).
 
 Both networks are permutation-aware by construction: all per-point maps
 are shared, and pooling is symmetric.
@@ -143,7 +143,7 @@ def _up_feature(params, prefix, cfg, x):
     if cfg.ablate_attention:
         h = ad.concat_cols(ad.tile_rows(x, r), ad.constant(grid_codes(r, n)))
     else:
-        h = ad.self_attention(x, params, f"{prefix}.attn", grid_codes(r, 1))
+        h = ad.self_attention(x, ad.constant(grid_codes(r, 1)), params, f"{prefix}.attn")
     h = _apply_linear(params, f"{prefix}.l0", h)
     return _apply_linear(params, f"{prefix}.l1", h)
 
@@ -233,9 +233,10 @@ def discriminate_node(params, cfg, q):
     h = _apply_linear(params, "d.point.l0", x)
     h = _apply_linear(params, "d.point.l1", h)
     pooled = ad.max_over_rows(h)
-    h = ad.concat_cols(h, ad.tile_rows(pooled, h.shape[0]))
-    if not cfg.ablate_attention:
-        h = ad.self_attention(h, params, "d.attn")
+    if cfg.ablate_attention:
+        h = ad.concat_cols(h, ad.tile_rows(pooled, h.shape[0]))
+    else:
+        h = ad.self_attention(h, pooled, params, "d.attn")
     h = _apply_linear(params, "d.global.l0", h)
     h = _apply_linear(params, "d.global.l1", h)
     h = _apply_linear(params, "d.head.l0", ad.max_over_rows(h))

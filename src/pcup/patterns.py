@@ -1,12 +1,11 @@
 """Synthetic 2D point layouts on the unit disk (embedded at z = 0) with
-known uniformity ordering — hexagonal < random < clustered — plus a tiny
-SVG scatter writer for visual inspection."""
+known uniformity ordering: hexagonal < random < clustered."""
 
 import math
 
 import numpy as np
 
-__all__ = ["hexagonal_disk", "random_disk", "clustered_disk", "scatter_svg"]
+__all__ = ["hexagonal_disk", "random_disk", "clustered_disk"]
 
 
 def _embed(xy):
@@ -63,30 +62,3 @@ def clustered_disk(n, seed=0):
     outside = norms > 1.0
     xy[outside] /= norms[outside, None]
     return _embed(xy)
-
-
-def scatter_svg(path, points):
-    """Write a standalone 480-pixel SVG scatter plot of the
-    xy-projection."""
-    size, margin = 480, 20
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim != 2 or pts.shape[1] < 2:
-        raise ValueError("expected an (n, 2+) array of points")
-    xy = pts[:, :2]
-    lo = xy.min(axis=0)
-    hi = xy.max(axis=0)
-    span = float(max(hi[0] - lo[0], hi[1] - lo[1], 1e-12))
-    usable = size - 2 * margin
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size}" '
-        f'viewBox="0 0 {size} {size}">',
-        f'<rect width="{size}" height="{size}" fill="white"/>',
-    ]
-    for x, y in xy:
-        px = margin + (x - lo[0]) / span * usable
-        py = size - margin - (y - lo[1]) / span * usable
-        parts.append(f'<circle cx="{px:.2f}" cy="{py:.2f}" r="2.0" fill="#1f6f8b"/>')
-    parts.append("</svg>")
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("\n".join(parts) + "\n")
-    return path

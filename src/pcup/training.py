@@ -42,8 +42,6 @@ from .networks import (
 
 __all__ = [
     "TrainConfig",
-    "PatchPair",
-    "TrainResult",
     "build_dataset",
     "prepare_archive",
     "read_archive",

@@ -193,12 +193,12 @@ def gradcheck(make_loss, params, names=None, h=1e-4, rel_tol=1e-3, max_entries=N
 
 def reference_attention(x, params, prefix):
     """x + softmax(G H^T)^T K straight from the definition, with scipy's
-    softmax and the projections read from `params` by name."""
+    softmax and the projections read from `params` by name: G and K
+    affine, H linear."""
     from scipy.special import softmax
 
-    g, h, k = (
-        x @ params[f"{prefix}.{t}.w"].value + params[f"{prefix}.{t}.b"].value for t in "ghk"
-    )
+    g, k = (x @ params[f"{prefix}.{t}.w"].value + params[f"{prefix}.{t}.b"].value for t in "gk")
+    h = x @ params[f"{prefix}.h.w"].value
     return x + softmax(g @ h.T, axis=1).T @ k
 
 

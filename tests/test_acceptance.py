@@ -63,12 +63,13 @@ def test_c02_gradient_suite(rng):
     for name, (shapes, make) in sorted(_op_cases().items()):
         params = _params_with(np.random.default_rng(7), shapes)
         helpers.gradcheck(lambda: make(params), params)
-    # 2. the self-attention unit
+    # 2. the self-attention unit, over one code that is a leaf
     att = ad.Params()
     ad.init_attention(att, "att", 4, rng)
-    x = rng.normal(size=(5, 4))
+    x = rng.normal(size=(5, 3))
+    code = att.add("code", rng.normal(size=(1, 1)))
     helpers.gradcheck(
-        lambda: ad.sum_all(ad.square(ad.self_attention(ad.constant(x), att, "att"))),
+        lambda: ad.sum_all(ad.square(ad.self_attention(ad.constant(x), code, att, "att"))),
         att,
     )
     # 3. the expansion operators, each in isolation

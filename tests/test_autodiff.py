@@ -210,7 +210,7 @@ def test_shape_errors_name_op_and_shapes():
     att = ad.Params()
     ad.init_attention(att, "att", 4, np.random.default_rng(0))
     with pytest.raises(ValueError, match="self_attention: input width 3 does not match 'att'"):
-        ad.self_attention(a, att, "att")
+        ad.self_attention(a, ad.constant(np.zeros((1, 0))), att, "att")
 
 
 def test_deep_chain_does_not_recurse():
@@ -335,13 +335,13 @@ class TestAdam:
 
 
 def _stored_weights_attention(x, params, prefix):
-    """self_attention as it was when it kept its (n, n) weights W for the
-    push: the reference whose bits the op must keep."""
-    (wg, bg), (wh, bh), (wk, bk) = maps = [
-        (params[f"{prefix}.{t}.w"], params[f"{prefix}.{t}.b"]) for t in "ghk"
-    ]
+    """self_attention over the rows of x as it was when it kept its (n, n)
+    weights W for the push, on whole products and with no H bias: the
+    reference whose bits the op must keep where its codes have no columns
+    (X is x)."""
+    wg, bg, wh, wk, bk = (params[f"{prefix}.{t}"] for t in ("g.w", "g.b", "h.w", "k.w", "k.b"))
     xv = x.value
-    g, h, k = (ad._affine(xv, wn.value, bn.value) for wn, bn in maps)
+    g, h, k = ad._affine(xv, wg.value, bg.value), xv @ wh.value, ad._affine(xv, wk.value, bk.value)
     w = g @ h.T
     w -= w.max(axis=1, keepdims=True)
     np.exp(w, out=w)
@@ -354,10 +354,29 @@ def _stored_weights_attention(x, params, prefix):
             ds[rows] -= (ds[rows] * w[rows]).sum(axis=1, keepdims=True)
             ds[rows] *= w[rows]
         x.grad += d
-        for (wn, bn), dz in zip(maps, (ds @ h, ds.T @ g, w @ d)):
-            ad._push_linear(x, wn, bn, dz)
+        ad._push_linear(x, wg, bg, ds @ h)
+        ad._push_linear(x, wk, bk, w @ d)
+        dh = ds.T @ g
+        x.grad += dh @ wh.value.T
+        wh.grad += xv.T @ dh
 
-    return ad.Node(xv + w.T @ k, (x, wg, bg, wh, bh, wk, bk), push)
+    return ad.Node(xv + w.T @ k, (x, wg, bg, wh, wk, bk), push)
+
+
+def _copies_of(x, codes):
+    """The explicit [tile(x, r) | repeat(codes)] node the op attends over."""
+    r, n = codes.shape[0], x.shape[0]
+    return ad.concat_cols(ad.tile_rows(x, r), ad.gather_rows(codes, np.repeat(np.arange(r), n)))
+
+
+def _over_copies(x, codes, params, prefix):
+    """_stored_weights_attention over the explicit copies."""
+    return _stored_weights_attention(_copies_of(x, codes), params, prefix)
+
+
+def _no_codes():
+    """One code of no columns: the op attends over x itself."""
+    return ad.constant(np.zeros((1, 0)))
 
 
 def _attention_case(n, kind, width=130, codes=0):
@@ -380,9 +399,10 @@ def _attention_case(n, kind, width=130, codes=0):
 
 
 def _attention_bits(op, params, x):
-    """The bytes of the op's value and of every gradient it pushes."""
+    """The bytes of the op's value and of every gradient it pushes, with
+    codes of no columns."""
     params.zero_grad()
-    out = op(x, params, "att")
+    out = op(x, _no_codes(), params, "att")
     ad.backward(ad.sum_all(ad.square(out)))
     return out.value.tobytes(), {name: node.grad.tobytes() for name, node in params.items()}
 
@@ -390,7 +410,7 @@ def _attention_bits(op, params, x):
 def _two_backwards(op, params, x):
     """Every gradient after one and after two backward calls on one graph."""
     params.zero_grad()
-    loss = ad.sum_all(ad.square(op(x, params, "att")))
+    loss = ad.sum_all(ad.square(op(x, _no_codes(), params, "att")))
     grads = []
     for _ in range(2):
         ad.backward(loss)
@@ -398,79 +418,99 @@ def _two_backwards(op, params, x):
     return grads
 
 
+def _value_and_gradients(make_out, params):
+    params.zero_grad()
+    out = make_out()
+    ad.backward(ad.sum_all(ad.square(out)))
+    return out.value, {name: node.grad.copy() for name, node in params.items()}
+
+
+def _logit_tolerance(tiled, params):
+    """max(1e-12, 2 eps max|logit|): the rounding of a score, relative to
+    the largest, that two float64 evaluations of the softmax may differ by."""
+    g = tiled.value @ params["att.g.w"].value + params["att.g.b"].value
+    h = tiled.value @ params["att.h.w"].value
+    return max(1e-12, 2 * np.finfo(float).eps * np.abs(g @ h.T).max())
+
+
 class TestAttention:
+    # one code (r = 1), the discriminator's case: its code is the pooled feature
     def test_zero_value_weights_is_identity(self, rng):
         params = ad.Params()
         ad.init_attention(params, "att", 8, rng)
         params["att.k.w"].value[:] = 0.0
         params["att.k.b"].value[:] = 0.0
-        x = rng.normal(size=(7, 8))
-        out = ad.self_attention(ad.constant(x), params, "att")
-        assert np.array_equal(out.value, x)
+        x, code = ad.constant(rng.normal(size=(7, 6))), ad.constant(rng.normal(size=(1, 2)))
+        out = ad.self_attention(x, code, params, "att")
+        assert np.array_equal(out.value, _copies_of(x, code).value)
 
     def test_single_row_input_works(self, rng):
         params = ad.Params()
         ad.init_attention(params, "att", 4, rng)
-        x = rng.normal(size=(1, 4))
-        out = ad.self_attention(ad.constant(x), params, "att")
+        x, code = rng.normal(size=(1, 3)), rng.normal(size=(1, 1))
+        out = ad.self_attention(ad.constant(x), ad.constant(code), params, "att")
         assert out.value.shape == (1, 4)
         assert np.isfinite(out.value).all()
 
     def test_permutation_equivariance(self, rng):
         params = ad.Params()
         ad.init_attention(params, "att", 6, rng)
-        x = rng.normal(size=(9, 6))
+        x, code = rng.normal(size=(9, 4)), ad.constant(rng.normal(size=(1, 2)))
         perm = rng.permutation(9)
-        out = ad.self_attention(ad.constant(x), params, "att").value
-        out_p = ad.self_attention(ad.constant(x[perm]), params, "att").value
+        out = ad.self_attention(ad.constant(x), code, params, "att").value
+        out_p = ad.self_attention(ad.constant(x[perm]), code, params, "att").value
         assert np.abs(out_p - out[perm]).max() < 1e-12
 
     def test_gradients(self, rng):
+        # the code is a leaf, so its gradient is checked too
         params = ad.Params()
         ad.init_attention(params, "att", 4, rng)
-        x = rng.normal(size=(5, 4))
+        x = rng.normal(size=(5, 3))
+        code = params.add("code", rng.normal(size=(1, 1)))
 
         def make_loss():
-            return ad.sum_all(ad.square(ad.self_attention(ad.constant(x), params, "att")))
+            return ad.sum_all(ad.square(ad.self_attention(ad.constant(x), code, params, "att")))
 
         helpers.gradcheck(make_loss, params)
 
     def test_no_grad_keeps_neither_parents_nor_weights(self, rng):
         params = ad.Params()
         ad.init_attention(params, "a", 8, rng)
-        x = ad.constant(rng.normal(size=(6, 8)))
+        x, code = ad.constant(rng.normal(size=(6, 6))), ad.constant(rng.normal(size=(1, 2)))
         with ad.no_grad():
-            out = ad.self_attention(x, params, "a")
+            out = ad.self_attention(x, code, params, "a")
         assert out.parents == () and out._push is None
-        assert np.array_equal(out.value, ad.self_attention(x, params, "a").value)
+        assert np.array_equal(out.value, ad.self_attention(x, code, params, "a").value)
 
     def test_is_one_node_over_input_and_weights(self, rng):
         params = ad.Params()
         ad.init_attention(params, "att", 8, rng)
-        x = ad.constant(rng.normal(size=(6, 8)))
-        out = ad.self_attention(x, params, "att")
-        assert out.parents == (x, *(params[name] for name in params.names()))
+        x, code = ad.constant(rng.normal(size=(6, 6))), ad.constant(rng.normal(size=(1, 2)))
+        out = ad.self_attention(x, code, params, "att")
+        assert out.parents == (x, code, *(params[name] for name in params.names()))
 
     def test_matches_reference_at_generator_size(self, rng):
-        # the generator's attention input at N=256: 1536 rows, 130 columns
+        # the generator's attention width at N=256, 130 columns, over its
+        # 1536 rows
         params = ad.Params()
         ad.init_attention(params, "att", 130, rng)
         for _, node in params.items():
             node.value += rng.normal(scale=0.05, size=node.value.shape)
-        x = rng.normal(size=(1536, 130))
-        want = helpers.reference_attention(x, params, "att")
-        got = ad.self_attention(ad.constant(x), params, "att").value
+        x, code = ad.constant(rng.normal(size=(1536, 128))), ad.constant(rng.normal(size=(1, 2)))
+        want = helpers.reference_attention(_copies_of(x, code).value, params, "att")
+        got = ad.self_attention(x, code, params, "att").value
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
     def test_gradients_with_input_as_shared_leaf(self, rng):
         # x feeds the op and a second consumer, so its gradient sums both
         params = ad.Params()
         ad.init_attention(params, "att", 4, rng)
-        x = params.add("x", rng.normal(size=(5, 4)))
+        x = params.add("x", rng.normal(size=(5, 3)))
+        code = params.add("code", rng.normal(size=(1, 1)))
 
         def make_loss():
-            out = ad.self_attention(x, params, "att")
-            return ad.sum_all(ad.square(ad.add(out, ad.scale(x, -0.5))))
+            out = ad.self_attention(x, code, params, "att")
+            return ad.sum_all(ad.square(ad.add(out, ad.scale(_copies_of(x, code), -0.5))))
 
         helpers.gradcheck(make_loss, params)
 
@@ -480,7 +520,8 @@ class TestAttention:
         n = 1024
         params = ad.Params()
         ad.init_attention(params, "att", 8, rng)
-        loss = ad.sum_all(ad.self_attention(ad.constant(rng.normal(size=(n, 8))), params, "att"))
+        x, code = ad.constant(rng.normal(size=(n, 6))), ad.constant(rng.normal(size=(1, 2)))
+        loss = ad.sum_all(ad.self_attention(x, code, params, "att"))
         tracemalloc.start()
         try:
             ad.backward(loss)
@@ -498,7 +539,7 @@ class TestAttention:
         # generator's at N=64
         params, x = _attention_case(n, kind)
         got = _attention_bits(ad.self_attention, params, x)
-        want = _attention_bits(_stored_weights_attention, params, x)
+        want = _attention_bits(_over_copies, params, x)
         assert got == want
 
     def test_gradients_match_stored_weights_op_at_any_row_count(self):
@@ -506,10 +547,9 @@ class TestAttention:
         # products differ from the whole product's rows in the last bits
         params, x = _attention_case(300, "random")
         got = _attention_bits(ad.self_attention, params, x)
-        want = _attention_bits(_stored_weights_attention, params, x)
+        want = _attention_bits(_over_copies, params, x)
         assert got[0] == want[0]
         grads = {name: [np.frombuffer(v[1][name]) for v in (got, want)] for name in got[1]}
-        # H's bias gradient is rounding noise: the row softmax cancels it
         scale = max(np.abs(b).max() for _, b in grads.values())
         for name, (a, b) in grads.items():
             assert np.allclose(a, b, rtol=1e-12, atol=1e-12 * scale), name
@@ -519,7 +559,7 @@ class TestAttention:
         # same graph adds the stored-weights op's gradient again
         params, x = _attention_case(320, "random")
         got = _two_backwards(ad.self_attention, params, x)
-        want = _two_backwards(_stored_weights_attention, params, x)
+        want = _two_backwards(_over_copies, params, x)
         assert [{k: v.tobytes() for k, v in grads.items()} for grads in got] == [
             {k: v.tobytes() for k, v in grads.items()} for grads in want]
         once, twice = got
@@ -527,16 +567,36 @@ class TestAttention:
             assert np.allclose(twice[name], 2.0 * once[name], rtol=1e-12,
                                atol=1e-12 * np.abs(once[name]).max()), name
 
+    @pytest.mark.parametrize("kind", ["random", "duplicated", "saturated"])
+    def test_one_code_matches_the_op_over_explicit_copies(self, kind):
+        # the discriminator's attention at N=256: 1024 rows, 64 feature
+        # columns and a pooled code of 64. The code adds a constant to
+        # each row of scores, which the softmax cancels, so the op gives
+        # H's code rows exactly no gradient, where the op over the
+        # explicit copies gives them rounding noise
+        params, x = _attention_case(1024, kind, width=128, codes=64)
+        code = params.add("code", x.value.max(axis=0, keepdims=True))
+        tol = _logit_tolerance(_copies_of(x, code), params)
+        got, grads = _value_and_gradients(
+            lambda: ad.self_attention(x, code, params, "att"), params)
+        want, want_grads = _value_and_gradients(
+            lambda: _over_copies(x, code, params, "att"), params)
+        assert np.abs(got - want).max() <= tol * np.abs(want).max()
+        scale = max(np.abs(v).max() for v in want_grads.values())
+        for name, want_grad in want_grads.items():
+            assert np.allclose(grads[name], want_grad, rtol=tol, atol=tol * scale), name
+        assert not grads["att.h.w"][64:].any()
+
     def test_forward_keeps_no_n_by_n_array(self, rng):
-        # between its forward and backward passes the op keeps G, H, K and
-        # two (n, 1) columns, far below one (n, n) array of weights
+        # between its forward and backward passes the op keeps G, H, K, X
+        # and three (n, 1) columns, far below one (n, n) array of weights
         n = 1024
         params = ad.Params()
         ad.init_attention(params, "att", 8, rng)
-        x = ad.constant(rng.normal(size=(n, 8)))
+        x, code = ad.constant(rng.normal(size=(n, 6))), ad.constant(rng.normal(size=(1, 2)))
         tracemalloc.start()
         try:
-            out = ad.self_attention(x, params, "att")
+            out = ad.self_attention(x, code, params, "att")
             held = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
@@ -546,6 +606,7 @@ class TestAttention:
     def test_bottleneck_is_quarter_width(self, rng):
         params = ad.Params()
         ad.init_attention(params, "att", 16, rng)
+        assert params.names() == ["att.g.w", "att.g.b", "att.h.w", "att.k.w", "att.k.b"]
         assert params["att.g.w"].value.shape == (16, 4)
         assert params["att.h.w"].value.shape == (16, 4)
         assert params["att.k.w"].value.shape == (16, 16)
@@ -553,42 +614,34 @@ class TestAttention:
 
 def _copies_case(n, r, kind, width=128):
     """Attention weights over `width` feature columns and two code
-    columns, an input leaf "x" of n rows and the (r, 2) grid code table,
-    with the kinds of _attention_case; r * n rows are attended over."""
-    return (*_attention_case(n, kind, width + 2, codes=2), nw.grid_codes(r, 1))
-
-
-def _copies_of(x, codes):
-    """The explicit [tile(x, r) | repeat(codes)] node the op attends over."""
-    r, n = len(codes), x.shape[0]
-    return ad.concat_cols(ad.tile_rows(x, r), ad.constant(np.repeat(codes, n, axis=0)))
-
-
-def _value_and_gradients(make_out, params):
-    params.zero_grad()
-    out = make_out()
-    ad.backward(ad.sum_all(ad.square(out)))
-    return out.value, {name: node.grad.copy() for name, node in params.items()}
+    columns, an input leaf "x" of n rows and the (r, 2) grid code table
+    as a constant node, with the kinds of _attention_case; r * n rows are
+    attended over."""
+    return (*_attention_case(n, kind, width + 2, codes=2), ad.constant(nw.grid_codes(r, 1)))
 
 
 class TestAttentionOverCopies:
-    @pytest.mark.parametrize("r", [2, 6])
+    @pytest.mark.parametrize("r", [1, 2, 3, 6])
     def test_gradients(self, rng, r):
-        # nonzero biases, so H's code rows and bias both enter the scores
+        # nonzero biases, so G's and K's biases enter the scores, and the
+        # codes a leaf, so their gradient is checked too. H's code rows get
+        # a gradient from two codes on, and exactly none from one
         params = ad.Params()
         ad.init_attention(params, "att", 6, rng)
         for _, node in params.items():
             node.value += rng.normal(scale=0.3, size=node.value.shape)
         x = params.add("x", rng.normal(size=(5, 4)))
-        codes = nw.grid_codes(r, 1)
+        codes = params.add("codes", nw.grid_codes(r, 1))
 
         def make_loss():
-            out = ad.self_attention(x, params, "att", codes)
+            out = ad.self_attention(x, codes, params, "att")
             return ad.sum_all(ad.square(ad.add(out, ad.scale(_copies_of(x, codes), -0.5))))
 
         helpers.gradcheck(make_loss, params)
+        params.zero_grad()
         ad.backward(make_loss())
-        assert np.abs(params["att.h.w"].grad[4:]).max() > 1e-6
+        code_rows = np.abs(params["att.h.w"].grad[4:]).max()
+        assert code_rows > 1e-6 if r > 1 else code_rows == 0.0
 
     @pytest.mark.parametrize("kind", ["random", "duplicated", "saturated"])
     @pytest.mark.parametrize("n", [64, 256])
@@ -602,16 +655,13 @@ class TestAttentionOverCopies:
         # in G's bias gradient, the factorised op 9.1e-12)
         params, x, codes = _copies_case(n, 6, kind)
         tiled = _copies_of(x, codes)
-        g, h = (tiled.value @ params[f"att.{t}.w"].value + params[f"att.{t}.b"].value
-                for t in "gh")
-        tol = max(1e-12, 2 * np.finfo(float).eps * np.abs(g @ h.T).max())
-        got, grads = _value_and_gradients(lambda: ad.self_attention(x, params, "att", codes),
-                                          params)
+        tol = _logit_tolerance(tiled, params)
+        got, grads = _value_and_gradients(
+            lambda: ad.self_attention(x, codes, params, "att"), params)
         want = helpers.reference_attention(tiled.value, params, "att")
         assert np.abs(got - want).max() <= tol * np.abs(want).max()
         want_grads = _value_and_gradients(
-            lambda: ad.self_attention(_copies_of(x, codes), params, "att"), params)[1]
-        # H's bias gradient is rounding noise: the row softmax cancels it
+            lambda: _over_copies(x, codes, params, "att"), params)[1]
         scale = max(np.abs(v).max() for v in want_grads.values())
         for name, want_grad in want_grads.items():
             assert np.allclose(grads[name], want_grad, rtol=tol, atol=tol * scale), name
@@ -622,8 +672,8 @@ class TestAttentionOverCopies:
         params["att.k.w"].value[:] = 0.0
         params["att.k.b"].value[:] = 0.0
         x = ad.constant(rng.normal(size=(7, 8)))
-        codes = nw.grid_codes(6, 1)
-        out = ad.self_attention(x, params, "att", codes)
+        codes = ad.constant(nw.grid_codes(6, 1))
+        out = ad.self_attention(x, codes, params, "att")
         assert np.array_equal(out.value, _copies_of(x, codes).value)
 
     def test_permuting_x_permutes_each_copy(self, rng):
@@ -631,9 +681,9 @@ class TestAttentionOverCopies:
         ad.init_attention(params, "att", 8, rng)
         x = rng.normal(size=(9, 6))
         perm = rng.permutation(9)
-        codes = nw.grid_codes(4, 1)
-        out = ad.self_attention(ad.constant(x), params, "att", codes).value
-        out_p = ad.self_attention(ad.constant(x[perm]), params, "att", codes).value
+        codes = ad.constant(nw.grid_codes(4, 1))
+        out = ad.self_attention(ad.constant(x), codes, params, "att").value
+        out_p = ad.self_attention(ad.constant(x[perm]), codes, params, "att").value
         want = out.reshape(4, 9, 8)[:, perm]
         assert np.abs(out_p.reshape(4, 9, 8) - want).max() < 1e-12
 
@@ -642,7 +692,7 @@ class TestAttentionOverCopies:
         ad.init_attention(params, "att", 10, rng)
         x = ad.constant(rng.normal(size=(7, 7)))
         with pytest.raises(ValueError, match="input width 9 does not match 'att' width 10"):
-            ad.self_attention(x, params, "att", nw.grid_codes(6, 1))
+            ad.self_attention(x, ad.constant(nw.grid_codes(6, 1)), params, "att")
 
     def test_forward_and_push_make_no_weights_over_all_copies(self):
         # 1536 rows, r = 6, 128 feature columns: the op over the explicit
@@ -654,7 +704,7 @@ class TestAttentionOverCopies:
         rows = 6 * 256
         tracemalloc.start()
         try:
-            out = ad.self_attention(x, params, "att", codes)
+            out = ad.self_attention(x, codes, params, "att")
             held = tracemalloc.get_traced_memory()[0]
             ad.backward(ad.sum_all(out))
             peak = tracemalloc.get_traced_memory()[1]

@@ -16,6 +16,7 @@ import pytest
 
 import helpers
 import pcup
+from pcup import autodiff as ad
 from pcup.cli import main
 from pcup.geometry import read_xyz, write_xyz
 from pcup.mesh import area_weighted_sample, load_mesh
@@ -790,6 +791,29 @@ class TestUpsample:
         assert err.endswith(".X']\n")
         assert not dst.exists()
 
+    def test_checkpoint_with_attention_key_biases_exits_1_naming_them(
+            self, capsys, run_dir, tmp_path, rng):
+        # checkpoints written while the attention's H map had a bias hold
+        # one per attention block; they are refused, not converted
+        ckpt = tmp_path / "ckpt"
+        shutil.copytree(run_dir / "ckpt_000002", ckpt)
+        path = ckpt / "generator.params"
+        old = ad.Params()
+        for name, value in ad.load_params(path).items():
+            old.add(name, value)
+            if name.endswith(".attn.h.w"):
+                old.add(name[:-1] + "b", np.zeros((1, value.shape[1])))
+        ad.save_params(old, path)
+        src, dst = tmp_path / "cloud.xyz", tmp_path / "o.xyz"
+        write_xyz(src, rng.normal(size=(20, 3)))
+        code, stdout, err = run(capsys, "upsample", "--in", str(src), "--ckpt", str(ckpt),
+                                "--out", str(dst))
+        assert code == 1
+        assert stdout == ""
+        assert err == (f"error: {path}: parameter name mismatch: missing=[] "
+                       "extra=['expand.up1.attn.h.b', 'expand.up2.attn.h.b']\n")
+        assert not dst.exists()
+
     def test_config_width_that_disagrees_exits_1_naming_the_params_file(
             self, capsys, run_dir, tmp_path, rng):
         ckpt = tmp_path / "ckpt"
@@ -1008,33 +1032,3 @@ class TestEval:
         )
         assert code == 1
         assert err.startswith("error:")
-
-
-class TestUniformityDemo:
-    def test_ordering_and_plots(self, capsys, tmp_path):
-        out = tmp_path / "demo"
-        code, stdout, _ = run(
-            capsys, "uniformity-demo", "--out", str(out),
-            "--points", "400", "--subsets", "30",
-        )
-        assert code == 0
-        assert "ordering holds" in stdout
-        for label in ("clustered", "random", "hexagonal"):
-            assert (out / f"{label}.svg").is_file()
-
-    @pytest.mark.parametrize("flag, value", [
-        ("--points", "0"), ("--points", "-5"), ("--subsets", "0"), ("--subsets", "-1"),
-        ("--seed", "-1"),
-    ])
-    def test_bad_sizes_are_usage_errors(self, capsys, tmp_path, flag, value):
-        out = tmp_path / "demo"
-        code, stdout, err = run(capsys, "uniformity-demo", "--out", str(out), flag, value)
-        assert code == 2
-        assert f"{flag}: must be at least {LEAST.get(flag, 1)}, got {value}" in err
-        assert stdout == ""
-        assert not out.exists()
-
-    def test_default_625_points(self, capsys, tmp_path):
-        code, stdout, _ = run(capsys, "uniformity-demo", "--out", str(tmp_path / "d"))
-        assert code == 0
-        assert "ordering holds" in stdout

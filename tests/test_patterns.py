@@ -1,4 +1,4 @@
-"""Reference disk layouts and the SVG scatter writer."""
+"""Reference disk layouts."""
 
 import math
 
@@ -68,21 +68,3 @@ class TestClustered:
         clus = np.median(nearest_neighbor_distances(patterns.clustered_disk(n, seed=0)))
         rand = np.median(nearest_neighbor_distances(patterns.random_disk(n, seed=0)))
         assert clus < 0.5 * rand
-
-
-class TestScatterSvg:
-    def test_writes_one_circle_per_point(self, tmp_path):
-        pts = patterns.random_disk(37, seed=0)
-        path = tmp_path / "plot.svg"
-        patterns.scatter_svg(path, pts)
-        text = path.read_text()
-        assert text.count("<circle") == 37
-        assert text.startswith("<svg")
-
-    def test_single_point_does_not_divide_by_zero(self, tmp_path):
-        patterns.scatter_svg(tmp_path / "one.svg", np.zeros((1, 3)))
-        assert (tmp_path / "one.svg").is_file()
-
-    def test_rejects_bad_shape(self, tmp_path):
-        with pytest.raises(ValueError):
-            patterns.scatter_svg(tmp_path / "bad.svg", np.zeros(5))

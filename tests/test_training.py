@@ -27,7 +27,7 @@ from pcup.geometry import (
     write_xyz,
 )
 from pcup.mesh import TriangleMesh
-from pcup.networks import generate, init_generator
+from pcup.networks import generate, init_discriminator, init_generator
 
 
 TINY = dict(
@@ -157,29 +157,29 @@ RETIRED_DEFAULTS = {
 # OPENBLAS_CORETYPE=Prescott runs the kernel named Katmai
 BATCH_OF_THREE_DIGESTS = {
     "SkylakeX": (
-        "5da409fb7bb5e4a09562e2d61f576381bb01fe600366e89f9c2eb22dc4d9899c",
-        "f6cdea8cdecb1fce3df673ea64e3ca49e83a29ad8bbdc25769f0b397a6ea52fa",
-        "228a6dc7af61bacde1016c6ecbf4681e6426084596a733cb4be6d64d3165ff75",
+        "e97638c9d9134eb7b4fc71f44e88eb05d794d1db6ac2f840a39c8280f4fc2e22",
+        "ce373f42e05399f58551b354995f6ed7b1bb0386361eb6052b08d09294ba31d6",
+        "7a4f019080c0c6842b5ecb76b5dca6e7a214e88be29f217c9760132f704db37a",
     ),
     "Haswell": (
-        "4c02d7fcdbe74e8895e182d113fd0419f01d04155389e97c8d82745acb3c391c",
-        "36e3ebbb822008c4cf0f5c4cf7d1f410e0469960154dc57fe23b182e881d529c",
-        "3f1e7729ed6b35288d6405e62a50bc3f1e65733cf35d0dc5cab932c596c28f12",
+        "1b90a71c777c4eae8c6f9be4d0340fc39dff2e0934644fcde83d9349d05b47cf",
+        "9c991de29941d30e40bcd9466ffa056489b62546dcf226cce4477962e91ace21",
+        "13e804a893599dd6129017e4fc9e9d04b828ee7957adc8c6ca04f5ea120472d0",
     ),
     "Sandybridge": (
-        "d84c668f9f59abd647d9af943647dc9a5710dc975e51db18b373bb6af020731f",
-        "6bfaca68ea3e0157466f02f0b435271e68213db1f832c710b986b74e5f755fd4",
-        "b282438b320f656ed4bdae1b29373befffa697bfb893fec961ceaf40e0d836c3",
+        "907157509a9924cdf0f9660b30eb5408a2f92920f5dc4615e56eb540098e04cf",
+        "c509f8ad5da8a021fb4028c79dd54e4bfb922140bc7821a2fdaba8b7124d4a2b",
+        "6634e673b4ac84a1dff6e9d0aa06a37091c007c41029a3dde6df5d8d5c016754",
     ),
     "Nehalem": (
-        "13ac84222bd71aa40f4a3c3e24a16945031ba457d9f6076681f90c4208a0bf61",
-        "c35c766dfd0fdfdef94f16096898bcffa5b587d82ac30dec633b4d57e970ef47",
-        "bd820a0654e98bd8d9842de67b52588ff57f2e77468dd549b085092bdda48920",
+        "57f70dc7153b2c4965c8e0de8a9643b67837abcecede552c14f387a4cf32ec95",
+        "650e4b010a29a041664fc98638d1d9d33dc0b8e3bb0c1de683da5ed4acc211fe",
+        "294a38b426c3185d0111940fba0df8f6d5020557b141deb751c4c253ffb0338f",
     ),
     "Katmai": (
-        "1672b58777358c4febd7a78315c0d37f8059e2242905489ab638093325bd69fd",
-        "2226a08040e2d127bd1234247737dc21a982a4af8f0bc878f8b512195fd03324",
-        "acf55d24e25037351a1d7b5a01e5d96bbd35320ee54a20c6fc808622fafb418c",
+        "3059e2457baba8fc1125f9f815761d38d18332abe4236590cd51922016b4f09b",
+        "421d699075baa579f4ba115d1ad7cab7d555ed7f4aba94ab9a4020b39a384c19",
+        "f9ccf846c182bb58b81245f749ffa3e7245cf7a0d8a0a7a5f44ae15d93d8641b",
     ),
 }
 
@@ -636,6 +636,20 @@ class TestTrainLoop:
         paths = ("losses.csv", "ckpt_000004/generator.params", "ckpt_000004/discriminator.params")
         digests = {path: hashlib.sha256((out / path).read_bytes()).hexdigest() for path in paths}
         assert digests == dict(zip(paths, BATCH_OF_THREE_DIGESTS[core])), core
+
+    def test_discriminator_pooled_key_rows_keep_their_initial_bits(self, tiny_pairs, tmp_path):
+        # the discriminator's attention takes its pooled feature as its one
+        # code, whose rows of H add a constant to each row of scores: they
+        # get an exactly zero gradient, and Adam makes zero steps from it
+        pairs, _ = tiny_pairs
+        cfg = tr.TrainConfig(**{**TINY, "iterations": 4})
+        rng = np.random.default_rng(cfg.seed)
+        init_generator(cfg, rng)
+        start = init_discriminator(cfg, rng)["d.attn.h.w"].value
+        end = tr.train(pairs, cfg, tmp_path / "run").discriminator["d.attn.h.w"].value
+        c = cfg.disc_point_channels
+        assert np.array_equal(end[c:], start[c:])
+        assert not np.array_equal(end[:c], start[:c])
 
     def test_empty_dataset_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="empty dataset"):
