@@ -468,8 +468,8 @@ def self_attention(x, codes, params, prefix):
     The op keeps G, Hf, K, B, X and each row of A's softmax maximum and
     sum, not A: its push rebuilds A with the same product and elementwise
     ops, so the bits are the forward pass's. The push takes A's gradient
-    by row blocks. With codes of width 0 (X is x) its gradients are those
-    of the whole (n, n) product wherever the BLAS gives a block the whole
+    by row blocks. At r = 1 its gradients are those of the whole (n, n)
+    product of the same scores wherever the BLAS gives a block the whole
     product's rows: below 256 rows (one block), and at multiples of 16
     rows on OpenBLAS's SkylakeX, Haswell, Sandybridge, Nehalem and
     Prescott kernels at 1 and 2 threads (SkylakeX and Haswell also at 3

@@ -210,7 +210,7 @@ def test_shape_errors_name_op_and_shapes():
     att = ad.Params()
     ad.init_attention(att, "att", 4, np.random.default_rng(0))
     with pytest.raises(ValueError, match="self_attention: input width 3 does not match 'att'"):
-        ad.self_attention(a, ad.constant(np.zeros((1, 0))), att, "att")
+        ad.self_attention(a, _no_codes(), att, "att")
 
 
 def test_deep_chain_does_not_recurse():

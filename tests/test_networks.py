@@ -264,7 +264,8 @@ class TestGenerator:
         # the push (two of 18 MiB in the generator, 8 MiB in the
         # discriminator); 39.8 and 69.3 MiB with the push rebuilding them,
         # and 36.2 and 52.5 MiB with the generator's attention factorised
-        # over its copies, which makes no (1536, 1536) array
+        # over its copies, which makes no (1536, 1536) array; 35.8 and
+        # 52.0 MiB with the discriminator's attending over its pooled code
         cfg = TrainConfig()
         gparams, dparams = nw.init_generator(cfg, 0), nw.init_discriminator(cfg, 1)
         pts = np.random.default_rng(0).standard_normal((cfg.n_input, 3))
