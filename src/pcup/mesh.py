@@ -2,9 +2,15 @@
 surface sampling, geodesic patch growth over a kNN graph, and exact
 point-to-surface distance.
 
-Patch growth runs Dijkstra only as far as the patch needs: a bounded run
-gives every distance it reaches exactly as an unbounded one would, so the
-limit is raised until enough points are reached.
+Patch growth and the geodesic uniformity report walk one graph per
+pool: each point joined to its k nearest, each joined pair stored once
+in each of its two rows, at the smaller of its two kd-tree distances
+where both points list each other, and no self loops. Dijkstra over it
+relaxes each edge once per direction and gives the distance bits of an
+undirected run over the raw kNN query. Patch growth runs Dijkstra only
+as far as the patch needs: a bounded run gives every distance it
+reaches exactly as an unbounded one would, so the limit is raised until
+enough points are reached.
 
 Point-to-surface distance is one batched query. The triangle whose
 centroid is nearest a point gives an exact upper bound u on its distance;
@@ -46,6 +52,11 @@ _ELIMINATION_POWER = 8  # exponent of the sample-elimination weight kernel
 _PAIR_CHUNK = 1 << 13  # (point, triangle) pairs per distance-kernel call
 _GROWTH_START = 1.5  # first Dijkstra limit of grow(), over the Euclidean bound
 GRAPH_K = 10  # neighbours per pool point in PatchGrower's graph
+# pool rows per block of the graph's mutual-neighbour test, whose (rows, w, w)
+# gather of neighbour lists is 5 MiB at k=10. At 102 400 points (k=10,
+# 2 cores) the whole build traced a 38.6 MiB peak at 1024, 8192 and 32 768
+# rows and 75.3 MiB in one block; the graph step's time did not depend on it
+_GRAPH_ROWS = 8192
 
 
 class TriangleMesh:
@@ -358,21 +369,29 @@ def _eliminate_samples(positions, count, r_max):
 class PatchGrower:
     """k-nearest-neighbor graph over a dense surface pool with Dijkstra
     growth. Build once per mesh, grow many patches. `index` is the
-    pool's SpatialIndex, whose kd-tree built the graph."""
+    pool's SpatialIndex, whose kd-tree built the graph.
+
+    The graph (_pool_graph) joins two pool points when either is among
+    the other's k nearest, and stores the pair once in each point's row:
+    at most 2·k·n entries, and no self loops.
+    """
 
     def __init__(self, pool, k=GRAPH_K):
         self.pool = pool
         n = len(pool)
         if n < 2:
             raise ValueError("pool must contain at least 2 points")
-        kk = min(k, n - 1)
+        w = min(k, n - 1) + 1  # each point is among its own nearest
         self.index = SpatialIndex(pool.positions)
-        # self included at distance 0
-        dist, nbr = self.index.tree.query(pool.positions, kk + 1, workers=_workers(n))
-        knn = csr_matrix((dist.ravel(), nbr.ravel(), np.arange(0, n * (kk + 1) + 1, kk + 1)),
-                         shape=(n, n))
-        del dist, nbr  # knn holds dist's buffer and its own copy of the indices
-        self._graph = _both_ways(knn)
+        tree = self.index.tree
+        dist = np.empty((n, w))
+        nbr = np.empty((n, w), dtype=_graph_index_dtype(n, w))
+        # asked in the tree's leaf order, so that consecutive queries walk
+        # the same nodes: the same answers, and at 102 400 points (k=10,
+        # 2 cores) 134-144 ms against 165-172 ms in pool order (quartiles)
+        order = tree.indices
+        dist[order], nbr[order] = tree.query(tree.data[order], w, workers=_workers(n))
+        self._graph = _pool_graph(dist, nbr)
 
     def __len__(self):
         return len(self.pool)
@@ -418,26 +437,68 @@ class PatchGrower:
         return reached[np.lexsort((reached, dist[reached]))[:target]]
 
 
-def _both_ways(graph):
-    """A directed graph whose row i lists row i of `graph`, then column i.
+def _graph_index_dtype(n, w):
+    """int32 where it can count the 2·n·w entries that the graph of an
+    (n, w) query holds at most, else int64."""
+    return np.int32 if 2 * n * w <= np.iinfo(np.int32).max else np.int64
 
-    A directed Dijkstra over it relaxes exactly the edges, with the same
-    weights, that an undirected run over `graph` relaxes, so the distances
-    are the same bits; scipy's undirected run would transpose the graph
-    on every call instead.
+
+def _pool_graph(dist, nbr):
+    """The undirected graph of a kd-tree query of points against
+    themselves, as a CSR matrix that lists each edge once in each of
+    its two rows. Row i of the (n, w) arrays `dist` and `nbr` holds
+    point i's w nearest points and their distances; `dist` is
+    overwritten.
+
+    Two points are joined if either lists the other. A pair listed both
+    ways weighs the smaller of its two distances, the edge that an
+    undirected Dijkstra run over the raw query relaxes, so a directed
+    run over this graph gives the same distance bits. Self loops are
+    dropped; coincident points keep their edges of weight 0 (scipy's
+    csgraph reads an explicit zero as an edge). Row i holds the points
+    i lists, in query order, then the points that list i but that i
+    does not list, by index.
     """
-    rev = graph.T.tocsr()
-    indptr = graph.indptr + rev.indptr
-    indices = np.empty(indptr[-1], dtype=graph.indices.dtype)
+    n, w = nbr.shape
+    own = np.arange(n, dtype=nbr.dtype)[:, None]
+    keep = nbr != own
+    listed = np.empty(nbr.shape, dtype=bool)  # does nbr[i, c] list i?
+    place = np.arange(1, w + 1, dtype=np.min_scalar_type(w))
+    flat = dist.ravel()
+    for lo in range(0, n, _GRAPH_ROWS):
+        rows = slice(lo, lo + _GRAPH_ROWS)
+        # 1 + the column at which each neighbour lists i, or 0: a row of
+        # nbr holds distinct points, so at most one column matches
+        at = np.einsum("ice,e->ic", np.take(nbr, nbr[rows], axis=0) == own[rows, :, None],
+                       place)
+        np.not_equal(at, 0, out=listed[rows])
+        # the neighbour's own distance to i where it lists i (where it does
+        # not, the index reads some other entry, masked out); a row that an
+        # earlier block lowered reads the same minimum
+        np.minimum(dist[rows], flat[nbr[rows] * w + (at.astype(nbr.dtype) - 1)],
+                   out=dist[rows], where=listed[rows])
+    # entries listed one way only: each also goes to its neighbour's row,
+    # the rows in index order and, within a row, the sources in index order
+    one_way = np.flatnonzero(keep & ~listed)
+    del listed
+    target = nbr.ravel()[one_way]
+    back = np.bincount(target, minlength=n)
+    # a key unique to each entry: any sort orders them by (row, source)
+    sort = np.argsort(target.astype(np.int64) * nbr.size + one_way)
+    indptr = np.zeros(n + 1, dtype=nbr.dtype)
+    np.cumsum(w - np.bincount(np.flatnonzero(~keep) // w, minlength=n) + back, out=indptr[1:])
+    slot = np.repeat(indptr[1:] - np.cumsum(back, dtype=nbr.dtype), back)
+    slot += np.arange(len(slot), dtype=nbr.dtype)
+    indices = np.empty(indptr[-1], dtype=nbr.dtype)
     data = np.empty(indptr[-1])
-    # entry e of a part's row i goes to e plus the other part's entries
-    # before it: rev's rows before i for graph, graph's rows up to i for
-    # rev. One position array at a time, in the index dtype
-    for part, offsets in ((graph, rev.indptr[:-1]), (rev, graph.indptr[1:])):
-        at = np.repeat(offsets, np.diff(part.indptr))
-        at += np.arange(part.nnz, dtype=at.dtype)
-        indices[at], data[at] = part.indices, part.data
-    return csr_matrix((data, indices, indptr), shape=graph.shape)
+    indices[slot] = one_way[sort] // w
+    data[slot] = flat[one_way[sort]]
+    forward = np.ones(indptr[-1], dtype=bool)
+    forward[slot] = False
+    del one_way, target, sort, slot
+    indices[forward] = nbr[keep]
+    data[forward] = dist[keep]
+    return csr_matrix((data, indices, indptr), shape=(n, n))
 
 
 # ---------------------------------------------------------------------------

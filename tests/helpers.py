@@ -138,16 +138,23 @@ def heap_eliminate_samples(positions, count, r_max, power=8):
     return np.nonzero(alive)[0]
 
 
+def raw_knn_graph(positions, k=10):
+    """Every point's min(k, n - 1) + 1 nearest points, itself among them,
+    as the kd-tree returns them: a directed CSR graph whose row i holds
+    point i's query unchanged, self loop and zero distances included."""
+    n = len(positions)
+    w = min(k, n - 1) + 1
+    dist, nbr = cKDTree(positions).query(positions, w)
+    rows = np.repeat(np.arange(n), w)
+    return csr_matrix((dist.ravel(), (rows, nbr.ravel())), shape=(n, n))
+
+
 def full_dijkstra_patch(positions, source, target, k=10):
     """The `target` points closest to `source` in graph distance over the
     k-nearest-neighbour graph, ties by lower index, from one unbounded
     undirected Dijkstra run over the whole pool. Returns (order, dist)."""
-    n = len(positions)
-    dist, nbr = cKDTree(positions).query(positions, k + 1)
-    rows = np.repeat(np.arange(n), k + 1)
-    graph = csr_matrix((dist.ravel(), (rows, nbr.ravel())), shape=(n, n))
-    d = dijkstra(graph, directed=False, indices=source)
-    order = np.lexsort((np.arange(n), d))[:target]
+    d = dijkstra(raw_knn_graph(positions, k), directed=False, indices=source)
+    order = np.lexsort((np.arange(len(positions)), d))[:target]
     return order, d[order]
 
 

@@ -3,9 +3,11 @@ patches, and exact point-to-surface distances."""
 
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.sparse.csgraph import dijkstra
 from scipy.spatial import cKDTree
 
 import helpers
@@ -414,6 +416,102 @@ class TestBoundedDistances:
         # integer coordinates: many points lie exactly on each limit
         assert all((full == limit).sum() > 1 for limit in limits)
         self.check(grower, src, limits)
+
+
+class TestPoolGraph:
+    """PatchGrower's graph against the raw kNN query: each pair that one
+    point's query lists, once in each of the two rows, at the smaller of
+    its query distances, and Dijkstra over it gives the bits of an
+    undirected run over the raw query."""
+
+    @staticmethod
+    def expected_edges(raw):
+        """(i, j) keys of the raw query's pairs, both ways, and each key's
+        smallest distance, in key order."""
+        n = raw.shape[0]
+        coo = raw.tocoo()
+        off = coo.row != coo.col
+        rows, cols, weights = coo.row[off], coo.col[off], coo.data[off]
+        keys = np.concatenate([rows * n + cols, cols * n + rows])
+        weights = np.concatenate([weights, weights])
+        order = np.lexsort((weights, keys))
+        keys, weights = keys[order], weights[order]
+        first = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]])
+        return keys[first], weights[first]
+
+    def check(self, positions, sources=None, k=mesh_module.GRAPH_K):
+        grower = PatchGrower(SurfaceSamples(positions), k=k)
+        n = len(positions)
+        raw = helpers.raw_knn_graph(positions, k)
+        sources = np.arange(n) if sources is None else sources
+        full = grower.distances_from(sources)
+        assert np.array_equal(full, dijkstra(raw, directed=False, indices=sources))
+        graph = grower._graph
+        rows = np.repeat(np.arange(n), np.diff(graph.indptr))
+        keys = rows * n + graph.indices
+        assert not np.any(rows == graph.indices)
+        assert len(np.unique(keys)) == graph.nnz
+        assert graph.nnz <= 2 * k * n
+        order = np.argsort(keys)
+        want_keys, want_weights = self.expected_edges(raw)
+        assert np.array_equal(keys[order], want_keys)
+        assert np.array_equal(graph.data[order], want_weights)
+        return full
+
+    def test_coincident_points_are_at_distance_zero(self, rng):
+        pos = helpers.with_duplicates(rng, n=60, copies=4)
+        full = self.check(pos)
+        copies = np.all(pos[:, None, :] == pos[None, :, :], axis=2)
+        assert np.all(full[copies] == 0.0)
+        assert np.all(np.isfinite(full))
+
+    def test_more_copies_than_a_query_returns(self, rng):
+        # 15 copies of each of three points: a copy's 11 nearest are 11 of
+        # its 15 copies, not always itself among them, and the clusters
+        # stay apart (inf)
+        pos = helpers.with_duplicates(rng, n=3, copies=15)
+        full = self.check(pos)
+        copies = np.all(pos[:, None, :] == pos[None, :, :], axis=2)
+        assert np.all(full[copies] == 0.0) and np.all(np.isinf(full[~copies]))
+
+    @pytest.mark.parametrize("k", [4, mesh_module.GRAPH_K])
+    def test_planar_lattice_with_exact_ties(self, k):
+        full = self.check(planar_lattice(12), k=k)
+        assert np.all(np.isfinite(full))
+
+    @pytest.mark.parametrize("n", [2, 3, mesh_module.GRAPH_K + 1])
+    def test_pools_no_larger_than_a_query(self, rng, n):
+        full = self.check(rng.random((n, 3)))
+        assert np.all(np.isfinite(full))
+
+    def test_random_pool(self, icosphere_mesh, rng):
+        pool = area_weighted_sample(icosphere_mesh, 3000, rng)
+        self.check(pool.positions, sources=rng.choice(3000, size=40, replace=False))
+
+    def test_a_pair_listed_both_ways_takes_the_smaller_distance(self):
+        # points 0 and 1 list each other at distances one ulp apart, as
+        # two directed kd-tree distances could read; 2 lists 0, which does
+        # not list 2
+        nbr = np.array([[0, 1], [1, 0], [2, 0]], dtype=np.int32)
+        dist = np.array([[0.0, np.nextafter(1.0, 2.0)], [0.0, 1.0], [0.0, 2.0]])
+        graph = mesh_module._pool_graph(dist, nbr)
+        assert graph.nnz == 4
+        assert graph.toarray().tolist() == [[0.0, 1.0, 2.0], [1.0, 0.0, 0.0], [2.0, 0.0, 0.0]]
+
+    def test_build_memory_at_the_paper_pool(self, icosphere_mesh):
+        # the 102 400-point pool of `prepare` at N=256. tracemalloc (numpy
+        # reports to it) saw 14.5 MiB held and a 38.6 MiB peak; a graph
+        # with every mutual pair twice per row and the self loops held
+        # 27.0 MiB and peaked at 63.3 MiB while built
+        pool = area_weighted_sample(icosphere_mesh, 102400, np.random.default_rng(0))
+        tracemalloc.start()
+        try:
+            grower = PatchGrower(pool)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(grower) == 102400
+        assert held <= 15 * 2**20 and peak <= 45 * 2**20
 
 
 class TestGeodesicPatches:

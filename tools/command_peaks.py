@@ -5,11 +5,13 @@
 Sets up a workload's inputs once in a temporary directory, runs one
 round of its schedule through `pcup.cli.main` in this process, as
 `perfbench/run.py` does, and prints one JSON record: the process's
-`ru_maxrss` in MB after set-up and after each command. `ru_maxrss` only
-rises, so the command after which it last rises set the peak that the
-benchmark reports as `peak_rss_mb`. The figures depend on the C
-library's allocator, so they compare commands and commits on one
-machine only. perfbench/ is read, never written, bytecode included.
+`ru_maxrss` in MB after set-up and after each command, and beside each
+the `RUSAGE_CHILDREN` figure, the peak of the largest child process
+waited for so far (0 while none has run). `ru_maxrss` only rises, so
+the command after which it last rises set the peak that the benchmark
+reports as `peak_rss_mb`. The figures depend on the C library's
+allocator, so they compare commands and commits on one machine only.
+perfbench/ is read, never written, bytecode included.
 Needs pcup and the standard library only; exits 1 if a command fails.
 """
 
@@ -49,14 +51,21 @@ def load_bench():
     return module
 
 
-def peak_rss_mb():
-    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+def peak_rss_mb(who=resource.RUSAGE_SELF):
+    """Peak resident memory in MB: of this process, or with
+    resource.RUSAGE_CHILDREN of its largest waited-for child."""
+    return resource.getrusage(who).ru_maxrss / 1024.0
+
+
+def peaks():
+    """This process's peak and its children's, in MB."""
+    return peak_rss_mb(), peak_rss_mb(resource.RUSAGE_CHILDREN)
 
 
 def command_peaks(bench, workload, seed):
     """Run one set-up and one round of `workload` (a bench.Workload) and
-    return the record: the set-up's peak, then each command's name,
-    success and the peak after it."""
+    return the record: the set-up's peaks, then each command's name,
+    success and the peaks after it."""
     import pcup.cli
 
     with tempfile.TemporaryDirectory() as tmp:
@@ -64,14 +73,17 @@ def command_peaks(bench, workload, seed):
         run = bench.Run(workload, seed, work)
         with _reading_perfbench():
             run.set_up()
-        record = {"seed": seed, "setup_rss_mb": peak_rss_mb(), "commands": []}
+        own, children = peaks()
+        record = {"seed": seed, "setup_rss_mb": own, "setup_children_rss_mb": children,
+                  "commands": []}
         for command in workload.schedule:
             out = run.outputs(command)
             if out.is_dir():
                 shutil.rmtree(out)
             ok, _ = bench.run_command(pcup.cli, run.argv(command), work / f"{command}.log")
-            record["commands"].append(
-                {"command": command, "ok": ok, "rss_mb": peak_rss_mb()})
+            own, children = peaks()
+            record["commands"].append({"command": command, "ok": ok, "rss_mb": own,
+                                       "children_rss_mb": children})
     return record
 
 
