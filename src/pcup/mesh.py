@@ -372,8 +372,10 @@ class PatchGrower:
     pool's SpatialIndex, whose kd-tree built the graph.
 
     The graph (_pool_graph) joins two pool points when either is among
-    the other's k nearest, and stores the pair once in each point's row:
-    at most 2·k·n entries, and no self loops.
+    the other's k nearest, and stores the pair once in each point's row,
+    with no self loops: at most 2·k·n entries while every point's query
+    lists the point itself, as it does unless more than k others
+    coincide with it.
     """
 
     def __init__(self, pool, k=GRAPH_K):
@@ -385,7 +387,8 @@ class PatchGrower:
         self.index = SpatialIndex(pool.positions)
         tree = self.index.tree
         dist = np.empty((n, w))
-        nbr = np.empty((n, w), dtype=_graph_index_dtype(n, w))
+        # the graph holds at most 2·n·w entries: int32 indices where they fit
+        nbr = np.empty((n, w), dtype=np.int32 if 2 * n * w < 2**31 else np.int64)
         # asked in the tree's leaf order, so that consecutive queries walk
         # the same nodes: the same answers, and at 102 400 points (k=10,
         # 2 cores) 134-144 ms against 165-172 ms in pool order (quartiles)
@@ -435,12 +438,6 @@ class PatchGrower:
             limit = 2.0 * limit if len(reached) > count else np.inf
             count = len(reached)
         return reached[np.lexsort((reached, dist[reached]))[:target]]
-
-
-def _graph_index_dtype(n, w):
-    """int32 where it can count the 2·n·w entries that the graph of an
-    (n, w) query holds at most, else int64."""
-    return np.int32 if 2 * n * w <= np.iinfo(np.int32).max else np.int64
 
 
 def _pool_graph(dist, nbr):

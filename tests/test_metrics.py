@@ -503,9 +503,10 @@ class TestMeshUniformityReport:
     def test_collapsed_cloud_peak_memory(self, icosphere_mesh):
         # the clumps of test_collapsed_cloud_cost_bound; the graph distances
         # of a block of 64 seeds to the 20 000-point pool (9.8 MiB) set the
-        # peak. tracemalloc (numpy reports to it) saw 17.8 MiB; with blocks
-        # of 128 seeds, the previous block still held while the next was
-        # computed, it saw 45.8 MiB
+        # peak. tracemalloc (numpy reports to it) saw 14.8 MiB, and 17.2 MiB
+        # with a pool graph that stored each mutual pair twice per row; with
+        # blocks of 128 seeds, the previous block still held while the next
+        # was computed, it saw 45.8 MiB
         out = helpers.collapsed_generator_output(256)
         centers = area_weighted_sample(icosphere_mesh, 8, np.random.default_rng(0)).positions
         cloud = np.vstack([c + 0.25 * out for c in centers])
