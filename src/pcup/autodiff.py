@@ -19,14 +19,15 @@ parents, and what a push needs beyond those values. linear, square,
 sigmoid and the shape ops need nothing more. linear_relu keeps a
 boolean mask: its pre-activation is overwritten in place to make its
 output. gather_rows and max_over_rows keep row indices, row_distances
-the row differences, and self_attention the coded copies of its input,
-G, H's feature part, K, the code-part weights and two columns, each
-row's softmax maximum and sum: no array with a row and a column per
-attended row lives from its forward to its backward pass. Its push
-rebuilds the feature-part weights from them and turns them into their
-softmax gradient in place, so it makes one array of their size,
-(r * n, n) over r coded copies of n rows, whose (r * n, r * n) weights
-neither pass makes.
+the row differences, and self_attention G, H's feature and code parts
+Hf and Hc, K, the code-part weights B and two columns, each row's
+softmax maximum and sum, not the coded copies X of its input, which it
+makes only for its output: no array with a row and a column per attended
+row lives from its forward to its backward pass. Its push rebuilds the
+feature-part weights from them and turns them into their softmax
+gradient in place, so it makes one array of their size, (r * n, n) over
+r coded copies of n rows, whose (r * n, r * n) weights neither pass
+makes.
 grouped_square_deviation keeps its row indices and per-group arrays.
 
 Inside `with no_grad():` a new Node keeps no parents and no push
@@ -450,45 +451,54 @@ def self_attention(x, codes, params, prefix):
 
     X is r copies of the (n, c) node x, copy b with row b of the (r, k)
     node `codes` appended to each row, stacked copy-major:
-    X = [tile(x, r) | repeat(codes, n)], which the op builds itself; the
-    output has X's r * n rows. G = X Wg + b_g and H = X Wh, at a quarter
-    of X's width, and K = X Wk + b_k, at full width, are per-row maps by
-    the five tensors that init_attention made under `prefix`.
+    X = [tile(x, r) | repeat(codes, n)]; the output has X's r * n rows.
+    G = X Wg + b_g and H = X Wh, at a quarter of X's width, and
+    K = X Wk + b_k, at full width, are per-row maps by the five tensors
+    that init_attention made under `prefix`.
 
-    H's rows split into a feature part and a code part, H_(b,l) =
-    Hf_l + Hc_b with Hf = x Wh[:c] and Hc = codes Wh[c:], so each weight
-    factorises: W_(i,(b,l)) = A_il B_ib with A = row-softmax(G Hf^T) of
-    shape (r * n, n) and B = row-softmax(G Hc^T) of shape (r * n, r).
+    Each map splits into a part of x and a part of the codes: row (b, l)
+    of X M is x_l M[:c] + codes_b M[c:]. The op takes G and K as
+    tile(x Wg[:c] + b_g, r) + repeat(codes Wg[c:], n), and likewise K,
+    and keeps H as its parts Hf = x Wh[:c] and Hc = codes Wh[c:], so each
+    weight factorises: W_(i,(b,l)) = A_il B_ib with A = row-softmax(G Hf^T)
+    of shape (r * n, n) and B = row-softmax(G Hc^T) of shape (r * n, r).
     Copy b's output is X_b + A^T (B[:, b] * K), each row of K scaled by
     its weight for code b. Neither pass makes the (r * n, r * n) W. At
     r = 1, B is exactly 1 and A is W: one code adds G_i . Hc to every
     score of row i, which the softmax cancels, so Wh[c:] gets an exactly
-    zero gradient.
+    zero gradient. The push sums each map's gradient over the copies into
+    x's part and over each copy's rows into the codes' part.
 
-    The op keeps G, Hf, K, B, X and each row of A's softmax maximum and
-    sum, not A: its push rebuilds A with the same product and elementwise
-    ops, so the bits are the forward pass's. The push takes A's gradient
-    by row blocks. At r = 1 its gradients are those of the whole (n, n)
-    product of the same scores wherever the BLAS gives a block the whole
-    product's rows: below 256 rows (one block), and at multiples of 16
-    rows on OpenBLAS's SkylakeX, Haswell, Sandybridge, Nehalem and
-    Prescott kernels at 1 and 2 threads (SkylakeX and Haswell also at 3
-    and 4). Elsewhere they can differ in the last bits. With zero K
-    weights the output is exactly X. Permuting x's rows permutes each
-    copy's output rows identically.
+    The op keeps G, Hf, Hc, K, B and each row of A's softmax maximum and
+    sum, not A, and not X, which it builds only for its output: its push
+    rebuilds A with the same product and elementwise ops, so the bits are
+    the forward pass's. The push takes A's gradient by row blocks. At
+    r = 1 its gradients are those of the whole (n, n) product of the same
+    scores wherever the BLAS gives a block the whole product's rows: below
+    256 rows (one block), and at multiples of 16 rows on OpenBLAS's
+    SkylakeX, Haswell, Sandybridge, Nehalem and Prescott kernels at 1 and
+    2 threads (SkylakeX and Haswell also at 3 and 4). Elsewhere they can
+    differ in the last bits. With zero K weights the output is exactly X.
+    Permuting x's rows permutes each copy's output rows identically.
     """
     wg, bg, wh, wk, bk = (params[f"{prefix}.{t}"] for t in ("g.w", "g.b", "h.w", "k.w", "k.b"))
     xv, cv = x.value, codes.value
     n, c = xv.shape
     r = len(cv)
-    tiled = np.hstack([np.tile(xv, (r, 1)), np.repeat(cv, n, axis=0)])
-    if tiled.shape[1] != wg.value.shape[0]:
+    if c + cv.shape[1] != wg.value.shape[0]:
         raise ValueError(
-            f"self_attention: input width {tiled.shape[1]} does not match "
+            f"self_attention: input width {c + cv.shape[1]} does not match "
             f"{prefix!r} width {wg.value.shape[0]}"
         )
     width = wk.value.shape[1]
-    g, k = _affine(tiled, wg.value, bg.value), _affine(tiled, wk.value, bk.value)
+
+    def over_copies(w, bias):
+        # X w + bias over X's r * n rows, from x's part and the codes' part
+        m = np.tile(_affine(xv, w.value[:c], bias.value), (r, 1))
+        m += np.repeat(cv @ w.value[c:], n, axis=0)
+        return m
+
+    g, k = over_copies(wg, bg), over_copies(wk, bk)
     hf, hc = xv @ wh.value[:c], cv @ wh.value[c:]
     b = g @ hc.T
     b -= b.max(axis=1, keepdims=True)
@@ -518,6 +528,12 @@ def self_attention(x, codes, params, prefix):
         # B_b * K for every copy b side by side, over `rows`: (rows, r * width)
         return (b[rows, :, None] * k[rows, None, :]).reshape(-1, r * width)
 
+    def parts(dm):
+        # a gradient over X's rows: x's part, summed over the copies, and
+        # the codes' part, summed over each copy's rows
+        copies = dm.reshape(r, n, -1)
+        return copies.sum(axis=0), copies.sum(axis=1)
+
     def push(d):
         a = weights(False)
         # d with each copy's rows side by side: (n, r * width)
@@ -538,22 +554,21 @@ def self_attention(x, codes, params, prefix):
         dg = a @ hf
         dg += db @ hc
         dhf, dhc = a.T @ g, db.T @ g
-        # X's gradient, whose copies' columns sum into x's and codes' buffers
-        xt = Node(tiled)
-        xt.grad = d.copy()
-        _push_linear(xt, wg, bg, dg)
-        _push_linear(xt, wk, bk, dk)
-        copies = xt.grad.reshape(r, n, -1)
+        bg.grad += dg.sum(axis=0, keepdims=True)
+        bk.grad += dk.sum(axis=0, keepdims=True)
+        copies = d.reshape(r, n, -1)  # the residual's parts
         dx, dcodes = copies[:, :, :c].sum(axis=0), copies[:, :, c:].sum(axis=1)
-        dx += dhf @ wh.value[:c].T
-        dcodes += dhc @ wh.value[c:].T
+        for w, df, dc in ((wg, *parts(dg)), (wk, *parts(dk)), (wh, dhf, dhc)):
+            dx += df @ w.value[:c].T
+            dcodes += dc @ w.value[c:].T
+            w.grad[:c] += xv.T @ df
+            w.grad[c:] += cv.T @ dc
         x.grad += dx
         codes.grad += dcodes
-        wh.grad[:c] += xv.T @ dhf
-        wh.grad[c:] += cv.T @ dhc
 
     y = weights(True).T @ values(slice(None))  # (n, r * width), copies side by side
-    out = tiled + y.reshape(n, r, width).swapaxes(0, 1).reshape(-1, width)
+    out = np.hstack([np.tile(xv, (r, 1)), np.repeat(cv, n, axis=0)])
+    out += y.reshape(n, r, width).swapaxes(0, 1).reshape(-1, width)
     return Node(out, (x, codes, wg, bg, wh, wk, bk), push)
 
 
@@ -644,6 +659,9 @@ def load_params(path):
         raise ValueError(f"{path}: malformed header") from None
     if len(specs) != count:
         raise ValueError(f"{path}: truncated header")
+    if (len({name for name, _, _ in specs}) != count
+            or any(min(rows, cols) < 0 for _, rows, cols in specs)):
+        raise ValueError(f"{path}: malformed header")
     arrays = {}
     offset = 0
     for name, rows, cols in specs:

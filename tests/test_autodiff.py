@@ -588,8 +588,9 @@ class TestAttention:
         assert not grads["att.h.w"][64:].any()
 
     def test_forward_keeps_no_n_by_n_array(self, rng):
-        # between its forward and backward passes the op keeps G, H, K, X
-        # and three (n, 1) columns, far below one (n, n) array of weights
+        # between its forward and backward passes the op keeps G, H's two
+        # parts, K and three (n, 1) columns, not the coded copies X, far
+        # below one (n, n) array of weights
         n = 1024
         params = ad.Params()
         ad.init_attention(params, "att", 8, rng)
@@ -698,10 +699,10 @@ class TestAttentionOverCopies:
         # 1536 rows, r = 6, 128 feature columns: the op over the explicit
         # tiled concat, with its (1536, 1536) weights, traced 6.9 MiB held
         # after the forward pass and 33.4 MiB at the peak of forward plus
-        # push; factorised, 5.1 and 18.4 MiB. One (1536, 1536) array alone
-        # is 18 MiB
+        # push; factorised, 5.1 and 18.4 MiB, and 3.6 and 15.7 MiB with G
+        # and K from x's part and the codes' part and no coded copies X
+        # kept. One (1536, 1536) array alone is 18 MiB
         params, x, codes = _copies_case(256, 6, "random")
-        rows = 6 * 256
         tracemalloc.start()
         try:
             out = ad.self_attention(x, codes, params, "att")
@@ -710,8 +711,8 @@ class TestAttentionOverCopies:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert held < 0.5 * rows * rows * 8
-        assert peak < 25 * 2**20
+        assert held < 4 * 2**20
+        assert peak < 17 * 2**20
 
 
 class TestCheckpoint:
@@ -738,6 +739,9 @@ class TestCheckpoint:
         b"PCUP-PARAMS-1\n1\nw 1\nDATA\n",
         b"PCUP-PARAMS-1\n1\nw 1 1 1\nDATA\n",
         b"PCUP-PARAMS-1\n1\nw 1 x\nDATA\n",
+        b"PCUP-PARAMS-1\n1\nw -1 -1\nDATA\n",
+        b"PCUP-PARAMS-1\n1\nw 1 -1\nDATA\n",
+        b"PCUP-PARAMS-1\n2\nw 1 1\nw 0 0\nDATA\n",  # the name repeated
         b"\xff\x00\nDATA\n",
     ])
     def test_malformed_header_names_the_file(self, tmp_path, header):

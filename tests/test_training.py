@@ -157,29 +157,29 @@ RETIRED_DEFAULTS = {
 # OPENBLAS_CORETYPE=Prescott runs the kernel named Katmai
 BATCH_OF_THREE_DIGESTS = {
     "SkylakeX": (
-        "e97638c9d9134eb7b4fc71f44e88eb05d794d1db6ac2f840a39c8280f4fc2e22",
-        "ce373f42e05399f58551b354995f6ed7b1bb0386361eb6052b08d09294ba31d6",
-        "7a4f019080c0c6842b5ecb76b5dca6e7a214e88be29f217c9760132f704db37a",
+        "d3d33f2f079a2e66fc132a6c46430df7862e1a357a2f582bfebf297166ad6173",
+        "72c51763c281c61cf7e599ac56c467f59c965256f8b08122ef550aad225411a5",
+        "e0826f11cc0c41d6b774cf7b901f7e2846ebdd462fdd0513839bca3efc9c3269",
     ),
     "Haswell": (
-        "1b90a71c777c4eae8c6f9be4d0340fc39dff2e0934644fcde83d9349d05b47cf",
-        "9c991de29941d30e40bcd9466ffa056489b62546dcf226cce4477962e91ace21",
-        "13e804a893599dd6129017e4fc9e9d04b828ee7957adc8c6ca04f5ea120472d0",
+        "fdb3630555910bc999ea70ba05a0ba7a6e65461bb0ca3f3881bd74798a1e34a6",
+        "b2a3a64068f5f72c0ebfa86f27e5b4dc2326e6db9dc130d479d4febbb4972dc3",
+        "5a159962bb4856df7b330401714960a88fb6124c2c02ea7f117a398a90a8aa52",
     ),
     "Sandybridge": (
-        "907157509a9924cdf0f9660b30eb5408a2f92920f5dc4615e56eb540098e04cf",
-        "c509f8ad5da8a021fb4028c79dd54e4bfb922140bc7821a2fdaba8b7124d4a2b",
-        "6634e673b4ac84a1dff6e9d0aa06a37091c007c41029a3dde6df5d8d5c016754",
+        "fe4763c7c165d12a15c1770eb064611ab7efde902f9328c6ece4fce0d48324bd",
+        "57f08b619bc5bdea5721def30085d6fbfa7f13b27c7bba159affcaf9a40dfb7e",
+        "b5489522ab8de5b99f4bb351f8a1da790a9aadbdae8427c77e5b41b822e1bb0d",
     ),
     "Nehalem": (
-        "57f70dc7153b2c4965c8e0de8a9643b67837abcecede552c14f387a4cf32ec95",
-        "650e4b010a29a041664fc98638d1d9d33dc0b8e3bb0c1de683da5ed4acc211fe",
-        "294a38b426c3185d0111940fba0df8f6d5020557b141deb751c4c253ffb0338f",
+        "81150730d12083bc3a20f197947c35cffceacb653c2c997ec66abf9209173336",
+        "9055c8b7fcca91d68dfb9bcf5cb69d679ec575cc9029abb7c014b00c0bb59931",
+        "816a90ca92941917a4d6699f8e0cdf6f99c7908bb9921854946117c2c24c17c3",
     ),
     "Katmai": (
-        "3059e2457baba8fc1125f9f815761d38d18332abe4236590cd51922016b4f09b",
-        "421d699075baa579f4ba115d1ad7cab7d555ed7f4aba94ab9a4020b39a384c19",
-        "f9ccf846c182bb58b81245f749ffa3e7245cf7a0d8a0a7a5f44ae15d93d8641b",
+        "d8987176b72a7e628aa9c249bb43c645a92d6759c074ec07eed3af46c6d8422f",
+        "a983448a0cdba68d1b49707d0dda51618f187c92456fa88e0bac6dc11375bf8a",
+        "5f3dfedd45a6f4dd15a0201485b3a15ea4ad65d4f7f5657395d36ca599f40324",
     ),
 }
 
