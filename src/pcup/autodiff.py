@@ -659,7 +659,7 @@ def load_params(path):
         raise ValueError(f"{path}: malformed header") from None
     if len(specs) != count:
         raise ValueError(f"{path}: truncated header")
-    if (len({name for name, _, _ in specs}) != count
+    if (len(header) != 2 + count or len({name for name, _, _ in specs}) != count
             or any(min(rows, cols) < 0 for _, rows, cols in specs)):
         raise ValueError(f"{path}: malformed header")
     arrays = {}
