@@ -653,6 +653,8 @@ def load_params(path):
         raise ValueError(f"{path}: bad magic, expected {_CKPT_MAGIC}")
     try:
         count = int(header[1])
+        if count < 0:
+            raise ValueError(count)
         specs = [(name, int(rows), int(cols))
                  for name, rows, cols in (line.split() for line in header[2 : 2 + count])]
     except (IndexError, ValueError):

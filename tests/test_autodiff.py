@@ -744,6 +744,7 @@ class TestCheckpoint:
         b"PCUP-PARAMS-1\n1\nw 1 -1\nDATA\n",
         b"PCUP-PARAMS-1\n2\nw 1 1\nw 0 0\nDATA\n",  # the name repeated
         b"PCUP-PARAMS-1\n1\nw 1 1\nv 0 0\nDATA\n",  # more tensors than the count
+        b"PCUP-PARAMS-1\n-1\nDATA\n",  # a negative count
     ])
     def test_malformed_header_names_the_file(self, tmp_path, header):
         path = tmp_path / "p.params"
