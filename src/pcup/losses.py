@@ -50,9 +50,9 @@ def uniform_loss(q, p_values, seed_count, seed):
     `p_values`, each cropped around `seed_count` seeds.
 
     For the p at list index k, the frozen structure is drawn with rng
-    seed `seed + k`, so the value equals the sum of
-    metrics.uniformity_loss_value(q.value, p, seed_count, seed + k)
-    over the list. Subset counts enter as constant multiplicative
+    seed `seed + k`; each crop of two or more members adds imbalance
+    (size - n_hat)^2 / n_hat times clutter, its members' sum of (gap -
+    d_hat)^2 / d_hat. Subset counts enter as constant multiplicative
     weights; only the nearest-neighbor distances carry gradient.
 
     Every crop of every p comes from one metrics.uniformity_crops call

@@ -52,7 +52,6 @@ __all__ = [
     "hexagonal_neighbor_spacing",
     "uniformity_crops",
     "uniformity_subsets",
-    "uniformity_loss_value",
     "uniformity_report_mesh",
     "point_to_surface_stats",
     "REPORT_HEADER",
@@ -301,17 +300,6 @@ def _crop_value(n_hat, d_hat, gaps):
     return imbalance * float((((gaps - d_hat) ** 2) / d_hat).sum())
 
 
-def uniformity_loss_value(points, p, seed_count, rng):
-    """Scalar uniformity value at one area fraction p: the sum over
-    subsets of imbalance * clutter. Zero only for subsets that match both
-    the expected count and the hexagonal spacing exactly."""
-    pts = as_points(points)
-    _, n_hat, subsets = uniformity_subsets(pts, p, seed_count, rng)
-    # a crop with no nearest neighbor has clutter 0
-    return float(sum(_crop_value(n_hat, d_hat, np.linalg.norm(pts[m] - pts[nn], axis=1))
-                     for m, nn, d_hat in subsets if nn is not None))
-
-
 # uniformity_report_mesh's graph distances are taken for this many seeds at a
 # time, and one block of seeds x pool distances is held at once (64 x 20 000
 # float64, 9.8 MiB, in `pcup eval`). On 2048- and 8192-point clouds with a
@@ -355,7 +343,7 @@ def uniformity_report_mesh(points, mesh, seed_count, rng, pool_size):
     point is attached to its nearest pool point; subset S_j holds the
     query points whose attachment lies within graph distance R_p of seed
     j, where pi * R_p^2 = p * total_area (the geodesic disk covering an
-    area fraction p). The formula then matches uniformity_loss_value with
+    area fraction p). The formula then matches losses.uniform_loss's with
     d_hat computed from R_p. Returns a tuple of one value for each p of
     P_VALUES, in that order: the uniformity columns of REPORT_HEADER.
     """

@@ -12,6 +12,7 @@ from scipy.sparse.csgraph import dijkstra
 from scipy.spatial import cKDTree
 
 from pcup import autodiff as ad
+from pcup import metrics
 from pcup.mesh import point_triangle_distances
 
 # ---------------------------------------------------------------------------
@@ -198,6 +199,25 @@ def gradcheck(make_loss, params, names=None, h=1e-4, rel_tol=1e-3, max_entries=N
     return worst
 
 
+def uniformity_loss_value(points, p, seed_count, rng):
+    """The uniformity measure at one area fraction p, from its definition
+    over metrics.uniformity_subsets' crops: the sum over crops of
+    imbalance (|S_j| - n_hat)^2 / n_hat times clutter, each member's gap
+    to its partner taken against d_hat as (gap - d_hat)^2 / d_hat. A crop
+    of fewer than two members has clutter 0. Each crop's clutter is one
+    numpy .sum() over its gaps, so the value's bits are the measure's."""
+    pts = np.asarray(points, dtype=float)
+    _, n_hat, subsets = metrics.uniformity_subsets(pts, p, seed_count, rng)
+    total = 0
+    for members, partners, d_hat in subsets:
+        if partners is None:
+            continue
+        gaps = np.linalg.norm(pts[members] - pts[partners], axis=1)
+        imbalance = (len(gaps) - n_hat) ** 2 / n_hat
+        total += imbalance * float((((gaps - d_hat) ** 2) / d_hat).sum())
+    return float(total)
+
+
 def reference_attention(x, params, prefix):
     """x + softmax(G H^T)^T K straight from the definition, with scipy's
     softmax and the projections read from `params` by name: G and K
@@ -255,6 +275,67 @@ def with_duplicates(rng, n=60, copies=4):
     base = rng.normal(size=(n, 3)) * 0.2
     pts = np.repeat(base, copies, axis=0)
     return pts[rng.permutation(len(pts))]
+
+
+# ---------------------------------------------------------------------------
+# reference disks: 2D layouts on the unit disk (embedded at z = 0) with a
+# known uniformity ordering, hexagonal < random < clustered
+
+
+def _embed(xy):
+    out = np.zeros((len(xy), 3))
+    out[:, :2] = xy
+    return out
+
+
+def hexagonal_disk(n):
+    """~n points of a triangular lattice clipped to the unit disk.
+
+    The pitch makes the lattice density match n points per unit-disk
+    area; the n sites nearest the origin are kept, so the result is a
+    filled hexagonal patch of exactly n points."""
+    if n < 1:
+        raise ValueError("need at least one point")
+    # one lattice site owns a hexagonal cell of area sqrt(3)/2 * pitch^2
+    pitch = math.sqrt(2.0 * math.pi / (n * math.sqrt(3.0)))
+    row_height = pitch * math.sqrt(3.0) / 2.0
+    rows = int(math.ceil(1.5 / row_height)) + 2
+    cols = int(math.ceil(1.5 / pitch)) + 2
+    sites = []
+    for j in range(-rows, rows + 1):
+        offset = 0.5 * pitch if j % 2 else 0.0
+        for i in range(-cols, cols + 1):
+            sites.append((i * pitch + offset, j * row_height))
+    sites = np.array(sites)
+    order = np.lexsort((np.arange(len(sites)), np.linalg.norm(sites, axis=1)))
+    return _embed(sites[order[:n]])
+
+
+def random_disk(n, seed=0):
+    """n points drawn uniformly over the unit disk (area-correct radius
+    via the square-root trick)."""
+    if n < 1:
+        raise ValueError("need at least one point")
+    rng = np.random.default_rng(seed)
+    radius = np.sqrt(rng.uniform(0.0, 1.0, n))
+    angle = rng.uniform(0.0, 2.0 * math.pi, n)
+    return _embed(np.column_stack([radius * np.cos(angle), radius * np.sin(angle)]))
+
+
+def clustered_disk(n, seed=0):
+    """n points in 25 tight Gaussian clumps (sigma 0.03) around random
+    disk centers — deliberately non-uniform."""
+    if n < 1:
+        raise ValueError("need at least one point")
+    rng = np.random.default_rng(seed)
+    clusters = 25
+    centers = random_disk(clusters, seed=seed + 1)[:, :2]
+    owner = rng.integers(0, clusters, n)
+    xy = centers[owner] + rng.normal(0.0, 0.03, (n, 2))
+    norms = np.linalg.norm(xy, axis=1)
+    outside = norms > 1.0
+    xy[outside] /= norms[outside, None]
+    return _embed(xy)
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,6 @@ from pcup import autodiff as ad
 from pcup import losses as lo
 from pcup import metrics
 from pcup import networks as nw
-from pcup import patterns
 from pcup import training as tr
 from pcup.cli import main as cli_main
 from pcup.geometry import SpatialIndex, farthest_point_sampling
@@ -142,10 +141,13 @@ def test_c02_gradient_suite(rng):
 
 
 def test_c03_uniform_loss_discrimination():
-    # three 625-point reference layouts at p = 1%
-    hexv = metrics.uniformity_loss_value(patterns.hexagonal_disk(625), 0.01, 50, 0)
-    rand = metrics.uniformity_loss_value(patterns.random_disk(625, seed=0), 0.01, 50, 0)
-    clus = metrics.uniformity_loss_value(patterns.clustered_disk(625, seed=0), 0.01, 50, 0)
+    # three 625-point reference layouts at p = 1%, ranked by the uniform
+    # loss that training runs
+    hexv, rand, clus = (
+        float(lo.uniform_loss(ad.constant(pts), (0.01,), 50, 0).value[0, 0])
+        for pts in (helpers.hexagonal_disk(625), helpers.random_disk(625, seed=0),
+                    helpers.clustered_disk(625, seed=0))
+    )
     assert hexv < rand < clus
     assert hexv < 0.5 * rand
     # hand values for the two analytic quantities, to 1e-9

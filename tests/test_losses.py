@@ -111,16 +111,15 @@ class TestUniform:
         pts /= np.abs(pts).max()
         node = lo.uniform_loss(ad.constant(pts), metrics.P_VALUES, 10, seed=5)
         expected = sum(
-            metrics.uniformity_loss_value(pts, p, 10, 5 + k)
+            helpers.uniformity_loss_value(pts, p, 10, 5 + k)
             for k, p in enumerate(metrics.P_VALUES)
         )
         assert node.value[0, 0] == pytest.approx(expected, rel=1e-9)
 
     def test_hexagonal_layout_scores_below_random(self):
-        from pcup.patterns import hexagonal_disk, random_disk
-
-        hexv = lo.uniform_loss(ad.constant(hexagonal_disk(625)), (0.01,), 30, seed=0)
-        rand = lo.uniform_loss(ad.constant(random_disk(625, seed=0)), (0.01,), 30, seed=0)
+        hexv = lo.uniform_loss(ad.constant(helpers.hexagonal_disk(625)), (0.01,), 30, seed=0)
+        rand = lo.uniform_loss(ad.constant(helpers.random_disk(625, seed=0)), (0.01,), 30,
+                               seed=0)
         assert hexv.value[0, 0] < rand.value[0, 0]
 
     def test_two_point_cluster_is_pushed_apart(self):
@@ -197,7 +196,7 @@ class TestUniformFlatGraph:
         pts = helpers.collapsed_generator_output(64)
         node = lo.uniform_loss(ad.constant(pts), metrics.P_VALUES, 50, seed=9)
         expected = sum(
-            metrics.uniformity_loss_value(pts, p, 50, 9 + k)
+            helpers.uniformity_loss_value(pts, p, 50, 9 + k)
             for k, p in enumerate(metrics.P_VALUES)
         )
         assert node.value[0, 0] == pytest.approx(expected, rel=1e-12)
@@ -285,7 +284,7 @@ class TestUniformFlatGraph:
         # recorded as above. Each crop's clutter is one pairwise .sum()
         # over its slice; a sequential sum gives other bits
         pts = _pinned_cloud("patch")
-        got = [metrics.uniformity_loss_value(pts, p, 50, 7 + k)
+        got = [helpers.uniformity_loss_value(pts, p, 50, 7 + k)
                for k, p in enumerate(metrics.P_VALUES)]
         assert got == [101.16832929591791, 200.88594589872577, 328.69241331305716,
                        517.7128554304039, 750.8662981499322]

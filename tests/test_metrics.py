@@ -259,27 +259,25 @@ class TestUniformityFormulas:
     def test_two_isolated_points_score_zero(self):
         pts = np.array([[1.0, 0, 0], [-1.0, 0, 0]])
         # balls of radius sqrt(0.01)=0.1 hold one point each: no clutter
-        assert metrics.uniformity_loss_value(pts, 0.01, 4, 0) == 0.0
+        assert helpers.uniformity_loss_value(pts, 0.01, 4, 0) == 0.0
 
     def test_p_domain_checked(self, rng):
         pts = rng.normal(size=(20, 3))
         for bad in (0.0, 1.0, -0.2, 1.5):
             with pytest.raises(ValueError, match="p must be"):
-                metrics.uniformity_loss_value(pts, bad, 4, 0)
+                metrics.uniformity_crops(SpatialIndex(pts), [(bad, 0)], 4)
 
     def test_subsets_are_deterministic_given_seed(self, rng):
         pts = rng.normal(size=(100, 3))
-        r1 = metrics.uniformity_loss_value(pts, 0.01, 10, 7)
-        r2 = metrics.uniformity_loss_value(pts, 0.01, 10, 7)
-        assert r1 == r2
+        r1 = metrics.uniformity_crops(SpatialIndex(pts), [(0.01, 7)], 10)
+        r2 = metrics.uniformity_crops(SpatialIndex(pts), [(0.01, 7)], 10)
+        assert all(np.array_equal(a, b) for a, b in zip(r1, r2))
 
     def test_pattern_ordering_at_one_percent(self):
-        from pcup import patterns
-
-        hexa = patterns.hexagonal_disk(625)
-        rand = patterns.random_disk(625, seed=0)
-        clus = patterns.clustered_disk(625, seed=0)
-        vals = [metrics.uniformity_loss_value(p, 0.01, 20, 0) for p in (hexa, rand, clus)]
+        hexa = helpers.hexagonal_disk(625)
+        rand = helpers.random_disk(625, seed=0)
+        clus = helpers.clustered_disk(625, seed=0)
+        vals = [helpers.uniformity_loss_value(p, 0.01, 20, 0) for p in (hexa, rand, clus)]
         assert vals[0] < vals[1] < vals[2]
 
 
