@@ -316,19 +316,25 @@ def prepare_archive(name, mesh, cfg, out_dir, log=_default_log):
 
 
 def _read_manifest(meta_path):
-    """(mesh id, [(index, centroid, scale)]) of one meta.json, with
+    """(mesh id, {index: (centroid, scale)}) of one meta.json, with
     errors that name the file."""
     try:
         with open(meta_path, "r", encoding="ascii") as fh:
             manifest = json.load(fh)
-        records = [
-            (int(rec["index"]), np.array(rec["centroid"]), float(rec["scale"]))
-            for rec in manifest["patches"]
-        ]
+        records = {}
+        for rec in manifest["patches"]:
+            index, centroid, scale = rec["index"], rec["centroid"], rec["scale"]
+            if not (type(index) is int and index >= 0 and index not in records
+                    and isinstance(centroid, list) and len(centroid) == 3
+                    and all(type(v) in (int, float) and abs(v) < math.inf  # not bool
+                            for v in [*centroid, scale]) and scale > 0):
+                raise ValueError(f"patch record {rec}: needs an unused integer index >= 0, "
+                                 "a centroid of 3 finite numbers and a finite scale > 0")
+            records[index] = (np.array(centroid, dtype=float), float(scale))
         return manifest["mesh"], records
     except KeyError as exc:
         raise ValueError(f"{meta_path}: manifest lacks key {exc}") from None
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"{meta_path}: malformed manifest: {exc}") from None
 
 
@@ -345,7 +351,7 @@ def read_archive(data_dir):
         if not os.path.isfile(meta_path):
             continue
         mesh_id, records = _read_manifest(meta_path)
-        for index, centroid, scale in records:
+        for index, (centroid, scale) in records.items():
             target = read_xyz(os.path.join(mesh_dir, f"patch_{index:04d}_gt.xyz"))
             pairs.append(PatchPair(target, mesh_id, centroid, scale, index))
     if not pairs:

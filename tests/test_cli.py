@@ -561,6 +561,31 @@ class TestTrain:
         assert stdout == ""
         assert not out.exists()
 
+    @pytest.mark.parametrize("field, value", [
+        # a float index used to read as the patch below it, so that patch
+        # trained twice; the others were accepted as they stood
+        ("index", 3.9), ("index", True), ("index", "repeat"), ("centroid", ["a", "b"]),
+        ("scale", -3.0), ("scale", float("nan")),
+    ], ids=["float-index", "bool-index", "repeated-index", "centroid-of-strings",
+            "negative-scale", "nan-scale"])
+    def test_bad_patch_record_exits_1_naming_the_file(self, capsys, archive, tmp_path,
+                                                       field, value):
+        data = tmp_path / "archive"
+        shutil.copytree(archive, data)
+        meta = sorted(data.glob("*/meta.json"))[0]
+        manifest = json.loads(meta.read_text())
+        rec = manifest["patches"][1]
+        rec[field] = manifest["patches"][0]["index"] if value == "repeat" else value
+        meta.write_text(json.dumps(manifest))
+        out = tmp_path / "run"
+        code, stdout, err = run(capsys, "train", "--data", str(data), "--out", str(out))
+        assert code == 1
+        assert stdout == ""
+        assert err == (f"error: {meta}: malformed manifest: patch record {rec}: needs an "
+                       "unused integer index >= 0, a centroid of 3 finite numbers and a "
+                       "finite scale > 0\n")
+        assert not (out / "losses.csv").exists()
+
     @pytest.mark.parametrize("leftover", ["losses.csv", "ckpt_000002/", "ckpt_partial"])
     def test_out_holding_part_of_a_run_is_refused(self, capsys, tmp_path, leftover):
         # refused before the (missing) archive is even looked at
