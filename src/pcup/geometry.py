@@ -151,9 +151,6 @@ class SpatialIndex:
         self.points = pts
         self.tree = cKDTree(pts)
 
-    def __len__(self):
-        return len(self.points)
-
     def knn(self, query, k):
         """The k nearest indexed points of one query point, or of each row
         of an (m, 3) array of them, ascending by (distance, index).

@@ -396,9 +396,6 @@ class PatchGrower:
         dist[order], nbr[order] = tree.query(tree.data[order], w, workers=_workers(n))
         self._graph = _pool_graph(dist, nbr)
 
-    def __len__(self):
-        return len(self.pool)
-
     def distances_from(self, sources, limit=np.inf):
         """Graph distances from one or more pool indices to every pool
         point; unreachable entries, and those beyond `limit`, are +inf."""

@@ -144,6 +144,9 @@ class TrainConfig:
                 raise ValueError(f"{key} must be at least 1, got {getattr(self, key)}")
         if not 0.0 < self.patch_fraction < 0.5:  # what PatchGrower.grow accepts; nan fails
             raise ValueError(f"patch_fraction must be in (0, 0.5), got {self.patch_fraction}")
+        if not math.isfinite(5 * self.n_target / self.patch_fraction):  # build_dataset's pool
+            raise ValueError(f"patch_fraction must leave a finite pool of 5 x {self.n_target} "
+                             f"target points / patch_fraction, got {self.patch_fraction}")
         if self.group_k < 1:  # train checks the upper bound against the archive's n_input
             raise ValueError(f"group_k must be in 1..n_input = {self.n_input}, "
                              f"got {self.group_k}")
@@ -411,43 +414,60 @@ class TrainResult:
     history: list
 
 
-def _batch_mean(values):
-    """Patch values summed in patch order, then scaled by 1 / B: the
-    batch loss whose gradient the patches' 1 / B backward calls add up."""
-    total = values[0]
-    for value in values[1:]:
-        total += value
-    return (1.0 / len(values)) * total
-
-
-def _dump_batch(out_dir, step, batch):
-    path = os.path.join(out_dir, f"nan_dump_{step:06d}.npz")
-    np.savez(
-        path,
-        inputs=np.stack([p for p, _ in batch]),
-        targets=np.stack([q for _, q in batch]),
+def _generator_patch(gparams, dparams, cfg, p, q, uni_seed, weight):
+    """(term, adv, rec, uni) values of one patch's compound loss, whose
+    gradient, scaled by `weight`, backward adds into gparams. D's values
+    enter as constants, so nothing is added into dparams."""
+    out_node = generate_node(gparams, cfg, p)[0]
+    rec_node, _ = lo.reconstruction_loss(out_node, q)
+    uni_node = None
+    if not cfg.ablate_uniform:
+        uni_node = lo.uniform_loss(out_node, metrics.P_VALUES, cfg.uniform_seed_count, uni_seed)
+    adv_node = None
+    if dparams is not None:
+        frozen = {name: ad.constant(node.value) for name, node in dparams.items()}
+        adv_node = lo.generator_adversarial_loss(discriminate_node(frozen, cfg, out_node))
+    term = lo.compound_generator_loss(adv_node, rec_node, uni_node)
+    ad.backward(ad.scale(term, weight))
+    return tuple(
+        None if node is None else float(node.value[0, 0])
+        for node in (term, adv_node, rec_node, uni_node)
     )
-    return path
 
 
-def _require_finite(value, label, out_dir, step, batch):
-    if not np.isfinite(value):
-        path = _dump_batch(out_dir, step, batch)
-        raise RuntimeError(
-            f"non-finite {label} ({value}) at step {step}; offending batch saved to {path}"
-        )
+def _discriminator_patch(gparams, dparams, cfg, p, q, weight):
+    """(term, d_fake, d_real) values of one patch's discriminator loss,
+    whose gradient, scaled by `weight`, backward adds into dparams."""
+    conf_fake = discriminate_node(dparams, cfg, generate(gparams, cfg, p))
+    conf_real = discriminate_node(dparams, cfg, q)
+    term = lo.discriminator_adversarial_loss(conf_fake, conf_real)
+    ad.backward(ad.scale(term, weight))
+    return tuple(float(node.value[0, 0]) for node in (term, conf_fake, conf_real))
 
 
-def _require_finite_params(params, label, out_dir, step, batch):
-    # a saturated activation can keep the loss finite while its backward
-    # pass poisons the weights, so divergence is caught at the update
-    for name in params.names():
-        if not np.isfinite(params[name].value).all():
-            path = _dump_batch(out_dir, step, batch)
-            raise RuntimeError(
-                f"non-finite {label} ({name}) after update at step {step}; "
-                f"offending batch saved to {path}"
-            )
+def _update(params, lr, terms, label, out_dir, step, batch):
+    """The batch loss, the patches' terms summed in patch order and scaled
+    by 1 / B, whose gradient their backward calls added up; then one Adam
+    step of params at rate lr. A non-finite loss stops before the step and
+    a non-finite parameter after it, each saving the batch to out_dir."""
+    loss = terms[0]
+    for term in terms[1:]:
+        loss += term
+    loss = (1.0 / len(terms)) * loss
+    if not np.isfinite(loss):
+        problem = f"{label} loss ({loss})"
+    else:
+        ad.adam_step(params, lr)
+        # a saturated activation can keep the loss finite while its backward
+        # pass poisons the weights, so divergence is caught at the update
+        bad = [name for name, node in params.items() if not np.isfinite(node.value).all()]
+        if not bad:
+            return loss
+        problem = f"{label} parameter ({bad[0]}) after update"
+    path = os.path.join(out_dir, f"nan_dump_{step:06d}.npz")
+    np.savez(path, inputs=np.stack([p for p, _ in batch]),
+             targets=np.stack([q for _, q in batch]))
+    raise RuntimeError(f"non-finite {problem} at step {step}; offending batch saved to {path}")
 
 
 def save_checkpoint(ckpt_dir, gparams, dparams, cfg):
@@ -507,35 +527,7 @@ def train(pairs, cfg, out_dir):
     # scaled by 1 / B, and dies when its function returns, so memory holds
     # one patch's graph whatever the batch size. Gradients add up in the
     # Params nodes across the calls.
-    def generator_patch(p, q, uni_seed):
-        """(term, adv, rec, uni) values of one patch's compound loss."""
-        out_node = generate_node(gparams, cfg, p)[0]
-        rec_node, _ = lo.reconstruction_loss(out_node, q)
-        uni_node = None
-        if not cfg.ablate_uniform:
-            uni_node = lo.uniform_loss(out_node, metrics.P_VALUES, cfg.uniform_seed_count,
-                                       uni_seed)
-        adv_node = None
-        if dparams is not None:
-            adv_node = lo.generator_adversarial_loss(
-                discriminate_node(dparams, cfg, out_node)
-            )
-        term = lo.compound_generator_loss(adv_node, rec_node, uni_node)
-        ad.backward(ad.scale(term, 1.0 / batch_size))
-        return tuple(
-            None if node is None else float(node.value[0, 0])
-            for node in (term, adv_node, rec_node, uni_node)
-        )
-
-    def discriminator_patch(p, q):
-        """(term, d_fake, d_real) values of one patch's discriminator loss."""
-        fake_pts = generate(gparams, cfg, p)
-        conf_fake = discriminate_node(dparams, cfg, fake_pts)
-        conf_real = discriminate_node(dparams, cfg, q)
-        term = lo.discriminator_adversarial_loss(conf_fake, conf_real)
-        ad.backward(ad.scale(term, 1.0 / batch_size))
-        return tuple(float(node.value[0, 0]) for node in (term, conf_fake, conf_real))
-
+    weight = 1.0 / batch_size
     history = []
     log_path = os.path.join(out_dir, "losses.csv")
     with open(log_path, "w", encoding="ascii") as logfh:
@@ -551,25 +543,18 @@ def train(pairs, cfg, out_dir):
                 batch.append(augment_pair(pair.target[picks], pair.target, rng))
             uni_seed = int(rng.integers(2**31 - len(metrics.P_VALUES)))
 
-            g_terms, adv_vals, rec_vals, uni_vals = zip(
-                *[generator_patch(p, q, uni_seed) for p, q in batch]
-            )
-            g_loss_val = _batch_mean(g_terms)
-            _require_finite(g_loss_val, "generator loss", out_dir, step, batch)
-            ad.adam_step(gparams, lr_g)
-            _require_finite_params(gparams, "generator parameter", out_dir, step, batch)
-            if dparams is not None:
-                dparams.zero_grad()  # adversarial term leaks gradient into D; discard
+            g_terms, adv_vals, rec_vals, uni_vals = zip(*[
+                _generator_patch(gparams, dparams, cfg, p, q, uni_seed, weight) for p, q in batch
+            ])
+            g_loss_val = _update(gparams, lr_g, g_terms, "generator", out_dir, step, batch)
 
             d_loss_val = d_real = d_fake = None
             if dparams is not None:
-                d_terms, fakes, reals = zip(*[discriminator_patch(p, q) for p, q in batch])
-                d_loss_val = _batch_mean(d_terms)
-                _require_finite(d_loss_val, "discriminator loss", out_dir, step, batch)
-                ad.adam_step(dparams, lr_d)
-                _require_finite_params(
-                    dparams, "discriminator parameter", out_dir, step, batch
-                )
+                d_terms, fakes, reals = zip(*[
+                    _discriminator_patch(gparams, dparams, cfg, p, q, weight) for p, q in batch
+                ])
+                d_loss_val = _update(dparams, lr_d, d_terms, "discriminator", out_dir, step,
+                                     batch)
                 d_real = float(np.mean(reals))
                 d_fake = float(np.mean(fakes))
 

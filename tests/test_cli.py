@@ -175,6 +175,18 @@ class TestPrepare:
         assert stdout == ""
         assert not out.exists()
 
+    def test_fraction_without_a_finite_pool_exits_1(self, capsys, tmp_path, mesh_dir):
+        # the pool of 5 x 1024 target points / 1e-320 overflows to infinity,
+        # whose ceil() used to escape main as an OverflowError traceback
+        out = tmp_path / "archive"
+        code, stdout, err = run(capsys, "prepare", "--meshes", str(mesh_dir),
+                                "--out", str(out), "--fraction", "1e-320")
+        assert code == 1
+        assert err.splitlines() == ["error: patch_fraction must leave a finite pool of "
+                                    "5 x 1024 target points / patch_fraction, got 1e-320"]
+        assert stdout == ""
+        assert not out.exists()
+
     def test_archive_layout(self, archive, capsys):
         assert (archive / "config.txt").is_file()
         assert (archive / "tetra" / "patch_0000_input.xyz").is_file()

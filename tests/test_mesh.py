@@ -302,7 +302,7 @@ class TestGrowthOracle:
         patch = grower.grow(seed_position, fraction)
         src = nearest_pool_index(grower, seed_position)
         order, dist = helpers.full_dijkstra_patch(
-            grower.pool.positions, src, math.ceil(fraction * len(grower)), k)
+            grower.pool.positions, src, math.ceil(fraction * len(grower.pool)), k)
         assert np.array_equal(patch, order)
         # the class's method: a test that records grow()'s calls on the
         # instance sees only those
@@ -401,7 +401,7 @@ class TestBoundedDistances:
 
     def test_icosphere_pool(self, icosphere_mesh, rng):
         grower = PatchGrower(area_weighted_sample(icosphere_mesh, 5000, rng))
-        sources = rng.choice(len(grower), size=5, replace=False)
+        sources = rng.choice(len(grower.pool), size=5, replace=False)
         # reached distances as limits too, so points lie on the limit
         limits = [0.05, 0.3, *np.sort(grower.distances_from(sources[0]))[[10, 250, 2000]]]
         self.check(grower, sources[0], limits)
@@ -510,7 +510,7 @@ class TestPoolGraph:
             held, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert len(grower) == 102400
+        assert len(grower.pool) == 102400
         assert held <= 15 * 2**20 and peak <= 45 * 2**20
 
 

@@ -321,6 +321,8 @@ class TestConfig:
         ({"rate": 0}, "rate must be at least 1, got 0"),
         *(({"patch_fraction": value}, f"patch_fraction must be in (0, 0.5), got {value}")
           for value in (float("nan"), 0.0, -0.1, 0.5, 0.9)),
+        ({"patch_fraction": 1e-320}, "patch_fraction must leave a finite pool of 5 x 32 "
+                                     "target points / patch_fraction, got 1e-320"),
         *(({key: value}, f"{key} must be at least 1, got {value}")
           for key in ("pool_size", "patches_per_mesh") for value in (0, -2)),
         *(({"group_k": value}, f"group_k must be in 1..n_input = 16, got {value}")
@@ -513,7 +515,6 @@ class TestTrainLoop:
         out = tmp_path / "run"
         result = tr.train(pairs, cfg, out)
         assert len(result.history) == 3
-        assert len(result.history) == 3
         for row in result.history:
             for key in ("loss_d", "loss_g", "adv_g", "rec", "uni", "d_real", "d_fake"):
                 assert np.isfinite(row[key]), key
@@ -557,6 +558,44 @@ class TestTrainLoop:
         assert row["loss_d"] is None and row["adv_g"] is None
         assert np.isfinite(row["rec"])
         assert not (tmp_path / "run" / "ckpt_000002" / "discriminator.params").exists()
+
+    @staticmethod
+    def _networks_and_batch(pairs, cfg):
+        rng = np.random.default_rng(cfg.seed)
+        gparams = init_generator(cfg, rng)
+        dparams = init_discriminator(cfg, rng)
+        batch = [(pair.target[rng.choice(len(pair.target), size=cfg.n_input, replace=False)],
+                  pair.target) for pair in pairs[:cfg.batch_size]]
+        return gparams, dparams, batch
+
+    def test_generator_step_adds_nothing_into_the_discriminator(self, tiny_pairs):
+        pairs, cfg = tiny_pairs
+        gparams, dparams, [(p, q), *_] = self._networks_and_batch(pairs, cfg)
+        values = tr._generator_patch(gparams, dparams, cfg, p, q, 7, 0.5)
+        assert all(np.isfinite(v) for v in values)
+        assert [name for name, node in dparams.items() if node.grad is not None] == []
+        assert [name for name, node in gparams.items() if node.grad is None] == []
+
+    def test_generator_gradient_is_patches_summed_in_order(self, tiny_pairs):
+        # what a worker per patch would return: each patch's gradient in
+        # buffers of its own, added in patch order, gives the serial
+        # accumulation's bits, since each generator parameter gets one push
+        # per patch. The discriminator step pushes twice per parameter and
+        # patch (fake, then real), so its per-patch sums round differently
+        pairs, _ = tiny_pairs
+        cfg = tr.TrainConfig(**{**TINY, "batch_size": 3})
+        gparams, dparams, batch = self._networks_and_batch(pairs, cfg)
+        per_patch = []
+        for p, q in batch:
+            tr._generator_patch(gparams, dparams, cfg, p, q, 7, 1.0 / 3)
+            per_patch.append({name: node.grad for name, node in gparams.items()})
+            gparams.zero_grad()
+        for p, q in batch:
+            tr._generator_patch(gparams, dparams, cfg, p, q, 7, 1.0 / 3)
+        for name, node in gparams.items():
+            total = per_patch[0][name] + per_patch[1][name]
+            total += per_patch[2][name]
+            assert total.tobytes() == node.grad.tobytes(), name
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_non_finite_loss_aborts_with_dump(self, tiny_pairs, tmp_path, monkeypatch):

@@ -14,7 +14,8 @@ no columns the attention push's row blocks must give the whole
 product's bits on these settings too; with the discriminator's pooled
 feature as its one code, and with the generator's six code rows, the op
 must match the stored-weights op over the explicit copies within
-tolerance.
+tolerance. Each patch's generator gradient, taken alone and added in
+patch order, must give the bits of the batch's serial accumulation.
 
 `bench-smoke` runs one round of each workload and one traced round of
 `train_desk` through perfbench/run.py, each of which must report
@@ -49,6 +50,7 @@ BLAS_SETTINGS = [
 
 PINNED_TESTS = [
     "tests/test_training.py::TestTrainLoop::test_batch_of_three_reproduces_recorded_bytes",
+    "tests/test_training.py::TestTrainLoop::test_generator_gradient_is_patches_summed_in_order",
     "tests/test_networks.py::TestWidths::test_initial_parameters_are_pinned",
     "tests/test_acceptance.py::test_c10_determinism",
     "tests/test_metrics.py::TestEmdExact",
