@@ -321,12 +321,12 @@ class TestConfig:
         ({"rate": 0}, "rate must be at least 1, got 0"),
         *(({"patch_fraction": value}, f"patch_fraction must be in (0, 0.5), got {value}")
           for value in (float("nan"), 0.0, -0.1, 0.5, 0.9)),
-        ({"patch_fraction": 1e-320}, "patch_fraction must leave a finite pool of 5 x 32 "
-                                     "target points / patch_fraction, got 1e-320"),
         *(({key: value}, f"{key} must be at least 1, got {value}")
           for key in ("pool_size", "patches_per_mesh") for value in (0, -2)),
         *(({"group_k": value}, f"group_k must be in 1..n_input = 16, got {value}")
           for value in (0, -1)),
+        ({"patch_fraction": 1e-320}, "patch_fraction must leave a finite pool of 5 x 32 "
+                                     "target points / patch_fraction, got 1e-320"),
     ])
     def test_value_no_run_can_use_refused_however_made(self, tmp_path, changes, message):
         match = f"^{re.escape(message)}$"
