@@ -283,8 +283,9 @@ def main(argv=None):
         return int(exc.code or 0)
     try:
         return int(args.func(args) or 0)
-    except (ValueError, RuntimeError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, RuntimeError, OSError, MemoryError) as exc:
+        # Python's own MemoryError has no message
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
 
 

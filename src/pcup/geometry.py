@@ -83,14 +83,17 @@ def pairwise_distances(a, b):
 _PARALLEL_MIN = 4096
 
 
-def _workers(m):
-    """Threads for a batched kd-tree query of m points: 1 below
-    _PARALLEL_MIN, from it on every CPU the process may run on."""
-    if m < _PARALLEL_MIN:
-        return 1
+def _cores():
+    """The number of CPUs the process may run on."""
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
+
+
+def _workers(m):
+    """Threads for a batched kd-tree query of m points: 1 below
+    _PARALLEL_MIN, from it on every CPU the process may run on."""
+    return 1 if m < _PARALLEL_MIN else _cores()
 
 
 def _padded(radius):

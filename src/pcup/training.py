@@ -6,11 +6,15 @@ Every random decision flows from one seeded generator, so a fixed
 TrainConfig reproduces byte-identical archives, logs, and checkpoints.
 """
 
+import contextlib
+import ctypes
 import json
 import math
+import multiprocessing
 import os
 import re
 import sys
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
 from typing import ClassVar
 
@@ -21,6 +25,7 @@ from . import losses as lo
 from . import metrics
 from .geometry import (
     SpatialIndex,
+    _cores,
     as_points,
     denormalize,
     farthest_point_sampling,
@@ -147,6 +152,9 @@ class TrainConfig:
         if not math.isfinite(5 * self.n_target / self.patch_fraction):  # build_dataset's pool
             raise ValueError(f"patch_fraction must leave a finite pool of 5 x {self.n_target} "
                              f"target points / patch_fraction, got {self.patch_fraction}")
+        if not 5 * self.n_target / self.patch_fraction < 2**63:  # ceil() of it is an int64
+            raise ValueError(f"patch_fraction must leave a pool of 5 x {self.n_target} target "
+                             f"points / patch_fraction within int64, got {self.patch_fraction}")
         if self.group_k < 1:  # train checks the upper bound against the archive's n_input
             raise ValueError(f"group_k must be in 1..n_input = {self.n_input}, "
                              f"got {self.group_k}")
@@ -590,17 +598,77 @@ def train(pairs, cfg, out_dir):
 # inference
 
 
+def _openblas_threads():
+    """(get, set) functions of the thread count of numpy's bundled
+    OpenBLAS; a RuntimeError where numpy has none."""
+    try:
+        lib = ctypes.CDLL(np._core._multiarray_umath.__file__)
+        get, put = lib.scipy_openblas_get_num_threads64_, lib.scipy_openblas_set_num_threads64_
+    except (AttributeError, OSError):
+        raise RuntimeError("cannot run numpy's BLAS at one thread: numpy's bundled OpenBLAS "
+                           "(scipy_openblas_set_num_threads64_) was not found") from None
+    get.argtypes, get.restype = [], ctypes.c_int
+    put.argtypes, put.restype = [ctypes.c_int], None
+    return get, put
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """numpy's BLAS at one thread inside the with block, and at its old
+    count after it. A matrix product's bits depend on the thread count."""
+    get, put = _openblas_threads()
+    threads = get()
+    put(1)
+    try:
+        yield
+    finally:
+        put(threads)
+
+
+# (params, cfg) in a generator worker process, set by its initializer;
+# under fork the worker inherits them, so they are never pickled
+_worker_model = None
+
+
+def _hold_model(params, cfg):
+    global _worker_model
+    _worker_model = params, cfg
+
+
+def _generate_block(patches):
+    return generate(*_worker_model, patches)
+
+
+def _generate_on_cores(params, cfg, stack):
+    """generate of a (P, N, 3) stack, split into W = min(cores, P)
+    contiguous row blocks, each run in a `fork` worker process of a pool
+    that lives for this call only, the results joined in block order.
+    generate's stacked trim is exact per row, so the array is that of one
+    call on the whole stack. W = 1, or a platform without `fork`, runs
+    that call in this process. Workers inherit the BLAS thread count."""
+    workers = min(_cores(), len(stack))
+    if workers == 1 or "fork" not in multiprocessing.get_all_start_methods():
+        return generate(params, cfg, stack)
+    with ProcessPoolExecutor(workers, multiprocessing.get_context("fork"),
+                             initializer=_hold_model, initargs=(params, cfg)) as pool:
+        return np.concatenate(list(pool.map(_generate_block, np.array_split(stack, workers))))
+
+
 def upsample_cloud(points, params, cfg, overlap_factor=3, generator_fn=None):
     """Patch-based upsampling of a whole cloud to rate * len(points).
 
     Farthest-point seeds cover the cloud with overlap_factor redundancy
     (at least 1); each seed's N nearest input points form a patch. A
     cloud smaller than N is one patch, padded by cycling its own points.
-    Every patch is normalized, the generator upsamples the stack of them
-    in one call, each output is mapped back, and the union is trimmed to
-    exactly rate * len(points) by farthest point sampling.
+    Every patch is normalized, the generator upsamples the stack of them,
+    each output is mapped back, and the union is trimmed to exactly
+    rate * len(points) by farthest point sampling.
     `generator_fn` maps (params, cfg, (P, N, 3) stack) -> (P, rate *
-    N, 3) stack and defaults to the real network.
+    N, 3) stack and is called once, in this process. By default the
+    real network runs on up to one worker process per core. The whole
+    call runs numpy's BLAS at one thread, so the array depends on
+    neither the core count nor the BLAS thread count; a numpy without
+    its bundled OpenBLAS is a RuntimeError.
     """
     pts = as_points(points)
     n = len(pts)
@@ -609,17 +677,18 @@ def upsample_cloud(points, params, cfg, overlap_factor=3, generator_fn=None):
     if not overlap_factor >= 1:
         raise ValueError(f"overlap_factor must be at least 1, got {overlap_factor}")
     if generator_fn is None:
-        generator_fn = generate
+        generator_fn = _generate_on_cores
     n_in = cfg.n_input
-    if n < n_in:
-        patches = pts[np.arange(n_in) % n][None]
-    else:
-        seed_count = max(1, min(n, math.ceil(overlap_factor * n / n_in)))
-        seeds = farthest_point_sampling(pts, seed_count, 0)
-        patches = pts[SpatialIndex(pts).knn(pts[seeds], n_in)[0]]
-    frames = [normalize_unit_sphere(patch) for patch in patches]
-    up = generator_fn(params, cfg, np.stack([normed for normed, _, _ in frames]))
-    union = np.vstack([denormalize(u, centroid, scale)
-                       for u, (_, centroid, scale) in zip(up, frames)])
-    keep = farthest_point_sampling(union, cfg.rate * n, 0)
+    with _one_blas_thread():
+        if n < n_in:
+            patches = pts[np.arange(n_in) % n][None]
+        else:
+            seed_count = max(1, min(n, math.ceil(overlap_factor * n / n_in)))
+            seeds = farthest_point_sampling(pts, seed_count, 0)
+            patches = pts[SpatialIndex(pts).knn(pts[seeds], n_in)[0]]
+        frames = [normalize_unit_sphere(patch) for patch in patches]
+        up = generator_fn(params, cfg, np.stack([normed for normed, _, _ in frames]))
+        union = np.vstack([denormalize(u, centroid, scale)
+                           for u, (_, centroid, scale) in zip(up, frames)])
+        keep = farthest_point_sampling(union, cfg.rate * n, 0)
     return union[keep]

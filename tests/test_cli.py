@@ -2,6 +2,7 @@
 prepare -> train -> upsample -> eval chain on a tiny workload."""
 
 import json
+import multiprocessing
 import os
 import re
 import shutil
@@ -17,6 +18,7 @@ import pytest
 import helpers
 import pcup
 from pcup import autodiff as ad
+from pcup import training
 from pcup.cli import main
 from pcup.geometry import read_xyz, write_xyz
 from pcup.mesh import area_weighted_sample, load_mesh
@@ -184,6 +186,33 @@ class TestPrepare:
         assert code == 1
         assert err.splitlines() == ["error: patch_fraction must leave a finite pool of "
                                     "5 x 1024 target points / patch_fraction, got 1e-320"]
+        assert stdout == ""
+        assert not out.exists()
+
+    def test_fraction_beyond_an_int64_pool_exits_1(self, capsys, tmp_path, mesh_dir):
+        # the pool of 5 x 1024 target points / 1e-300 is finite, but too large
+        # for the int64 that Generator.choice used to overflow on
+        out = tmp_path / "archive"
+        code, stdout, err = run(capsys, "prepare", "--meshes", str(mesh_dir),
+                                "--out", str(out), "--fraction", "1e-300")
+        assert code == 1
+        assert err.splitlines() == ["error: patch_fraction must leave a pool of 5 x 1024 "
+                                    "target points / patch_fraction within int64, got 1e-300"]
+        assert stdout == ""
+        assert not out.exists()
+
+    def test_out_of_memory_exits_1(self, capsys, tmp_path, mesh_dir, monkeypatch):
+        # a pool too large for memory, as at --fraction 1e-9, used to escape
+        # main as a MemoryError traceback; Python's own has no message
+        def out_of_memory(mesh, n, rng):
+            raise MemoryError()
+
+        monkeypatch.setattr(training, "area_weighted_sample", out_of_memory)
+        out = tmp_path / "archive"
+        code, stdout, err = run(capsys, "prepare", "--meshes", str(mesh_dir), "--out", str(out),
+                                *PREPARE_TINY, "--pool-size", "4000")
+        assert code == 1
+        assert err.splitlines() == ["error: MemoryError"]
         assert stdout == ""
         assert not out.exists()
 
@@ -779,6 +808,61 @@ class TestUpsample:
         assert stdout == ""
         assert len(err.splitlines()) == 1
         assert err.startswith(f"error: {key} must be ")
+        assert not dst.exists()
+
+    @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                        reason="the generator runs in worker processes only under fork")
+    @pytest.mark.parametrize("failure, message", [
+        ("raise", "generator failed"),
+        ("exit", "A process in the process pool was terminated abruptly while the future "
+                 "was running or pending."),
+    ], ids=["raise", "exit"])
+    def test_failing_worker_exits_1_leaving_no_process(self, capsys, run_dir, tmp_path, rng,
+                                                       monkeypatch, failure, message):
+        def failing(params, cfg, stack):
+            if failure == "exit":
+                os._exit(3)
+            raise RuntimeError("generator failed")
+
+        # 40 points make 8 patches, on two workers whatever this machine has
+        monkeypatch.setattr(training, "generate", failing)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        src = tmp_path / "cloud.xyz"
+        write_xyz(src, rng.normal(size=(40, 3)))
+        dst = tmp_path / "o.xyz"
+        code, stdout, err = run(
+            capsys, "upsample", "--in", str(src),
+            "--ckpt", str(run_dir / "ckpt_000002"), "--out", str(dst),
+        )
+        assert code == 1
+        assert stdout == ""
+        assert err.splitlines() == [f"error: {message}"]
+        assert not dst.exists()
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("lookup", ["no symbol", "no library"])
+    def test_numpy_without_its_openblas_exits_1(self, capsys, run_dir, tmp_path, rng,
+                                                monkeypatch, lookup):
+        # the generator's bits depend on the BLAS thread count, so upsample
+        # refuses to run at the library's default count
+        def cdll(path):
+            if lookup == "no library":
+                raise OSError(f"{path}: cannot open shared object file")
+            return object()
+
+        monkeypatch.setattr(training.ctypes, "CDLL", cdll)
+        src = tmp_path / "cloud.xyz"
+        write_xyz(src, rng.normal(size=(20, 3)))
+        dst = tmp_path / "o.xyz"
+        code, stdout, err = run(
+            capsys, "upsample", "--in", str(src),
+            "--ckpt", str(run_dir / "ckpt_000002"), "--out", str(dst),
+        )
+        assert code == 1
+        assert stdout == ""
+        assert err.splitlines() == ["error: cannot run numpy's BLAS at one thread: numpy's "
+                                    "bundled OpenBLAS (scipy_openblas_set_num_threads64_) "
+                                    "was not found"]
         assert not dst.exists()
 
     @pytest.mark.parametrize("overlap", ["0", "-2"])

@@ -7,9 +7,13 @@ import dataclasses
 import glob
 import hashlib
 import math
+import multiprocessing
 import os
 import re
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -327,6 +331,8 @@ class TestConfig:
           for value in (0, -1)),
         ({"patch_fraction": 1e-320}, "patch_fraction must leave a finite pool of 5 x 32 "
                                      "target points / patch_fraction, got 1e-320"),
+        ({"patch_fraction": 1e-300}, "patch_fraction must leave a pool of 5 x 32 target "
+                                     "points / patch_fraction within int64, got 1e-300"),
     ])
     def test_value_no_run_can_use_refused_however_made(self, tmp_path, changes, message):
         match = f"^{re.escape(message)}$"
@@ -833,7 +839,9 @@ class TestUpsampleCloud:
         pieces = []
         for patch in patches:
             normed, centroid, scale = normalize_unit_sphere(patch)
-            pieces.append(denormalize(generate(params, cfg, normed), centroid, scale))
+            with tr._one_blas_thread():  # as upsample_cloud runs the generator
+                up = generate(params, cfg, normed)
+            pieces.append(denormalize(up, centroid, scale))
         union = np.vstack(pieces)
         return union[farthest_point_sampling(union, cfg.rate * n, 0)]
 
@@ -875,6 +883,73 @@ class TestUpsampleCloud:
             nbr = helpers.brute_knn(pts, pts[s], cfg.n_input)
             normed = (pts[nbr] - pts[nbr].mean(axis=0))
             assert np.allclose(patch, normed / np.linalg.norm(normed, axis=1).max())
+
+    def test_same_bytes_on_one_and_two_workers(self, rng, tmp_path, monkeypatch):
+        # each generate call leaves a file named by its process and its
+        # patch count, so the test sees where the patches ran
+        def generate_noting(params, cfg, stack):
+            (tmp_path / f"{os.getpid()}-{len(stack)}").touch()
+            return generate(params, cfg, stack)
+
+        monkeypatch.setattr(tr, "generate", generate_noting)
+        cfg = tr.TrainConfig(**TINY)
+        params = init_generator(cfg, 1)
+        pts = rng.normal(size=(120, 3))  # ceil(3 * 120 / 16) = 23 patches
+        runs = []
+        for cores in ({0}, {0, 1}):
+            monkeypatch.setattr(tr.os, "sched_getaffinity", lambda pid: cores, raising=False)
+            runs.append(tr.upsample_cloud(pts, params, cfg).tobytes())
+            calls = sorted(tuple(int(v) for v in f.name.split("-")) for f in tmp_path.iterdir())
+            for f in tmp_path.iterdir():
+                f.unlink()
+            if len(cores) == 1:
+                assert calls == [(os.getpid(), 23)]
+            else:
+                assert sorted(count for _, count in calls) == [11, 12]
+                assert os.getpid() not in {pid for pid, _ in calls}
+        assert runs[0] == runs[1]
+        assert multiprocessing.active_children() == []
+
+    def test_same_bytes_at_one_and_two_blas_threads(self, tmp_path):
+        # at N=256 the generator's array differs between 1 and 2 BLAS threads
+        # when it runs at the library's count; 512 points make 6 patches
+        code = ("import hashlib, numpy as np; from pcup import training as tr; "
+                "from pcup.networks import init_generator; "
+                "cfg = tr.TrainConfig(n_input=256, rate=4); "
+                "pts = np.random.default_rng(0).normal(size=(512, 3)); "
+                "up = tr.upsample_cloud(pts, init_generator(cfg, 0), cfg); "
+                "print(up.shape, hashlib.sha256(up.tobytes()).hexdigest())")
+        src = str(Path(tr.__file__).resolve().parents[1])
+        outputs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+            proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                                  timeout=120, env=env)
+            assert proc.returncode == 0, proc.stderr
+            outputs.append(proc.stdout.strip())
+        assert outputs[0].startswith("(2048, 3) ")
+        assert outputs[0] == outputs[1]
+
+    def test_one_blas_thread_inside_old_count_after(self, rng):
+        get, put = tr._openblas_threads()
+        before = get()
+        cfg = tr.TrainConfig(**TINY)
+        seen = []
+
+        def generator(params, cfg, stack):
+            seen.append(get())
+            raise RuntimeError("generator failed")
+
+        put(2)
+        try:
+            tr.upsample_cloud(rng.normal(size=(40, 3)), init_generator(cfg, 1), cfg)
+            assert get() == 2
+            with pytest.raises(RuntimeError, match="generator failed"):
+                tr.upsample_cloud(rng.normal(size=(40, 3)), None, cfg, generator_fn=generator)
+            assert (seen, get()) == ([1], 2)
+        finally:
+            put(before)
 
     def test_written_cloud_bytes_are_pinned(self, tmp_path):
         # one digest for every OpenBLAS kernel, at 1 and 2 BLAS threads: the

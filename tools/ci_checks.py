@@ -9,9 +9,10 @@ digest set beside SkylakeX (AVX2, AVX, SSE4.2, and SSE3, which reports
 itself as Katmai), so the machine's CPU does not decide which kernel's
 digests are checked, and one BLAS thread, since the recorded digests
 hold at one and at two threads and the default is the core count. The
-written upsample file has one digest for every kernel. With one code of
-no columns the attention push's row blocks must give the whole
-product's bits on these settings too; with the discriminator's pooled
+written upsample file has one digest for every kernel, and upsample's
+array must have the same bytes at one and at two BLAS threads. With
+one code of no columns the attention push's row blocks must give the
+whole product's bits on these settings too; with the discriminator's pooled
 feature as its one code, and with the generator's six code rows, the op
 must match the stored-weights op over the explicit copies within
 tolerance. Each patch's generator gradient, taken alone and added in
@@ -60,6 +61,7 @@ PINNED_TESTS = [
     "tests/test_autodiff.py::TestAttention::test_one_code_matches_the_op_over_explicit_copies",
     "tests/test_autodiff.py::TestAttentionOverCopies::test_matches_the_op_over_explicit_copies",
     "tests/test_training.py::TestUpsampleCloud::test_written_cloud_bytes_are_pinned",
+    "tests/test_training.py::TestUpsampleCloud::test_same_bytes_at_one_and_two_blas_threads",
 ]
 
 # (workload, --trace) of the perfbench rounds
