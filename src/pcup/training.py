@@ -149,12 +149,13 @@ class TrainConfig:
                 raise ValueError(f"{key} must be at least 1, got {getattr(self, key)}")
         if not 0.0 < self.patch_fraction < 0.5:  # what PatchGrower.grow accepts; nan fails
             raise ValueError(f"patch_fraction must be in (0, 0.5), got {self.patch_fraction}")
-        if not math.isfinite(5 * self.n_target / self.patch_fraction):  # build_dataset's pool
-            raise ValueError(f"patch_fraction must leave a finite pool of 5 x {self.n_target} "
-                             f"target points / patch_fraction, got {self.patch_fraction}")
-        if not 5 * self.n_target / self.patch_fraction < 2**63:  # ceil() of it is an int64
+        # build_dataset's pool, whose largest array, area_weighted_sample's
+        # (pool, 3, 3) float64 triangle corners, must fit numpy's maximum
+        # size of 2**63 - 1 bytes; an infinite pool fails this too
+        if not 5 * self.n_target / self.patch_fraction * 72 < 2**63:
             raise ValueError(f"patch_fraction must leave a pool of 5 x {self.n_target} target "
-                             f"points / patch_fraction within int64, got {self.patch_fraction}")
+                             f"points / patch_fraction whose samples fit numpy's maximum "
+                             f"array size, got {self.patch_fraction}")
         if self.group_k < 1:  # train checks the upper bound against the archive's n_input
             raise ValueError(f"group_k must be in 1..n_input = {self.n_input}, "
                              f"got {self.group_k}")
@@ -644,10 +645,13 @@ def _generate_on_cores(params, cfg, stack):
     contiguous row blocks, each run in a `fork` worker process of a pool
     that lives for this call only, the results joined in block order.
     generate's stacked trim is exact per row, so the array is that of one
-    call on the whole stack. W = 1, or a platform without `fork`, runs
-    that call in this process. Workers inherit the BLAS thread count."""
+    call on the whole stack. W = 1, a platform without `fork`, or a
+    daemonic process, which may start no child (a multiprocessing.Pool
+    worker, say), runs that call in this process. Workers inherit the
+    BLAS thread count."""
     workers = min(_cores(), len(stack))
-    if workers == 1 or "fork" not in multiprocessing.get_all_start_methods():
+    if (workers == 1 or "fork" not in multiprocessing.get_all_start_methods()
+            or multiprocessing.current_process().daemon):
         return generate(params, cfg, stack)
     with ProcessPoolExecutor(workers, multiprocessing.get_context("fork"),
                              initializer=_hold_model, initargs=(params, cfg)) as pool:
@@ -665,7 +669,8 @@ def upsample_cloud(points, params, cfg, overlap_factor=3, generator_fn=None):
     rate * len(points) by farthest point sampling.
     `generator_fn` maps (params, cfg, (P, N, 3) stack) -> (P, rate *
     N, 3) stack and is called once, in this process. By default the
-    real network runs on up to one worker process per core. The whole
+    real network runs on up to one worker process per core, or in this
+    process when it is daemonic and may start none. The whole
     call runs numpy's BLAS at one thread, so the array depends on
     neither the core count nor the BLAS thread count; a numpy without
     its bundled OpenBLAS is a RuntimeError.

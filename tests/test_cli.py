@@ -184,20 +184,26 @@ class TestPrepare:
         code, stdout, err = run(capsys, "prepare", "--meshes", str(mesh_dir),
                                 "--out", str(out), "--fraction", "1e-320")
         assert code == 1
-        assert err.splitlines() == ["error: patch_fraction must leave a finite pool of "
-                                    "5 x 1024 target points / patch_fraction, got 1e-320"]
+        assert err.splitlines() == ["error: patch_fraction must leave a pool of 5 x 1024 "
+                                    "target points / patch_fraction whose samples fit numpy's "
+                                    "maximum array size, got 1e-320"]
         assert stdout == ""
         assert not out.exists()
 
-    def test_fraction_beyond_an_int64_pool_exits_1(self, capsys, tmp_path, mesh_dir):
-        # the pool of 5 x 1024 target points / 1e-300 is finite, but too large
-        # for the int64 that Generator.choice used to overflow on
+    @pytest.mark.parametrize("value", ["1e-300", "1e-15"])
+    def test_fraction_beyond_numpy_array_size_exits_1(self, capsys, tmp_path, mesh_dir, value):
+        # the pool of 5 x 1024 target points / value is finite, but its
+        # (pool, 3, 3) float64 triangle corners pass numpy's maximum array
+        # size: 1e-300 overflowed the int64 of Generator.choice, and 1e-15
+        # (5.12e18 points, within int64) printed numpy's "array is too big"
+        # and then "no mesh produced a usable patch set"
         out = tmp_path / "archive"
         code, stdout, err = run(capsys, "prepare", "--meshes", str(mesh_dir),
-                                "--out", str(out), "--fraction", "1e-300")
+                                "--out", str(out), "--fraction", value)
         assert code == 1
         assert err.splitlines() == ["error: patch_fraction must leave a pool of 5 x 1024 "
-                                    "target points / patch_fraction within int64, got 1e-300"]
+                                    "target points / patch_fraction whose samples fit numpy's "
+                                    f"maximum array size, got {value}"]
         assert stdout == ""
         assert not out.exists()
 

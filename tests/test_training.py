@@ -329,10 +329,9 @@ class TestConfig:
           for key in ("pool_size", "patches_per_mesh") for value in (0, -2)),
         *(({"group_k": value}, f"group_k must be in 1..n_input = 16, got {value}")
           for value in (0, -1)),
-        ({"patch_fraction": 1e-320}, "patch_fraction must leave a finite pool of 5 x 32 "
-                                     "target points / patch_fraction, got 1e-320"),
-        ({"patch_fraction": 1e-300}, "patch_fraction must leave a pool of 5 x 32 target "
-                                     "points / patch_fraction within int64, got 1e-300"),
+        *(({"patch_fraction": value}, "patch_fraction must leave a pool of 5 x 32 target "
+           "points / patch_fraction whose samples fit numpy's maximum array size, "
+           f"got {value}") for value in (1e-320, 1e-300, 1e-15)),
     ])
     def test_value_no_run_can_use_refused_however_made(self, tmp_path, changes, message):
         match = f"^{re.escape(message)}$"
@@ -908,6 +907,33 @@ class TestUpsampleCloud:
                 assert sorted(count for _, count in calls) == [11, 12]
                 assert os.getpid() not in {pid for pid, _ in calls}
         assert runs[0] == runs[1]
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                        reason="the daemonic caller is started by fork")
+    def test_daemonic_caller_runs_the_generator_itself(self, rng, tmp_path, monkeypatch):
+        # a daemonic process, such as a multiprocessing.Pool worker, may
+        # start no child, so on two cores it runs the one generate call
+        notes, out = tmp_path / "notes", tmp_path / "up.npy"
+        notes.mkdir()
+
+        def generate_noting(params, cfg, stack):
+            (notes / f"{os.getpid()}-{len(stack)}").touch()
+            return generate(params, cfg, stack)
+
+        monkeypatch.setattr(tr, "generate", generate_noting)
+        monkeypatch.setattr(tr.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        cfg = tr.TrainConfig(**TINY)
+        params = init_generator(cfg, 1)
+        pts = rng.normal(size=(120, 3))  # 23 patches
+        caller = multiprocessing.get_context("fork").Process(
+            target=lambda: np.save(out, tr.upsample_cloud(pts, params, cfg)), daemon=True)
+        caller.start()
+        caller.join(120)
+        assert caller.exitcode == 0
+        assert [f.name for f in notes.iterdir()] == [f"{caller.pid}-23"]
+        monkeypatch.setattr(tr.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        assert np.load(out).tobytes() == tr.upsample_cloud(pts, params, cfg).tobytes()
         assert multiprocessing.active_children() == []
 
     def test_same_bytes_at_one_and_two_blas_threads(self, tmp_path):
