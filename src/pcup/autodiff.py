@@ -20,19 +20,20 @@ sigmoid and the shape ops need nothing more. linear_relu keeps a
 boolean mask: its pre-activation is overwritten in place to make its
 output. gather_rows and max_over_rows keep row indices, row_distances
 the row differences, and self_attention G, H's feature and code parts
-Hf and Hc, K, the code-part weights B and two columns, each row's
-softmax maximum and sum, not the coded copies X of its input, which it
-makes only for its output: no array with a row and a column per attended
-row lives from its forward to its backward pass. Its push rebuilds the
-feature-part weights from them and turns them into their softmax
-gradient in place, so it makes one array of their size, (r * n, n) over
-r coded copies of n rows, whose (r * n, r * n) weights neither pass
-makes.
+Hf and Hc, K's parts kx and kc, the code-part weights B, their (r, r, n)
+products Q with the feature-part weights, and each row's softmax
+maximum and sum. It keeps neither K nor the coded copies X of its
+input, which it makes only for its output: no array with a row and a
+column per attended row lives from its forward to its backward pass.
+Its push rebuilds the feature-part weights from them and turns them
+into their softmax gradient in place, so it makes one array of their
+size, (r * n, n) over r coded copies of n rows, whose (r * n, r * n)
+weights neither pass makes.
 grouped_square_deviation keeps its row indices and per-group arrays.
 
 Inside `with no_grad():` a new Node keeps no parents and no push
 closure, so each intermediate array (and whatever an op's closure would
-have held, such as self_attention's G, H and K) is freed as soon as
+have held, such as self_attention's G, H and K's parts) is freed as soon as
 the next op has used it. The ops compute the same values either way;
 nothing built there can pass a gradient back. networks.generate, the
 helper that returns plain values, runs its forward pass this way;
@@ -432,16 +433,15 @@ def init_attention(params, prefix, channels, rng):
             params.add(f"{prefix}.{tag}.b", np.zeros((1, cout)))
 
 
-# Rows per block of the attention softmax, forward and backward. The
-# forward pass records each block's row maxima and sums, and the push
-# rebuilds the feature-part weights A from them, makes A's gradient by
-# row blocks and turns it into the softmax's over A's rows in place, so
-# no second array of A's size is made: at r = 1 and 1536 rows, A is
-# 18 MiB and a 128-row block 1.5 MiB. There, at 130 columns, one push
-# took a median 33-37 ms in 128-row blocks against 39-42 ms on the whole
-# product (2 Xeon cores, 31 pushes each). The rows left over join the
-# last block: a short block's product takes another BLAS path (OpenBLAS's
-# small-matrix kernel), whose rows need not be the whole product's bits.
+# Points per block of the attention op. Both passes take the softmax of
+# the feature-part weights A, and their mixing into M, by blocks of A's
+# rows (b', l') for this many points l' and every copy b'; the push also
+# takes M's product with the output gradient and A's gradient, which it
+# turns into the softmax's in place, so beside A it makes arrays of a
+# block's size only: at r = 1 and 1024 rows A is 8 MiB and a block
+# 1 MiB. The points left over join the last block: a short block's
+# product takes another BLAS path (OpenBLAS's small-matrix kernel),
+# whose rows need not be the whole product's bits.
 _ATTENTION_PUSH_ROWS = 128
 
 
@@ -457,29 +457,45 @@ def self_attention(x, codes, params, prefix):
     that init_attention made under `prefix`.
 
     Each map splits into a part of x and a part of the codes: row (b, l)
-    of X M is x_l M[:c] + codes_b M[c:]. The op takes G and K as
-    tile(x Wg[:c] + b_g, r) + repeat(codes Wg[c:], n), and likewise K,
-    and keeps H as its parts Hf = x Wh[:c] and Hc = codes Wh[c:], so each
-    weight factorises: W_(i,(b,l)) = A_il B_ib with A = row-softmax(G Hf^T)
-    of shape (r * n, n) and B = row-softmax(G Hc^T) of shape (r * n, r).
-    Copy b's output is X_b + A^T (B[:, b] * K), each row of K scaled by
-    its weight for code b. Neither pass makes the (r * n, r * n) W. At
-    r = 1, B is exactly 1 and A is W: one code adds G_i . Hc to every
-    score of row i, which the softmax cancels, so Wh[c:] gets an exactly
-    zero gradient. The push sums each map's gradient over the copies into
-    x's part and over each copy's rows into the codes' part.
+    of X M is x_l M[:c] + codes_b M[c:]. The op takes G as
+    tile(x Wg[:c] + b_g, r) + repeat(codes Wg[c:], n), keeps K as its parts
+    kx = x Wk[:c] + b_k and kc = codes Wk[c:], so that
+    K = tile(kx, r) + repeat(kc, n), and H as its parts Hf = x Wh[:c] and
+    Hc = codes Wh[c:]. So each weight factorises:
+    W_((b',l'),(b,l)) = A_((b',l'),l) B_((b',l'),b) with
+    A = row-softmax(G Hf^T) of shape (r * n, n) and B = row-softmax(G Hc^T)
+    of shape (r * n, r). Every product over the copies contracts through
+    K's two parts. Copy b's output is X_b + M_b^T kx + Q_b^T kc, with
+    M_b = sum over b' of B_b'b A_b' (each row l' of copy b''s rows A_b'
+    scaled by its weight for code b) and Q[b', b, l] = sum over l' of
+    B_((b',l'),b) A_((b',l'),l). The push takes the gradients of A and B
+    from kx d_b^T and kc d_b^T for each copy b's rows d_b of the output
+    gradient, and K's as its parts M d and Q d. Neither pass makes the
+    (r * n, r * n) W, B * K over the copies or a product of r * n rows
+    by r * width columns: a product over the copies costs r n^2 width
+    multiply-adds, and the mixing r^2 n^2. At r = 1, B is exactly 1 and
+    M is A, which is W: one code adds G_i . Hc to every score of row i,
+    which the softmax cancels, so Wh[c:] gets an exactly zero gradient.
+    The push sums each map's gradient over the copies into x's part and
+    over each copy's rows into the codes' part.
 
-    The op keeps G, Hf, Hc, K, B and each row of A's softmax maximum and
-    sum, not A, and not X, which it builds only for its output: its push
-    rebuilds A with the same product and elementwise ops, so the bits are
-    the forward pass's. The push takes A's gradient by row blocks. At
-    r = 1 its gradients are those of the whole (n, n) product of the same
-    scores wherever the BLAS gives a block the whole product's rows: below
-    256 rows (one block), and at multiples of 16 rows on OpenBLAS's
-    SkylakeX, Haswell, Sandybridge, Nehalem and Prescott kernels at 1 and
-    2 threads (SkylakeX and Haswell also at 3 and 4). Elsewhere they can
-    differ in the last bits. With zero K weights the output is exactly X.
-    Permuting x's rows permutes each copy's output rows identically.
+    The op keeps G, Hf, Hc, kx, kc, B, Q and each row of A's softmax
+    maximum and sum, not A, and not X, which it builds only for its
+    output: its push rebuilds A with the same product and elementwise
+    ops, so the bits are the forward pass's. The forward pass makes M in
+    A's place and each copy's output from one (n, n) product, at r = 1
+    the product of the op that keeps its (n, n) weights. The push takes
+    M and A's gradient by blocks of _ATTENTION_PUSH_ROWS points, and
+    over several blocks pads d's columns to a multiple of 8 for M's
+    product, so that a BLAS that splits a block's product over its
+    columns splits it as it splits the whole product. At r = 1 the
+    gradients are those of the whole (n, n) products wherever the BLAS
+    gives a block the whole product's rows: below 256 rows (one block),
+    and at multiples of 16 rows on OpenBLAS's SkylakeX, Haswell,
+    Sandybridge, Nehalem and Prescott kernels at 1 to 4 threads.
+    Elsewhere they can differ in the last bits. With zero K weights the
+    output is exactly X. Permuting x's rows permutes each copy's output
+    rows identically.
     """
     wg, bg, wh, wk, bk = (params[f"{prefix}.{t}"] for t in ("g.w", "g.b", "h.w", "k.w", "k.b"))
     xv, cv = x.value, codes.value
@@ -492,73 +508,80 @@ def self_attention(x, codes, params, prefix):
         )
     width = wk.value.shape[1]
 
-    def over_copies(w, bias):
-        # X w + bias over X's r * n rows, from x's part and the codes' part
-        m = np.tile(_affine(xv, w.value[:c], bias.value), (r, 1))
-        m += np.repeat(cv @ w.value[c:], n, axis=0)
-        return m
-
-    g, k = over_copies(wg, bg), over_copies(wk, bk)
+    g = np.tile(_affine(xv, wg.value[:c], bg.value), (r, 1))
+    g += np.repeat(cv @ wg.value[c:], n, axis=0)
+    kx, kc = _affine(xv, wk.value[:c], bk.value), cv @ wk.value[c:]
     hf, hc = xv @ wh.value[:c], cv @ wh.value[c:]
     b = g @ hc.T
     b -= b.max(axis=1, keepdims=True)
     np.exp(b, out=b)
     b /= b.sum(axis=1, keepdims=True)
-    stops = [*range(_ATTENTION_PUSH_ROWS, len(g) - _ATTENTION_PUSH_ROWS + 1,
-                    _ATTENTION_PUSH_ROWS), len(g)]
+    b3 = b.reshape(r, n, r)  # B[(b', l'), b] as [b', l', b]
+    stops = [*range(_ATTENTION_PUSH_ROWS, n - _ATTENTION_PUSH_ROWS + 1,
+                    _ATTENTION_PUSH_ROWS), n]
     blocks = [slice(lo, hi) for lo, hi in zip([0, *stops], stops)]
-    peaks, sums = np.empty((len(g), 1)), np.empty((len(g), 1))
+    peaks, sums = np.empty((r, n, 1)), np.empty((r, n, 1))
 
-    def weights(record):
-        # A's row softmax in place, block by block; `record` stores each
-        # row's maximum and sum, else the stored ones are used
-        a = g @ hf.T
-        for rows in blocks:
-            block = a[rows]
-            if record:
-                peaks[rows] = block.max(axis=1, keepdims=True)
-            block -= peaks[rows]
-            np.exp(block, out=block)
-            if record:
-                sums[rows] = block.sum(axis=1, keepdims=True)
-            block /= sums[rows]
-        return a
+    def scores():
+        # G Hf^T as [b', l', l]
+        return (g @ hf.T).reshape(r, n, n)
 
-    def values(rows):
-        # B_b * K for every copy b side by side, over `rows`: (rows, r * width)
-        return (b[rows, :, None] * k[rows, None, :]).reshape(-1, r * width)
+    def softmax(a3, rows, record=False):
+        # A's rows (b', l') for the points l' in `rows`, the row softmax of
+        # the scores in place; `record` stores each row's maximum and sum,
+        # else the stored ones are used
+        block = a3[:, rows]
+        if record:
+            peaks[:, rows] = block.max(axis=2, keepdims=True)
+        block -= peaks[:, rows]
+        np.exp(block, out=block)
+        if record:
+            sums[:, rows] = block.sum(axis=2, keepdims=True)
+        block /= sums[:, rows]
+        return block
 
-    def parts(dm):
-        # a gradient over X's rows: x's part, summed over the copies, and
-        # the codes' part, summed over each copy's rows
-        copies = dm.reshape(r, n, -1)
-        return copies.sum(axis=0), copies.sum(axis=1)
+    def mixed(block, rows):
+        # M's rows (b, l') from A's rows (b', l') for the points l' in `rows`:
+        # M_b = sum over b' of B_b'b A_b', each row of A_b' scaled by its
+        # weight for copy b, so at r = 1 M is A; as [l', b, l]
+        return np.matmul(b3[:, rows].transpose(1, 2, 0), block.transpose(1, 0, 2))
 
     def push(d):
-        a = weights(False)
-        # d with each copy's rows side by side: (n, r * width)
-        dcat = d.reshape(r, n, width).swapaxes(0, 1).reshape(n, -1)
-        # Y_b = A D_b for each copy b's rows D_b of d
-        dk, db = np.zeros_like(k), np.empty_like(b)
-        for copy in range(r):
-            y = a @ d[copy * n:(copy + 1) * n]
-            db[:, copy] = np.einsum("ij,ij->i", k, y)
-            y *= b[:, copy:copy + 1]
-            dk += y
-        for rows in blocks:  # dP = A * (dA - rowsum(dA * A)) over A's rows
-            block, da = a[rows], values(rows) @ dcat.T
-            da -= (da * block).sum(axis=1, keepdims=True)
+        a3 = scores()
+        # over several blocks, d's columns padded to a multiple of 8: a BLAS
+        # that splits a block's product with M over its columns then splits
+        # it where it splits the whole product
+        dm = d if len(blocks) == 1 else np.pad(d, ((0, 0), (0, -width % 8)))
+        ec = (kc @ d.T).reshape(r, r, n)  # kc_b' . d_(b, l) as [b', b, l]
+        dkx, db = np.empty_like(kx), np.empty_like(b)
+        db3 = db.reshape(r, n, r)
+        for rows in blocks:
+            block, coef = softmax(a3, rows), b3[:, rows]
+            dkx[rows] = (mixed(block, rows).reshape(-1, r * n) @ dm)[:, :width]
+            # dA and dB from K_(b', l') . d_(b, l) = ex[l', b, l] + ec[b', b, l]
+            ex = (kx[rows] @ d.T).reshape(-1, r, n)
+            db3[:, rows] = np.matmul(block.transpose(1, 0, 2),
+                                     ex.transpose(0, 2, 1)).transpose(1, 0, 2)
+            db3[:, rows] += np.matmul(block, ec.transpose(0, 2, 1))
+            da = np.einsum("pqb,qbl->pql", coef, ex)
+            da += np.einsum("pqb,pbl->pql", coef, ec)
+            # dP = A * (dA - rowsum(dA * A)) over A's rows
+            da -= (da * block).sum(axis=2, keepdims=True)
             block *= da
+        a = a3.reshape(r * n, n)
         db -= (db * b).sum(axis=1, keepdims=True)
         db *= b
         dg = a @ hf
         dg += db @ hc
         dhf, dhc = a.T @ g, db.T @ g
+        dkc = q.reshape(r, r * n) @ d
         bg.grad += dg.sum(axis=0, keepdims=True)
-        bk.grad += dk.sum(axis=0, keepdims=True)
+        bk.grad += dkx.sum(axis=0, keepdims=True)
         copies = d.reshape(r, n, -1)  # the residual's parts
         dx, dcodes = copies[:, :, :c].sum(axis=0), copies[:, :, c:].sum(axis=1)
-        for w, df, dc in ((wg, *parts(dg)), (wk, *parts(dk)), (wh, dhf, dhc)):
+        dgc = dg.reshape(r, n, -1)
+        for w, df, dc in ((wg, dgc.sum(axis=0), dgc.sum(axis=1)), (wk, dkx, dkc),
+                          (wh, dhf, dhc)):
             dx += df @ w.value[:c].T
             dcodes += dc @ w.value[c:].T
             w.grad[:c] += xv.T @ df
@@ -566,9 +589,15 @@ def self_attention(x, codes, params, prefix):
         x.grad += dx
         codes.grad += dcodes
 
-    y = weights(True).T @ values(slice(None))  # (n, r * width), copies side by side
+    m3, q = scores(), np.zeros((r, r, n))
+    for rows in blocks:
+        block = softmax(m3, rows, record=True)
+        q += np.matmul(b3[:, rows].transpose(0, 2, 1), block)
+        block[...] = mixed(block, rows).transpose(1, 0, 2)  # M in A's place, as [b, l', l]
     out = np.hstack([np.tile(xv, (r, 1)), np.repeat(cv, n, axis=0)])
-    out += y.reshape(n, r, width).swapaxes(0, 1).reshape(-1, width)
+    out += q.reshape(r, r * n).T @ kc
+    for copy in range(r):
+        out[copy * n:(copy + 1) * n] += m3[copy].T @ kx
     return Node(out, (x, codes, wg, bg, wh, wk, bk), push)
 
 

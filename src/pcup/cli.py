@@ -19,6 +19,7 @@ from .geometry import read_xyz, write_xyz
 from .mesh import load_mesh
 from .training import (
     TrainConfig,
+    _samples_fit,
     load_checkpoint,
     prepare_archive,
     read_archive,
@@ -123,7 +124,7 @@ def build_parser():
     p.add_argument("--name", default=None, help="row label (default: pred file stem)")
     p.add_argument("--subsets", type=_int_at_least(1), default=1000, help="uniformity crop count")
     p.add_argument(
-        "--pool-size", type=_int_at_least(2), default=20000,
+        "--pool-size", type=_pool_size, default=20000,
         help="surface pool for geodesic crops (>= 2)",
     )
     p.add_argument("--seed", type=_int_at_least(0), default=0, help="rng seed (>= 0)")
@@ -145,6 +146,16 @@ def _int_at_least(minimum):
         return value
 
     return parse
+
+
+def _pool_size(text):
+    """argparse type: eval's surface pool, at least 2 points and few
+    enough that area_weighted_sample can draw them."""
+    value = _int_at_least(2)(text)
+    if not _samples_fit(value):
+        raise argparse.ArgumentTypeError(
+            f"must be a point count whose samples fit numpy's maximum array size, got {value}")
+    return value
 
 
 def _open_fraction(text):

@@ -102,6 +102,13 @@ def _parse_value(where, text, like):
         raise ValueError(f"{where} = {text} is not of type {type(like).__name__}") from None
 
 
+def _samples_fit(count):
+    """Whether area_weighted_sample can draw `count` points: its largest
+    array, the (count, 3, 3) float64 triangle corners, must fit numpy's
+    maximum size of 2**63 - 1 bytes. An infinite count does not."""
+    return count * 72 < 2**63
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     """Every knob of the pipeline that a run may set, as ASCII key-value
@@ -149,13 +156,15 @@ class TrainConfig:
                 raise ValueError(f"{key} must be at least 1, got {getattr(self, key)}")
         if not 0.0 < self.patch_fraction < 0.5:  # what PatchGrower.grow accepts; nan fails
             raise ValueError(f"patch_fraction must be in (0, 0.5), got {self.patch_fraction}")
-        # build_dataset's pool, whose largest array, area_weighted_sample's
-        # (pool, 3, 3) float64 triangle corners, must fit numpy's maximum
-        # size of 2**63 - 1 bytes; an infinite pool fails this too
-        if not 5 * self.n_target / self.patch_fraction * 72 < 2**63:
+        # prepare_archive's pool and seeds, each drawn by area_weighted_sample
+        if not _samples_fit(5 * self.n_target / self.patch_fraction):
             raise ValueError(f"patch_fraction must leave a pool of 5 x {self.n_target} target "
                              f"points / patch_fraction whose samples fit numpy's maximum "
                              f"array size, got {self.patch_fraction}")
+        for key in ("pool_size", "patches_per_mesh"):
+            if not _samples_fit(getattr(self, key)):
+                raise ValueError(f"{key} must be a point count whose samples fit numpy's "
+                                 f"maximum array size, got {getattr(self, key)}")
         if self.group_k < 1:  # train checks the upper bound against the archive's n_input
             raise ValueError(f"group_k must be in 1..n_input = {self.n_input}, "
                              f"got {self.group_k}")
@@ -688,7 +697,9 @@ def upsample_cloud(points, params, cfg, overlap_factor=3, generator_fn=None):
         if n < n_in:
             patches = pts[np.arange(n_in) % n][None]
         else:
-            seed_count = max(1, min(n, math.ceil(overlap_factor * n / n_in)))
+            # an overlap of n_in already seeds every point, and a larger one
+            # need not fit a float
+            seed_count = max(1, min(n, math.ceil(min(overlap_factor, n_in) * n / n_in)))
             seeds = farthest_point_sampling(pts, seed_count, 0)
             patches = pts[SpatialIndex(pts).knn(pts[seeds], n_in)[0]]
         frames = [normalize_unit_sphere(patch) for patch in patches]

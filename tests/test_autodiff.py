@@ -701,7 +701,8 @@ class TestAttentionOverCopies:
         # after the forward pass and 33.4 MiB at the peak of forward plus
         # push; factorised, 5.1 and 18.4 MiB, and 3.6 and 15.7 MiB with G
         # and K from x's part and the codes' part and no coded copies X
-        # kept. One (1536, 1536) array alone is 18 MiB
+        # kept; 2.4 and 14.0 MiB keeping K's parts, not K. One
+        # (1536, 1536) array alone is 18 MiB
         params, x, codes = _copies_case(256, 6, "random")
         tracemalloc.start()
         try:
@@ -711,8 +712,22 @@ class TestAttentionOverCopies:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert held < 4 * 2**20
-        assert peak < 17 * 2**20
+        assert held < 3 * 2**20
+        assert peak < 15 * 2**20
+
+    def test_forward_makes_no_values_over_all_copies(self):
+        # 1536 rows, r = 6, 130 columns: with each row of K scaled by its
+        # weight for every code, side by side, the forward pass made a
+        # (1536, 780) array and traced a 15.7 MiB peak; contracting through
+        # K's two parts, 6.9 MiB, below that one array's 9.1 MiB
+        params, x, codes = _copies_case(256, 6, "random")
+        tracemalloc.start()
+        try:
+            ad.self_attention(x, codes, params, "att")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1536 * 780 * 8
 
 
 class TestCheckpoint:

@@ -207,6 +207,22 @@ class TestPrepare:
         assert stdout == ""
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag, key", [("--pool-size", "pool_size"),
+                                           ("--patches-per-mesh", "patches_per_mesh")])
+    def test_count_beyond_numpy_array_size_exits_1(self, capsys, tmp_path, mesh_dir, flag, key):
+        # 10**30 points used to reach Generator.choice in area_weighted_sample,
+        # which raised "OverflowError: Python int too large to convert to C
+        # long" out of main
+        value = str(10**30)
+        out = tmp_path / "archive"
+        code, stdout, err = run(capsys, "prepare", "--meshes", str(mesh_dir),
+                                "--out", str(out), flag, value)
+        assert code == 1
+        assert err.splitlines() == [f"error: {key} must be a point count whose samples fit "
+                                    f"numpy's maximum array size, got {value}"]
+        assert stdout == ""
+        assert not out.exists()
+
     def test_out_of_memory_exits_1(self, capsys, tmp_path, mesh_dir, monkeypatch):
         # a pool too large for memory, as at --fraction 1e-9, used to escape
         # main as a MemoryError traceback; Python's own has no message
@@ -722,6 +738,20 @@ class TestUpsample:
         assert dense.shape == (80, 3)
         assert np.isfinite(dense).all()
 
+    def test_overlap_beyond_a_float_runs(self, capsys, run_dir, tmp_path, rng):
+        # a 400-digit overlap used to raise "OverflowError: integer division
+        # result too large for a float" out of main
+        src = tmp_path / "cloud.xyz"
+        write_xyz(src, rng.normal(size=(40, 3)))
+        dst = tmp_path / "dense.xyz"
+        code, stdout, err = run(
+            capsys, "upsample", "--in", str(src), "--ckpt", str(run_dir / "ckpt_000002"),
+            "--out", str(dst), "--overlap", str(10**400),
+        )
+        assert code == 0, err
+        assert "40 -> 80" in stdout
+        assert read_xyz(dst).shape == (80, 3)
+
     def test_malformed_cloud_reports_line(self, capsys, run_dir, tmp_path):
         src = tmp_path / "bad.xyz"
         src.write_text("0 0 0\n1 2\n")
@@ -1076,6 +1106,27 @@ class TestEval:
         )
         assert code == 2
         assert message in err
+        assert not out.exists()
+
+    def test_pool_size_beyond_numpy_array_size_is_usage_error(self, capsys, tmp_path, mesh_dir):
+        # with clouds to read, 10**30 used to reach Generator.choice in
+        # area_weighted_sample, which raised "OverflowError: Python int too
+        # large to convert to C long" out of main
+        mesh_path = mesh_dir / "tetra.off"
+        cloud = tmp_path / "cloud.xyz"
+        write_xyz(cloud, area_weighted_sample(load_mesh(mesh_path), 50,
+                                              np.random.default_rng(0)).positions)
+        out = tmp_path / "report.csv"
+        value = str(10**30)
+        code, stdout, err = run(capsys, "eval", "--pred", str(cloud), "--gt", str(cloud),
+                                "--mesh", str(mesh_path), "--out", str(out),
+                                "--subsets", "20", "--pool-size", value)
+        assert code == 2
+        assert [line for line in err.splitlines() if "error:" in line] == [
+            "pcup eval: error: argument --pool-size: must be a point count whose samples "
+            f"fit numpy's maximum array size, got {value}"]
+        assert "Traceback" not in err
+        assert stdout == ""
         assert not out.exists()
 
     @pytest.mark.parametrize("label, flags", [

@@ -161,29 +161,29 @@ RETIRED_DEFAULTS = {
 # OPENBLAS_CORETYPE=Prescott runs the kernel named Katmai
 BATCH_OF_THREE_DIGESTS = {
     "SkylakeX": (
-        "d3d33f2f079a2e66fc132a6c46430df7862e1a357a2f582bfebf297166ad6173",
-        "72c51763c281c61cf7e599ac56c467f59c965256f8b08122ef550aad225411a5",
-        "e0826f11cc0c41d6b774cf7b901f7e2846ebdd462fdd0513839bca3efc9c3269",
+        "cb05a442680567d0f5dd651c53b29fb62279e0a3e8a587fa357da5fa07ff9c44",
+        "7fce0a8ae94fb4b498cf6b4bb4e68f6f35bc7bc2dd4380f0017ec2677ea3262b",
+        "3219e5686e9b536f10f3c5266b4ec8bf1eab9a3ed7abc2c520c5b12270bfd7c5",
     ),
     "Haswell": (
-        "fdb3630555910bc999ea70ba05a0ba7a6e65461bb0ca3f3881bd74798a1e34a6",
-        "b2a3a64068f5f72c0ebfa86f27e5b4dc2326e6db9dc130d479d4febbb4972dc3",
-        "5a159962bb4856df7b330401714960a88fb6124c2c02ea7f117a398a90a8aa52",
+        "f2892b60e112b183e8301a9fda30cfb15e2b6e1457fa8026311c73995440b2f7",
+        "5d99133f669492b230a65850f91d5a476e9a1bd2acfd73b7d54b488ebd9c20f4",
+        "9db52bf7438dfd056ae58ffc2ef832d10fbcd8e3bbb760039774ed203912e5ca",
     ),
     "Sandybridge": (
-        "fe4763c7c165d12a15c1770eb064611ab7efde902f9328c6ece4fce0d48324bd",
-        "57f08b619bc5bdea5721def30085d6fbfa7f13b27c7bba159affcaf9a40dfb7e",
-        "b5489522ab8de5b99f4bb351f8a1da790a9aadbdae8427c77e5b41b822e1bb0d",
+        "66e35cf569f4d86bea0db7a8e0148f19ccd72ae51317d2d9c8a71e2237886cf4",
+        "26a1c61c226c4d20eda6d4862b354c31a4e983863034f79e9c42304a59dfe391",
+        "e1b2f7186c6e3788445c46891ac24ded81476eda9d3cb7ca35460e197a797f23",
     ),
     "Nehalem": (
-        "81150730d12083bc3a20f197947c35cffceacb653c2c997ec66abf9209173336",
-        "9055c8b7fcca91d68dfb9bcf5cb69d679ec575cc9029abb7c014b00c0bb59931",
-        "816a90ca92941917a4d6699f8e0cdf6f99c7908bb9921854946117c2c24c17c3",
+        "06905a8d1f3a00acdb9963fd55a418fc99196b3d7701fc184985d4703e560ae1",
+        "c09b4d46a6e061c978ad9451536226d751e32a9857c9021385eefdfe69ac4cb0",
+        "edfcb944874c39d25837d6ade3f13f66e18ceb741dc58a64bb07b5c6d4026d44",
     ),
     "Katmai": (
-        "d8987176b72a7e628aa9c249bb43c645a92d6759c074ec07eed3af46c6d8422f",
-        "a983448a0cdba68d1b49707d0dda51618f187c92456fa88e0bac6dc11375bf8a",
-        "5f3dfedd45a6f4dd15a0201485b3a15ea4ad65d4f7f5657395d36ca599f40324",
+        "30d4ccc18c4db031ad232d73f76fea29bbc65148a45d866f72175676ee529ca8",
+        "a210876f22c813738fda658a49fdbc5ea780ec79b92d36cf3684db7d3c7d71ad",
+        "6a7f7a46c7bf4021793da839d8a8dbb35a2d6c91f3e46841641ea7bdd908935d",
     ),
 }
 
@@ -332,6 +332,9 @@ class TestConfig:
         *(({"patch_fraction": value}, "patch_fraction must leave a pool of 5 x 32 target "
            "points / patch_fraction whose samples fit numpy's maximum array size, "
            f"got {value}") for value in (1e-320, 1e-300, 1e-15)),
+        *(({key: value}, f"{key} must be a point count whose samples fit numpy's maximum "
+           f"array size, got {value}")
+          for key in ("pool_size", "patches_per_mesh") for value in (2**63 // 72 + 1, 10**30)),
     ])
     def test_value_no_run_can_use_refused_however_made(self, tmp_path, changes, message):
         match = f"^{re.escape(message)}$"
@@ -799,6 +802,17 @@ class TestTrainLoop:
 class TestUpsampleCloud:
     def _stub(self, params, cfg, patches):
         return np.tile(patches, (1, cfg.rate, 1))
+
+    @pytest.mark.parametrize("overlap", [float("inf"), 1e308, 10**400],
+                             ids=["inf", "1e308", "10**400"])
+    def test_overlap_beyond_n_input_seeds_every_point(self, rng, overlap):
+        # at an overlap of n_input every point is a seed; these used to
+        # overflow the seed count's division or its ceil
+        cfg = tr.TrainConfig(**TINY)
+        pts = rng.normal(size=(50, 3))
+        want = tr.upsample_cloud(pts, None, cfg, cfg.n_input, generator_fn=self._stub)
+        got = tr.upsample_cloud(pts, None, cfg, overlap, generator_fn=self._stub)
+        assert got.tobytes() == want.tobytes()
 
     def test_stub_output_is_subset_of_input(self, rng):
         cfg = tr.TrainConfig(**TINY)

@@ -23,8 +23,9 @@ patch order, must give the bits of the batch's serial accumulation.
 `correct` and no failed operation; then tools/command_peaks.py on
 `upsample_eval` and `train_desk`, whose peaks `eval` sets, and on
 `train_paper`, whose train step holds the uniform loss at its largest;
-then tools/api_counts.py. The peaks and counts must print a record that
-parses; no threshold is set on them, as RSS depends on the C library.
+then tools/api_counts.py and tools/op_times.py. The peaks, counts and
+op times must print a record that parses; no threshold is set on them,
+as RSS depends on the C library and times on the machine.
 
 Each command runs from the checkout's root with this interpreter, and
 the first that fails stops the check with exit status 1. Needs the
@@ -124,6 +125,10 @@ def bench_smoke():
             print(c["command"], c["rss_mb"], "children:", c["children_rss_mb"])
     print(json.dumps(last_record(run([sys.executable, "tools/api_counts.py"]), "api_counts"),
                      indent=1))
+    r = last_record(run([sys.executable, "tools/op_times.py", "--repeats", "5"]), "op_times")
+    for name, shape in r["shapes"].items():
+        print(name, "attention forward ms:", shape["forward"]["median"],
+              "forward and push ms:", shape["forward_push"]["median"])
 
 
 CHECKS = {"pinned": pinned, "bench-smoke": bench_smoke}
