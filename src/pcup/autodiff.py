@@ -442,7 +442,7 @@ def init_attention(params, prefix, channels, rng):
 # 1 MiB. The points left over join the last block: a short block's
 # product takes another BLAS path (OpenBLAS's small-matrix kernel),
 # whose rows need not be the whole product's bits.
-_ATTENTION_PUSH_ROWS = 128
+_ATTENTION_BLOCK_POINTS = 128
 
 
 def self_attention(x, codes, params, prefix):
@@ -485,7 +485,7 @@ def self_attention(x, codes, params, prefix):
     ops, so the bits are the forward pass's. The forward pass makes M in
     A's place and each copy's output from one (n, n) product, at r = 1
     the product of the op that keeps its (n, n) weights. The push takes
-    M and A's gradient by blocks of _ATTENTION_PUSH_ROWS points, and
+    M and A's gradient by blocks of _ATTENTION_BLOCK_POINTS points, and
     over several blocks pads d's columns to a multiple of 8 for M's
     product, so that a BLAS that splits a block's product over its
     columns splits it as it splits the whole product. At r = 1 the
@@ -517,8 +517,8 @@ def self_attention(x, codes, params, prefix):
     np.exp(b, out=b)
     b /= b.sum(axis=1, keepdims=True)
     b3 = b.reshape(r, n, r)  # B[(b', l'), b] as [b', l', b]
-    stops = [*range(_ATTENTION_PUSH_ROWS, n - _ATTENTION_PUSH_ROWS + 1,
-                    _ATTENTION_PUSH_ROWS), n]
+    stops = [*range(_ATTENTION_BLOCK_POINTS, n - _ATTENTION_BLOCK_POINTS + 1,
+                    _ATTENTION_BLOCK_POINTS), n]
     blocks = [slice(lo, hi) for lo, hi in zip([0, *stops], stops)]
     peaks, sums = np.empty((r, n, 1)), np.empty((r, n, 1))
 
