@@ -6,9 +6,10 @@ record.
 Imports the `pcup` package found in DIR (default: this checkout's src/,
 so another checkout's src/ times that checkout) and times
 `autodiff.self_attention` on the three shapes it has in a network at
-N=64 and N=256: the generator's 384 and 1536 rows (6 coded copies of 64
-and 256 points, 128 feature and 2 code columns) and the discriminator's
-1024 rows (one pooled code, 64 feature and 64 code columns). Each repeat
+N=64 and N=256, with random weights, inputs and codes: the generator's
+384 and 1536 rows (6 coded copies of 64 and 256 points, 128 feature and
+2 code columns) and the discriminator's 1024 rows (one code, 64 feature
+and 64 code columns). Each repeat
 times, per shape, one forward pass and one forward pass plus the push of
 the output's sum, with the shapes and passes interleaved so that a slow
 phase of the machine falls on all of them. Everything runs at one BLAS
@@ -48,11 +49,10 @@ def import_pcup(src):
     pcup = importlib.import_module("pcup")
     if Path(pcup.__file__).resolve().parent != (src / "pcup").resolve():
         raise ValueError(f"{src}: pcup was imported from {pcup.__file__} instead")
-    return (importlib.import_module("pcup.autodiff"), importlib.import_module("pcup.networks"),
-            importlib.import_module("pcup.training"))
+    return importlib.import_module("pcup.autodiff"), importlib.import_module("pcup.training")
 
 
-def make_case(ad, nw, points, codes, features, code_columns, seed=0):
+def make_case(ad, points, codes, features, code_columns, seed=0):
     """Attention weights, with noise on every tensor so no bias is 0, an
     input leaf and a code table leaf."""
     import numpy
@@ -63,8 +63,7 @@ def make_case(ad, nw, points, codes, features, code_columns, seed=0):
     for _, node in params.items():
         node.value += rng.normal(scale=0.05, size=node.value.shape)
     x = params.add("x", rng.normal(size=(points, features)))
-    table = nw.grid_codes(codes, 1) if code_columns == 2 else rng.normal(size=(1, code_columns))
-    return params, x, params.add("codes", table)
+    return params, x, params.add("codes", rng.normal(size=(codes, code_columns)))
 
 
 def spread_ms(seconds):
@@ -78,11 +77,10 @@ def op_times(src, repeats, shrink):
     import numpy
     import scipy
 
-    ad, nw, training = import_pcup(src)
+    ad, training = import_pcup(src)
     cases = {}
     for name, (points, codes, features, code_columns) in SHAPES.items():
-        points = max(1, points // shrink)
-        cases[name] = make_case(ad, nw, points, codes, features, code_columns)
+        cases[name] = make_case(ad, max(1, points // shrink), codes, features, code_columns)
     runs = {name: {"forward": [], "forward_push": []} for name in cases}
     with training._one_blas_thread():
         for _ in range(repeats):
