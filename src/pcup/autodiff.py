@@ -20,7 +20,8 @@ sigmoid and the shape ops need nothing more. linear_relu keeps a
 boolean mask: its pre-activation is overwritten in place to make its
 output. gather_rows and max_over_rows keep row indices, row_distances
 the row differences, and self_attention G, H's feature and code parts
-Hf and Hc, K's parts kx and kc, the code-part weights B, their (r, r, n)
+Hf and Hc, K's parts kl (the last copy's rows) and kd (each code's
+difference from the last), the code-part weights B, their (r - 1, r, n)
 products Q with the feature-part weights, and each row's softmax
 maximum and sum. It keeps neither K nor the coded copies X of its
 input, which it makes only for its output: no array with a row and a
@@ -438,7 +439,7 @@ def init_attention(params, prefix, channels, rng):
 # rows (b', l') for this many points l' and every copy b'; the push also
 # takes M's product with the output gradient and A's gradient, which it
 # turns into the softmax's in place, so beside A it makes arrays of a
-# block's size only: at r = 1 and 1024 rows A is 8 MiB and a block
+# block's size only, two at r = 1: at 1024 rows A is 8 MiB and a block
 # 1 MiB. The points left over join the last block: a short block's
 # product takes another BLAS path (OpenBLAS's small-matrix kernel),
 # whose rows need not be the whole product's bits.
@@ -458,28 +459,39 @@ def self_attention(x, codes, params, prefix):
 
     Each map splits into a part of x and a part of the codes: row (b, l)
     of X M is x_l M[:c] + codes_b M[c:]. The op takes G as
-    tile(x Wg[:c] + b_g, r) + repeat(codes Wg[c:], n), keeps K as its parts
-    kx = x Wk[:c] + b_k and kc = codes Wk[c:], so that
-    K = tile(kx, r) + repeat(kc, n), and H as its parts Hf = x Wh[:c] and
-    Hc = codes Wh[c:]. So each weight factorises:
-    W_((b',l'),(b,l)) = A_((b',l'),l) B_((b',l'),b) with
-    A = row-softmax(G Hf^T) of shape (r * n, n) and B = row-softmax(G Hc^T)
-    of shape (r * n, r). Every product over the copies contracts through
-    K's two parts. Copy b's output is X_b + M_b^T kx + Q_b^T kc, with
-    M_b = sum over b' of B_b'b A_b' (each row l' of copy b''s rows A_b'
-    scaled by its weight for code b) and Q[b', b, l] = sum over l' of
-    B_((b',l'),b) A_((b',l'),l). The push takes the gradients of A and B
-    from kx d_b^T and kc d_b^T for each copy b's rows d_b of the output
-    gradient, and K's as its parts M d and Q d. Neither pass makes the
-    (r * n, r * n) W, B * K over the copies or a product of r * n rows
-    by r * width columns: a product over the copies costs r n^2 width
-    multiply-adds, and the mixing r^2 n^2. At r = 1, B is exactly 1 and
-    M is A, which is W: one code adds G_i . Hc to every score of row i,
-    which the softmax cancels, so Wh[c:] gets an exactly zero gradient.
+    tile(x Wg[:c] + b_g, r) + repeat(codes Wg[c:], n), H as its parts
+    Hf = x Wh[:c] and Hc = codes Wh[c:], and keeps K as two parts: the
+    last copy's rows kl = x Wk[:c] + b_k + codes_(r-1) Wk[c:] and each
+    code's difference from the last, kd = (codes - codes_(r-1)) Wk[c:],
+    whose last row is exactly 0, so that K = tile(kl, r) + repeat(kd, n).
+    So each weight factorises: W_((b',l'),(b,l)) = A_((b',l'),l) B_((b',l'),b)
+    with A = row-softmax(G Hf^T) of shape (r * n, n) and
+    B = row-softmax(G Hc^T) of shape (r * n, r). Every product over the
+    copies contracts through K's two parts. Copy b's output is
+    X_b + M_b^T kl + Q_b^T kd, with M_b = sum over b' of B_b'b A_b' (each
+    row l' of copy b''s rows A_b' scaled by its weight for code b) and
+    Q[b', b, l] = sum over l' of B_((b',l'),b) A_((b',l'),l) for the codes
+    b' < r - 1, whose kd rows are not 0. The push takes, for each copy
+    b's rows d_b of the output gradient, E_b'b = K_b' d_b^T as
+    kl d_b^T + kd_b' d_b^T and F_b'b = B_b'b E_b'b (B_b'b scaling row l'),
+    A's gradient as the sum over b of F_b'b and B's, times B, as the row
+    sums of A_b' F_b'b. K's gradient is kl's M d and kd's Q d; kc gets
+    kd's rows and, for the last code, the sum of kl's rows less theirs,
+    since the columns of M_b sum to the sum over b' of Q_b'b. Neither
+    pass makes the (r * n, r * n) W, B * K over the copies or a product
+    of r * n rows by r * width columns: a product over the copies costs
+    r n^2 width multiply-adds, and the mixing r^2 n^2. The terms of
+    copies b' < r - 1 are products over each block's points; those of
+    the last copy are elementwise, so that at r = 1, where B is exactly 1
+    and M is A, which is W, there are no such products: Q has no rows,
+    the forward pass's M is the softmax's own division (A B = exps /
+    (sums / B)), and the push scales A's and E's rows by B once each. One
+    code adds G_i . Hc to every score of row i, which the softmax
+    cancels, so Wh[c:] gets an exactly zero gradient.
     The push sums each map's gradient over the copies into x's part and
     over each copy's rows into the codes' part.
 
-    The op keeps G, Hf, Hc, kx, kc, B, Q and each row of A's softmax
+    The op keeps G, Hf, Hc, kl, kd, B, Q and each row of A's softmax
     maximum and sum, not A, and not X, which it builds only for its
     output: its push rebuilds A with the same product and elementwise
     ops, so the bits are the forward pass's. The forward pass makes M in
@@ -510,7 +522,10 @@ def self_attention(x, codes, params, prefix):
 
     g = np.tile(_affine(xv, wg.value[:c], bg.value), (r, 1))
     g += np.repeat(cv @ wg.value[c:], n, axis=0)
-    kx, kc = _affine(xv, wk.value[:c], bk.value), cv @ wk.value[c:]
+    kc = cv @ wk.value[c:]
+    # K's parts: the last copy's rows and each code's difference from the
+    # last code, 0 for the last copy itself
+    kl, kd = _affine(xv, wk.value[:c], bk.value) + kc[-1], kc - kc[-1]
     hf, hc = xv @ wh.value[:c], cv @ wh.value[c:]
     b = g @ hc.T
     b -= b.max(axis=1, keepdims=True)
@@ -520,16 +535,18 @@ def self_attention(x, codes, params, prefix):
     stops = [*range(_ATTENTION_BLOCK_POINTS, n - _ATTENTION_BLOCK_POINTS + 1,
                     _ATTENTION_BLOCK_POINTS), n]
     blocks = [slice(lo, hi) for lo, hi in zip([0, *stops], stops)]
+    longest = max(rows.stop - rows.start for rows in blocks)
     peaks, sums = np.empty((r, n, 1)), np.empty((r, n, 1))
 
     def scores():
         # G Hf^T as [b', l', l]
         return (g @ hf.T).reshape(r, n, n)
 
-    def softmax(a3, rows, record=False):
-        # A's rows (b', l') for the points l' in `rows`, the row softmax of
-        # the scores in place; `record` stores each row's maximum and sum,
-        # else the stored ones are used
+    def exps(a3, rows, record=False):
+        # A's rows (b', l') for the points l' in `rows` before their
+        # division by the row sums, exp(score - row maximum), in place;
+        # `record` stores each row's maximum and sum, else the stored ones
+        # are used
         block = a3[:, rows]
         if record:
             peaks[:, rows] = block.max(axis=2, keepdims=True)
@@ -537,50 +554,81 @@ def self_attention(x, codes, params, prefix):
         np.exp(block, out=block)
         if record:
             sums[:, rows] = block.sum(axis=2, keepdims=True)
-        block /= sums[:, rows]
         return block
 
-    def mixed(block, rows):
-        # M's rows (b, l') from A's rows (b', l') for the points l' in `rows`:
-        # M_b = sum over b' of B_b'b A_b', each row of A_b' scaled by its
-        # weight for copy b, so at r = 1 M is A; as [l', b, l]
-        return np.matmul(b3[:, rows].transpose(1, 2, 0), block.transpose(1, 0, 2))
+    def mix(block, scale, others, last, op, own):
+        # M's rows for a block's points l', M_b = sum over b' of B_b'b A_b',
+        # from rows that `scale` turns into B_b'b A_b': copies b < r - 1
+        # into others, as [l', b, l], by products over the block's points;
+        # copy r - 1 into last, first its own term op(block[r - 1], own),
+        # so that last may be the block's place of copy r - 1
+        np.matmul(scale[:, :, :-1].transpose(1, 2, 0), block.transpose(1, 0, 2), out=others)
+        op(block[-1], own, out=last)
+        for src in range(r - 1):
+            last += block[src] * scale[src, :, -1, None]
 
-    def push(d):
+    def grads(d):
+        # by blocks of points: the softmax gradient of A in the scores'
+        # place, kl's gradient M d and B_b'b dB_b'b for B's
         a3 = scores()
         # over several blocks, d's columns padded to a multiple of 8: a BLAS
         # that splits a block's product with M over its columns then splits
         # it where it splits the whole product
-        dm = d if len(blocks) == 1 else np.pad(d, ((0, 0), (0, -width % 8)))
-        ec = (kc @ d.T).reshape(r, r, n)  # kc_b' . d_(b, l) as [b', b, l]
-        dkx, db = np.empty_like(kx), np.empty_like(b)
+        dm = np.pad(d, ((0, 0), (0, -width % 8))) if len(blocks) > 1 and width % 8 else d
+        ec = (kd @ d.T).reshape(r, r, n)  # kd_b' . d_(b, l) as [b', b, l]
+        dkl, db = np.empty((n, dm.shape[1])), np.empty_like(b)
         db3 = db.reshape(r, n, r)
+        work = np.empty((longest, r * n))  # a block's M, then its ex
+        prod = np.empty((longest, r, n))
         for rows in blocks:
-            block, coef = softmax(a3, rows), b3[:, rows]
-            dkx[rows] = (mixed(block, rows).reshape(-1, r * n) @ dm)[:, :width]
-            # dA and dB from K_(b', l') . d_(b, l) = ex[l', b, l] + ec[b', b, l]
-            ex = (kx[rows] @ d.T).reshape(-1, r, n)
-            db3[:, rows] = np.matmul(block.transpose(1, 0, 2),
-                                     ex.transpose(0, 2, 1)).transpose(1, 0, 2)
-            db3[:, rows] += np.matmul(block, ec.transpose(0, 2, 1))
-            da = np.einsum("pqb,qbl->pql", coef, ex)
-            da += np.einsum("pqb,pbl->pql", coef, ec)
+            block, coef = exps(a3, rows), b3[:, rows]
+            block /= sums[:, rows]
+            m = work[:len(block[0])]
+            m3 = m.reshape(len(m), r, n)
+            mix(block, coef, m3[:, :-1], m3[:, -1], np.multiply, coef[-1, :, -1, None])
+            np.matmul(m, dm, out=dkl[rows])
+            # K_(b', l') . d_(b, l) = ex[l', b, l] + ec[b', b, l] =: E_b'b[l', l];
+            # with F_b'b = B_b'b E_b'b, dA_b' = sum over b of F_b'b and
+            # B_b'b dB_b'b = rowsum(A_b' * F_b'b) =: phi[b', l', b]
+            ex = np.matmul(kl[rows], d.T, out=m).reshape(len(m), r, n)
+            # copies b' < r - 1 by products over the block's points
+            bo, ao, eco = coef[:-1], block[:-1], ec[:-1]
+            phi = np.matmul(ao.transpose(1, 0, 2), ex.transpose(0, 2, 1)).transpose(1, 0, 2)
+            phi += np.matmul(ao, eco.transpose(0, 2, 1))
+            phi *= bo
+            da = np.matmul(bo, eco)
+            da += np.matmul(bo.transpose(1, 0, 2), ex, out=prod[:len(m), :-1]).transpose(1, 0, 2)
             # dP = A * (dA - rowsum(dA * A)) over A's rows
-            da -= (da * block).sum(axis=2, keepdims=True)
-            block *= da
-        a = a3.reshape(r * n, n)
-        db -= (db * b).sum(axis=1, keepdims=True)
-        db *= b
+            da -= phi.sum(axis=2, keepdims=True)
+            ao *= da
+            db3[:-1, rows] = phi
+            # copy r - 1, whose E are ex: F in ex's place, dA in F_(r-1)0's
+            f, phi = ex, db3[-1, rows]
+            f *= coef[-1][:, :, None]
+            phi[...] = np.multiply(f, block[-1][:, None], out=prod[:len(m)]).sum(axis=2)
+            da = f[:, 0]
+            for copy in range(1, r):
+                da += f[:, copy]
+            da -= phi.sum(axis=1, keepdims=True)
+            block[-1] *= da
+        return a3.reshape(r * n, n), dkl[:, :width], db
+
+    def push(d):
+        a, dkl, db = grads(d)
+        db -= b * db.sum(axis=1, keepdims=True)  # B * (dB - rowsum(B * dB)) from phi
         dg = a @ hf
         dg += db @ hc
         dhf, dhc = a.T @ g, db.T @ g
-        dkc = q.reshape(r, r * n) @ d
+        # K's gradient: kl's is M d, kd's Q d; kc's is kd's, and for the last
+        # code, the sum of kl's rows less the others'
+        total, dkd = dkl.sum(axis=0, keepdims=True), q.reshape(r - 1, r * n) @ d
+        dkc = np.vstack([dkd, total - dkd.sum(axis=0, keepdims=True)])
         bg.grad += dg.sum(axis=0, keepdims=True)
-        bk.grad += dkx.sum(axis=0, keepdims=True)
+        bk.grad += total
         copies = d.reshape(r, n, -1)  # the residual's parts
         dx, dcodes = copies[:, :, :c].sum(axis=0), copies[:, :, c:].sum(axis=1)
         dgc = dg.reshape(r, n, -1)
-        for w, df, dc in ((wg, dgc.sum(axis=0), dgc.sum(axis=1)), (wk, dkx, dkc),
+        for w, df, dc in ((wg, dgc.sum(axis=0), dgc.sum(axis=1)), (wk, dkl, dkc),
                           (wh, dhf, dhc)):
             dx += df @ w.value[:c].T
             dcodes += dc @ w.value[c:].T
@@ -589,15 +637,30 @@ def self_attention(x, codes, params, prefix):
         x.grad += dx
         codes.grad += dcodes
 
-    m3, q = scores(), np.zeros((r, r, n))
-    for rows in blocks:
-        block = softmax(m3, rows, record=True)
-        q += np.matmul(b3[:, rows].transpose(0, 2, 1), block)
-        block[...] = mixed(block, rows).transpose(1, 0, 2)  # M in A's place, as [b, l', l]
+    def mixed():
+        # the scores with M's rows in A's place, as [b, l', l], and Q but
+        # its last code's rows, which meet kd's zero row
+        m3, q = scores(), np.zeros((r - 1, r, n))
+        spare = np.empty((longest, r - 1, n))  # M's rows but the last copy's
+        for rows in blocks:
+            block = exps(m3, rows, record=True)
+            # B_b'b A_b' = exps * B_b'b / sums, and at r = 1, where B is 1 and
+            # M is A, exps / (sums / B) gives A's bits
+            scale = b3[:, rows] / sums[:, rows]
+            with np.errstate(divide="ignore", over="ignore"):  # inf where B is about 0
+                own = sums[-1, rows] / b3[-1, rows, -1:]
+            q += np.matmul(scale[:-1].transpose(0, 2, 1), block[:-1])
+            m = spare[:len(block[0])]
+            mix(block, scale, m, block[-1], np.divide, own)
+            block[:-1] = m.transpose(1, 0, 2)
+        return m3, q
+
+    m3, q = mixed()
     out = np.hstack([np.tile(xv, (r, 1)), np.repeat(cv, n, axis=0)])
-    out += q.reshape(r, r * n).T @ kc
     for copy in range(r):
-        out[copy * n:(copy + 1) * n] += m3[copy].T @ kx
+        rows = slice(copy * n, (copy + 1) * n)
+        out[rows] += m3[copy].T @ kl
+        out[rows] += q[:, copy].T @ kd[:-1]
     return Node(out, (x, codes, wg, bg, wh, wk, bk), push)
 
 

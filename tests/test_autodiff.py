@@ -589,8 +589,9 @@ class TestAttention:
 
     def test_forward_keeps_no_n_by_n_array(self, rng):
         # between its forward and backward passes the op keeps G, H's two
-        # parts, K and three (n, 1) columns, not the coded copies X, far
-        # below one (n, n) array of weights
+        # parts, K's two parts kl and kd and three (n, 1) columns (B and
+        # each row's softmax maximum and sum; at one code Q has no rows),
+        # not the coded copies X, far below one (n, n) array of weights
         n = 1024
         params = ad.Params()
         ad.init_attention(params, "att", 8, rng)
@@ -701,7 +702,7 @@ class TestAttentionOverCopies:
         # after the forward pass and 33.4 MiB at the peak of forward plus
         # push; factorised, 5.1 and 18.4 MiB, and 3.6 and 15.7 MiB with G
         # and K from x's part and the codes' part and no coded copies X
-        # kept; 2.4 and 14.0 MiB keeping K's parts, not K. One
+        # kept; 2.4 and 13.7 MiB keeping K's parts, not K. One
         # (1536, 1536) array alone is 18 MiB
         params, x, codes = _copies_case(256, 6, "random")
         tracemalloc.start()

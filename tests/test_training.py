@@ -161,29 +161,29 @@ RETIRED_DEFAULTS = {
 # OPENBLAS_CORETYPE=Prescott runs the kernel named Katmai
 BATCH_OF_THREE_DIGESTS = {
     "SkylakeX": (
-        "cb05a442680567d0f5dd651c53b29fb62279e0a3e8a587fa357da5fa07ff9c44",
-        "7fce0a8ae94fb4b498cf6b4bb4e68f6f35bc7bc2dd4380f0017ec2677ea3262b",
-        "3219e5686e9b536f10f3c5266b4ec8bf1eab9a3ed7abc2c520c5b12270bfd7c5",
+        "45f89518a7d7d25ac261067820453445e70b86779b4264931f007e140114e3e8",
+        "779ae23b4f4b7783faa14908d01266b17e9bb03c0f9dfdcb0db24c48759a4e95",
+        "0e3ef8e37ef3dfdfbdada6d4407fb4b9ebf8e838a1603224da57ab1f5442c6c6",
     ),
     "Haswell": (
-        "f2892b60e112b183e8301a9fda30cfb15e2b6e1457fa8026311c73995440b2f7",
-        "5d99133f669492b230a65850f91d5a476e9a1bd2acfd73b7d54b488ebd9c20f4",
-        "9db52bf7438dfd056ae58ffc2ef832d10fbcd8e3bbb760039774ed203912e5ca",
+        "0a2a4c0bd0855c5b9a7eac5c9c2c3549a1db73af544794533a6701e412be3c8f",
+        "21f6a90a612e30ee39abc897a194002d757715e4b619f7d35fa57c319137e958",
+        "284bdc8875129dcc5069dbdb7b815a02195ffab35b9a79332b240375ddeacb70",
     ),
     "Sandybridge": (
-        "66e35cf569f4d86bea0db7a8e0148f19ccd72ae51317d2d9c8a71e2237886cf4",
-        "26a1c61c226c4d20eda6d4862b354c31a4e983863034f79e9c42304a59dfe391",
-        "e1b2f7186c6e3788445c46891ac24ded81476eda9d3cb7ca35460e197a797f23",
+        "2b25177819f8fd37181ac14a2c67fa74a0a2d710009624823708f9dbc428ee16",
+        "87d75a1c37c4535c29bd19b5e0ff279fa900de3e1f326f38e185e427e04cf5ce",
+        "015d5eb869b20f0c74fb0459103512f44f43022066004d13e41cb64a3e3ce5fb",
     ),
     "Nehalem": (
-        "06905a8d1f3a00acdb9963fd55a418fc99196b3d7701fc184985d4703e560ae1",
-        "c09b4d46a6e061c978ad9451536226d751e32a9857c9021385eefdfe69ac4cb0",
-        "edfcb944874c39d25837d6ade3f13f66e18ceb741dc58a64bb07b5c6d4026d44",
+        "0c8196576215b8dfd6ed3e273ede5343ce4e7e6f1ff5334063de616011b9f7fe",
+        "bd46f76065815c6a7995c7e48f72a55b0727c3ab9e1b7f6b22fc21f4b75405d7",
+        "96a73306f68172132ea1175fae7e8a6612b8bc34fd5b9bb61bd2cfd8f058f804",
     ),
     "Katmai": (
-        "30d4ccc18c4db031ad232d73f76fea29bbc65148a45d866f72175676ee529ca8",
-        "a210876f22c813738fda658a49fdbc5ea780ec79b92d36cf3684db7d3c7d71ad",
-        "6a7f7a46c7bf4021793da839d8a8dbb35a2d6c91f3e46841641ea7bdd908935d",
+        "7218f7b4ec3ac99beb847012d00e3820dc04e10471572bb1d92215681199e00a",
+        "a7303e494b34eeb494257c95ade7dc1d3b6cf8f7f84851b0cc5cb152e71d7fdb",
+        "d08e14918cda6734d74574a878d0724107455a6a43537f55a4e154b7839572ba",
     ),
 }
 
