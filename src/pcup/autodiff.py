@@ -475,19 +475,19 @@ def self_attention(x, codes, params, prefix):
     b's rows d_b of the output gradient, E_b'b = K_b' d_b^T as
     kl d_b^T + kd_b' d_b^T and F_b'b = B_b'b E_b'b (B_b'b scaling row l'),
     A's gradient as the sum over b of F_b'b and B's, times B, as the row
-    sums of A_b' F_b'b. K's gradient is kl's M d and kd's Q d; kc gets
-    kd's rows and, for the last code, the sum of kl's rows less theirs,
-    since the columns of M_b sum to the sum over b' of Q_b'b. Neither
-    pass makes the (r * n, r * n) W, B * K over the copies or a product
-    of r * n rows by r * width columns: a product over the copies costs
-    r n^2 width multiply-adds, and the mixing r^2 n^2. The terms of
-    copies b' < r - 1 are products over each block's points; those of
-    the last copy are elementwise, so that at r = 1, where B is exactly 1
-    and M is A, which is W, there are no such products: Q has no rows,
-    the forward pass's M is the softmax's own division (A B = exps /
-    (sums / B)), and the push scales A's and E's rows by B once each. One
-    code adds G_i . Hc to every score of row i, which the softmax
-    cancels, so Wh[c:] gets an exactly zero gradient.
+    sums of A_b' F_b'b. K's gradient is kl's M d and kd's Q d; the codes'
+    part codes Wk[c:] gets kd's rows and, for the last code, the sum of
+    kl's rows less theirs, since the columns of M_b sum to the sum over b'
+    of Q_b'b. Neither pass makes the (r * n, r * n) W, B * K over the
+    copies or a product of r * n rows by r * width columns: a product over
+    the copies costs r n^2 width multiply-adds, and the mixing r^2 n^2.
+    The terms of copies b' < r - 1 are products over each block's points;
+    those of the last copy are elementwise, so that at r = 1, where B is
+    exactly 1 and M is A, which is W, there are no such products: Q has
+    no rows, the forward pass's M is the softmax's own division
+    (A B = exps / (sums / B)), and the push scales A's and E's rows by B
+    once each. One code adds G_i . Hc to every score of row i, which the
+    softmax cancels, so Wh[c:] gets an exactly zero gradient.
     The push sums each map's gradient over the copies into x's part and
     over each copy's rows into the codes' part.
 
@@ -620,7 +620,7 @@ def self_attention(x, codes, params, prefix):
         dg += db @ hc
         dhf, dhc = a.T @ g, db.T @ g
         # K's gradient: kl's is M d, kd's Q d; kc's is kd's, and for the last
-        # code, the sum of kl's rows less the others'
+        # code, the sum of kl's rows less the other codes'
         total, dkd = dkl.sum(axis=0, keepdims=True), q.reshape(r - 1, r * n) @ d
         dkc = np.vstack([dkd, total - dkd.sum(axis=0, keepdims=True)])
         bg.grad += dg.sum(axis=0, keepdims=True)
