@@ -437,10 +437,10 @@ def init_attention(params, prefix, channels, rng):
 # Points per block of the attention op. Both passes take the softmax of
 # the feature-part weights A, and their mixing into M, by blocks of A's
 # rows (b', l') for this many points l' and every copy b'; the push also
-# takes M's product with the output gradient and A's gradient, which it
-# turns into the softmax's in place, so beside A it makes arrays of a
-# block's size only, two at r = 1: at 1024 rows A is 8 MiB and a block
-# 1 MiB. The points left over join the last block: a short block's
+# takes the products of M's copies but the last with the output gradient,
+# and A's gradient, which it turns into the softmax's in place, so beside
+# A it makes arrays of a block's size only, two at r = 1: at 1024 rows A
+# is 8 MiB and a block 1 MiB. The points left over join the last block: a short block's
 # product takes another BLAS path (OpenBLAS's small-matrix kernel),
 # whose rows need not be the whole product's bits.
 _ATTENTION_BLOCK_POINTS = 128
@@ -461,53 +461,63 @@ def self_attention(x, codes, params, prefix):
     of X M is x_l M[:c] + codes_b M[c:]. The op takes G as
     tile(x Wg[:c] + b_g, r) + repeat(codes Wg[c:], n), H as its parts
     Hf = x Wh[:c] and Hc = codes Wh[c:], and keeps K as two parts: the
-    last copy's rows kl = x Wk[:c] + b_k + codes_(r-1) Wk[c:] and each
-    code's difference from the last, kd = (codes - codes_(r-1)) Wk[c:],
-    whose last row is exactly 0, so that K = tile(kl, r) + repeat(kd, n).
-    So each weight factorises: W_((b',l'),(b,l)) = A_((b',l'),l) B_((b',l'),b)
-    with A = row-softmax(G Hf^T) of shape (r * n, n) and
-    B = row-softmax(G Hc^T) of shape (r * n, r). Every product over the
-    copies contracts through K's two parts. Copy b's output is
+    last copy's rows kl = x Wk[:c] + b_k + codes_(r-1) Wk[c:] and, for
+    each other code b, kd_b = (codes_b - codes_(r-1)) Wk[c:], so that copy
+    b's rows of K are kl + kd_b, with kd_(r-1) = 0. So each weight
+    factorises: W_((b',l'),(b,l)) = A_((b',l'),l) B_((b',l'),b) with
+    A = row-softmax(G Hf^T) of shape (r * n, n) and
+    B = row-softmax(G Hc^T) of shape (r * n, r), and every product over
+    the copies contracts through K's two parts. Copy b's output is
     X_b + M_b^T kl + Q_b^T kd, with M_b = sum over b' of B_b'b A_b' (each
     row l' of copy b''s rows A_b' scaled by its weight for code b) and
-    Q[b', b, l] = sum over l' of B_((b',l'),b) A_((b',l'),l) for the codes
-    b' < r - 1, whose kd rows are not 0. The push takes, for each copy
-    b's rows d_b of the output gradient, E_b'b = K_b' d_b^T as
-    kl d_b^T + kd_b' d_b^T and F_b'b = B_b'b E_b'b (B_b'b scaling row l'),
-    A's gradient as the sum over b of F_b'b and B's, times B, as the row
-    sums of A_b' F_b'b. K's gradient is kl's M d and kd's Q d; the codes'
-    part codes Wk[c:] gets kd's rows and, for the last code, the sum of
-    kl's rows less theirs, since the columns of M_b sum to the sum over b'
-    of Q_b'b. Neither pass makes the (r * n, r * n) W, B * K over the
-    copies or a product of r * n rows by r * width columns: a product over
-    the copies costs r n^2 width multiply-adds, and the mixing r^2 n^2.
-    The terms of copies b' < r - 1 are products over each block's points;
-    those of the last copy are elementwise, so that at r = 1, where B is
-    exactly 1 and M is A, which is W, there are no such products: Q has
-    no rows, the forward pass's M is the softmax's own division
-    (A B = exps / (sums / B)), and the push scales A's and E's rows by B
-    once each. One code adds G_i . Hc to every score of row i, which the
-    softmax cancels, so Wh[c:] gets an exactly zero gradient.
-    The push sums each map's gradient over the copies into x's part and
-    over each copy's rows into the codes' part.
+    Q[b', b, l] = sum over l' of B_((b',l'),b) A_((b',l'),l) for
+    b' < r - 1; the forward pass stacks M_b over copy b's rows of Q, and
+    kl over kd, so that each copy's term is one product.
+
+    The push takes, for each copy b's rows d_b of the output gradient,
+    E_b'b = K_b' d_b^T = kl d_b^T + kd_b' d_b^T and F_b'b = B_b'b E_b'b
+    (B_b'b scaling row l'): A's gradient is the sum over b of F_b'b, B's
+    times B the row sums of A_b' F_b'b, kl's M d and kd's Q d; the codes'
+    part codes Wk[c:] gets kd's and, for the last code, the sum of kl's
+    rows less theirs, since the columns of M_b sum to the sum over b' of
+    Q_b'b. As each row's weights B sum to 1 over the codes, the push works
+    on dd, the output gradient with the last copy's rows d_(r-1) taken
+    from the others' (dd_b = d_b - d_(r-1) for b < r - 1): the sum over b
+    of M_b d_b is the sum over b < r - 1 of M_b dd_b plus the sum over b'
+    of A_b' times d_(r-1), one product over all rows, and the sums over b
+    in E and F likewise leave the last copy's weights multiplying
+    nothing. The push sums each map's gradient over the copies into x's
+    part and over each copy's rows into the codes' part.
+
+    Neither pass makes the (r * n, r * n) W, B * K over the copies or a
+    product of r * n rows by r * width columns: a product over the copies
+    costs r n^2 width multiply-adds, and the mixing r^2 n^2. The terms of
+    the copies b' < r - 1 are products over the points of each block;
+    those of the last copy are elementwise. So at r = 1, where B is
+    exactly 1 and M is A, which is W, the op does the work of the op that
+    keeps W, but for a copy of d: Q and kd have no rows, the forward
+    pass's M is the softmax's own division (A B = exps / (sums / B)), and
+    the push's product with d is over all rows. One code adds G_i . Hc to
+    every score of row i, which the softmax cancels, so Wh[c:] gets an
+    exactly zero gradient.
 
     The op keeps G, Hf, Hc, kl, kd, B, Q and each row of A's softmax
     maximum and sum, not A, and not X, which it builds only for its
     output: its push rebuilds A with the same product and elementwise
     ops, so the bits are the forward pass's. The forward pass makes M in
-    A's place and each copy's output from one (n, n) product, at r = 1
-    the product of the op that keeps its (n, n) weights. The push takes
-    M and A's gradient by blocks of _ATTENTION_BLOCK_POINTS points, and
-    over several blocks pads d's columns to a multiple of 8 for M's
-    product, so that a BLAS that splits a block's product over its
-    columns splits it as it splits the whole product. At r = 1 the
-    gradients are those of the whole (n, n) products wherever the BLAS
-    gives a block the whole product's rows: below 256 rows (one block),
-    and at multiples of 16 rows on OpenBLAS's SkylakeX, Haswell,
-    Sandybridge, Nehalem and Prescott kernels at 1 to 4 threads.
-    Elsewhere they can differ in the last bits. With zero K weights the
-    output is exactly X. Permuting x's rows permutes each copy's output
-    rows identically.
+    A's place and each copy's output from one product, at r = 1 the
+    product of the op that keeps its (n, n) weights. The push takes A's
+    gradient, and M's products for the copies b < r - 1, by blocks of
+    _ATTENTION_BLOCK_POINTS points, and over several blocks pads dd's
+    columns to a multiple of 8 for M's block products, so that a BLAS
+    that splits a block's product over its columns splits it as it
+    splits the whole product. At r = 1 the gradients are those of the
+    whole (n, n) products wherever the BLAS gives a block the whole
+    product's rows: below 256 rows (one block), and at multiples of 16
+    rows on OpenBLAS's SkylakeX, Haswell, Sandybridge, Nehalem and
+    Prescott kernels at 1 to 4 threads. Elsewhere they can differ in the
+    last bits. With zero K weights the output is exactly X. Permuting x's
+    rows permutes each copy's output rows identically.
     """
     wg, bg, wh, wk, bk = (params[f"{prefix}.{t}"] for t in ("g.w", "g.b", "h.w", "k.w", "k.b"))
     xv, cv = x.value, codes.value
@@ -523,9 +533,14 @@ def self_attention(x, codes, params, prefix):
     g = np.tile(_affine(xv, wg.value[:c], bg.value), (r, 1))
     g += np.repeat(cv @ wg.value[c:], n, axis=0)
     kc = cv @ wk.value[c:]
-    # K's parts: the last copy's rows and each code's difference from the
-    # last code, 0 for the last copy itself
-    kl, kd = _affine(xv, wk.value[:c], bk.value) + kc[-1], kc - kc[-1]
+    # K's parts, stacked: the last copy's rows kl, then kd, each other
+    # code's difference from the last code (the last's own is 0)
+    kk = np.empty((n + r - 1, width))
+    kl, kd = kk[:n], kk[n:]
+    np.matmul(xv, wk.value[:c], out=kl)
+    kl += bk.value
+    kl += kc[-1]
+    np.subtract(kc[:-1], kc[-1], out=kd)
     hf, hc = xv @ wh.value[:c], cv @ wh.value[c:]
     b = g @ hc.T
     b -= b.max(axis=1, keepdims=True)
@@ -538,9 +553,9 @@ def self_attention(x, codes, params, prefix):
     longest = max(rows.stop - rows.start for rows in blocks)
     peaks, sums = np.empty((r, n, 1)), np.empty((r, n, 1))
 
-    def scores():
+    def scores(out=None):
         # G Hf^T as [b', l', l]
-        return (g @ hf.T).reshape(r, n, n)
+        return np.matmul(g.reshape(r, n, -1), hf.T, out=out)
 
     def exps(a3, rows, record=False):
         # A's rows (b', l') for the points l' in `rows` before their
@@ -556,62 +571,76 @@ def self_attention(x, codes, params, prefix):
             sums[:, rows] = block.sum(axis=2, keepdims=True)
         return block
 
-    def mix(block, scale, others, last, op, own):
-        # M's rows for a block's points l', M_b = sum over b' of B_b'b A_b',
-        # from rows that `scale` turns into B_b'b A_b': copies b < r - 1
-        # into others, as [l', b, l], by products over the block's points;
-        # copy r - 1 into last, first its own term op(block[r - 1], own),
-        # so that last may be the block's place of copy r - 1
-        np.matmul(scale[:, :, :-1].transpose(1, 2, 0), block.transpose(1, 0, 2), out=others)
-        op(block[-1], own, out=last)
-        for src in range(r - 1):
-            last += block[src] * scale[src, :, -1, None]
-
     def grads(d):
         # by blocks of points: the softmax gradient of A in the scores'
-        # place, kl's gradient M d and B_b'b dB_b'b for B's
+        # place, kl's gradient M d and B_b'b dB_b'b for B's, from dd, d with
+        # d_(r-1) taken from the other copies' rows, so that the last copy's
+        # weights scale nothing
         a3 = scores()
-        # over several blocks, d's columns padded to a multiple of 8: a BLAS
-        # that splits a block's product with M over its columns then splits
-        # it where it splits the whole product
-        dm = np.pad(d, ((0, 0), (0, -width % 8))) if len(blocks) > 1 and width % 8 else d
-        ec = (kd @ d.T).reshape(r, r, n)  # kd_b' . d_(b, l) as [b', b, l]
-        dkl, db = np.empty((n, dm.shape[1])), np.empty_like(b)
+        # over several blocks, dd's columns padded to a multiple of 8 for the
+        # block products with M: a BLAS that splits a block's product over
+        # its columns then splits it where it splits the whole product
+        dm = np.empty((r * n, width + (-width % 8 if len(blocks) > 1 else 0)))
+        dm[:, width:] = 0.0
+        dd, d3 = dm[:, :width], d.reshape(r, n, width)
+        np.subtract(d3[:-1], d3[-1], out=dd.reshape(r, n, width)[:-1])
+        dd[-n:] = d3[-1]
+        ec = (kd @ d.T).reshape(r - 1, r, n)  # kd_b' . d_(b, l) as [b', b, l]
+        db = np.empty_like(b)
         db3 = db.reshape(r, n, r)
+        for rows in blocks:  # A
+            block = exps(a3, rows)
+            block /= sums[:, rows]
+        # the sum of A over the copies, made in A_(r-1)'s place and taken
+        # back out after its product with d_(r-1); at r = 1 it is A
+        for src in range(r - 1):
+            a3[-1] += a3[src]
+        dkl = a3[-1] @ dd[-n:]
+        for src in range(r - 1):
+            a3[-1] -= a3[src]
         work = np.empty((longest, r * n))  # a block's M, then its ex
         prod = np.empty((longest, r, n))
         for rows in blocks:
-            block, coef = exps(a3, rows), b3[:, rows]
-            block /= sums[:, rows]
+            block, coef = a3[:, rows], b3[:, rows]
             m = work[:len(block[0])]
-            m3 = m.reshape(len(m), r, n)
-            mix(block, coef, m3[:, :-1], m3[:, -1], np.multiply, coef[-1, :, -1, None])
-            np.matmul(m, dm, out=dkl[rows])
-            # K_(b', l') . d_(b, l) = ex[l', b, l] + ec[b', b, l] =: E_b'b[l', l];
-            # with F_b'b = B_b'b E_b'b, dA_b' = sum over b of F_b'b and
+            # M_b for b < r - 1 by products over the block's points
+            mo = m[:, :-n]
+            np.matmul(coef[:, :, :-1].transpose(1, 2, 0), block.transpose(1, 0, 2),
+                      out=mo.reshape(len(m), r - 1, n))
+            dkl[rows] += (mo @ dm[:-n])[:, :width]
+            # ex[l', b] = kl_l' dd_b^T, so K_(b', l') . d_(b, l) =: E_b'b[l', l]
+            # is ex[l', b, l] + ex[l', r - 1, l] + ec[b', b, l] for b < r - 1 and
+            # ex[l', r - 1, l] + ec[b', r - 1, l] for b = r - 1; with
+            # F_b'b = B_b'b E_b'b, dA_b' = sum over b of F_b'b and
             # B_b'b dB_b'b = rowsum(A_b' * F_b'b) =: phi[b', l', b]
-            ex = np.matmul(kl[rows], d.T, out=m).reshape(len(m), r, n)
-            # copies b' < r - 1 by products over the block's points
-            bo, ao, eco = coef[:-1], block[:-1], ec[:-1]
+            ex = np.matmul(kl[rows], dd.T, out=m).reshape(len(m), r, n)
+            # copies b' < r - 1 by products over the block's points; ex's last
+            # copy enters dA with the sum of B_b'b over b, 1
+            bo, ao = coef[:-1], block[:-1]
             phi = np.matmul(ao.transpose(1, 0, 2), ex.transpose(0, 2, 1)).transpose(1, 0, 2)
-            phi += np.matmul(ao, eco.transpose(0, 2, 1))
+            phi[:, :, :-1] += phi[:, :, -1:]
+            phi += np.matmul(ao, ec.transpose(0, 2, 1))
             phi *= bo
-            da = np.matmul(bo, eco)
-            da += np.matmul(bo.transpose(1, 0, 2), ex, out=prod[:len(m), :-1]).transpose(1, 0, 2)
+            scale = bo.copy()
+            scale[:, :, -1] = 1.0
+            da = np.matmul(bo, ec)
+            da += np.matmul(scale.transpose(1, 0, 2), ex, out=prod[:len(m), :-1]).transpose(1, 0, 2)
             # dP = A * (dA - rowsum(dA * A)) over A's rows
             da -= phi.sum(axis=2, keepdims=True)
             ao *= da
             db3[:-1, rows] = phi
-            # copy r - 1, whose E are ex: F in ex's place, dA in F_(r-1)0's
-            f, phi = ex, db3[-1, rows]
-            f *= coef[-1][:, :, None]
-            phi[...] = np.multiply(f, block[-1][:, None], out=prod[:len(m)]).sum(axis=2)
-            da = f[:, 0]
-            for copy in range(1, r):
-                da += f[:, copy]
+            # copy r - 1, whose kd is 0: dA in ex's last copy's place
+            phi = db3[-1, rows]
+            phi[...] = np.multiply(ex, block[-1][:, None], out=prod[:len(m)]).sum(axis=2)
+            phi[:, :-1] += phi[:, -1:]
+            phi *= coef[-1]
+            da = ex[:, -1]
+            for copy in range(r - 1):
+                ex[:, copy] *= coef[-1, :, copy, None]
+                da += ex[:, copy]
             da -= phi.sum(axis=1, keepdims=True)
             block[-1] *= da
-        return a3.reshape(r * n, n), dkl[:, :width], db
+        return a3.reshape(r * n, n), dkl, db
 
     def push(d):
         a, dkl, db = grads(d)
@@ -638,9 +667,12 @@ def self_attention(x, codes, params, prefix):
         codes.grad += dcodes
 
     def mixed():
-        # the scores with M's rows in A's place, as [b, l', l], and Q but
-        # its last code's rows, which meet kd's zero row
-        m3, q = scores(), np.zeros((r - 1, r, n))
+        # M's rows in the scores' place, as [b, l', l], each copy's followed
+        # by Q's rows for the codes b' < r - 1 (the last's meet kd's 0), as
+        # [b, b', l]: so each copy's attention term is one product with kk
+        mq = np.empty((r, n + r - 1, n))
+        m3 = scores(out=mq[:, :n])
+        mq[:, n:] = 0.0
         spare = np.empty((longest, r - 1, n))  # M's rows but the last copy's
         for rows in blocks:
             block = exps(m3, rows, record=True)
@@ -649,19 +681,25 @@ def self_attention(x, codes, params, prefix):
             scale = b3[:, rows] / sums[:, rows]
             with np.errstate(divide="ignore", over="ignore"):  # inf where B is about 0
                 own = sums[-1, rows] / b3[-1, rows, -1:]
-            q += np.matmul(scale[:-1].transpose(0, 2, 1), block[:-1])
+            mq[:, n:] += np.matmul(scale[:-1].transpose(0, 2, 1), block[:-1]).transpose(1, 0, 2)
+            # M_b for b < r - 1 by products over the block's points; copy
+            # r - 1's in place, its own term first
             m = spare[:len(block[0])]
-            mix(block, scale, m, block[-1], np.divide, own)
+            np.matmul(scale[:, :, :-1].transpose(1, 2, 0), block.transpose(1, 0, 2), out=m)
+            block[-1] /= own
+            for src in range(r - 1):
+                block[-1] += block[src] * scale[src, :, -1, None]
             block[:-1] = m.transpose(1, 0, 2)
-        return m3, q
+        return mq
 
-    m3, q = mixed()
-    out = np.hstack([np.tile(xv, (r, 1)), np.repeat(cv, n, axis=0)])
+    mq = mixed()
+    q = mq[:, n:].transpose(1, 0, 2).copy()  # Q as [b', b, l], for the push
+    out = np.empty((r, n, width))
     for copy in range(r):
-        rows = slice(copy * n, (copy + 1) * n)
-        out[rows] += m3[copy].T @ kl
-        out[rows] += q[:, copy].T @ kd[:-1]
-    return Node(out, (x, codes, wg, bg, wh, wk, bk), push)
+        np.matmul(mq[copy].T, kk, out=out[copy])
+    out[:, :, :c] += xv
+    out[:, :, c:] += cv[:, None]
+    return Node(out.reshape(r * n, width), (x, codes, wg, bg, wh, wk, bk), push)
 
 
 def grouped_square_deviation(x, rows, sizes, centers, weights):

@@ -720,7 +720,7 @@ class TestAttentionOverCopies:
         # 1536 rows, r = 6, 130 columns: with each row of K scaled by its
         # weight for every code, side by side, the forward pass made a
         # (1536, 780) array and traced a 15.7 MiB peak; contracting through
-        # K's two parts, 6.9 MiB, below that one array's 9.1 MiB
+        # K's two parts, 5.6 MiB, below that one array's 9.1 MiB
         params, x, codes = _copies_case(256, 6, "random")
         tracemalloc.start()
         try:

@@ -267,7 +267,7 @@ class TestGenerator:
         # over its copies, which makes no (1536, 1536) array; 35.8 and
         # 52.0 MiB with the discriminator's attending over its pooled code;
         # 31.7 and 48.0 MiB with G and K from x's part and the codes' part,
-        # and no coded copies kept; 29.3 and 45.7 MiB keeping K's parts,
+        # and no coded copies kept; 29.3 and 44.0 MiB keeping K's parts,
         # not K
         cfg = TrainConfig()
         gparams, dparams = nw.init_generator(cfg, 0), nw.init_discriminator(cfg, 1)

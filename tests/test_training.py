@@ -161,29 +161,29 @@ RETIRED_DEFAULTS = {
 # OPENBLAS_CORETYPE=Prescott runs the kernel named Katmai
 BATCH_OF_THREE_DIGESTS = {
     "SkylakeX": (
-        "45f89518a7d7d25ac261067820453445e70b86779b4264931f007e140114e3e8",
-        "779ae23b4f4b7783faa14908d01266b17e9bb03c0f9dfdcb0db24c48759a4e95",
-        "0e3ef8e37ef3dfdfbdada6d4407fb4b9ebf8e838a1603224da57ab1f5442c6c6",
+        "63bf97ba237a9aae405160deb03328c904ba835edb2398b2286233cd834aef9d",
+        "571d4593f860189d32b193a67901da59b966ac83c6ad5db6baf8d5cb1bee7541",
+        "5dc148b5bf5cc20e6af9d506a652472dbabda9d25405a5862bdf9b5eb0469944",
     ),
     "Haswell": (
-        "0a2a4c0bd0855c5b9a7eac5c9c2c3549a1db73af544794533a6701e412be3c8f",
-        "21f6a90a612e30ee39abc897a194002d757715e4b619f7d35fa57c319137e958",
-        "284bdc8875129dcc5069dbdb7b815a02195ffab35b9a79332b240375ddeacb70",
+        "42b8eb5f097b76c585b769e5e6d0335c06c805282ac41e70d17bf3e7b1865883",
+        "e73b99e8ad6122273b89835533d8a503dc5de2aa15f536b2ecc543b756b65b1e",
+        "4e040fc9dd8b98735ffd04aef8c5423b193d646529061492a37474b67819030c",
     ),
     "Sandybridge": (
-        "2b25177819f8fd37181ac14a2c67fa74a0a2d710009624823708f9dbc428ee16",
-        "87d75a1c37c4535c29bd19b5e0ff279fa900de3e1f326f38e185e427e04cf5ce",
-        "015d5eb869b20f0c74fb0459103512f44f43022066004d13e41cb64a3e3ce5fb",
+        "849f70ebfa4b4d7fe869b90c0295791498f2cbbc75926ca4b66d7622ff2d0e8d",
+        "177d108d5033d2dab932cb035600d03acf2b1077d434026401c5ce10511c92e6",
+        "52865b1befe456ee1f3646514247599eda6d70b4c21e4b5e3947ce9b13114389",
     ),
     "Nehalem": (
-        "0c8196576215b8dfd6ed3e273ede5343ce4e7e6f1ff5334063de616011b9f7fe",
-        "bd46f76065815c6a7995c7e48f72a55b0727c3ab9e1b7f6b22fc21f4b75405d7",
-        "96a73306f68172132ea1175fae7e8a6612b8bc34fd5b9bb61bd2cfd8f058f804",
+        "12af10f9c8c6e3fa5542b912edff718c8fe29141edabf7a2c27b9447598d1ecb",
+        "d4af10e24d8f3a1f6e77602beef1d115e19f834b547da2749a5a17e3d7f04534",
+        "edc67218ec37ecbfd025c5f19cce16890f410a22eb2b420ed615c63cda77b135",
     ),
     "Katmai": (
-        "7218f7b4ec3ac99beb847012d00e3820dc04e10471572bb1d92215681199e00a",
-        "a7303e494b34eeb494257c95ade7dc1d3b6cf8f7f84851b0cc5cb152e71d7fdb",
-        "d08e14918cda6734d74574a878d0724107455a6a43537f55a4e154b7839572ba",
+        "0755c4a2bf57bcfe350a8c815bc88b0431003ec87574c5666816cdf10056ac5f",
+        "76ac82e109247c7acdcacd7e7f305246d3bebbe156d60b6710ef3bcb6a4a3fe0",
+        "970116e035a52087f8fd7606c41b82b4dda2f04b9077ece510cdd751197e5144",
     ),
 }
 
